@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .corpus_io import (Candidate, ConfusionNetworkDoc, FormatError,
                         KeywordEntry, RefOccurrence, Slot)
 from .decision import DecisionPolicy, apply_decisions, kst_threshold
-from .index_search import (InvertedIndex, Posting, build_index, dedup_overlaps,
-                           search_all, search_keyword)
+from .index_search import dedup_overlaps, search_all
 from .rescore import (DocWeightTable, RescoreConfig, document_ranking_weights,
                       reestimate_confidence, rescore_candidates,
                       sum_document_scores)
@@ -21,11 +20,10 @@ from .synth import SynthConfig, generate
 
 __all__ = [
     "AlignmentResult", "Candidate", "ConfusionNetworkDoc", "DecisionPolicy",
-    "DocWeightTable", "FormatError", "InvertedIndex", "KeywordEntry",
-    "Posting", "RefOccurrence", "RescoreConfig", "ScoreReport", "Slot",
-    "SynthConfig", "align", "alpha_sweep", "apply_decisions", "atwv",
-    "build_index", "dedup_overlaps", "doc_rank_curves",
-    "document_ranking_weights", "generate", "keyword_rates", "kst_threshold",
-    "mtwv", "reestimate_confidence", "rescore_candidates", "search_all",
-    "search_keyword", "spearman", "sum_document_scores",
+    "DocWeightTable", "FormatError", "KeywordEntry", "RefOccurrence",
+    "RescoreConfig", "ScoreReport", "Slot", "SynthConfig", "align",
+    "alpha_sweep", "apply_decisions", "atwv", "dedup_overlaps",
+    "doc_rank_curves", "document_ranking_weights", "generate",
+    "keyword_rates", "kst_threshold", "mtwv", "reestimate_confidence",
+    "rescore_candidates", "search_all", "spearman", "sum_document_scores",
 ]

@@ -1,6 +1,6 @@
 """Subcommand front end for the toolkit.
 
-Chains the batch stages as separate subcommands (index, search, rescore,
+Chains the batch stages as separate subcommands (search, rescore,
 decide, score, sweep, diag, synth) plus a `pipeline` subcommand that runs
 search -> rescore -> decide -> score in one invocation. Every
 intermediate artifact is an ordinary file in the documented formats; the
@@ -22,13 +22,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus_io import (FormatError, corpus_duration_seconds, parse_cn_corpus,
-                        parse_keyword_list, parse_occurrence_table,
+from .corpus_io import (Candidate, FormatError, corpus_duration_seconds,
+                        parse_cn_corpus, parse_keyword_list,
+                        parse_occurrence_table, quantize_score,
                         write_candidates, write_cn_corpus, write_keyword_list,
                         write_references)
 from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
-from .index_search import (build_index, corpus_fingerprint, dedup_overlaps,
-                           load_index, save_index, search_all)
+from .index_search import dedup_overlaps, search_all
 from .rescore import (RescoreConfig, build_weight_tables, rescore_candidates,
                       write_weight_tables)
 from .scoring import (DEFAULT_DELTA_SECONDS, align, alpha_sweep, doc_rank_curves,
@@ -104,52 +104,54 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def cmd_index(args) -> None:
-    corpus = parse_cn_corpus(args.corpus)
-    index = build_index(corpus)
-    out = Path(args.out)
-    save_index(out, index)
-    log.info("index: %d docs, %d postings, fingerprint %s",
-             len(corpus), index.posting_count, index.fingerprint[:12])
-    _write_manifest(out, "index", {"out": str(out)}, {"corpus": Path(args.corpus)})
+def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
+    """Search `args.corpus` in one streaming pass.
 
+    Returns the candidates (deduplicated unless --no-dedup), the number of
+    hits dropped because their score prints as 0 at 6 decimals (below
+    5e-7, which rescoring would reject), and the corpus's document count
+    and speech seconds.
+    """
+    docs, seconds = 0, 0.0
 
-def _load_or_build_index(args, corpus):
-    if args.index:
-        return load_index(args.index,
-                          expected_fingerprint=corpus_fingerprint(corpus))
-    return build_index(corpus)
+    def counted():
+        nonlocal docs, seconds
+        for doc in parse_cn_corpus(args.corpus):
+            docs += 1
+            seconds += corpus_duration_seconds((doc,))
+            yield doc
+
+    found = search_all(counted(), keywords)
+    candidates = [c for c in found if quantize_score(c.score) > 0.0]
+    if not args.no_dedup:
+        candidates = dedup_overlaps(candidates)
+    return candidates, len(found) - len(candidates), docs, seconds
 
 
 def cmd_search(args) -> None:
-    corpus = parse_cn_corpus(args.corpus)
     keywords = parse_keyword_list(args.keywords)
-    index = _load_or_build_index(args, corpus)
-    candidates = search_all(index, corpus, keywords, jobs=args.jobs)
-    if not args.no_dedup:
-        candidates = dedup_overlaps(candidates)
+    candidates, dropped, docs, _ = _search(args, keywords)
     out = Path(args.out)
     write_candidates(out, candidates)
-    log.info("search: %d candidates for %d keywords over %d docs",
-             len(candidates), len(keywords), len(corpus))
+    log.info("search: %d candidates for %d keywords over %d docs "
+             "(%d hits below 5e-7 dropped)",
+             len(candidates), len(keywords), docs, dropped)
     _write_manifest(out, "search",
-                    {"jobs": args.jobs, "no_dedup": args.no_dedup,
-                     "out": str(out)},
+                    {"no_dedup": args.no_dedup, "out": str(out)},
                     {"corpus": Path(args.corpus),
                      "keywords": Path(args.keywords)})
 
 
 def cmd_rescore(args) -> None:
     candidates = parse_occurrence_table(args.infile, "candidate")
-    rescored, tables = rescore_candidates(candidates, RescoreConfig(args.alpha),
-                                          jobs=args.jobs)
+    rescored, tables = rescore_candidates(candidates, RescoreConfig(args.alpha))
     out = Path(args.out)
     write_candidates(out, rescored)
     if args.weights_out:
         write_weight_tables(args.weights_out, tables)
     log.info("rescore: %d candidates, alpha=%s", len(rescored), args.alpha)
     _write_manifest(out, "rescore",
-                    {"alpha": args.alpha, "jobs": args.jobs, "out": str(out),
+                    {"alpha": args.alpha, "out": str(out),
                      "weights_out": args.weights_out},
                     {"candidates": Path(args.infile)})
 
@@ -217,7 +219,7 @@ def cmd_diag(args) -> None:
     candidates = parse_occurrence_table(args.infile, "candidate")
     references = parse_occurrence_table(args.ref, "ref")
     policy = _resolve_policy(args)
-    tables = build_weight_tables(candidates, jobs=args.jobs)
+    tables = build_weight_tables(candidates)
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
     curve = doc_rank_curves(accepted, tables, alignment, args.max_rank)
@@ -243,7 +245,7 @@ def cmd_diag(args) -> None:
                     {"decision": policy.mode, "threshold": policy.global_threshold,
                      "beta": policy.beta, "trial_seconds": policy.trial_seconds,
                      "delta": args.delta, "max_rank": args.max_rank,
-                     "jobs": args.jobs, "out": str(out_dir)},
+                     "out": str(out_dir)},
                     {"candidates": Path(args.infile), "references": Path(args.ref)})
 
 
@@ -270,25 +272,19 @@ def cmd_synth(args) -> None:
 
 
 def cmd_pipeline(args) -> None:
-    corpus = parse_cn_corpus(args.corpus)
     keywords = parse_keyword_list(args.keywords)
     references = parse_occurrence_table(args.ref, "ref")
-    policy = _resolve_policy(args, corpus_seconds=corpus_duration_seconds(corpus))
+    candidates, dropped, _, seconds = _search(args, keywords)
+    policy = _resolve_policy(args, corpus_seconds=seconds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    index = _load_or_build_index(args, corpus)
-    candidates = search_all(index, corpus, keywords, jobs=args.jobs)
-    if not args.no_dedup:
-        candidates = dedup_overlaps(candidates)
     write_candidates(out_dir / CANDIDATES_FILE, candidates)
 
     # Each stage re-reads the artifact it just wrote so the pipeline sees
     # exactly what chained subcommands would (6-decimal score quantization
     # included) and produces byte-identical files.
     candidates = parse_occurrence_table(out_dir / CANDIDATES_FILE, "candidate")
-    rescored, tables = rescore_candidates(candidates, RescoreConfig(args.alpha),
-                                          jobs=args.jobs)
+    rescored, tables = rescore_candidates(candidates, RescoreConfig(args.alpha))
     write_candidates(out_dir / RESCORED_FILE, rescored)
     write_weight_tables(out_dir / WEIGHTS_FILE, tables)
 
@@ -301,13 +297,14 @@ def cmd_pipeline(args) -> None:
                               policy.beta, args.delta)
     write_report_json(out_dir / REPORT_FILE, report)
     write_keyword_detail(out_dir / DETAIL_FILE, report)
-    log.info("pipeline: ATWV %.4f (alpha=%s, %s decisions) -> %s",
-             report.atwv, args.alpha, policy.mode, out_dir)
+    log.info("pipeline: ATWV %.4f (alpha=%s, %s decisions, %d search hits "
+             "below 5e-7 dropped) -> %s",
+             report.atwv, args.alpha, policy.mode, dropped, out_dir)
     _write_manifest(out_dir, "pipeline",
                     {"alpha": args.alpha, "decision": policy.mode,
                      "threshold": policy.global_threshold, "beta": policy.beta,
                      "trial_seconds": policy.trial_seconds, "delta": args.delta,
-                     "jobs": args.jobs, "no_dedup": args.no_dedup},
+                     "no_dedup": args.no_dedup},
                     {"corpus": Path(args.corpus), "keywords": Path(args.keywords),
                      "references": Path(args.ref)})
 
@@ -327,22 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="drstd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"drstd {__version__}")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="internal parallelism; outputs do not depend on it")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logging")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("index", help="build an inverted index cache")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="index cache file")
-    p.set_defaults(func=cmd_index)
-
     p = subs.add_parser("search", help="one-pass keyword retrieval")
     p.add_argument("--corpus", required=True)
     p.add_argument("--keywords", required=True)
-    p.add_argument("--index", default=None,
-                   help="optional index cache (validated against the corpus)")
     p.add_argument("--no-dedup", action="store_true",
                    help="keep heavily overlapping same-keyword hits")
     p.add_argument("--out", required=True, help="candidate TSV")
@@ -424,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--keywords", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--index", default=None)
     p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--alpha", type=float, required=True)
     _add_decision_flags(p)
@@ -444,9 +431,6 @@ def main(argv=None) -> int:
         return 1
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(message)s")
-    if args.jobs < 1:
-        print("drstd: --jobs must be >= 1", file=sys.stderr)
-        return 1
     try:
         args.func(args)
     except (_UsageError, FormatError, ValueError) as exc:

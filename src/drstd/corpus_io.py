@@ -18,10 +18,11 @@ NFC + lowercase at parse time so that matching elsewhere is exact-string.
 from __future__ import annotations
 
 import json
+import math
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 EPS_TOKEN = "<eps>"
 
@@ -139,7 +140,7 @@ def validate_doc(doc: ConfusionNetworkDoc, *, path: str | Path | None = None,
     """Check all confusion-network invariants, raising FormatError on the first hit."""
     prev_start = None
     for slot_idx, slot in enumerate(doc.slots):
-        where = f"doc '{doc.doc_id}' slot {slot_idx}"
+        where = f"doc {doc.doc_id!r} slot {slot_idx}"
         if not slot.arcs:
             raise FormatError(f"{where}: slot has no arcs", path=path, line=line)
         if slot.duration < 0:
@@ -155,7 +156,7 @@ def validate_doc(doc: ConfusionNetworkDoc, *, path: str | Path | None = None,
         for token, posterior in slot.arcs:
             if not 0.0 < posterior <= 1.0:
                 raise FormatError(
-                    f"{where}: arc '{token}' posterior {posterior} outside (0, 1]",
+                    f"{where}: arc {token!r} posterior {posterior} outside (0, 1]",
                     path=path, line=line)
             if token == EPS_TOKEN:
                 eps_count += 1
@@ -168,14 +169,14 @@ def validate_doc(doc: ConfusionNetworkDoc, *, path: str | Path | None = None,
                               path=path, line=line)
 
 
-def parse_cn_corpus(path: str | Path) -> list[ConfusionNetworkDoc]:
-    """Parse a JSON-lines confusion-network corpus.
+def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
+    """Yield the documents of a JSON-lines confusion-network corpus.
 
-    Documents are returned in file order. A duplicate doc_id, a malformed
-    line, or any violated type invariant raises FormatError with the line
-    number.
+    Documents come in file order, one at a time. A duplicate doc_id, a
+    malformed line, or any violated type invariant raises FormatError with
+    the line number when the pass reaches that line, so a caller writes
+    nothing derived from the corpus before the pass is complete.
     """
-    docs: list[ConfusionNetworkDoc] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -183,18 +184,25 @@ def parse_cn_corpus(path: str | Path) -> list[ConfusionNetworkDoc]:
             if not raw:
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"malformed JSON ({exc.msg})",
+                obj = _JSON_DECODER.decode(raw)
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"malformed JSON ({getattr(exc, 'msg', exc)})",
                                   path=path, line=lineno) from exc
             doc = _doc_from_obj(obj, path=path, line=lineno)
             if doc.doc_id in seen:
-                raise FormatError(f"duplicate doc_id '{doc.doc_id}'",
+                raise FormatError(f"duplicate doc_id {doc.doc_id!r}",
                                   path=path, line=lineno)
             seen.add(doc.doc_id)
             validate_doc(doc, path=path, line=lineno)
-            docs.append(doc)
-    return docs
+            yield doc
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name}")
+
+
+# Rejects the NaN and Infinity literals that json accepts by default.
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _doc_from_obj(obj: object, *, path: str | Path, line: int) -> ConfusionNetworkDoc:
@@ -207,18 +215,26 @@ def _doc_from_obj(obj: object, *, path: str | Path, line: int) -> ConfusionNetwo
         raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
     if not isinstance(doc_id, str) or not doc_id:
         raise FormatError("doc_id must be a non-empty string", path=path, line=line)
+    if not isinstance(raw_slots, list):
+        raise FormatError(f"slots of doc {doc_id!r} is not a list",
+                          path=path, line=line)
     slots = []
     for raw in raw_slots:
         try:
-            arcs = tuple(
-                (normalize_token(str(token)), float(posterior))
-                for token, posterior in raw["arcs"]
-            )
-            slots.append(Slot(start=float(raw["start"]),
-                              duration=float(raw["dur"]),
-                              arcs=arcs))
+            raw_arcs = raw["arcs"]
+            if not isinstance(raw_arcs, list):
+                raise TypeError(f"arcs is not a list: {raw_arcs!r}")
+            arcs = []
+            for arc in raw_arcs:
+                if not isinstance(arc, list) or len(arc) != 2:
+                    raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
+                arcs.append((normalize_token(str(arc[0])),
+                             _finite(arc[1], "posterior")))
+            slots.append(Slot(start=_finite(raw["start"], "start"),
+                              duration=_finite(raw["dur"], "dur"),
+                              arcs=tuple(arcs)))
         except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed slot in doc '{doc_id}': {exc}",
+            raise FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
                               path=path, line=line) from exc
     return ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
 
@@ -248,11 +264,11 @@ def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
                               path=path, line=lineno)
         kw_id, text = fields
         if kw_id in seen:
-            raise FormatError(f"duplicate kw_id '{kw_id}'", path=path, line=lineno)
+            raise FormatError(f"duplicate kw_id {kw_id!r}", path=path, line=lineno)
         seen.add(kw_id)
         tokens = tuple(normalize_token(tok) for tok in text.split())
         if not tokens:
-            raise FormatError(f"keyword '{kw_id}' has blank text", path=path, line=lineno)
+            raise FormatError(f"keyword {kw_id!r} has blank text", path=path, line=lineno)
         entries.append(KeywordEntry(kw_id=kw_id, tokens=tokens))
     return entries
 
@@ -319,11 +335,21 @@ def _parse_floats(path, line, **named: str) -> tuple[float, ...]:
     values = []
     for name, text in named.items():
         try:
-            values.append(float(text))
+            values.append(_finite(text, f"column {name!r}"))
         except ValueError as exc:
-            raise FormatError(f"column '{name}' is not a number: {text!r}",
-                              path=path, line=line) from exc
+            raise FormatError(str(exc), path=path, line=line) from exc
     return tuple(values)
+
+
+def _finite(value: object, what: str) -> float:
+    """float(value), or ValueError unless that is a finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} is not finite: {value!r}")
+    return number
 
 
 def _tsv_rows(path: str | Path):

@@ -1,138 +1,70 @@
-"""Inverted index over confusion networks and one-pass keyword retrieval.
+"""Keyword retrieval over confusion networks in one streaming pass.
 
-Every non-null arc of the corpus becomes one posting. A single-token query
-yields one candidate per posting of that token, scored by the arc
-posterior. A multi-token query matches its tokens against consecutive
-slots, in order; between two matched tokens any number of intermediate
-slots may be traversed through their ``<eps>`` arc, and the candidate
-score is the product of every traversed arc posterior (matched tokens and
-skipped null arcs alike), so scores remain proper probabilities.
+A single-token query yields one candidate per non-null arc of that token,
+scored by the arc posterior. A multi-token query matches its tokens
+against consecutive slots, in order; between two matched tokens any
+number of intermediate slots may be traversed through their ``<eps>``
+arc, and the candidate score is the product of every traversed arc
+posterior (matched tokens and skipped null arcs alike), so scores remain
+proper probabilities.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus_io import Candidate, ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry
-
-INDEX_CACHE_VERSION = 1
 
 # A later hit suppresses an earlier one (or vice versa) when their spans
 # overlap by more than this fraction of the shorter span.
 OVERLAP_DEDUP_FRACTION = 0.5
 
 
-@dataclass(frozen=True, slots=True)
-class Posting:
-    """Location of one non-null arc: document, slot and arc position."""
+def search_all(docs: Iterable[ConfusionNetworkDoc],
+               keywords: Sequence[KeywordEntry]) -> list[Candidate]:
+    """Every occurrence of every keyword, sorted by (kw_id, doc_id, start).
 
-    doc_ref: int
-    slot_ref: int
-    arc_ref: int
-    posterior: float
-    start: float
-    duration: float
-
-
-@dataclass(slots=True)
-class InvertedIndex:
-    """Token -> postings map plus the doc id table it was built against.
-
-    Immutable after build; concurrent readers are safe. ``fingerprint`` is
-    a content hash of the source corpus, used to key on-disk caches.
-    """
-
-    token_map: dict[str, list[Posting]] = field(default_factory=dict)
-    doc_ids: tuple[str, ...] = ()
-    fingerprint: str = ""
-
-    def doc_ref(self, doc_id: str) -> int:
-        return self.doc_ids.index(doc_id)
-
-    @property
-    def posting_count(self) -> int:
-        return sum(len(p) for p in self.token_map.values())
-
-
-def corpus_fingerprint(corpus: Sequence[ConfusionNetworkDoc]) -> str:
-    """Deterministic content hash of a corpus (sha256 hex)."""
-    h = hashlib.sha256()
-    for doc in corpus:
-        h.update(doc.doc_id.encode("utf-8"))
-        h.update(b"\x00")
-        for slot in doc.slots:
-            h.update(repr(slot.start).encode())
-            h.update(repr(slot.duration).encode())
-            for token, posterior in slot.arcs:
-                h.update(token.encode("utf-8"))
-                h.update(repr(posterior).encode())
-            h.update(b"\x01")
-    return h.hexdigest()
-
-
-def build_index(corpus: Sequence[ConfusionNetworkDoc]) -> InvertedIndex:
-    """Index every non-``<eps>`` arc of the corpus.
-
-    Postings come out sorted by (doc_ref, slot_ref, arc_ref) because the
-    corpus is walked in order; the result is deterministic for a given
-    corpus.
-    """
-    token_map: dict[str, list[Posting]] = {}
-    for doc_ref, doc in enumerate(corpus):
-        for slot_ref, slot in enumerate(doc.slots):
-            for arc_ref, (token, posterior) in enumerate(slot.arcs):
-                if token == EPS_TOKEN:
-                    continue
-                token_map.setdefault(token, []).append(Posting(
-                    doc_ref=doc_ref, slot_ref=slot_ref, arc_ref=arc_ref,
-                    posterior=posterior, start=slot.start, duration=slot.duration))
-    return InvertedIndex(token_map=token_map,
-                         doc_ids=tuple(doc.doc_id for doc in corpus),
-                         fingerprint=corpus_fingerprint(corpus))
-
-
-def search_keyword(index: InvertedIndex, corpus: Sequence[ConfusionNetworkDoc],
-                   keyword: KeywordEntry) -> list[Candidate]:
-    """All occurrences of one keyword, sorted by (doc_id, start).
-
+    Reads `docs` once and holds one document at a time: each non-null arc
+    whose token starts some keyword anchors that keyword's matches.
     Unknown tokens simply produce no candidates.
     """
-    tokens = keyword.tokens
-    first_postings = index.token_map.get(tokens[0], [])
-    out: list[Candidate] = []
-    for posting in first_postings:
-        if len(tokens) == 1:
-            out.append(Candidate(
-                kw_id=keyword.kw_id, doc_id=index.doc_ids[posting.doc_ref],
-                start=posting.start, duration=posting.duration,
-                score=posting.posterior))
-            continue
-        slots = corpus[posting.doc_ref].slots
-        out.extend(_extend_paths(index, keyword, posting, slots, tokens))
-    out.sort(key=Candidate.sort_key)
-    return out
+    by_first: dict[str, list[KeywordEntry]] = {}
+    for keyword in keywords:
+        if keyword.tokens[0] != EPS_TOKEN:  # a match never starts on a null arc
+            by_first.setdefault(keyword.tokens[0], []).append(keyword)
+    hits: list[Candidate] = []
+    for doc in docs:
+        for slot_idx, slot in enumerate(doc.slots):
+            for token, posterior in slot.arcs:
+                for keyword in by_first.get(token, ()):
+                    if len(keyword.tokens) == 1:
+                        hits.append(Candidate(
+                            kw_id=keyword.kw_id, doc_id=doc.doc_id,
+                            start=slot.start, duration=slot.duration,
+                            score=posterior))
+                    else:
+                        hits.extend(_extend_paths(keyword, doc, slot_idx,
+                                                  posterior))
+    hits.sort(key=Candidate.sort_key)
+    return hits
 
 
-def _extend_paths(index: InvertedIndex, keyword: KeywordEntry, posting: Posting,
-                  slots, tokens: Sequence[str]) -> list[Candidate]:
-    """Grow a match anchored at `posting` through the remaining tokens."""
-    doc_id = index.doc_ids[posting.doc_ref]
+def _extend_paths(keyword: KeywordEntry, doc: ConfusionNetworkDoc,
+                  slot_ref: int, posterior: float) -> list[Candidate]:
+    """Grow a match anchored at an arc of slot `slot_ref` through the
+    remaining tokens."""
+    slots = doc.slots
     # (last matched slot index, accumulated score)
-    frontier: list[tuple[int, float]] = [(posting.slot_ref, posting.posterior)]
-    for token in tokens[1:]:
+    frontier: list[tuple[int, float]] = [(slot_ref, posterior)]
+    for token in keyword.tokens[1:]:
         next_frontier: list[tuple[int, float]] = []
         for slot_idx, score in frontier:
             gap_score = score
             j = slot_idx + 1
             while j < len(slots):
-                for arc_token, posterior in slots[j].arcs:
+                for arc_token, arc_posterior in slots[j].arcs:
                     if arc_token == token:
-                        next_frontier.append((j, gap_score * posterior))
+                        next_frontier.append((j, gap_score * arc_posterior))
                 eps = slots[j].eps_posterior()
                 if eps is None:
                     break
@@ -141,30 +73,12 @@ def _extend_paths(index: InvertedIndex, keyword: KeywordEntry, posting: Posting,
         frontier = next_frontier
         if not frontier:
             return []
-    start = slots[posting.slot_ref].start
+    start = slots[slot_ref].start
     return [
-        Candidate(kw_id=keyword.kw_id, doc_id=doc_id, start=start,
+        Candidate(kw_id=keyword.kw_id, doc_id=doc.doc_id, start=start,
                   duration=slots[last].end - start, score=score)
         for last, score in frontier
     ]
-
-
-def search_all(index: InvertedIndex, corpus: Sequence[ConfusionNetworkDoc],
-               keywords: Sequence[KeywordEntry], jobs: int = 1) -> list[Candidate]:
-    """Concatenated per-keyword search results, sorted by (kw_id, doc_id, start).
-
-    Per-keyword searches are independent; `jobs` > 1 runs them on a thread
-    pool. The final sort makes the output independent of scheduling.
-    """
-    if jobs > 1 and len(keywords) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_kw = list(pool.map(
-                lambda kw: search_keyword(index, corpus, kw), keywords))
-    else:
-        per_kw = [search_keyword(index, corpus, kw) for kw in keywords]
-    merged = [cand for group in per_kw for cand in group]
-    merged.sort(key=Candidate.sort_key)
-    return merged
 
 
 def _overlap_exceeds(a: Candidate, b: Candidate, fraction: float) -> bool:
@@ -198,35 +112,3 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
         survivors.extend(kept)
     survivors.sort(key=Candidate.sort_key)
     return survivors
-
-
-def save_index(path: str | Path, index: InvertedIndex) -> None:
-    """Write a version-tagged binary cache of the index."""
-    payload = {
-        "format_version": INDEX_CACHE_VERSION,
-        "fingerprint": index.fingerprint,
-        "doc_ids": index.doc_ids,
-        "token_map": index.token_map,
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_index(path: str | Path, *, expected_fingerprint: str | None = None
-               ) -> InvertedIndex:
-    """Load an index cache; optionally verify it matches a corpus fingerprint."""
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    version = payload.get("format_version")
-    if version != INDEX_CACHE_VERSION:
-        raise ValueError(
-            f"index cache {path} has format version {version}, "
-            f"expected {INDEX_CACHE_VERSION}; rebuild it from the corpus")
-    if (expected_fingerprint is not None
-            and payload["fingerprint"] != expected_fingerprint):
-        raise ValueError(
-            f"index cache {path} was built from a different corpus "
-            f"(fingerprint mismatch); rebuild it or drop --index")
-    return InvertedIndex(token_map=payload["token_map"],
-                         doc_ids=tuple(payload["doc_ids"]),
-                         fingerprint=payload["fingerprint"])

@@ -14,7 +14,6 @@ keyword are promoted, and scattered ones are demoted.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -73,7 +72,7 @@ def document_ranking_weights(doc_scores: Mapping[str, float],
     for doc_id, score in doc_scores.items():
         if score <= 0.0:
             raise ValueError(
-                f"document score for '{doc_id}' must be > 0, got {score}")
+                f"document score for {doc_id!r} must be > 0, got {score}")
     max_score = max(doc_scores.values())
     entries = {doc_id: (score, score / max_score)
                for doc_id, score in doc_scores.items()}
@@ -85,8 +84,8 @@ def reestimate_confidence(candidate: Candidate, table: DocWeightTable,
     """Interpolate one candidate's score with its document's ranking weight."""
     if candidate.doc_id not in table.entries:
         raise ValueError(
-            f"document '{candidate.doc_id}' missing from weight table "
-            f"for keyword '{table.kw_id}'")
+            f"document {candidate.doc_id!r} missing from weight table "
+            f"for keyword {table.kw_id!r}")
     weight = table.entries[candidate.doc_id][1]
     new_score = config.alpha * weight + (1.0 - config.alpha) * candidate.score
     return Candidate(kw_id=candidate.kw_id, doc_id=candidate.doc_id,
@@ -94,7 +93,7 @@ def reestimate_confidence(candidate: Candidate, table: DocWeightTable,
                      score=new_score, decision=candidate.decision)
 
 
-def build_weight_tables(candidates: Sequence[Candidate], jobs: int = 1
+def build_weight_tables(candidates: Sequence[Candidate]
                         ) -> dict[str, DocWeightTable]:
     """Per-keyword weight tables for a candidate list.
 
@@ -104,31 +103,23 @@ def build_weight_tables(candidates: Sequence[Candidate], jobs: int = 1
     for cand in candidates:
         if cand.score <= 0.0:
             raise ValueError(
-                f"candidate {cand.kw_id}/{cand.doc_id}@{cand.start} has "
+                f"candidate {cand.kw_id!r}/{cand.doc_id!r}@{cand.start} has "
                 f"non-positive score {cand.score}; rescoring needs scores > 0")
     by_kw: dict[str, list[Candidate]] = {}
     for cand in candidates:
         by_kw.setdefault(cand.kw_id, []).append(cand)
-
-    def table_for(kw_id: str) -> DocWeightTable:
-        return document_ranking_weights(sum_document_scores(by_kw[kw_id]), kw_id)
-
-    kw_ids = list(by_kw)
-    if jobs > 1 and len(kw_ids) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return dict(zip(kw_ids, pool.map(table_for, kw_ids)))
-    return {kw_id: table_for(kw_id) for kw_id in kw_ids}
+    return {kw_id: document_ranking_weights(sum_document_scores(group), kw_id)
+            for kw_id, group in by_kw.items()}
 
 
-def rescore_candidates(candidates: Sequence[Candidate], config: RescoreConfig,
-                       jobs: int = 1
+def rescore_candidates(candidates: Sequence[Candidate], config: RescoreConfig
                        ) -> tuple[list[Candidate], dict[str, DocWeightTable]]:
     """Re-estimate every candidate's confidence, keyword by keyword.
 
     Returns the rescored candidates in input order plus the per-keyword
     weight tables for diagnostics.
     """
-    tables = build_weight_tables(candidates, jobs=jobs)
+    tables = build_weight_tables(candidates)
     rescored = [reestimate_confidence(cand, tables[cand.kw_id], config)
                 for cand in candidates]
     return rescored, tables

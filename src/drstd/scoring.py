@@ -128,7 +128,7 @@ def keyword_rates(alignment: AlignmentResult, trial_seconds: float
         if trial_seconds <= c.n_true:
             raise ValueError(
                 f"trial_seconds {trial_seconds} must exceed the {c.n_true} "
-                f"true occurrences of keyword '{kw_id}'")
+                f"true occurrences of keyword {kw_id!r}")
         p_miss = 1.0 - c.n_correct / c.n_true
         p_fa = c.n_fa / (trial_seconds - c.n_true)
         rates[kw_id] = (p_miss, p_fa)

@@ -211,40 +211,3 @@ def _draw_arcs(config: SynthConfig, rng: np.random.Generator,
              for tok, share in zip(comp_tokens, shares)]
     return tuple(arcs)
 
-
-def plant_report(refs: list[RefOccurrence], config: SynthConfig,
-                 keywords: list[KeywordEntry]) -> dict[str, float]:
-    """Fraction of each keyword's occurrences that landed in one topic.
-
-    Reports, per kw_id, the share of its references falling inside the
-    single topic that hosts most of them (its de-facto home).
-    """
-    per_kw_topic: dict[str, dict[int, int]] = {}
-    for ref in refs:
-        doc_idx = int(ref.doc_id[1:])
-        topic = doc_idx // config.docs_per_topic
-        per_kw_topic.setdefault(ref.kw_id, {})
-        per_kw_topic[ref.kw_id][topic] = per_kw_topic[ref.kw_id].get(topic, 0) + 1
-    out = {}
-    for kw in keywords:
-        topics = per_kw_topic.get(kw.kw_id, {})
-        total = sum(topics.values())
-        out[kw.kw_id] = max(topics.values()) / total if total else 0.0
-    return out
-
-
-def min_true_posterior(docs: list[ConfusionNetworkDoc],
-                       refs: list[RefOccurrence],
-                       keywords: list[KeywordEntry]) -> float:
-    """Smallest posterior of any planted keyword arc (for threshold picks)."""
-    token_of = {kw.kw_id: kw.tokens[0] for kw in keywords}
-    by_doc = {doc.doc_id: doc for doc in docs}
-    smallest = 1.0
-    for ref in refs:
-        for slot in by_doc[ref.doc_id].slots:
-            if slot.start == ref.start:
-                for token, posterior in slot.arcs:
-                    if token == token_of[ref.kw_id]:
-                        smallest = min(smallest, posterior)
-                break
-    return smallest

@@ -21,7 +21,7 @@ from drstd.decision import DecisionPolicy, apply_decisions, yes_only
 from drstd.rescore import RescoreConfig, build_weight_tables, rescore_candidates
 from drstd.scoring import (align, atwv, keyword_rates, spearman,
                            weight_performance_correlation)
-from drstd.index_search import build_index, search_all
+from drstd.index_search import search_all
 
 from conftest import random_candidates, random_corpus, random_keywords, \
     random_references
@@ -44,8 +44,8 @@ def synth_dir(tmp_path_factory):
     return out
 
 
-def run_pipeline(synth_dir, out_dir, alpha, jobs=1):
-    argv = ["--quiet", "--jobs", str(jobs), "pipeline",
+def run_pipeline(synth_dir, out_dir, alpha):
+    argv = ["--quiet", "pipeline",
             "--corpus", str(synth_dir / "corpus.jsonl"),
             "--keywords", str(synth_dir / "keywords.tsv"),
             "--ref", str(synth_dir / "refs.tsv"),
@@ -107,19 +107,14 @@ def test_criterion_2_identity_and_boundary_laws():
 
 
 def test_criterion_3_search_matches_naive_scan():
-    """20 random corpora: indexed search equals a full-scan matcher."""
+    """20 random corpora: streaming search equals a full-scan matcher."""
     rng = np.random.default_rng(103)
     for _ in range(20):
         corpus = random_corpus(rng, max_docs=50)
         keywords = random_keywords(rng, int(rng.integers(3, 15)))
-        got = search_all(build_index(corpus), corpus, keywords)
-        want = naive_scan_search(corpus, keywords)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.kw_id, g.doc_id, g.start, g.duration) == \
-                (w.kw_id, w.doc_id, w.start, w.duration)
-            assert abs(g.score - w.score) <= 1e-12
-    report(3, "20 corpora, candidate sets identical, scores within 1e-12")
+        assert search_all(iter(corpus), keywords) == \
+            naive_scan_search(corpus, keywords)
+    report(3, "20 corpora, candidates identical, scores included")
 
 
 def test_criterion_4_atwv_matches_brute_force():
@@ -232,11 +227,11 @@ def test_criterion_8_alpha_sweep_shape(synth_dir, baseline_run, tmp_path):
 
 
 def test_criterion_9_pipeline_determinism(synth_dir, tmp_path):
-    """Byte-identical artifacts across reruns and across --jobs values."""
+    """Byte-identical artifacts across three reruns."""
     runs = {}
-    for name, jobs in (("a", 1), ("b", 1), ("c", 4)):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        run_pipeline(synth_dir, out, alpha=0.1, jobs=jobs)
+        run_pipeline(synth_dir, out, alpha=0.1)
         runs[name] = out
     artifacts = ["candidates.tsv", "rescored.tsv", "weights.tsv",
                  "decided.tsv", "report.json", "keyword_scores.tsv"]
@@ -244,7 +239,7 @@ def test_criterion_9_pipeline_determinism(synth_dir, tmp_path):
         reference = (runs["a"] / name).read_bytes()
         assert (runs["b"] / name).read_bytes() == reference, name
         assert (runs["c"] / name).read_bytes() == reference, name
-    report(9, f"{len(artifacts)} artifacts byte-identical over reruns and jobs")
+    report(9, f"{len(artifacts)} artifacts byte-identical over three reruns")
 
 
 def test_criterion_10_spearman_unit_correctness():

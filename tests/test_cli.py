@@ -1,8 +1,13 @@
 """Command line behaviour: subcommand composition, exit codes, manifests."""
 
+import contextlib
+import io
 import json
+import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drstd.cli import main
 from drstd.corpus_io import parse_occurrence_table
@@ -47,31 +52,16 @@ class TestSearchAndIndex:
         assert cands
         assert (tmp_path / "search.manifest.json").exists()
 
-    def test_index_cache_round_trip(self, data_dir, tmp_path):
-        cache = tmp_path / "index.bin"
-        assert run("index", "--corpus", str(data_dir / "corpus.jsonl"),
-                   "--out", str(cache)) == 0
-        direct = tmp_path / "direct.tsv"
-        cached = tmp_path / "cached.tsv"
-        assert run("search", "--corpus", str(data_dir / "corpus.jsonl"),
-                   "--keywords", str(data_dir / "keywords.tsv"),
-                   "--out", str(direct)) == 0
-        assert run("search", "--corpus", str(data_dir / "corpus.jsonl"),
-                   "--keywords", str(data_dir / "keywords.tsv"),
-                   "--index", str(cache), "--out", str(cached)) == 0
-        assert direct.read_bytes() == cached.read_bytes()
-
-    def test_stale_index_rejected(self, data_dir, tmp_path):
-        other = tmp_path / "other"
-        assert run("synth", "--docs", "5", "--slots", "10", "--keywords", "3",
-                   "--vocab", "50", "--seed", "1", "--out", str(other)) == 0
-        cache = tmp_path / "index.bin"
-        assert run("index", "--corpus", str(other / "corpus.jsonl"),
-                   "--out", str(cache)) == 0
-        rc = run("search", "--corpus", str(data_dir / "corpus.jsonl"),
-                 "--keywords", str(data_dir / "keywords.tsv"),
-                 "--index", str(cache), "--out", str(tmp_path / "x.tsv"))
-        assert rc == 1
+    def test_index_subcommand_and_flags_rejected(self, data_dir, tmp_path):
+        corpus = str(data_dir / "corpus.jsonl")
+        keywords = str(data_dir / "keywords.tsv")
+        out = tmp_path / "c.tsv"
+        search = ["search", "--corpus", corpus, "--keywords", keywords,
+                  "--out", str(out)]
+        assert run("index", "--corpus", corpus, "--out", str(out)) == 1
+        assert run(*search, "--index", str(tmp_path / "index.bin")) == 1
+        assert run("--jobs", "2", *search) == 1
+        assert not out.exists()
 
 
 class TestRescoreCommand:
@@ -184,18 +174,30 @@ class TestPipeline:
         assert (a / "pipeline.manifest.json").read_bytes() == \
             (b / "pipeline.manifest.json").read_bytes()
 
-    def test_jobs_do_not_change_artifacts(self, data_dir, tmp_path):
-        base_args = ["pipeline", "--corpus", str(data_dir / "corpus.jsonl"),
-                     "--keywords", str(data_dir / "keywords.tsv"),
-                     "--ref", str(data_dir / "refs.tsv"), "--alpha", "0.15",
-                     "--trial-seconds", "3600"]
-        one, four = tmp_path / "one", tmp_path / "four"
-        assert main(["--quiet", *base_args, "--out", str(one)]) == 0
-        assert main(["--quiet", "--jobs", "4", *base_args,
-                     "--out", str(four)]) == 0
-        for name in ("candidates.tsv", "rescored.tsv", "weights.tsv",
-                     "decided.tsv", "report.json"):
-            assert (one / name).read_bytes() == (four / name).read_bytes()
+    def test_hit_below_printable_score_dropped_and_counted(self, tmp_path,
+                                                           caplog):
+        # "a b" matches with score 0.001 * 0.9995 * 0.0004 < 5e-7, which
+        # would be written as 0.000000 and then rejected by rescoring.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"doc_id":"d1","slots":['
+            '{"start":0,"dur":1,"arcs":[["a",0.001],["<eps>",0.999]]},'
+            '{"start":1,"dur":1,"arcs":[["<eps>",0.9995],["x",0.0005]]},'
+            '{"start":2,"dur":1,"arcs":[["b",0.0004],["<eps>",0.9996]]}]}\n')
+        keywords = tmp_path / "keywords.tsv"
+        keywords.write_text("P1\ta b\n")
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("P1\td1\t0.0\t3.0\n")
+        caplog.set_level(logging.INFO, logger="drstd")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--corpus", str(corpus), "--keywords",
+                     str(keywords), "--ref", str(refs), "--alpha", "0.1",
+                     "--out", str(out)]) == 0
+        assert parse_occurrence_table(out / "candidates.tsv", "candidate") == []
+        assert "1 search hits below 5e-7 dropped" in caplog.text
+        assert main(["search", "--corpus", str(corpus), "--keywords",
+                     str(keywords), "--out", str(tmp_path / "c.tsv")]) == 0
+        assert "(1 hits below 5e-7 dropped)" in caplog.text
 
 
 class TestSweepAndDiag:
@@ -244,6 +246,19 @@ class TestErrorHandling:
         assert run("search", "--corpus", str(bad), "--keywords", str(kw),
                    "--out", str(tmp_path / "c.tsv")) == 1
 
+    def test_malformed_corpus_line_after_valid_docs_writes_nothing(
+            self, data_dir, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        valid = (data_dir / "corpus.jsonl").read_text().splitlines()[:3]
+        corpus.write_text("\n".join(valid) + '\n{"doc_id": "late", "slots": 5}\n')
+        keywords = str(data_dir / "keywords.tsv")
+        assert run("search", "--corpus", str(corpus), "--keywords", keywords,
+                   "--out", str(tmp_path / "c.tsv")) == 1
+        assert run("pipeline", "--corpus", str(corpus), "--keywords", keywords,
+                   "--ref", str(data_dir / "refs.tsv"), "--alpha", "0.1",
+                   "--out", str(tmp_path / "run")) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
     def test_kst_requires_trial_seconds(self, tmp_path):
         cands = tmp_path / "c.tsv"
         cands.write_text("K1\td1\t0.0\t0.4\t0.5\n")
@@ -255,3 +270,95 @@ class TestErrorHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert "drstd" in capsys.readouterr().out
+
+
+# A valid line of every input file (%d numbers its ids); the fuzz test
+# below replaces one file with valid lines, a fuzzed one and a bad one.
+VALID_ROWS = {
+    "corpus": '{"doc_id": "d%d", "slots": [{"start": 0.0, "dur": 1.0, '
+              '"arcs": [["a", 0.6], ["<eps>", 0.4]]}]}',
+    "keywords": "K%d\ta",
+    "candidates": "K1\td%d\t0.0\t1.0\t0.6",
+    "decided": "K1\td%d\t0.0\t1.0\t0.6\tYES",
+    "refs": "K1\td%d\t0.0\t1.0",
+}
+# One line each input must reject, so that every fuzzed file is invalid.
+INVALID_LINES = {
+    "corpus": ["{", "[]", "NaN", '{"doc_id": "x", "slots": 5}',
+               '{"doc_id": "", "slots": []}',
+               '{"doc_id": "x", "slots": [{"start": 0, "dur": Infinity, '
+               '"arcs": [["a", 1]]}]}'],
+    "keywords": ["K", "K\t ", "K\ta\tb"],
+    "candidates": ["K\td\t0\t1", "K\td\tinf\t1\t0.5", "K\td\t0\t1\t2",
+                   "K\td\t0\t-1\t0.5", "K\td\t0\t1\t0.5\tmaybe"],
+    "decided": ["K\td\t0\t1\t0.5\tmaybe", "K\td\t0\t1\tnan\tYES",
+                "K\td\t0\t1"],
+    "refs": ["K\td\t0\t0", "K\td\t0\tinf", "K\td\t0", "K\td\tx\t1"],
+}
+FUZZ_COMMANDS = {
+    "search": ["search", "--corpus", "{corpus}", "--keywords", "{keywords}",
+               "--out", "{out}"],
+    "rescore": ["rescore", "--in", "{candidates}", "--alpha", "0.1",
+                "--out", "{out}"],
+    "decide": ["decide", "--in", "{candidates}", "--trial-seconds", "3600",
+               "--out", "{out}"],
+    "score": ["score", "--hyp", "{decided}", "--ref", "{refs}",
+              "--trial-seconds", "3600", "--out", "{out}"],
+}
+
+_text = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\t\n\r"), max_size=6)
+_number = st.one_of(st.floats(), st.integers(-10**30, 10**30),
+                    st.sampled_from(["inf", "-inf", "nan", "1e999", "-0.0"]))
+TSV_ROWS = st.lists(st.one_of(_text, _number.map(str),
+                              st.sampled_from(["YES", "NO", "#", ""])),
+                    max_size=7).map("\t".join)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), _text),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(
+            ["doc_id", "slots", "start", "dur", "arcs"]), _text),
+            children, max_size=4)),
+    max_leaves=10)
+_docs = st.fixed_dictionaries({
+    "doc_id": st.one_of(_text, _json),
+    "slots": st.one_of(_json, st.lists(st.fixed_dictionaries({
+        "start": st.one_of(_number, _json), "dur": st.one_of(_number, _json),
+        "arcs": st.one_of(_json, st.lists(st.lists(
+            st.one_of(_text, _number, _json), max_size=3), max_size=3)),
+    }), max_size=3)),
+})
+JSON_ROWS = st.one_of(_json, _docs).map(json.dumps)
+
+
+@pytest.mark.parametrize("command,fuzzed", [
+    ("search", "corpus"), ("search", "keywords"), ("rescore", "candidates"),
+    ("decide", "candidates"), ("score", "decided"), ("score", "refs"),
+])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_input_fails_in_one_line(tmp_path_factory, command, fuzzed,
+                                        data):
+    # Valid lines first, so that the fuzzed line is always parsed; the bad
+    # line makes the file invalid even when the fuzzed line is not.
+    lines = [VALID_ROWS[fuzzed] % i for i in range(data.draw(st.integers(0, 2)))]
+    tail = [data.draw(JSON_ROWS if fuzzed == "corpus" else TSV_ROWS),
+            data.draw(st.sampled_from(INVALID_LINES[fuzzed]))]
+    if data.draw(st.booleans()):
+        tail.reverse()
+    work = tmp_path_factory.mktemp("fuzz")
+    paths = {"out": str(work / "out")}
+    for name, row in VALID_ROWS.items():
+        path = work / name
+        path.write_text("\n".join(lines + tail if name == fuzzed else [row % 0])
+                        + "\n", encoding="utf-8")
+        paths[name] = str(path)
+    argv = [arg.format(**paths) for arg in FUZZ_COMMANDS[command]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--quiet", *argv])
+    stderr = err.getvalue()
+    assert code in (1, 2)
+    assert len(stderr.splitlines()) == 1, stderr
+    assert "Traceback" not in stderr

@@ -27,7 +27,7 @@ class TestCnCorpusParsing:
         doc = {"doc_id": "d1", "slots": [
             {"start": 0.0, "dur": 0.4, "arcs": [["cat", 0.7], ["<eps>", 0.3]]}]}
         p.write_text(json.dumps(doc) + "\n")
-        docs = parse_cn_corpus(p)
+        docs = list(parse_cn_corpus(p))
         assert len(docs) == 1
         assert len(docs[0].slots) == 1
         assert len(docs[0].slots[0].arcs) == 2
@@ -36,7 +36,7 @@ class TestCnCorpusParsing:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("")
-        assert parse_cn_corpus(p) == []
+        assert list(parse_cn_corpus(p)) == []
 
     def test_posterior_sum_violation(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -44,7 +44,7 @@ class TestCnCorpusParsing:
             {"start": 0.0, "dur": 0.4, "arcs": [["a", 0.6], ["b", 0.6]]}]}
         p.write_text(json.dumps(doc) + "\n")
         with pytest.raises(FormatError, match="posterior sum"):
-            parse_cn_corpus(p)
+            list(parse_cn_corpus(p))
 
     def test_duplicate_doc_id(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -52,14 +52,14 @@ class TestCnCorpusParsing:
             {"start": 0.0, "dur": 0.4, "arcs": [["a", 1.0]]}]}
         p.write_text(json.dumps(doc) + "\n" + json.dumps(doc) + "\n")
         with pytest.raises(FormatError, match="duplicate doc_id"):
-            parse_cn_corpus(p)
+            list(parse_cn_corpus(p))
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
         good = json.dumps({"doc_id": "d1", "slots": []})
         p.write_text(good + "\n{not json\n")
         with pytest.raises(FormatError) as exc:
-            parse_cn_corpus(p)
+            list(parse_cn_corpus(p))
         assert exc.value.line == 2
 
     @pytest.mark.parametrize("slot,message", [
@@ -74,7 +74,63 @@ class TestCnCorpusParsing:
         p = tmp_path / "c.jsonl"
         p.write_text(json.dumps({"doc_id": "d1", "slots": [slot]}) + "\n")
         with pytest.raises(FormatError, match=message):
-            parse_cn_corpus(p)
+            list(parse_cn_corpus(p))
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"doc_id": "d1", "slots": 5}', "slots of doc 'd1' is not a list"),
+        ('{"doc_id": "d1", "slots": {"start": 0}}', "is not a list"),
+        ('{"doc_id": "d1", "slots": ["x"]}', "malformed slot"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, "arcs": 5}]}',
+         "arcs is not a list"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, "arcs": {"a1": 1}}]}',
+         "arcs is not a list"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, "arcs": ["a1"]}]}',
+         "not a \\[token, posterior\\] pair"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, '
+         '"arcs": [["a", 1.0, 2]]}]}', "pair"),
+        ('{"doc_id": "d1", "slots": [{"dur": 1, "arcs": [["a", 1.0]]}]}',
+         "'start'"),
+        ('{"doc_id": 7, "slots": []}', "doc_id must be"),
+        ('{"slots": []}', "missing field 'doc_id'"),
+        ('[1, 2]', "not a JSON object"),
+        ('[' * 100000, "malformed JSON"),
+    ])
+    def test_malformed_structure_rejected(self, tmp_path, line, message):
+        p = tmp_path / "c.jsonl"
+        p.write_text(line + "\n")
+        with pytest.raises(FormatError, match=message) as exc:
+            list(parse_cn_corpus(p))
+        assert str(exc.value).startswith(f"{p}:1: ")
+
+    @pytest.mark.parametrize("field", ["start", "dur", "posterior"])
+    @pytest.mark.parametrize("value,message", [
+        ("1e999", "not finite"), ('"inf"', "not finite"),
+        ('"-inf"', "not finite"), ('"nan"', "not finite"),
+        ("Infinity", "non-finite number Infinity"),
+        ("-Infinity", "non-finite number -Infinity"),
+        ("NaN", "non-finite number NaN"), ("null", "not a number"),
+        ('"x"', "not a number"), ("[]", "not a number"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, field, value, message):
+        slot = {"start": "0.0", "dur": "0.5", "posterior": "1.0"}
+        slot[field] = value
+        p = tmp_path / "c.jsonl"
+        p.write_text(f'{{"doc_id": "d1", "slots": [{{"start": {slot["start"]}, '
+                     f'"dur": {slot["dur"]}, '
+                     f'"arcs": [["a", {slot["posterior"]}]]}}]}}\n')
+        with pytest.raises(FormatError, match=message) as exc:
+            list(parse_cn_corpus(p))
+        assert str(exc.value).startswith(f"{p}:1: ")
+
+    def test_error_after_valid_documents_surfaces_on_reaching_it(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        good = {"doc_id": "d1", "slots": []}
+        p.write_text(json.dumps(good) + "\n" + '{"doc_id": "d2", "slots": 5}\n')
+        docs = parse_cn_corpus(p)
+        assert next(docs).doc_id == "d1"
+        with pytest.raises(FormatError) as exc:
+            next(docs)
+        assert exc.value.line == 2
 
     def test_start_times_must_be_nondecreasing(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -83,20 +139,20 @@ class TestCnCorpusParsing:
             {"start": 0.5, "dur": 0.1, "arcs": [["a", 1.0]]}]}
         p.write_text(json.dumps(doc) + "\n")
         with pytest.raises(FormatError, match="precedes"):
-            parse_cn_corpus(p)
+            list(parse_cn_corpus(p))
 
     def test_tokens_normalized_at_parse(self, tmp_path):
         p = tmp_path / "c.jsonl"
         doc = {"doc_id": "d1", "slots": [
             {"start": 0.0, "dur": 0.4, "arcs": [["CaT", 1.0]]}]}
         p.write_text(json.dumps(doc) + "\n")
-        assert parse_cn_corpus(p)[0].slots[0].arcs[0][0] == "cat"
+        assert next(parse_cn_corpus(p)).slots[0].arcs[0][0] == "cat"
 
     def test_corpus_round_trip(self, tmp_path):
         docs = random_corpus(np.random.default_rng(5), max_docs=20)
         p = tmp_path / "c.jsonl"
         write_cn_corpus(p, docs)
-        assert parse_cn_corpus(p) == docs
+        assert list(parse_cn_corpus(p)) == docs
 
 
 class TestKeywordParsing:
@@ -188,6 +244,28 @@ class TestOccurrenceTables:
         write_lines(p, ["KW2\td1\t1.0\t0.2\t0.5", "KW1\td1\t0.0\t0.2\t0.5"])
         rows = parse_occurrence_table(p, "candidate")
         assert [r.kw_id for r in rows] == ["KW2", "KW1"]
+
+
+    @pytest.mark.parametrize("kind,row,column", [
+        ("candidate", ["K1", "d1", "{}", "0.45", "0.87"], "start"),
+        ("candidate", ["K1", "d1", "3.2", "{}", "0.87"], "dur"),
+        ("candidate", ["K1", "d1", "3.2", "0.45", "{}"], "score"),
+        ("ref", ["K1", "d1", "{}", "0.45"], "start"),
+        ("ref", ["K1", "d1", "3.2", "{}"], "dur"),
+    ])
+    @pytest.mark.parametrize("value,message", [
+        ("inf", "not finite"), ("-inf", "not finite"), ("nan", "not finite"),
+        ("1e999", "not finite"), ("Infinity", "not finite"),
+        ("x", "not a number"), ("", "not a number"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, kind, row, column,
+                                         value, message):
+        p = tmp_path / "rows.tsv"
+        write_lines(p, ["# header", "\t".join(row).format(value)])
+        with pytest.raises(FormatError, match=f"column '{column}' is {message}"
+                           ) as exc:
+            parse_occurrence_table(p, kind)
+        assert str(exc.value).startswith(f"{p}:2: ")
 
 
 class TestCandidateWriting:

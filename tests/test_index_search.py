@@ -1,4 +1,4 @@
-"""Index construction, keyword search and overlap dedup."""
+"""Streaming keyword search and overlap dedup."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drstd.corpus_io import Candidate, ConfusionNetworkDoc, KeywordEntry, Slot
-from drstd.index_search import (build_index, corpus_fingerprint, dedup_overlaps,
-                                load_index, save_index, search_all,
-                                search_keyword)
+from drstd.index_search import dedup_overlaps, search_all
 
 from conftest import random_corpus, random_keywords
 from oracles import naive_scan_search, pairwise_merge_dedup
@@ -23,49 +21,16 @@ def doc(doc_id, *slot_specs):
     return ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
 
 
-class TestBuildIndex:
-    def test_two_slots(self):
-        d = doc("d1", ([("cat", 0.7), ("<eps>", 0.3)], 0.4), ([("sat", 1.0)], 0.5))
-        index = build_index([d])
-        assert set(index.token_map) == {"cat", "sat"}
-        assert index.posting_count == 2
-
-    def test_empty_corpus(self):
-        index = build_index([])
-        assert index.token_map == {}
-        assert index.doc_ids == ()
-
-    def test_posting_count_equals_non_eps_arcs(self):
-        corpus = random_corpus(np.random.default_rng(2), max_docs=50)
-        # independent oracle: direct scan of the corpus
-        arc_count = sum(1 for d in corpus for s in d.slots
-                        for tok, _ in s.arcs if tok != "<eps>")
-        assert build_index(corpus).posting_count == arc_count
-
-    def test_deterministic_fingerprint(self):
-        corpus = random_corpus(np.random.default_rng(3), max_docs=10)
-        a = build_index(corpus)
-        b = build_index(list(corpus))
-        assert a.fingerprint == b.fingerprint == corpus_fingerprint(corpus)
-
-    def test_fingerprint_changes_with_content(self):
-        corpus = random_corpus(np.random.default_rng(3), max_docs=10)
-        altered = corpus[:-1] + [ConfusionNetworkDoc("other", corpus[-1].slots)]
-        assert corpus_fingerprint(altered) != corpus_fingerprint(corpus)
-
-
 class TestSearchKeyword:
     def test_single_token(self):
         d = doc("d1", ([("cat", 0.7), ("<eps>", 0.3)], 0.4))
-        index = build_index([d])
-        hits = search_keyword(index, [d], KeywordEntry("KW1", ("cat",)))
+        hits = search_all([d], [KeywordEntry("KW1", ("cat",))])
         assert hits == [Candidate("KW1", "d1", 0.0, 0.4, 0.7)]
 
     def test_multi_token_skips_eps_slot(self):
         d = doc("d1", ([("cat", 0.7), ("<eps>", 0.3)], 0.4),
                 ([("<eps>", 1.0)], 0.2), ([("sat", 0.5), ("mat", 0.5)], 0.4))
-        index = build_index([d])
-        hits = search_keyword(index, [d], KeywordEntry("KW1", ("cat", "sat")))
+        hits = search_all([d], [KeywordEntry("KW1", ("cat", "sat"))])
         assert len(hits) == 1
         assert hits[0].score == pytest.approx(0.7 * 1.0 * 0.5, abs=1e-15)
         assert hits[0].start == 0.0
@@ -74,27 +39,23 @@ class TestSearchKeyword:
     def test_eps_posterior_multiplied_in(self):
         d = doc("d1", ([("a", 1.0)], 0.3), ([("x", 0.6), ("<eps>", 0.4)], 0.3),
                 ([("b", 0.5), ("<eps>", 0.5)], 0.3))
-        index = build_index([d])
-        hits = search_keyword(index, [d], KeywordEntry("KW1", ("a", "b")))
+        hits = search_all([d], [KeywordEntry("KW1", ("a", "b"))])
         assert len(hits) == 1
         assert hits[0].score == pytest.approx(1.0 * 0.4 * 0.5, abs=1e-15)
 
     def test_gap_blocked_without_eps(self):
         d = doc("d1", ([("a", 1.0)], 0.3), ([("x", 1.0)], 0.3),
                 ([("b", 1.0)], 0.3))
-        index = build_index([d])
-        assert search_keyword(index, [d], KeywordEntry("KW1", ("a", "b"))) == []
+        assert search_all([d], [KeywordEntry("KW1", ("a", "b"))]) == []
 
     def test_unknown_token_empty(self):
         d = doc("d1", ([("cat", 1.0)], 0.4))
-        index = build_index([d])
-        assert search_keyword(index, [d], KeywordEntry("KW1", ("dog",))) == []
+        assert search_all([d], [KeywordEntry("KW1", ("dog",))]) == []
 
     def test_consecutive_tokens(self):
         d = doc("d1", ([("a", 0.9), ("<eps>", 0.1)], 0.3),
                 ([("b", 0.8), ("c", 0.2)], 0.3))
-        index = build_index([d])
-        hits = search_keyword(index, [d], KeywordEntry("KW1", ("a", "b")))
+        hits = search_all([d], [KeywordEntry("KW1", ("a", "b"))])
         assert len(hits) == 1
         assert hits[0].score == pytest.approx(0.72, abs=1e-15)
 
@@ -103,8 +64,7 @@ class TestSearchKeyword:
         d = doc("d1", ([("a", 1.0)], 0.3),
                 ([("b", 0.3), ("<eps>", 0.2), ("x", 0.5)], 0.3),
                 ([("b", 1.0)], 0.3))
-        index = build_index([d])
-        hits = search_keyword(index, [d], KeywordEntry("KW1", ("a", "b")))
+        hits = search_all([d], [KeywordEntry("KW1", ("a", "b"))])
         assert sorted(round(h.score, 10) for h in hits) == [0.2, 0.3]
 
 
@@ -112,43 +72,46 @@ class TestSearchAll:
     def test_concatenated_and_sorted(self):
         d1 = doc("d1", ([("cat", 1.0)], 0.4))
         d2 = doc("d2", ([("dog", 1.0)], 0.4))
-        corpus = [d1, d2]
-        index = build_index(corpus)
         kws = [KeywordEntry("K2", ("dog",)), KeywordEntry("K1", ("cat",))]
-        hits = search_all(index, corpus, kws)
+        hits = search_all([d1, d2], kws)
         assert [h.kw_id for h in hits] == ["K1", "K2"]
 
     def test_empty_keyword_list(self):
         corpus = [doc("d1", ([("cat", 1.0)], 0.4))]
-        assert search_all(build_index(corpus), corpus, []) == []
+        assert search_all(corpus, []) == []
+
+    def test_empty_corpus(self):
+        assert search_all([], [KeywordEntry("K1", ("cat",))]) == []
+
+    def test_every_token_of_two_slots_found(self):
+        d = doc("d1", ([("cat", 0.7), ("<eps>", 0.3)], 0.4), ([("sat", 1.0)], 0.5))
+        kws = [KeywordEntry("K1", ("cat",)), KeywordEntry("K2", ("sat",)),
+               KeywordEntry("K3", ("<eps>",))]
+        assert search_all([d], kws) == [Candidate("K1", "d1", 0.0, 0.4, 0.7),
+                                        Candidate("K2", "d1", 0.4, 0.5, 1.0)]
+
+    def test_one_candidate_per_non_eps_arc(self):
+        corpus = random_corpus(np.random.default_rng(2), max_docs=50)
+        # independent oracle: direct scan of the corpus
+        arcs = [tok for d in corpus for s in d.slots
+                for tok, _ in s.arcs if tok != "<eps>"]
+        keywords = [KeywordEntry(tok, (tok,)) for tok in sorted(set(arcs))]
+        assert len(search_all(corpus, keywords)) == len(arcs)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_scan(self, seed):
         rng = np.random.default_rng(seed)
         corpus = random_corpus(rng, max_docs=50)
         keywords = random_keywords(rng, int(rng.integers(5, 21)))
-        index = build_index(corpus)
-        got = search_all(index, corpus, keywords)
-        expected = naive_scan_search(corpus, keywords)
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert (g.kw_id, g.doc_id, g.start, g.duration) == \
-                (e.kw_id, e.doc_id, e.start, e.duration)
-            assert abs(g.score - e.score) <= 1e-12
-
-    def test_jobs_do_not_change_output(self):
-        rng = np.random.default_rng(9)
-        corpus = random_corpus(rng, max_docs=30)
-        keywords = random_keywords(rng, 12)
-        index = build_index(corpus)
-        assert search_all(index, corpus, keywords, jobs=1) == \
-            search_all(index, corpus, keywords, jobs=4)
+        # a one-shot iterator: the search reads the corpus exactly once
+        got = search_all(iter(corpus), keywords)
+        assert got == naive_scan_search(corpus, keywords)
 
     def test_scores_are_probabilities(self):
         rng = np.random.default_rng(10)
         corpus = random_corpus(rng, max_docs=30)
         keywords = random_keywords(rng, 15)
-        for hit in search_all(build_index(corpus), corpus, keywords):
+        for hit in search_all(corpus, keywords):
             assert 0.0 < hit.score <= 1.0
 
 
@@ -197,33 +160,3 @@ def test_dedup_idempotent(rows):
     cands = [Candidate(f"K{k}", "d1", s, d, sc) for k, s, d, sc in rows]
     once = dedup_overlaps(cands)
     assert dedup_overlaps(once) == once
-
-
-class TestIndexCache:
-    def test_save_load_round_trip(self, tmp_path):
-        corpus = random_corpus(np.random.default_rng(4), max_docs=10)
-        index = build_index(corpus)
-        path = tmp_path / "index.bin"
-        save_index(path, index)
-        loaded = load_index(path, expected_fingerprint=index.fingerprint)
-        assert loaded.token_map == index.token_map
-        assert loaded.doc_ids == index.doc_ids
-        assert loaded.fingerprint == index.fingerprint
-
-    def test_fingerprint_mismatch_rejected(self, tmp_path):
-        corpus = random_corpus(np.random.default_rng(4), max_docs=10)
-        path = tmp_path / "index.bin"
-        save_index(path, build_index(corpus))
-        with pytest.raises(ValueError, match="different corpus"):
-            load_index(path, expected_fingerprint="0" * 64)
-
-    def test_search_results_identical_after_reload(self, tmp_path):
-        rng = np.random.default_rng(6)
-        corpus = random_corpus(rng, max_docs=15)
-        keywords = random_keywords(rng, 8)
-        index = build_index(corpus)
-        path = tmp_path / "index.bin"
-        save_index(path, index)
-        loaded = load_index(path)
-        assert search_all(loaded, corpus, keywords) == \
-            search_all(index, corpus, keywords)

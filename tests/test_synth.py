@@ -2,15 +2,53 @@
 
 import pytest
 
-from drstd.corpus_io import (corpus_duration_seconds, validate_doc,
-                             write_cn_corpus)
+from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry,
+                             RefOccurrence, corpus_duration_seconds,
+                             validate_doc, write_cn_corpus)
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
-from drstd.index_search import build_index, dedup_overlaps, search_all
+from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
 from drstd.scoring import (align, atwv, keyword_rates,
                            weight_performance_correlation)
-from drstd.synth import (SynthConfig, generate, min_true_posterior,
-                         plant_report)
+from drstd.synth import SynthConfig, generate
+
+
+def plant_report(refs: list[RefOccurrence], config: SynthConfig,
+                 keywords: list[KeywordEntry]) -> dict[str, float]:
+    """Fraction of each keyword's occurrences that landed in one topic.
+
+    Reports, per kw_id, the share of its references falling inside the
+    single topic that hosts most of them (its de-facto home).
+    """
+    per_kw_topic: dict[str, dict[int, int]] = {}
+    for ref in refs:
+        doc_idx = int(ref.doc_id[1:])
+        topic = doc_idx // config.docs_per_topic
+        per_kw_topic.setdefault(ref.kw_id, {})
+        per_kw_topic[ref.kw_id][topic] = per_kw_topic[ref.kw_id].get(topic, 0) + 1
+    out = {}
+    for kw in keywords:
+        topics = per_kw_topic.get(kw.kw_id, {})
+        total = sum(topics.values())
+        out[kw.kw_id] = max(topics.values()) / total if total else 0.0
+    return out
+
+
+def min_true_posterior(docs: list[ConfusionNetworkDoc],
+                       refs: list[RefOccurrence],
+                       keywords: list[KeywordEntry]) -> float:
+    """Smallest posterior of any planted keyword arc (for threshold picks)."""
+    token_of = {kw.kw_id: kw.tokens[0] for kw in keywords}
+    by_doc = {doc.doc_id: doc for doc in docs}
+    smallest = 1.0
+    for ref in refs:
+        for slot in by_doc[ref.doc_id].slots:
+            if slot.start == ref.start:
+                for token, posterior in slot.arcs:
+                    if token == token_of[ref.kw_id]:
+                        smallest = min(smallest, posterior)
+                break
+    return smallest
 
 
 def small_config(**overrides):
@@ -77,8 +115,7 @@ class TestNoiseZero:
         docs, keywords, refs = generate(cfg)
         floor = min_true_posterior(docs, refs, keywords)
         assert floor >= 0.78 - 1e-12
-        index = build_index(docs)
-        cands = dedup_overlaps(search_all(index, docs, keywords))
+        cands = dedup_overlaps(search_all(docs, keywords))
         policy = DecisionPolicy(mode="global", global_threshold=floor - 0.05,
                                 trial_seconds=corpus_duration_seconds(docs))
         accepted = yes_only(apply_decisions(cands, policy))
@@ -113,7 +150,7 @@ class TestBurstiness:
                               num_keywords=40, topic_affinity=affinity,
                               docs_per_topic=5, noise=0.5, seed=1)
             docs, keywords, refs = generate(cfg)
-            cands = dedup_overlaps(search_all(build_index(docs), docs, keywords))
+            cands = dedup_overlaps(search_all(docs, keywords))
             policy = DecisionPolicy(
                 mode="kst", trial_seconds=corpus_duration_seconds(docs))
             accepted = yes_only(apply_decisions(cands, policy))
