@@ -11,19 +11,17 @@ from .corpus_io import (Candidate, ConfusionNetworkDoc, FormatError,
                         KeywordEntry, RefOccurrence, Slot)
 from .decision import DecisionPolicy, apply_decisions, kst_threshold
 from .index_search import dedup_overlaps, search_all
-from .rescore import (DocWeightTable, RescoreConfig, document_ranking_weights,
-                      reestimate_confidence, rescore_candidates,
-                      sum_document_scores)
+from .rescore import (build_weight_tables, reestimate_confidence,
+                      rescore_candidates)
 from .scoring import (AlignmentResult, ScoreReport, align, alpha_sweep, atwv,
                       doc_rank_curves, keyword_rates, mtwv, spearman)
 from .synth import SynthConfig, generate
 
 __all__ = [
     "AlignmentResult", "Candidate", "ConfusionNetworkDoc", "DecisionPolicy",
-    "DocWeightTable", "FormatError", "KeywordEntry", "RefOccurrence",
-    "RescoreConfig", "ScoreReport", "Slot", "SynthConfig", "align",
-    "alpha_sweep", "apply_decisions", "atwv", "dedup_overlaps",
-    "doc_rank_curves", "document_ranking_weights", "generate",
+    "FormatError", "KeywordEntry", "RefOccurrence", "ScoreReport", "Slot",
+    "SynthConfig", "align", "alpha_sweep", "apply_decisions", "atwv",
+    "build_weight_tables", "dedup_overlaps", "doc_rank_curves", "generate",
     "keyword_rates", "kst_threshold", "mtwv", "reestimate_confidence",
-    "rescore_candidates", "search_all", "spearman", "sum_document_scores",
+    "rescore_candidates", "search_all", "spearman",
 ]

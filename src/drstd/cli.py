@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .corpus_io import (Candidate, FormatError, corpus_duration_seconds,
                         write_references)
 from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
 from .index_search import dedup_overlaps, search_all
-from .rescore import (RescoreConfig, build_weight_tables, rescore_candidates,
+from .rescore import (build_weight_tables, rescore_candidates,
                       write_weight_tables)
 from .scoring import (DEFAULT_DELTA_SECONDS, align, alpha_sweep, doc_rank_curves,
                       mtwv, score_detections, weight_performance_correlation,
@@ -94,6 +95,20 @@ def _resolve_policy(args, corpus_seconds: float | None = None
                           beta=args.beta, trial_seconds=trial_seconds)
 
 
+def _positive(kind):
+    """argparse type: a finite `kind` (float or int) > 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} > 0, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
@@ -107,10 +122,10 @@ def _parse_grid(text: str) -> list[float]:
 def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
     """Search `args.corpus` in one streaming pass.
 
-    Returns the candidates (deduplicated unless --no-dedup), the number of
-    hits dropped because their score prints as 0 at 6 decimals (below
-    5e-7, which rescoring would reject), and the corpus's document count
-    and speech seconds.
+    Returns the deduplicated candidates, the number of hits dropped
+    because their score prints as 0 at 6 decimals (below 5e-7, which
+    rescoring would reject), and the corpus's document count and speech
+    seconds.
     """
     docs, seconds = 0, 0.0
 
@@ -122,10 +137,8 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
             yield doc
 
     found = search_all(counted(), keywords)
-    candidates = [c for c in found if quantize_score(c.score) > 0.0]
-    if not args.no_dedup:
-        candidates = dedup_overlaps(candidates)
-    return candidates, len(found) - len(candidates), docs, seconds
+    kept = [c for c in found if quantize_score(c.score) > 0.0]
+    return dedup_overlaps(kept), len(found) - len(kept), docs, seconds
 
 
 def cmd_search(args) -> None:
@@ -137,14 +150,14 @@ def cmd_search(args) -> None:
              "(%d hits below 5e-7 dropped)",
              len(candidates), len(keywords), docs, dropped)
     _write_manifest(out, "search",
-                    {"no_dedup": args.no_dedup, "out": str(out)},
+                    {"out": str(out)},
                     {"corpus": Path(args.corpus),
                      "keywords": Path(args.keywords)})
 
 
 def cmd_rescore(args) -> None:
     candidates = parse_occurrence_table(args.infile, "candidate")
-    rescored, tables = rescore_candidates(candidates, RescoreConfig(args.alpha))
+    rescored, tables = rescore_candidates(candidates, args.alpha)
     out = Path(args.out)
     write_candidates(out, rescored)
     if args.weights_out:
@@ -174,9 +187,11 @@ def cmd_decide(args) -> None:
 def cmd_score(args) -> None:
     hypotheses = parse_occurrence_table(args.hyp, "candidate")
     references = parse_occurrence_table(args.ref, "ref")
-    if hypotheses and all(c.decision is None for c in hypotheses):
+    undecided = sum(c.decision is None for c in hypotheses)
+    if undecided:
         raise ValueError(
-            "hypotheses carry no YES/NO decisions; run 'drstd decide' first")
+            f"{args.hyp}: {undecided} of {len(hypotheses)} hypotheses carry no "
+            f"YES/NO decision; run 'drstd decide' first")
     report = score_detections(hypotheses, references, args.trial_seconds,
                               args.beta, args.delta)
     if args.mtwv:
@@ -255,14 +270,15 @@ def cmd_synth(args) -> None:
                          topic_affinity=args.topic_affinity,
                          docs_per_topic=args.docs_per_topic, noise=args.noise,
                          seed=args.seed)
-    docs, keywords, refs = generate(config)
+    docs, keywords, refs, dropped = generate(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_cn_corpus(out_dir / "corpus.jsonl", docs)
     write_keyword_list(out_dir / "keywords.tsv", keywords)
     write_references(out_dir / "refs.tsv", refs)
-    log.info("synth: %d docs, %d keywords, %d references -> %s",
-             len(docs), len(keywords), len(refs), out_dir)
+    log.info("synth: %d docs, %d keywords, %d references (%d planned "
+             "occurrences dropped, their documents full) -> %s",
+             len(docs), len(keywords), len(refs), dropped, out_dir)
     _write_manifest(out_dir, "synth",
                     {"docs": config.num_docs, "slots": config.slots_per_doc,
                      "vocab": config.vocab_size, "keywords": config.num_keywords,
@@ -284,7 +300,7 @@ def cmd_pipeline(args) -> None:
     # exactly what chained subcommands would (6-decimal score quantization
     # included) and produces byte-identical files.
     candidates = parse_occurrence_table(out_dir / CANDIDATES_FILE, "candidate")
-    rescored, tables = rescore_candidates(candidates, RescoreConfig(args.alpha))
+    rescored, tables = rescore_candidates(candidates, args.alpha)
     write_candidates(out_dir / RESCORED_FILE, rescored)
     write_weight_tables(out_dir / WEIGHTS_FILE, tables)
 
@@ -303,8 +319,7 @@ def cmd_pipeline(args) -> None:
     _write_manifest(out_dir, "pipeline",
                     {"alpha": args.alpha, "decision": policy.mode,
                      "threshold": policy.global_threshold, "beta": policy.beta,
-                     "trial_seconds": policy.trial_seconds, "delta": args.delta,
-                     "no_dedup": args.no_dedup},
+                     "trial_seconds": policy.trial_seconds, "delta": args.delta},
                     {"corpus": Path(args.corpus), "keywords": Path(args.keywords),
                      "references": Path(args.ref)})
 
@@ -314,9 +329,9 @@ def _add_decision_flags(sub) -> None:
                      help="thresholding policy (default: kst)")
     sub.add_argument("--threshold", type=float, default=0.5,
                      help="global-mode threshold (default: 0.5)")
-    sub.add_argument("--beta", type=float, default=DEFAULT_BETA,
+    sub.add_argument("--beta", type=_positive(float), default=DEFAULT_BETA,
                      help=f"false-alarm cost ratio (default: {DEFAULT_BETA})")
-    sub.add_argument("--trial-seconds", type=float, default=None,
+    sub.add_argument("--trial-seconds", type=_positive(float), default=None,
                      help="total speech seconds defining false-alarm trials")
 
 
@@ -331,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("search", help="one-pass keyword retrieval")
     p.add_argument("--corpus", required=True)
     p.add_argument("--keywords", required=True)
-    p.add_argument("--no-dedup", action="store_true",
-                   help="keep heavily overlapping same-keyword hits")
     p.add_argument("--out", required=True, help="candidate TSV")
     p.set_defaults(func=cmd_search)
 
@@ -355,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("score", help="term-weighted-value scoring")
     p.add_argument("--hyp", required=True, help="decided candidate TSV")
     p.add_argument("--ref", required=True, help="reference TSV")
-    p.add_argument("--trial-seconds", type=float, required=True)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA_SECONDS,
+    p.add_argument("--trial-seconds", type=_positive(float), required=True)
+    p.add_argument("--beta", type=_positive(float), default=DEFAULT_BETA)
+    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS,
                    help="alignment midpoint tolerance in seconds")
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
@@ -372,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", required=True,
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
     _add_decision_flags(p)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--out", required=True, help="sweep CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -381,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
     p.add_argument("--ref", required=True, help="reference TSV")
     _add_decision_flags(p)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--max-rank", type=int, default=10)
+    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--max-rank", type=_positive(int), default=10)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_diag)
 
@@ -412,10 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--keywords", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--alpha", type=float, required=True)
     _add_decision_flags(p)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus_io import Candidate, RefOccurrence
 from .decision import DecisionPolicy, apply_decisions, yes_only
-from .rescore import DocWeightTable, RescoreConfig, rescore_candidates
+from .rescore import WeightTables, rescore_candidates
 
 DEFAULT_DELTA_SECONDS = 0.5
 
@@ -196,9 +196,9 @@ def score_detections(hypotheses: Sequence[Candidate],
                      delta_seconds: float = DEFAULT_DELTA_SECONDS) -> ScoreReport:
     """Align accepted detections and build the full score report.
 
-    Rows decided NO are dropped; undecided rows count as accepted.
+    Only rows decided YES are accepted.
     """
-    accepted = [h for h in hypotheses if h.decision != "NO"]
+    accepted = yes_only(hypotheses)
     alignment = align(accepted, references, delta_seconds)
     return build_report(alignment, trial_seconds, beta, delta_seconds)
 
@@ -311,13 +311,13 @@ def _doc_hit_counts(hypotheses: Sequence[Candidate], alignment: AlignmentResult
     return {key: (hits, correct) for key, (hits, correct) in counts.items()}
 
 
-def ranked_docs(table: DocWeightTable) -> list[str]:
+def ranked_docs(table: Mapping[str, tuple[float, float]]) -> list[str]:
     """Documents of a weight table in descending weight order (ties by id)."""
-    return sorted(table.entries, key=lambda d: (-table.entries[d][1], d))
+    return sorted(table, key=lambda d: (-table[d][1], d))
 
 
 def doc_rank_curves(hypotheses: Sequence[Candidate],
-                    weight_tables: Mapping[str, DocWeightTable],
+                    weight_tables: WeightTables,
                     alignment: AlignmentResult,
                     max_rank: int) -> list[tuple[int, float, float]]:
     """Average per-rank detection precision and recall over keywords.
@@ -350,7 +350,7 @@ def doc_rank_curves(hypotheses: Sequence[Candidate],
 
 
 def weight_performance_correlation(hypotheses: Sequence[Candidate],
-                                   weight_tables: Mapping[str, DocWeightTable],
+                                   weight_tables: WeightTables,
                                    alignment: AlignmentResult
                                    ) -> tuple[float, float]:
     """Rank correlation of document weights against detection performance.
@@ -367,7 +367,7 @@ def weight_performance_correlation(hypotheses: Sequence[Candidate],
         kw_counts = alignment.keyword_counts.get(kw_id)
         if kw_counts is None or kw_counts.n_true == 0:
             continue
-        for doc_id, (_score, weight) in table.entries.items():
+        for doc_id, (_score, weight) in table.items():
             hits, correct = per_doc.get((kw_id, doc_id), (0, 0))
             weights.append(weight)
             precisions.append(correct / hits if hits else 0.0)
@@ -394,7 +394,7 @@ def alpha_sweep(candidates: Sequence[Candidate],
     """
     rows = []
     for alpha in grid:
-        rescored, _tables = rescore_candidates(candidates, RescoreConfig(alpha))
+        rescored, _tables = rescore_candidates(candidates, alpha)
         decided = apply_decisions(rescored, policy)
         alignment = align(yes_only(decided), references, delta_seconds)
         report = build_report(alignment, policy.trial_seconds, policy.beta,

@@ -80,11 +80,13 @@ class SynthConfig:
 
 
 def generate(config: SynthConfig) -> tuple[
-        list[ConfusionNetworkDoc], list[KeywordEntry], list[RefOccurrence]]:
-    """Generate (corpus, keyword list, reference list) for one config.
+        list[ConfusionNetworkDoc], list[KeywordEntry], list[RefOccurrence], int]:
+    """Generate (corpus, keyword list, reference list, dropped) for one config.
 
-    Deterministic given the seed; raises ValueError when the vocabulary
-    is too small to host the keywords plus at least one filler token.
+    `dropped` counts the planned true occurrences that found no free slot
+    in their saturated document and so were not planted. Deterministic
+    given the seed; raises ValueError when the vocabulary is too small to
+    host the keywords plus at least one filler token.
     """
     if config.vocab_size < config.num_keywords + 1:
         raise ValueError(
@@ -109,7 +111,7 @@ def generate(config: SynthConfig) -> tuple[
                                 zipf * KEYWORD_CONFUSION_FACTOR)
     competitor_probs /= competitor_probs.sum()
 
-    planted, home_topics = _plan_placements(config, rng, kw_tokens)
+    planted, home_topics, dropped = _plan_placements(config, rng, kw_tokens)
     topic_keywords: dict[int, list[str]] = {}
     for token, topic in home_topics.items():
         topic_keywords.setdefault(topic, []).append(token)
@@ -138,13 +140,13 @@ def generate(config: SynthConfig) -> tuple[
             clock += duration
         docs.append(ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots)))
     refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
-    return docs, keywords, refs
+    return docs, keywords, refs, dropped
 
 
 def _plan_placements(config: SynthConfig, rng: np.random.Generator,
                      kw_tokens: list[str]
-                     ) -> tuple[dict[int, dict[int, str]], dict[str, int]]:
-    """Choose (doc, slot) for every true occurrence before building docs."""
+                     ) -> tuple[dict[int, dict[int, str]], dict[str, int], int]:
+    """Choose (doc, slot) for every true occurrence; count those dropped."""
     topic_docs = {
         t: [d for d in range(t * config.docs_per_topic,
                              min((t + 1) * config.docs_per_topic, config.num_docs))]
@@ -152,6 +154,7 @@ def _plan_placements(config: SynthConfig, rng: np.random.Generator,
     }
     planted: dict[int, dict[int, str]] = {}
     home_topics: dict[str, int] = {}
+    dropped = 0
     for token in kw_tokens:
         home = int(rng.integers(config.num_topics))
         home_topics[token] = home
@@ -164,9 +167,10 @@ def _plan_placements(config: SynthConfig, rng: np.random.Generator,
             used = planted.setdefault(doc_idx, {})
             slot_idx = _free_slot(rng, used, config.slots_per_doc)
             if slot_idx is None:
-                continue  # document saturated; drop this occurrence
+                dropped += 1  # document saturated
+                continue
             used[slot_idx] = token
-    return planted, home_topics
+    return planted, home_topics, dropped
 
 
 def _free_slot(rng: np.random.Generator, used: dict[int, str],

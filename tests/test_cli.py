@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,27 @@ class TestSynthCommand:
         for name in ("corpus.jsonl", "keywords.tsv", "refs.tsv",
                      "synth.manifest.json"):
             assert (again / name).read_bytes() == (data_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("config,planned_at_least", [
+        (["--docs", "1", "--slots", "5", "--keywords", "3", "--vocab", "20",
+          "--seed", "1"], 18),
+        (["--docs", "200", "--slots", "100", "--keywords", "50", "--vocab",
+          "500", "--topic-affinity", "0.9", "--noise", "0.5",
+          "--docs-per-topic", "5", "--seed", "7"], 0),
+    ], ids=["saturated", "acceptance"])
+    def test_dropped_occurrences_reported(self, tmp_path, caplog, config,
+                                          planned_at_least):
+        caplog.set_level(logging.INFO, logger="drstd")
+        assert main(["synth", *config, "--out", str(tmp_path)]) == 0
+        dropped = int(re.search(r"(\d+) planned occurrences dropped",
+                                caplog.text).group(1))
+        refs = parse_occurrence_table(tmp_path / "refs.tsv", "ref")
+        if planned_at_least:
+            assert len(refs) == 5  # one per slot of the only document
+            assert dropped > 0
+            assert dropped + len(refs) >= planned_at_least
+        else:
+            assert dropped == 0
 
 
 class TestSearchAndIndex:
@@ -113,12 +135,20 @@ class TestScoreCommand:
 
     def test_undecided_hypotheses_rejected(self, data_dir, tmp_path):
         cands = tmp_path / "c.tsv"
+        decided = tmp_path / "d.tsv"
         run("search", "--corpus", str(data_dir / "corpus.jsonl"),
             "--keywords", str(data_dir / "keywords.tsv"), "--out", str(cands))
-        assert run("score", "--hyp", str(cands),
-                   "--ref", str(data_dir / "refs.tsv"),
-                   "--trial-seconds", "3600",
-                   "--out", str(tmp_path / "r.json")) == 1
+        run("decide", "--in", str(cands), "--decision", "kst",
+            "--trial-seconds", "3600", "--out", str(decided))
+        # one undecided row among decided ones is as invalid as all of them
+        mixed = tmp_path / "mixed.tsv"
+        mixed.write_text(decided.read_text() + "K9999\td0000\t0.0\t0.4\t0.5\n")
+        for hyp in (cands, mixed):
+            assert run("score", "--hyp", str(hyp),
+                       "--ref", str(data_dir / "refs.tsv"),
+                       "--trial-seconds", "3600",
+                       "--out", str(tmp_path / "r.json")) == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_mtwv_flag(self, data_dir, tmp_path):
         cands = tmp_path / "c.tsv"
@@ -258,6 +288,33 @@ class TestErrorHandling:
                    "--ref", str(data_dir / "refs.tsv"), "--alpha", "0.1",
                    "--out", str(tmp_path / "run")) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "nan"],
+        ["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
+         "--delta", "nan"],
+        ["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
+         "--beta", "-1"],
+        ["decide", "--in", "c", "--beta", "nan", "--trial-seconds", "3600"],
+        ["decide", "--in", "c", "--trial-seconds", "nan"],
+        ["decide", "--in", "c", "--trial-seconds", "0"],
+        ["pipeline", "--corpus", "c", "--keywords", "k", "--ref", "r",
+         "--alpha", "0.1", "--trial-seconds", "inf"],
+        ["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0",
+         "--trial-seconds", "3600", "--delta", "-0.5"],
+        ["diag", "--in", "c", "--ref", "r", "--trial-seconds", "3600",
+         "--max-rank", "-3"],
+        ["diag", "--in", "c", "--ref", "r", "--trial-seconds", "3600",
+         "--max-rank", "0"],
+    ])
+    def test_non_finite_or_non_positive_flag_rejected(self, tmp_path, capsys,
+                                                       argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1, stderr
+        assert "> 0" in stderr
+        assert not out.exists()
 
     def test_kst_requires_trial_seconds(self, tmp_path):
         cands = tmp_path / "c.tsv"

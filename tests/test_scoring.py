@@ -13,7 +13,8 @@ from drstd.decision import DecisionPolicy
 from drstd.rescore import build_weight_tables
 from drstd.scoring import (CORRECT, FALSE_ALARM, align, alpha_sweep, atwv,
                            build_report, doc_rank_curves, keyword_rates, mtwv,
-                           spearman, weight_performance_correlation)
+                           score_detections, spearman,
+                           weight_performance_correlation)
 
 from conftest import random_candidates, random_references
 from oracles import brute_force_atwv, optimal_match_count
@@ -153,6 +154,12 @@ class TestAtwv:
         report = build_report(align(hyps, refs, 0.5), 3600.0, 999.9)
         assert report.atwv == pytest.approx(
             1.0 - report.mean_p_miss - 999.9 * report.mean_p_fa, abs=1e-12)
+
+    def test_score_detections_accepts_only_yes_rows(self):
+        hyps = [hyp("K", "d", 1.0, decision=None), hyp("K", "d", 9.0, decision="NO"),
+                hyp("K", "d", 20.0)]
+        report = score_detections(hyps, [ref("K", "d", 1.0)], 3600.0, 999.9)
+        assert (report.keywords["K"].n_correct, report.keywords["K"].n_fa) == (0, 1)
 
 
 class TestMtwv:

@@ -77,7 +77,7 @@ class TestValidity:
     @pytest.mark.parametrize("noise", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("affinity", [0.0, 1.0])
     def test_generated_docs_satisfy_corpus_invariants(self, noise, affinity):
-        docs, keywords, refs = generate(
+        docs, keywords, refs, _ = generate(
             small_config(noise=noise, topic_affinity=affinity))
         for doc in docs:
             validate_doc(doc)
@@ -88,7 +88,7 @@ class TestValidity:
         assert ref_kw == kw_ids
 
     def test_references_point_at_real_slots(self):
-        docs, keywords, refs = generate(small_config())
+        docs, keywords, refs, _ = generate(small_config())
         token_of = {k.kw_id: k.tokens[0] for k in keywords}
         by_doc = {d.doc_id: d for d in docs}
         for r in refs:
@@ -112,7 +112,7 @@ class TestValidity:
 class TestNoiseZero:
     def test_perfect_detection_below_min_true_posterior(self):
         cfg = small_config(noise=0.0, seed=11)
-        docs, keywords, refs = generate(cfg)
+        docs, keywords, refs, _ = generate(cfg)
         floor = min_true_posterior(docs, refs, keywords)
         assert floor >= 0.78 - 1e-12
         cands = dedup_overlaps(search_all(docs, keywords))
@@ -124,7 +124,7 @@ class TestNoiseZero:
         assert atwv(rates, policy.beta) == 1.0
 
     def test_true_token_always_on_top(self):
-        docs, keywords, refs = generate(small_config(noise=0.0, seed=4))
+        docs, keywords, refs, _ = generate(small_config(noise=0.0, seed=4))
         token_of = {k.kw_id: k.tokens[0] for k in keywords}
         by_doc = {d.doc_id: d for d in docs}
         for r in refs:
@@ -139,7 +139,7 @@ class TestBurstiness:
         cfg = SynthConfig(num_docs=200, slots_per_doc=100, vocab_size=500,
                           num_keywords=50, topic_affinity=0.9,
                           docs_per_topic=5, noise=0.5, seed=3)
-        docs, keywords, refs = generate(cfg)
+        docs, keywords, refs, _ = generate(cfg)
         shares = plant_report(refs, cfg, keywords)
         assert min(shares.values()) >= 0.7
 
@@ -149,7 +149,7 @@ class TestBurstiness:
             cfg = SynthConfig(num_docs=150, slots_per_doc=80, vocab_size=500,
                               num_keywords=40, topic_affinity=affinity,
                               docs_per_topic=5, noise=0.5, seed=1)
-            docs, keywords, refs = generate(cfg)
+            docs, keywords, refs, _ = generate(cfg)
             cands = dedup_overlaps(search_all(docs, keywords))
             policy = DecisionPolicy(
                 mode="kst", trial_seconds=corpus_duration_seconds(docs))
