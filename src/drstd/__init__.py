@@ -13,13 +13,13 @@ from .decision import DecisionPolicy, apply_decisions, kst_threshold
 from .index_search import dedup_overlaps, search_all
 from .rescore import (build_weight_tables, reestimate_confidence,
                       rescore_candidates)
-from .scoring import (AlignmentResult, ScoreReport, align, alpha_sweep, atwv,
+from .scoring import (AlignmentResult, align, alpha_sweep, atwv,
                       doc_rank_curves, keyword_rates, mtwv, spearman)
 from .synth import SynthConfig, generate
 
 __all__ = [
     "AlignmentResult", "Candidate", "ConfusionNetworkDoc", "DecisionPolicy",
-    "FormatError", "KeywordEntry", "RefOccurrence", "ScoreReport", "Slot",
+    "FormatError", "KeywordEntry", "RefOccurrence", "Slot",
     "SynthConfig", "align", "alpha_sweep", "apply_decisions", "atwv",
     "build_weight_tables", "dedup_overlaps", "doc_rank_curves", "generate",
     "keyword_rates", "kst_threshold", "mtwv", "reestimate_confidence",

@@ -34,8 +34,7 @@ from .rescore import (build_weight_tables, rescore_candidates,
                       write_weight_tables)
 from .scoring import (DEFAULT_DELTA_SECONDS, align, alpha_sweep, doc_rank_curves,
                       mtwv, score_detections, weight_performance_correlation,
-                      write_alpha_sweep_csv, write_keyword_detail,
-                      write_rank_curve_csv, write_report_json)
+                      write_csv, write_keyword_detail)
 from .synth import SynthConfig, generate
 
 log = logging.getLogger("drstd")
@@ -65,6 +64,11 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
 def _write_manifest(primary_output: Path, subcommand: str, config: dict,
                     inputs: dict[str, Path]) -> None:
     out_dir = primary_output if primary_output.is_dir() else primary_output.parent
@@ -76,9 +80,7 @@ def _write_manifest(primary_output: Path, subcommand: str, config: dict,
         "inputs": {name: {"path": str(path), "sha256": _sha256(path)}
                    for name, path in sorted(inputs.items())},
     }
-    path = out_dir / f"{subcommand}.manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_json(out_dir / f"{subcommand}.manifest.json", manifest)
 
 
 def _resolve_policy(args, corpus_seconds: float | None = None
@@ -109,13 +111,23 @@ def _positive(kind):
     return parse
 
 
-def _parse_grid(text: str) -> list[float]:
+def _alpha(text: str) -> float:
+    """argparse type: a finite float in [0, 1]."""
     try:
-        grid = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"--alpha-grid must be comma-separated floats: {exc}")
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite float in [0, 1], got {text!r}")
+    return value
+
+
+def _parse_grid(text: str) -> list[float]:
+    """argparse type: comma-separated alphas, each checked by `_alpha`."""
+    grid = [_alpha(v) for v in text.split(",") if v.strip()]
     if not grid:
-        raise _UsageError("--alpha-grid is empty")
+        raise argparse.ArgumentTypeError("expected at least one alpha")
     return grid
 
 
@@ -185,25 +197,21 @@ def cmd_decide(args) -> None:
 
 
 def cmd_score(args) -> None:
-    hypotheses = parse_occurrence_table(args.hyp, "candidate")
+    hypotheses = parse_occurrence_table(args.hyp, "decided")
     references = parse_occurrence_table(args.ref, "ref")
-    undecided = sum(c.decision is None for c in hypotheses)
-    if undecided:
-        raise ValueError(
-            f"{args.hyp}: {undecided} of {len(hypotheses)} hypotheses carry no "
-            f"YES/NO decision; run 'drstd decide' first")
     report = score_detections(hypotheses, references, args.trial_seconds,
                               args.beta, args.delta)
+    aggregate = report["aggregate"]
     if args.mtwv:
-        report.mtwv_threshold, report.mtwv = mtwv(
+        aggregate["mtwv_threshold"], aggregate["mtwv"] = mtwv(
             hypotheses, references, args.beta, args.trial_seconds, args.delta)
     out = Path(args.out)
-    write_report_json(out, report)
+    _write_json(out, report)
     detail = Path(args.detail_out) if args.detail_out else out.parent / DETAIL_FILE
     write_keyword_detail(detail, report)
     log.info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
-             report.atwv, report.num_scored_keywords, report.mean_p_miss,
-             report.mean_p_fa)
+             aggregate["atwv"], aggregate["num_scored_keywords"],
+             aggregate["mean_p_miss"], aggregate["mean_p_fa"])
     _write_manifest(out, "score",
                     {"beta": args.beta, "trial_seconds": args.trial_seconds,
                      "delta": args.delta, "mtwv": args.mtwv, "out": str(out),
@@ -215,15 +223,15 @@ def cmd_sweep(args) -> None:
     candidates = parse_occurrence_table(args.infile, "candidate")
     references = parse_occurrence_table(args.ref, "ref")
     policy = _resolve_policy(args)
-    grid = _parse_grid(args.alpha_grid)
-    rows = alpha_sweep(candidates, references, grid, policy, args.delta)
+    rows = alpha_sweep(candidates, references, args.alpha_grid, policy,
+                       args.delta)
     out = Path(args.out)
-    write_alpha_sweep_csv(out, rows)
+    write_csv(out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
     best = max(rows, key=lambda r: r.atwv)
     log.info("sweep: best ATWV %.4f at alpha=%s (%d grid points)",
              best.atwv, best.alpha, len(rows))
     _write_manifest(out, "sweep",
-                    {"alpha_grid": grid, "decision": policy.mode,
+                    {"alpha_grid": args.alpha_grid, "decision": policy.mode,
                      "threshold": policy.global_threshold, "beta": policy.beta,
                      "trial_seconds": policy.trial_seconds, "delta": args.delta,
                      "out": str(out)},
@@ -242,8 +250,9 @@ def cmd_diag(args) -> None:
         accepted, tables, alignment)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_rank_curve_csv(out_dir / "rank_curve.csv", curve)
-    diagnostics = {
+    write_csv(out_dir / "rank_curve.csv", ("rank", "avg_precision", "avg_recall"),
+              curve)
+    _write_json(out_dir / "diagnostics.json", {
         "spearman_weight_precision": rho_precision,
         "spearman_weight_recall": rho_recall,
         "max_rank": args.max_rank,
@@ -251,9 +260,7 @@ def cmd_diag(args) -> None:
         "beta": policy.beta,
         "trial_seconds": policy.trial_seconds,
         "delta": args.delta,
-    }
-    (out_dir / "diagnostics.json").write_text(
-        json.dumps(diagnostics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
     log.info("diag: weight-precision rho %.3f, weight-recall rho %.3f",
              rho_precision, rho_recall)
     _write_manifest(out_dir, "diag",
@@ -311,11 +318,11 @@ def cmd_pipeline(args) -> None:
     decided = parse_occurrence_table(out_dir / DECIDED_FILE, "candidate")
     report = score_detections(decided, references, policy.trial_seconds,
                               policy.beta, args.delta)
-    write_report_json(out_dir / REPORT_FILE, report)
+    _write_json(out_dir / REPORT_FILE, report)
     write_keyword_detail(out_dir / DETAIL_FILE, report)
     log.info("pipeline: ATWV %.4f (alpha=%s, %s decisions, %d search hits "
              "below 5e-7 dropped) -> %s",
-             report.atwv, args.alpha, policy.mode, dropped, out_dir)
+             report["aggregate"]["atwv"], args.alpha, policy.mode, dropped, out_dir)
     _write_manifest(out_dir, "pipeline",
                     {"alpha": args.alpha, "decision": policy.mode,
                      "threshold": policy.global_threshold, "beta": policy.beta,
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rescore",
                         help="re-estimate confidences from document weights")
     p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
-    p.add_argument("--alpha", type=float, required=True,
+    p.add_argument("--alpha", type=_alpha, required=True,
                    help="interpolation coefficient in [0, 1]")
     p.add_argument("--weights-out", default=None,
                    help="optional TSV of per-keyword document weights")
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
     p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
     p.add_argument("--ref", required=True, help="reference TSV")
-    p.add_argument("--alpha-grid", required=True,
+    p.add_argument("--alpha-grid", type=_parse_grid, required=True,
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
     _add_decision_flags(p)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
@@ -425,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--keywords", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     _add_decision_flags(p)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--out", required=True, help="output directory")

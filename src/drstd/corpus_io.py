@@ -280,21 +280,24 @@ def write_keyword_list(path: str | Path, keywords: Iterable[KeywordEntry]) -> No
 
 
 def parse_occurrence_table(path: str | Path,
-                           kind: Literal["ref", "candidate"]
+                           kind: Literal["ref", "candidate", "decided"]
                            ) -> list[RefOccurrence] | list[Candidate]:
     """Parse a reference or candidate TSV; rows are returned in file order.
 
     Candidate scores are validated to [0, 1]; durations of references must
-    be positive and of candidates non-negative.
+    be positive and of candidates non-negative. A "decided" table is a
+    candidate table in which every row carries its YES/NO column.
     """
-    if kind not in ("ref", "candidate"):
-        raise ValueError(f"kind must be 'ref' or 'candidate', got {kind!r}")
+    if kind not in ("ref", "candidate", "decided"):
+        raise ValueError(
+            f"kind must be 'ref', 'candidate' or 'decided', got {kind!r}")
     rows: list = []
     for lineno, fields in _tsv_rows(path):
         if kind == "ref":
             rows.append(_parse_ref_row(fields, path=path, line=lineno))
         else:
-            rows.append(_parse_candidate_row(fields, path=path, line=lineno))
+            rows.append(_parse_candidate_row(fields, path=path, line=lineno,
+                                             decided=kind == "decided"))
     return rows
 
 
@@ -310,10 +313,14 @@ def _parse_ref_row(fields: list[str], *, path, line) -> RefOccurrence:
     return RefOccurrence(kw_id=kw_id, doc_id=doc_id, start=start, duration=dur)
 
 
-def _parse_candidate_row(fields: list[str], *, path, line) -> Candidate:
+def _parse_candidate_row(fields: list[str], *, path, line,
+                         decided: bool) -> Candidate:
     if len(fields) not in (5, 6):
         raise FormatError(f"expected 5 or 6 columns for a candidate row, got {len(fields)}",
                           path=path, line=line)
+    if decided and len(fields) == 5:
+        raise FormatError("row carries no YES/NO decision; run 'drstd decide' "
+                          "first", path=path, line=line)
     kw_id, doc_id, start_s, dur_s, score_s = fields[:5]
     decision = None
     if len(fields) == 6:

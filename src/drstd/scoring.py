@@ -18,11 +18,10 @@ performance, and interpolation-coefficient sweeps.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,58 +142,36 @@ def atwv(rates: Mapping[str, tuple[float, float]], beta: float) -> float:
     return 1.0 - total / len(rates)
 
 
-@dataclass(slots=True)
-class KeywordScore:
-    n_true: int
-    n_correct: int
-    n_fa: int
-    p_miss: float
-    p_fa: float
-    twv: float
-
-
-@dataclass(slots=True)
-class ScoreReport:
-    """Aggregate and per-keyword detection scores plus the scoring config."""
-
-    beta: float
-    trial_seconds: float
-    delta_seconds: float
-    atwv: float
-    mean_p_miss: float
-    mean_p_fa: float
-    keywords: dict[str, KeywordScore] = field(default_factory=dict)
-    mtwv: float | None = None
-    mtwv_threshold: float | None = None
-
-    @property
-    def num_scored_keywords(self) -> int:
-        return len(self.keywords)
-
-
 def build_report(alignment: AlignmentResult, trial_seconds: float, beta: float,
-                 delta_seconds: float = DEFAULT_DELTA_SECONDS) -> ScoreReport:
+                 delta_seconds: float = DEFAULT_DELTA_SECONDS) -> dict:
+    """The `report.json` dict: config, aggregate and per-keyword scores.
+
+    Keywords without references are left out; `keywords` is in kw_id order.
+    """
     rates = keyword_rates(alignment, trial_seconds)
     keywords = {}
     for kw_id, (p_miss, p_fa) in sorted(rates.items()):
         c = alignment.keyword_counts[kw_id]
-        keywords[kw_id] = KeywordScore(
-            n_true=c.n_true, n_correct=c.n_correct, n_fa=c.n_fa,
-            p_miss=p_miss, p_fa=p_fa, twv=1.0 - p_miss - beta * p_fa)
+        keywords[kw_id] = {"n_true": c.n_true, "n_correct": c.n_correct,
+                           "n_fa": c.n_fa, "p_miss": p_miss, "p_fa": p_fa,
+                           "twv": 1.0 - p_miss - beta * p_fa}
     n = len(rates)
-    return ScoreReport(
-        beta=beta, trial_seconds=trial_seconds, delta_seconds=delta_seconds,
-        atwv=atwv(rates, beta),
-        mean_p_miss=sum(p for p, _ in rates.values()) / n,
-        mean_p_fa=sum(f for _, f in rates.values()) / n,
-        keywords=keywords)
+    return {
+        "config": {"beta": beta, "trial_seconds": trial_seconds,
+                   "delta_seconds": delta_seconds},
+        "aggregate": {"atwv": atwv(rates, beta),
+                      "mean_p_miss": sum(p for p, _ in rates.values()) / n,
+                      "mean_p_fa": sum(f for _, f in rates.values()) / n,
+                      "num_scored_keywords": n},
+        "keywords": keywords,
+    }
 
 
 def score_detections(hypotheses: Sequence[Candidate],
                      references: Sequence[RefOccurrence],
                      trial_seconds: float, beta: float,
-                     delta_seconds: float = DEFAULT_DELTA_SECONDS) -> ScoreReport:
-    """Align accepted detections and build the full score report.
+                     delta_seconds: float = DEFAULT_DELTA_SECONDS) -> dict:
+    """Align accepted detections and build the `report.json` dict.
 
     Only rows decided YES are accepted.
     """
@@ -203,37 +180,21 @@ def score_detections(hypotheses: Sequence[Candidate],
     return build_report(alignment, trial_seconds, beta, delta_seconds)
 
 
-def report_json_dict(report: ScoreReport) -> dict:
-    out = {
-        "config": {"beta": report.beta, "trial_seconds": report.trial_seconds,
-                   "delta_seconds": report.delta_seconds},
-        "aggregate": {"atwv": report.atwv, "mean_p_miss": report.mean_p_miss,
-                      "mean_p_fa": report.mean_p_fa,
-                      "num_scored_keywords": report.num_scored_keywords},
-        "keywords": {
-            kw: {"n_true": s.n_true, "n_correct": s.n_correct, "n_fa": s.n_fa,
-                 "p_miss": s.p_miss, "p_fa": s.p_fa, "twv": s.twv}
-            for kw, s in report.keywords.items()
-        },
-    }
-    if report.mtwv is not None:
-        out["aggregate"]["mtwv"] = report.mtwv
-        out["aggregate"]["mtwv_threshold"] = report.mtwv_threshold
-    return out
-
-
-def write_report_json(path: str | Path, report: ScoreReport) -> None:
-    Path(path).write_text(
-        json.dumps(report_json_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-
-
-def write_keyword_detail(path: str | Path, report: ScoreReport) -> None:
+def write_keyword_detail(path: str | Path, report: dict) -> None:
     lines = ["# kw_id\tn_true\tn_correct\tn_fa\tp_miss\tp_fa\ttwv"]
-    for kw_id, s in sorted(report.keywords.items()):
-        lines.append(f"{kw_id}\t{s.n_true}\t{s.n_correct}\t{s.n_fa}"
-                     f"\t{s.p_miss!r}\t{s.p_fa!r}\t{s.twv!r}")
+    for kw_id, s in report["keywords"].items():
+        lines.append(f"{kw_id}\t{s['n_true']}\t{s['n_correct']}\t{s['n_fa']}"
+                     f"\t{s['p_miss']!r}\t{s['p_fa']!r}\t{s['twv']!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_csv(path: str | Path, header: Sequence[str],
+              rows: Iterable[Sequence]) -> None:
+    """Write `rows` under `header`, each value as its repr (floats exact)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(value) for value in row] for row in rows)
 
 
 def mtwv(scored_candidates: Sequence[Candidate],
@@ -264,18 +225,10 @@ def mtwv(scored_candidates: Sequence[Candidate],
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=float)
-    sorted_vals = arr[order]
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of `values`; tied values share their mean position."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -299,21 +252,31 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.dot(rx, ry)) / denom
 
 
-def _doc_hit_counts(hypotheses: Sequence[Candidate], alignment: AlignmentResult
-                    ) -> dict[tuple[str, str], tuple[int, int]]:
-    """(kw_id, doc_id) -> (accepted hits in doc, correct hits in doc)."""
-    counts: dict[tuple[str, str], list[int]] = {}
+def _doc_performance(hypotheses: Sequence[Candidate],
+                     weight_tables: WeightTables, alignment: AlignmentResult
+                     ) -> Iterator[tuple[str, str, float, float, float]]:
+    """Yield (kw_id, doc_id, weight, precision, recall) in weight-table order.
+
+    Covers every document in the weight table of each keyword that has
+    references. Precision is correct / accepted hits in the document (0
+    when it has none); recall is correct hits in it / the keyword's true
+    occurrences. `hypotheses` must be the sequence the alignment was
+    computed from.
+    """
+    hits: dict[tuple[str, str], list[int]] = {}
     for hyp, label in zip(hypotheses, alignment.hypothesis_labels):
-        entry = counts.setdefault((hyp.kw_id, hyp.doc_id), [0, 0])
+        entry = hits.setdefault((hyp.kw_id, hyp.doc_id), [0, 0])
         entry[0] += 1
-        if label == CORRECT:
-            entry[1] += 1
-    return {key: (hits, correct) for key, (hits, correct) in counts.items()}
-
-
-def ranked_docs(table: Mapping[str, tuple[float, float]]) -> list[str]:
-    """Documents of a weight table in descending weight order (ties by id)."""
-    return sorted(table, key=lambda d: (-table[d][1], d))
+        entry[1] += label == CORRECT
+    for kw_id, table in weight_tables.items():
+        kw_counts = alignment.keyword_counts.get(kw_id)
+        if kw_counts is None or kw_counts.n_true == 0:
+            continue
+        for doc_id, (_score, weight) in table.items():
+            accepted, correct = hits.get((kw_id, doc_id), (0, 0))
+            yield (kw_id, doc_id, weight,
+                   correct / accepted if accepted else 0.0,
+                   correct / kw_counts.n_true)
 
 
 def doc_rank_curves(hypotheses: Sequence[Candidate],
@@ -323,30 +286,23 @@ def doc_rank_curves(hypotheses: Sequence[Candidate],
     """Average per-rank detection precision and recall over keywords.
 
     For each keyword, its documents are sorted by descending ranking
-    weight; the document at rank k contributes its detection precision
-    (correct / accepted hits in it, 0 when it has none) and recall
-    (correct in it / total true occurrences of the keyword). Rows are
+    weight, ties by doc_id; the document at rank k contributes its
+    detection precision and recall (see `_doc_performance`). Rows are
     (rank, avg_precision, avg_recall), averaged over the keywords that
     have at least k ranked documents; keywords without references are
-    skipped. `hypotheses` must be the sequence the alignment was computed
-    from.
+    skipped.
     """
-    per_doc = _doc_hit_counts(hypotheses, alignment)
-    sums: dict[int, list[float]] = {}
-    for kw_id, table in weight_tables.items():
-        kw_counts = alignment.keyword_counts.get(kw_id)
-        if kw_counts is None or kw_counts.n_true == 0:
-            continue
-        for rank, doc_id in enumerate(ranked_docs(table)[:max_rank], start=1):
-            hits, correct = per_doc.get((kw_id, doc_id), (0, 0))
-            precision = correct / hits if hits else 0.0
-            recall = correct / kw_counts.n_true
-            acc = sums.setdefault(rank, [0.0, 0.0, 0])
-            acc[0] += precision
-            acc[1] += recall
-            acc[2] += 1
-    return [(rank, sums[rank][0] / sums[rank][2], sums[rank][1] / sums[rank][2])
-            for rank in sorted(sums)]
+    by_keyword: dict[str, list] = {}
+    for row in _doc_performance(hypotheses, weight_tables, alignment):
+        by_keyword.setdefault(row[0], []).append(row)
+    per_rank: dict[int, list[tuple[float, float]]] = {}
+    for rows in by_keyword.values():
+        rows.sort(key=lambda row: (-row[2], row[1]))
+        for rank, (*_, precision, recall) in enumerate(rows[:max_rank], 1):
+            per_rank.setdefault(rank, []).append((precision, recall))
+    return [(rank, sum(p for p, _ in pairs) / len(pairs),
+             sum(r for _, r in pairs) / len(pairs))
+            for rank, pairs in sorted(per_rank.items())]
 
 
 def weight_performance_correlation(hypotheses: Sequence[Candidate],
@@ -359,24 +315,13 @@ def weight_performance_correlation(hypotheses: Sequence[Candidate],
     recall) pairs over every keyword with references and every document
     in its weight table, and returns the two Spearman coefficients.
     """
-    per_doc = _doc_hit_counts(hypotheses, alignment)
-    weights: list[float] = []
-    precisions: list[float] = []
-    recalls: list[float] = []
-    for kw_id, table in weight_tables.items():
-        kw_counts = alignment.keyword_counts.get(kw_id)
-        if kw_counts is None or kw_counts.n_true == 0:
-            continue
-        for doc_id, (_score, weight) in table.items():
-            hits, correct = per_doc.get((kw_id, doc_id), (0, 0))
-            weights.append(weight)
-            precisions.append(correct / hits if hits else 0.0)
-            recalls.append(correct / kw_counts.n_true)
-    return spearman(weights, precisions), spearman(weights, recalls)
+    rows = list(_doc_performance(hypotheses, weight_tables, alignment))
+    weights = [row[2] for row in rows]
+    return (spearman(weights, [row[3] for row in rows]),
+            spearman(weights, [row[4] for row in rows]))
 
 
-@dataclass(slots=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     alpha: float
     atwv: float
     mean_p_miss: float
@@ -397,27 +342,8 @@ def alpha_sweep(candidates: Sequence[Candidate],
         rescored, _tables = rescore_candidates(candidates, alpha)
         decided = apply_decisions(rescored, policy)
         alignment = align(yes_only(decided), references, delta_seconds)
-        report = build_report(alignment, policy.trial_seconds, policy.beta,
-                              delta_seconds)
-        rows.append(SweepPoint(alpha=alpha, atwv=report.atwv,
-                               mean_p_miss=report.mean_p_miss,
-                               mean_p_fa=report.mean_p_fa))
+        aggregate = build_report(alignment, policy.trial_seconds, policy.beta,
+                                 delta_seconds)["aggregate"]
+        rows.append(SweepPoint(alpha, aggregate["atwv"],
+                               aggregate["mean_p_miss"], aggregate["mean_p_fa"]))
     return rows
-
-
-def write_rank_curve_csv(path: str | Path,
-                         rows: Sequence[tuple[int, float, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "avg_precision", "avg_recall"])
-        for rank, precision, recall in rows:
-            writer.writerow([rank, repr(precision), repr(recall)])
-
-
-def write_alpha_sweep_csv(path: str | Path, rows: Sequence[SweepPoint]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "atwv", "mean_pmiss", "mean_pfa"])
-        for row in rows:
-            writer.writerow([repr(row.alpha), repr(row.atwv),
-                             repr(row.mean_p_miss), repr(row.mean_p_fa)])

@@ -29,6 +29,24 @@ def run(*argv):
     return main(["--quiet", *argv])
 
 
+# The report.json layout: the keys of "config", "aggregate" and of each
+# "keywords" entry; `score --mtwv` adds MTWV_KEYS to "aggregate".
+REPORT_KEYS = {
+    "config": {"beta", "trial_seconds", "delta_seconds"},
+    "aggregate": {"atwv", "mean_p_miss", "mean_p_fa", "num_scored_keywords"},
+    "keyword": {"n_true", "n_correct", "n_fa", "p_miss", "p_fa", "twv"},
+}
+MTWV_KEYS = {"mtwv", "mtwv_threshold"}
+
+
+def report_layout(payload):
+    """The key sets of a report.json payload, named as in REPORT_KEYS."""
+    assert set(payload) == {"config", "aggregate", "keywords"}
+    keyword = next(iter(payload["keywords"].values()))
+    return {"config": set(payload["config"]),
+            "aggregate": set(payload["aggregate"]), "keyword": set(keyword)}
+
+
 class TestSynthCommand:
     def test_writes_three_artifacts_and_manifest(self, data_dir):
         for name in ("corpus.jsonl", "keywords.tsv", "refs.tsv",
@@ -130,10 +148,10 @@ class TestScoreCommand:
                    "--ref", str(data_dir / "refs.tsv"),
                    "--trial-seconds", "3600", "--out", str(report)) == 0
         payload = json.loads(report.read_text())
-        assert "atwv" in payload["aggregate"]
+        assert report_layout(payload) == REPORT_KEYS
         assert (tmp_path / "keyword_scores.tsv").exists()
 
-    def test_undecided_hypotheses_rejected(self, data_dir, tmp_path):
+    def test_undecided_hypotheses_rejected(self, data_dir, tmp_path, capsys):
         cands = tmp_path / "c.tsv"
         decided = tmp_path / "d.tsv"
         run("search", "--corpus", str(data_dir / "corpus.jsonl"),
@@ -142,13 +160,18 @@ class TestScoreCommand:
             "--trial-seconds", "3600", "--out", str(decided))
         # one undecided row among decided ones is as invalid as all of them
         mixed = tmp_path / "mixed.tsv"
-        mixed.write_text(decided.read_text() + "K9999\td0000\t0.0\t0.4\t0.5\n")
+        lines = decided.read_text().splitlines()
+        mixed.write_text("\n".join(lines) + "\nK9999\td0000\t0.0\t0.4\t0.5\n")
         for hyp in (cands, mixed):
+            capsys.readouterr()
             assert run("score", "--hyp", str(hyp),
                        "--ref", str(data_dir / "refs.tsv"),
                        "--trial-seconds", "3600",
                        "--out", str(tmp_path / "r.json")) == 1
         assert not (tmp_path / "r.json").exists()
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"drstd: {mixed}:{len(lines) + 1}: "), stderr
+        assert "YES/NO" in stderr
 
     def test_mtwv_flag(self, data_dir, tmp_path):
         cands = tmp_path / "c.tsv"
@@ -161,7 +184,10 @@ class TestScoreCommand:
         assert run("score", "--hyp", str(decided),
                    "--ref", str(data_dir / "refs.tsv"), "--trial-seconds",
                    "3600", "--mtwv", "--out", str(report)) == 0
-        aggregate = json.loads(report.read_text())["aggregate"]
+        payload = json.loads(report.read_text())
+        assert report_layout(payload) == {
+            **REPORT_KEYS, "aggregate": REPORT_KEYS["aggregate"] | MTWV_KEYS}
+        aggregate = payload["aggregate"]
         assert aggregate["mtwv"] >= aggregate["atwv"] - 1e-12
 
 
@@ -289,31 +315,37 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "run")) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
-    @pytest.mark.parametrize("argv", [
-        ["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "nan"],
-        ["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
-         "--delta", "nan"],
-        ["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
-         "--beta", "-1"],
-        ["decide", "--in", "c", "--beta", "nan", "--trial-seconds", "3600"],
-        ["decide", "--in", "c", "--trial-seconds", "nan"],
-        ["decide", "--in", "c", "--trial-seconds", "0"],
-        ["pipeline", "--corpus", "c", "--keywords", "k", "--ref", "r",
-         "--alpha", "0.1", "--trial-seconds", "inf"],
-        ["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0",
-         "--trial-seconds", "3600", "--delta", "-0.5"],
-        ["diag", "--in", "c", "--ref", "r", "--trial-seconds", "3600",
-         "--max-rank", "-3"],
-        ["diag", "--in", "c", "--ref", "r", "--trial-seconds", "3600",
-         "--max-rank", "0"],
+    @pytest.mark.parametrize("argv,fragment", [
+        (["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "nan"], "> 0"),
+        (["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
+          "--delta", "nan"], "> 0"),
+        (["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
+          "--beta", "-1"], "> 0"),
+        (["decide", "--in", "c", "--beta", "nan", "--trial-seconds", "3600"],
+         "> 0"),
+        (["decide", "--in", "c", "--trial-seconds", "nan"], "> 0"),
+        (["decide", "--in", "c", "--trial-seconds", "0"], "> 0"),
+        (["pipeline", "--corpus", "c", "--keywords", "k", "--ref", "r",
+          "--alpha", "0.1", "--trial-seconds", "inf"], "> 0"),
+        (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0",
+          "--trial-seconds", "3600", "--delta", "-0.5"], "> 0"),
+        (["diag", "--in", "c", "--ref", "r", "--trial-seconds", "3600",
+          "--max-rank", "-3"], "> 0"),
+        (["diag", "--in", "c", "--ref", "r", "--trial-seconds", "3600",
+          "--max-rank", "0"], "> 0"),
+        (["pipeline", "--corpus", "c", "--keywords", "k", "--ref", "r",
+          "--alpha", "1.5"], "--alpha: expected a finite float in [0, 1]"),
+        (["rescore", "--in", "c", "--alpha", "nan"], "in [0, 1], got 'nan'"),
+        (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0,7",
+          "--trial-seconds", "3600"], "--alpha-grid: expected a finite float"),
     ])
     def test_non_finite_or_non_positive_flag_rejected(self, tmp_path, capsys,
-                                                       argv):
+                                                       argv, fragment):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1, stderr
-        assert "> 0" in stderr
+        assert fragment in stderr
         assert not out.exists()
 
     def test_kst_requires_trial_seconds(self, tmp_path):
@@ -349,7 +381,7 @@ INVALID_LINES = {
     "candidates": ["K\td\t0\t1", "K\td\tinf\t1\t0.5", "K\td\t0\t1\t2",
                    "K\td\t0\t-1\t0.5", "K\td\t0\t1\t0.5\tmaybe"],
     "decided": ["K\td\t0\t1\t0.5\tmaybe", "K\td\t0\t1\tnan\tYES",
-                "K\td\t0\t1"],
+                "K\td\t0\t1", "K\td\t0\t1\t0.5"],
     "refs": ["K\td\t0\t0", "K\td\t0\tinf", "K\td\t0", "K\td\tx\t1"],
 }
 FUZZ_COMMANDS = {

@@ -152,14 +152,17 @@ class TestAtwv:
         hyps = random_candidates(rng, 200, n_kws=8, n_docs=10)
         refs = random_references(rng, 80, n_kws=8, n_docs=10)
         report = build_report(align(hyps, refs, 0.5), 3600.0, 999.9)
-        assert report.atwv == pytest.approx(
-            1.0 - report.mean_p_miss - 999.9 * report.mean_p_fa, abs=1e-12)
+        aggregate = report["aggregate"]
+        assert aggregate["atwv"] == pytest.approx(
+            1.0 - aggregate["mean_p_miss"] - 999.9 * aggregate["mean_p_fa"],
+            abs=1e-12)
 
     def test_score_detections_accepts_only_yes_rows(self):
         hyps = [hyp("K", "d", 1.0, decision=None), hyp("K", "d", 9.0, decision="NO"),
                 hyp("K", "d", 20.0)]
         report = score_detections(hyps, [ref("K", "d", 1.0)], 3600.0, 999.9)
-        assert (report.keywords["K"].n_correct, report.keywords["K"].n_fa) == (0, 1)
+        scores = report["keywords"]["K"]
+        assert (scores["n_correct"], scores["n_fa"]) == (0, 1)
 
 
 class TestMtwv:
@@ -271,6 +274,17 @@ class TestDocRankCurves:
         assert rows[0][0] == 1 and rows[1][0] == 2
         assert rows[0][1] == pytest.approx(1.0)
         assert rows[1][1] == pytest.approx(0.0)
+
+    def test_equal_weights_rank_by_doc_id(self):
+        # d2 comes first in the weight table; with equal weights d1 ranks first
+        hyps = [hyp("K", "d2", 1.0), hyp("K", "d1", 1.0)]
+        refs = [ref("K", "d1", 1.0)]
+        alignment = align(hyps, refs, 0.5)
+        tables = build_weight_tables(hyps)
+        assert list(tables["K"]) == ["d2", "d1"]
+        assert tables["K"]["d1"][1] == tables["K"]["d2"][1]
+        rows = doc_rank_curves(hyps, tables, alignment, max_rank=5)
+        assert rows == [(1, 1.0, 1.0), (2, 0.0, 0.0)]
 
 
 class TestAlphaSweep:
