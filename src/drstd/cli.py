@@ -65,8 +65,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 def _write_manifest(primary_output: Path, subcommand: str, config: dict,
@@ -246,23 +246,22 @@ def cmd_diag(args) -> None:
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
     curve = doc_rank_curves(accepted, tables, alignment, args.max_rank)
-    rho_precision, rho_recall = weight_performance_correlation(
-        accepted, tables, alignment)
+    rhos = weight_performance_correlation(accepted, tables, alignment)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "rank_curve.csv", ("rank", "avg_precision", "avg_recall"),
               curve)
     _write_json(out_dir / "diagnostics.json", {
-        "spearman_weight_precision": rho_precision,
-        "spearman_weight_recall": rho_recall,
+        "spearman_weight_precision": rhos[0],
+        "spearman_weight_recall": rhos[1],
         "max_rank": args.max_rank,
         "decision": policy.mode,
         "beta": policy.beta,
         "trial_seconds": policy.trial_seconds,
         "delta": args.delta,
     })
-    log.info("diag: weight-precision rho %.3f, weight-recall rho %.3f",
-             rho_precision, rho_recall)
+    log.info("diag: weight-precision rho %s, weight-recall rho %s", *(
+        "undefined" if rho is None else f"{rho:.3f}" for rho in rhos))
     _write_manifest(out_dir, "diag",
                     {"decision": policy.mode, "threshold": policy.global_threshold,
                      "beta": policy.beta, "trial_seconds": policy.trial_seconds,

@@ -18,6 +18,7 @@ performance, and interpolation-coefficient sweeps.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,15 +56,44 @@ class AlignmentResult:
     keyword_counts: dict[str, KeywordCounts]
 
 
+def _group_indices(items: Sequence) -> dict[tuple[str, str], list[int]]:
+    """Indices of `items` per (kw_id, doc_id), in input order."""
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault((item.kw_id, item.doc_id), []).append(i)
+    return groups
+
+
+def _match_group(hypotheses: Sequence[Candidate], hyp_idx: Sequence[int],
+                 references: Sequence[RefOccurrence], ref_idx: Sequence[int],
+                 delta_seconds: float) -> list[tuple[int, int]]:
+    """Matched (hypothesis, reference) positions of one (kw_id, doc_id) group,
+    given as ascending positions: pairs with midpoints within `delta_seconds`
+    are taken nearest first, each hypothesis and reference at most once.
+    """
+    pairs = []
+    for i in hyp_idx:
+        h = hypotheses[i]
+        for j in ref_idx:
+            r = references[j]
+            dist = abs(h.midpoint - (r.start + r.duration / 2.0))
+            if dist <= delta_seconds:
+                pairs.append((dist, h.start, h.duration, r.start, i, j))
+    pairs.sort()
+    hyp_used, ref_used, matches = set(), set(), []
+    for _dist, _hs, _hd, _rs, i, j in pairs:
+        if i not in hyp_used and j not in ref_used:
+            hyp_used.add(i)
+            ref_used.add(j)
+            matches.append((i, j))
+    return matches
+
+
 def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
           delta_seconds: float = DEFAULT_DELTA_SECONDS) -> AlignmentResult:
-    """Match accepted detections against references.
+    """Match accepted detections against references group by group.
 
-    Within each (kw_id, doc_id) group, every hypothesis/reference pair
-    whose midpoints lie within `delta_seconds` is a match candidate; pairs
-    are accepted greedily in order of increasing midpoint distance, each
-    hypothesis and each reference being used at most once. Unmatched
-    hypotheses are false alarms; unmatched references are misses.
+    Unmatched hypotheses are false alarms; unmatched references are misses.
     """
     if delta_seconds <= 0.0:
         raise ValueError(f"delta_seconds must be > 0, got {delta_seconds}")
@@ -72,43 +102,17 @@ def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
     counts: dict[str, KeywordCounts] = {}
     for ref in references:
         counts.setdefault(ref.kw_id, KeywordCounts()).n_true += 1
-    for hyp in hypotheses:
-        counts.setdefault(hyp.kw_id, KeywordCounts())
-
-    hyp_groups: dict[tuple[str, str], list[int]] = {}
-    for i, hyp in enumerate(hypotheses):
-        hyp_groups.setdefault((hyp.kw_id, hyp.doc_id), []).append(i)
-    ref_groups: dict[tuple[str, str], list[int]] = {}
-    for j, ref in enumerate(references):
-        ref_groups.setdefault((ref.kw_id, ref.doc_id), []).append(j)
-
-    for key, hyp_idx in hyp_groups.items():
-        ref_idx = ref_groups.get(key, [])
-        if not ref_idx:
-            continue
-        pairs = []
-        for i in hyp_idx:
-            h_mid = hypotheses[i].midpoint
-            for j in ref_idx:
-                r = references[j]
-                dist = abs(h_mid - (r.start + r.duration / 2.0))
-                if dist <= delta_seconds:
-                    pairs.append((dist, hypotheses[i].start,
-                                  hypotheses[i].duration, r.start, i, j))
-        pairs.sort()
-        hyp_used: set[int] = set()
-        for _dist, _hs, _hd, _rs, i, j in pairs:
-            if i in hyp_used or matched[j]:
-                continue
-            hyp_used.add(i)
-            matched[j] = True
-            labels[i] = CORRECT
-
-    for i, hyp in enumerate(hypotheses):
-        if labels[i] == CORRECT:
-            counts[hyp.kw_id].n_correct += 1
-        else:
-            counts[hyp.kw_id].n_fa += 1
+    ref_groups = _group_indices(references)
+    for key, hyp_idx in _group_indices(hypotheses).items():
+        if key in ref_groups:
+            for i, j in _match_group(hypotheses, hyp_idx, references,
+                                     ref_groups[key], delta_seconds):
+                labels[i] = CORRECT
+                matched[j] = True
+    for hyp, label in zip(hypotheses, labels):
+        kw_counts = counts.setdefault(hyp.kw_id, KeywordCounts())
+        kw_counts.n_correct += label == CORRECT
+        kw_counts.n_fa += label == FALSE_ALARM
     return AlignmentResult(hypothesis_labels=labels, reference_matched=matched,
                            keyword_counts=counts)
 
@@ -175,8 +179,7 @@ def score_detections(hypotheses: Sequence[Candidate],
 
     Only rows decided YES are accepted.
     """
-    accepted = yes_only(hypotheses)
-    alignment = align(accepted, references, delta_seconds)
+    alignment = align(yes_only(hypotheses), references, delta_seconds)
     return build_report(alignment, trial_seconds, beta, delta_seconds)
 
 
@@ -205,22 +208,38 @@ def mtwv(scored_candidates: Sequence[Candidate],
     Scans every distinct candidate score as a threshold (YES iff
     score >= threshold) plus one sentinel above the maximum score (the
     empty detection set); these cover every achievable YES set. Among
-    ties the highest threshold wins.
+    ties the highest threshold wins. One pass adds each tie group of
+    scores and re-matches only the (kw_id, doc_id) groups it adds to.
     """
-    distinct = sorted({c.score for c in scored_candidates}, reverse=True)
-    if distinct:
-        thresholds = [math.nextafter(distinct[0], math.inf)] + distinct
-    else:
-        thresholds = [1.0]
-    best_threshold = thresholds[0]
-    best_twv = -math.inf
-    for threshold in thresholds:
-        accepted = [c for c in scored_candidates if c.score >= threshold]
-        alignment = align(accepted, references, delta_seconds)
-        value = atwv(keyword_rates(alignment, trial_seconds), beta)
+    empty = align([], references, delta_seconds)
+    counts = empty.keyword_counts  # the keywords with references
+    rates = keyword_rates(empty, trial_seconds)
+    ref_groups = _group_indices(references)
+    hyp_groups = _group_indices(scored_candidates)
+    correct: dict[tuple[str, str], int] = {}
+    ordered = sorted(scored_candidates, key=lambda c: c.score, reverse=True)
+    best_threshold = (math.nextafter(ordered[0].score, math.inf) if ordered
+                      else 1.0)
+    best_twv = atwv(rates, beta)
+    for threshold, tie_group in itertools.groupby(ordered, lambda c: c.score):
+        touched = set()
+        for cand in tie_group:
+            if cand.kw_id in counts:
+                counts[cand.kw_id].n_fa += 1
+                touched.add((cand.kw_id, cand.doc_id))
+        for key in touched & ref_groups.keys():
+            accepted = [i for i in hyp_groups[key]
+                        if scored_candidates[i].score >= threshold]
+            n_correct = len(_match_group(scored_candidates, accepted, references,
+                                         ref_groups[key], delta_seconds))
+            counts[key[0]].n_correct += n_correct - correct.get(key, 0)
+            counts[key[0]].n_fa -= n_correct - correct.get(key, 0)
+            correct[key] = n_correct
+        rates.update(keyword_rates(AlignmentResult(
+            [], [], {kw_id: counts[kw_id] for kw_id, _ in touched}), trial_seconds))
+        value = atwv(rates, beta)
         if value > best_twv:
-            best_twv = value
-            best_threshold = threshold
+            best_twv, best_threshold = value, threshold
     return best_threshold, best_twv
 
 
@@ -308,17 +327,21 @@ def doc_rank_curves(hypotheses: Sequence[Candidate],
 def weight_performance_correlation(hypotheses: Sequence[Candidate],
                                    weight_tables: WeightTables,
                                    alignment: AlignmentResult
-                                   ) -> tuple[float, float]:
+                                   ) -> tuple[float | None, float | None]:
     """Rank correlation of document weights against detection performance.
 
     Pools (weight, per-document precision) and (weight, per-document
     recall) pairs over every keyword with references and every document
-    in its weight table, and returns the two Spearman coefficients.
+    in its weight table, and returns the two Spearman coefficients. A
+    coefficient is None where it is undefined: fewer than two documents
+    pooled, or zero rank variance on either side.
     """
     rows = list(_doc_performance(hypotheses, weight_tables, alignment))
-    weights = [row[2] for row in rows]
-    return (spearman(weights, [row[3] for row in rows]),
-            spearman(weights, [row[4] for row in rows]))
+    if len(rows) < 2:
+        return None, None
+    rhos = (spearman([row[2] for row in rows], [row[k] for row in rows])
+            for k in (3, 4))
+    return tuple(None if math.isnan(rho) else rho for rho in rhos)
 
 
 class SweepPoint(NamedTuple):
@@ -340,10 +363,9 @@ def alpha_sweep(candidates: Sequence[Candidate],
     rows = []
     for alpha in grid:
         rescored, _tables = rescore_candidates(candidates, alpha)
-        decided = apply_decisions(rescored, policy)
-        alignment = align(yes_only(decided), references, delta_seconds)
-        aggregate = build_report(alignment, policy.trial_seconds, policy.beta,
-                                 delta_seconds)["aggregate"]
+        aggregate = score_detections(apply_decisions(rescored, policy), references,
+                                     policy.trial_seconds, policy.beta,
+                                     delta_seconds)["aggregate"]
         rows.append(SweepPoint(alpha, aggregate["atwv"],
                                aggregate["mean_p_miss"], aggregate["mean_p_fa"]))
     return rows

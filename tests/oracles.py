@@ -3,14 +3,20 @@
 Everything here is deliberately written from the definitions, without
 reusing the package's code paths: plain loops, brute-force enumeration,
 exhaustive scans. Tests compare package output against these.
+`exhaustive_mtwv` is the one exception: it re-runs the package's `align`
+on the whole YES set at every threshold, the definition that the
+incremental `scoring.mtwv` must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
+from typing import Sequence
 
-from drstd.corpus_io import Candidate, EPS_TOKEN
+from drstd.corpus_io import Candidate, EPS_TOKEN, RefOccurrence
+from drstd.scoring import DEFAULT_DELTA_SECONDS, align, atwv, keyword_rates
 
 
 def straightline_rescore(candidates, alpha):
@@ -154,3 +160,32 @@ def optimal_match_count(hyp_mids, ref_mids, delta):
             continue
         best = max(best, len(used))
     return best
+
+
+def exhaustive_mtwv(scored_candidates: Sequence[Candidate],
+                     references: Sequence[RefOccurrence], beta: float,
+                     trial_seconds: float,
+                     delta_seconds: float = DEFAULT_DELTA_SECONDS
+                     ) -> tuple[float, float]:
+    """Best global threshold in hindsight and its term-weighted value.
+
+    Scans every distinct candidate score as a threshold (YES iff
+    score >= threshold) plus one sentinel above the maximum score (the
+    empty detection set); these cover every achievable YES set. Among
+    ties the highest threshold wins.
+    """
+    distinct = sorted({c.score for c in scored_candidates}, reverse=True)
+    if distinct:
+        thresholds = [math.nextafter(distinct[0], math.inf)] + distinct
+    else:
+        thresholds = [1.0]
+    best_threshold = thresholds[0]
+    best_twv = -math.inf
+    for threshold in thresholds:
+        accepted = [c for c in scored_candidates if c.score >= threshold]
+        alignment = align(accepted, references, delta_seconds)
+        value = atwv(keyword_rates(alignment, trial_seconds), beta)
+        if value > best_twv:
+            best_twv = value
+            best_threshold = threshold
+    return best_threshold, best_twv

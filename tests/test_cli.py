@@ -283,6 +283,37 @@ class TestSweepAndDiag:
         diagnostics = json.loads((out / "diagnostics.json").read_text())
         assert "spearman_weight_precision" in diagnostics
 
+    @staticmethod
+    def _diag_strict(tmp_path, caplog, rows):
+        cands, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
+        cands.write_text("".join(f"{kw}\t{doc}\t0.0\t0.4\t0.9\n"
+                                 for kw, doc in rows))
+        refs.write_text("".join(f"{kw}\t{doc}\t0.0\t0.4\n" for kw, doc in rows))
+        out = tmp_path / "diag"
+        caplog.set_level(logging.INFO, logger="drstd")
+        assert main(["diag", "--in", str(cands), "--ref", str(refs),
+                     "--decision", "global", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        diagnostics = json.loads((out / "diagnostics.json").read_text(),
+                                 parse_constant=reject)
+        assert diagnostics["spearman_weight_precision"] is None
+        assert diagnostics["spearman_weight_recall"] is None
+        assert ("weight-precision rho undefined, weight-recall rho undefined"
+                in caplog.text)
+        return out
+
+    def test_diag_zero_rank_variance_writes_null(self, tmp_path, caplog):
+        # one document per keyword: every pooled weight is 1.0
+        self._diag_strict(tmp_path, caplog, [("K1", "d1"), ("K2", "d2")])
+
+    def test_diag_single_document_writes_null(self, tmp_path, caplog):
+        out = self._diag_strict(tmp_path, caplog, [("K1", "d1")])
+        assert (out / "rank_curve.csv").read_text().splitlines() == [
+            "rank,avg_precision,avg_recall", "1,1.0,1.0"]
+
 
 class TestErrorHandling:
     def test_missing_file_is_io_error(self, tmp_path):

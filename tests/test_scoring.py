@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drstd import scoring
 from drstd.corpus_io import Candidate, RefOccurrence
 from drstd.decision import DecisionPolicy
 from drstd.rescore import build_weight_tables
@@ -17,7 +18,7 @@ from drstd.scoring import (CORRECT, FALSE_ALARM, align, alpha_sweep, atwv,
                            weight_performance_correlation)
 
 from conftest import random_candidates, random_references
-from oracles import brute_force_atwv, optimal_match_count
+from oracles import brute_force_atwv, exhaustive_mtwv, optimal_match_count
 
 
 def hyp(kw, doc, start, dur=0.4, score=0.9, decision="YES"):
@@ -194,13 +195,57 @@ class TestMtwv:
         rng = np.random.default_rng(13)
         cands = random_candidates(rng, 50, n_kws=3, n_docs=4)
         refs = random_references(rng, 20, n_kws=3, n_docs=4)
-        _, got = mtwv(cands, refs, 999.9, 3600.0)
-        best = -math.inf
-        for cut in sorted({c.score for c in cands}) + [2.0]:
-            accepted = [c for c in cands if c.score >= cut]
-            best = max(best, atwv(keyword_rates(align(accepted, refs, 0.5),
-                                                3600.0), 999.9))
-        assert got == pytest.approx(best, abs=1e-12)
+        assert (mtwv(cands, refs, 999.9, 3600.0)
+                == exhaustive_mtwv(cands, refs, 999.9, 3600.0))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_tie_heavy_instances(self, data):
+        # few keywords, documents, start times and scores, so groups hold
+        # several hypotheses and references, scores tie, and some keywords
+        # (K3) never have references
+        def occurrence(kws):
+            return st.tuples(st.sampled_from(kws), st.sampled_from(["d0", "d1"]),
+                             st.sampled_from([0.0, 0.2, 0.3, 0.6, 2.0]),
+                             st.sampled_from([0.2, 0.4]))
+        rows = data.draw(st.lists(
+            st.tuples(occurrence(["K0", "K1", "K2", "K3"]),
+                      st.sampled_from([0.1, 0.25, 0.5, 0.5 + 1e-9, 0.9, 1.0])),
+            max_size=25))
+        cands = [hyp(kw, doc, start, dur, score=score, decision=None)
+                 for (kw, doc, start, dur), score in rows]
+        refs = [ref(*row) for row in data.draw(
+            st.lists(occurrence(["K0", "K1", "K2"]), max_size=12))]
+        beta = data.draw(st.sampled_from([999.9, 1.0]))
+        trial = data.draw(st.sampled_from([3600.0, 5.0, 2.0]))
+        # a non-positive delta (an error case) in about one draw in ten
+        delta = data.draw(st.sampled_from([0.5, 0.15] * 5 + [0.0]))
+
+        def outcome(fn):
+            try:
+                return fn(cands, refs, beta, trial, delta)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(mtwv) == outcome(exhaustive_mtwv)
+
+    def test_matches_each_hypothesis_once(self, monkeypatch):
+        # N singleton groups with distinct scores: the exhaustive scan would
+        # hand the matcher N(N+1)/2 hypotheses, one pass hands it N
+        seen = []
+        match_group = scoring._match_group
+
+        def counting(hypotheses, hyp_idx, *args):
+            seen.append(len(hyp_idx))
+            return match_group(hypotheses, hyp_idx, *args)
+
+        monkeypatch.setattr(scoring, "_match_group", counting)
+        n = 500
+        cands = [hyp("K", f"d{i}", 1.0, score=(i + 1) / 1000, decision=None)
+                 for i in range(n)]
+        refs = [ref("K", f"d{i}", 1.0) for i in range(n)]
+        assert mtwv(cands, refs, 999.9, 3600.0) == (0.001, 1.0)
+        assert sum(seen) == n
 
 
 class TestSpearman:
