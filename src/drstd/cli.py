@@ -111,7 +111,7 @@ def _positive(kind):
     return parse
 
 
-def _alpha(text: str) -> float:
+def _unit_interval(text: str) -> float:
     """argparse type: a finite float in [0, 1]."""
     try:
         value = float(text)
@@ -124,8 +124,8 @@ def _alpha(text: str) -> float:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """argparse type: comma-separated alphas, each checked by `_alpha`."""
-    grid = [_alpha(v) for v in text.split(",") if v.strip()]
+    """argparse type: comma-separated alphas, each checked by `_unit_interval`."""
+    grid = [_unit_interval(v) for v in text.split(",") if v.strip()]
     if not grid:
         raise argparse.ArgumentTypeError("expected at least one alpha")
     return grid
@@ -182,8 +182,8 @@ def cmd_rescore(args) -> None:
 
 
 def cmd_decide(args) -> None:
-    candidates = parse_occurrence_table(args.infile, "candidate")
     policy = _resolve_policy(args)
+    candidates = parse_occurrence_table(args.infile, "candidate")
     decided = apply_decisions(candidates, policy)
     out = Path(args.out)
     write_candidates(out, decided)
@@ -220,9 +220,9 @@ def cmd_score(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.infile, "candidate")
     references = parse_occurrence_table(args.ref, "ref")
-    policy = _resolve_policy(args)
     rows = alpha_sweep(candidates, references, args.alpha_grid, policy,
                        args.delta)
     out = Path(args.out)
@@ -239,9 +239,9 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_diag(args) -> None:
+    policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.infile, "candidate")
     references = parse_occurrence_table(args.ref, "ref")
-    policy = _resolve_policy(args)
     tables = build_weight_tables(candidates)
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
@@ -333,7 +333,7 @@ def cmd_pipeline(args) -> None:
 def _add_decision_flags(sub) -> None:
     sub.add_argument("--decision", choices=["global", "kst"], default="kst",
                      help="thresholding policy (default: kst)")
-    sub.add_argument("--threshold", type=float, default=0.5,
+    sub.add_argument("--threshold", type=_unit_interval, default=0.5,
                      help="global-mode threshold (default: 0.5)")
     sub.add_argument("--beta", type=_positive(float), default=DEFAULT_BETA,
                      help=f"false-alarm cost ratio (default: {DEFAULT_BETA})")
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rescore",
                         help="re-estimate confidences from document weights")
     p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
-    p.add_argument("--alpha", type=_alpha, required=True,
+    p.add_argument("--alpha", type=_unit_interval, required=True,
                    help="interpolation coefficient in [0, 1]")
     p.add_argument("--weights-out", default=None,
                    help="optional TSV of per-keyword document weights")
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--keywords", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--alpha", type=_alpha, required=True)
+    p.add_argument("--alpha", type=_unit_interval, required=True)
     _add_decision_flags(p)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--out", required=True, help="output directory")

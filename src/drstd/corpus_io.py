@@ -135,40 +135,6 @@ def normalize_token(token: str) -> str:
     return unicodedata.normalize("NFC", token).lower()
 
 
-def validate_doc(doc: ConfusionNetworkDoc, *, path: str | Path | None = None,
-                 line: int | None = None) -> None:
-    """Check all confusion-network invariants, raising FormatError on the first hit."""
-    prev_start = None
-    for slot_idx, slot in enumerate(doc.slots):
-        where = f"doc {doc.doc_id!r} slot {slot_idx}"
-        if not slot.arcs:
-            raise FormatError(f"{where}: slot has no arcs", path=path, line=line)
-        if slot.duration < 0:
-            raise FormatError(f"{where}: negative duration {slot.duration}",
-                              path=path, line=line)
-        if prev_start is not None and slot.start < prev_start:
-            raise FormatError(
-                f"{where}: start {slot.start} precedes previous slot start {prev_start}",
-                path=path, line=line)
-        prev_start = slot.start
-        eps_count = 0
-        total = 0.0
-        for token, posterior in slot.arcs:
-            if not 0.0 < posterior <= 1.0:
-                raise FormatError(
-                    f"{where}: arc {token!r} posterior {posterior} outside (0, 1]",
-                    path=path, line=line)
-            if token == EPS_TOKEN:
-                eps_count += 1
-            total += posterior
-        if eps_count > 1:
-            raise FormatError(f"{where}: more than one {EPS_TOKEN} arc",
-                              path=path, line=line)
-        if abs(total - 1.0) > POSTERIOR_SUM_TOL:
-            raise FormatError(f"{where}: posterior sum {total!r} differs from 1",
-                              path=path, line=line)
-
-
 def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
     """Yield the documents of a JSON-lines confusion-network corpus.
 
@@ -188,13 +154,7 @@ def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
             except (ValueError, RecursionError) as exc:
                 raise FormatError(f"malformed JSON ({getattr(exc, 'msg', exc)})",
                                   path=path, line=lineno) from exc
-            doc = _doc_from_obj(obj, path=path, line=lineno)
-            if doc.doc_id in seen:
-                raise FormatError(f"duplicate doc_id {doc.doc_id!r}",
-                                  path=path, line=lineno)
-            seen.add(doc.doc_id)
-            validate_doc(doc, path=path, line=lineno)
-            yield doc
+            yield _doc_from_obj(obj, seen, path=path, line=lineno)
 
 
 def _reject_constant(name: str) -> float:
@@ -205,7 +165,10 @@ def _reject_constant(name: str) -> float:
 _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _doc_from_obj(obj: object, *, path: str | Path, line: int) -> ConfusionNetworkDoc:
+def _doc_from_obj(obj: object, seen: set[str], *, path: str | Path,
+                  line: int) -> ConfusionNetworkDoc:
+    """Build and check one corpus document in one walk over its slots;
+    `seen` holds the earlier lines' doc_ids and gains this one."""
     if not isinstance(obj, dict):
         raise FormatError("document line is not a JSON object", path=path, line=line)
     try:
@@ -215,11 +178,19 @@ def _doc_from_obj(obj: object, *, path: str | Path, line: int) -> ConfusionNetwo
         raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
     if not isinstance(doc_id, str) or not doc_id:
         raise FormatError("doc_id must be a non-empty string", path=path, line=line)
+    if any(ch in doc_id for ch in "\t\n\r"):
+        # Every TSV the pipeline writes keys its rows by doc_id.
+        raise FormatError(f"doc_id {doc_id!r} holds a tab or line break",
+                          path=path, line=line)
+    if doc_id in seen:
+        raise FormatError(f"duplicate doc_id {doc_id!r}", path=path, line=line)
+    seen.add(doc_id)
     if not isinstance(raw_slots, list):
         raise FormatError(f"slots of doc {doc_id!r} is not a list",
                           path=path, line=line)
     slots = []
-    for raw in raw_slots:
+    prev_start = None
+    for slot_idx, raw in enumerate(raw_slots):
         try:
             raw_arcs = raw["arcs"]
             if not isinstance(raw_arcs, list):
@@ -230,12 +201,39 @@ def _doc_from_obj(obj: object, *, path: str | Path, line: int) -> ConfusionNetwo
                     raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
                 arcs.append((normalize_token(str(arc[0])),
                              _finite(arc[1], "posterior")))
-            slots.append(Slot(start=_finite(raw["start"], "start"),
-                              duration=_finite(raw["dur"], "dur"),
-                              arcs=tuple(arcs)))
+            start = _finite(raw["start"], "start")
+            dur = _finite(raw["dur"], "dur")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
                               path=path, line=line) from exc
+        # FormatError is a ValueError, so the invariants are checked outside
+        # the try above.
+        where = f"doc {doc_id!r} slot {slot_idx}"
+        if not arcs:
+            raise FormatError(f"{where}: slot has no arcs", path=path, line=line)
+        if dur < 0:
+            raise FormatError(f"{where}: negative duration {dur}",
+                              path=path, line=line)
+        if prev_start is not None and start < prev_start:
+            raise FormatError(
+                f"{where}: start {start} precedes previous slot start {prev_start}",
+                path=path, line=line)
+        prev_start = start
+        eps_count, total = 0, 0.0
+        for token, posterior in arcs:
+            if not 0.0 < posterior <= 1.0:
+                raise FormatError(
+                    f"{where}: arc {token!r} posterior {posterior} outside (0, 1]",
+                    path=path, line=line)
+            eps_count += token == EPS_TOKEN
+            total += posterior
+        if eps_count > 1:
+            raise FormatError(f"{where}: more than one {EPS_TOKEN} arc",
+                              path=path, line=line)
+        if abs(total - 1.0) > POSTERIOR_SUM_TOL:
+            raise FormatError(f"{where}: posterior sum {total!r} differs from 1",
+                              path=path, line=line)
+        slots.append(Slot(start=start, duration=dur, arcs=tuple(arcs)))
     return ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
 
 

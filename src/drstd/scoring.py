@@ -49,10 +49,9 @@ class KeywordCounts:
 
 @dataclass(slots=True)
 class AlignmentResult:
-    """Labels parallel to the hypothesis/reference sequences given to align()."""
+    """Labels parallel to the hypotheses given to align(), and per-keyword counts."""
 
     hypothesis_labels: list[str]
-    reference_matched: list[bool]
     keyword_counts: dict[str, KeywordCounts]
 
 
@@ -98,44 +97,41 @@ def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
     if delta_seconds <= 0.0:
         raise ValueError(f"delta_seconds must be > 0, got {delta_seconds}")
     labels = [FALSE_ALARM] * len(hypotheses)
-    matched = [False] * len(references)
     counts: dict[str, KeywordCounts] = {}
     for ref in references:
         counts.setdefault(ref.kw_id, KeywordCounts()).n_true += 1
     ref_groups = _group_indices(references)
     for key, hyp_idx in _group_indices(hypotheses).items():
         if key in ref_groups:
-            for i, j in _match_group(hypotheses, hyp_idx, references,
-                                     ref_groups[key], delta_seconds):
+            for i, _j in _match_group(hypotheses, hyp_idx, references,
+                                      ref_groups[key], delta_seconds):
                 labels[i] = CORRECT
-                matched[j] = True
     for hyp, label in zip(hypotheses, labels):
         kw_counts = counts.setdefault(hyp.kw_id, KeywordCounts())
         kw_counts.n_correct += label == CORRECT
         kw_counts.n_fa += label == FALSE_ALARM
-    return AlignmentResult(hypothesis_labels=labels, reference_matched=matched,
-                           keyword_counts=counts)
+    return AlignmentResult(hypothesis_labels=labels, keyword_counts=counts)
 
 
-def keyword_rates(alignment: AlignmentResult, trial_seconds: float
-                  ) -> dict[str, tuple[float, float]]:
-    """Per-keyword (P_miss, P_FA); keywords with no references are skipped.
+def _keyword_rate(kw_id: str, c: KeywordCounts, trial_seconds: float
+                  ) -> tuple[float, float]:
+    """(P_miss, P_FA) of one keyword that has references.
 
     P_FA uses one-second trials: the false-alarm opportunity count is the
     trial duration minus the number of true occurrences.
     """
-    rates: dict[str, tuple[float, float]] = {}
-    for kw_id, c in alignment.keyword_counts.items():
-        if c.n_true == 0:
-            continue
-        if trial_seconds <= c.n_true:
-            raise ValueError(
-                f"trial_seconds {trial_seconds} must exceed the {c.n_true} "
-                f"true occurrences of keyword {kw_id!r}")
-        p_miss = 1.0 - c.n_correct / c.n_true
-        p_fa = c.n_fa / (trial_seconds - c.n_true)
-        rates[kw_id] = (p_miss, p_fa)
-    return rates
+    if trial_seconds <= c.n_true:
+        raise ValueError(
+            f"trial_seconds {trial_seconds} must exceed the {c.n_true} "
+            f"true occurrences of keyword {kw_id!r}")
+    return 1.0 - c.n_correct / c.n_true, c.n_fa / (trial_seconds - c.n_true)
+
+
+def keyword_rates(alignment: AlignmentResult, trial_seconds: float
+                  ) -> dict[str, tuple[float, float]]:
+    """Per-keyword (P_miss, P_FA); keywords with no references are skipped."""
+    return {kw_id: _keyword_rate(kw_id, c, trial_seconds)
+            for kw_id, c in alignment.keyword_counts.items() if c.n_true}
 
 
 def atwv(rates: Mapping[str, tuple[float, float]], beta: float) -> float:
@@ -235,8 +231,8 @@ def mtwv(scored_candidates: Sequence[Candidate],
             counts[key[0]].n_correct += n_correct - correct.get(key, 0)
             counts[key[0]].n_fa -= n_correct - correct.get(key, 0)
             correct[key] = n_correct
-        rates.update(keyword_rates(AlignmentResult(
-            [], [], {kw_id: counts[kw_id] for kw_id, _ in touched}), trial_seconds))
+        for kw_id, _doc_id in touched:
+            rates[kw_id] = _keyword_rate(kw_id, counts[kw_id], trial_seconds)
         value = atwv(rates, beta)
         if value > best_twv:
             best_twv, best_threshold = value, threshold

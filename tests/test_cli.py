@@ -7,11 +7,14 @@ import logging
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drstd.cli import main
-from drstd.corpus_io import parse_occurrence_table
+from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry,
+                             RefOccurrence, Slot, parse_occurrence_table,
+                             write_cn_corpus, write_keyword_list,
+                             write_references)
 
 DATA_CONFIG = ["--docs", "40", "--slots", "30", "--keywords", "10",
                "--vocab", "150", "--topic-affinity", "0.85",
@@ -346,6 +349,25 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "run")) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
+    def test_doc_id_with_tab_rejected_before_anything_is_written(
+            self, tmp_path, capsys):
+        corpus, keywords, refs = (tmp_path / name for name in (
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+        write_cn_corpus(corpus, _TAB_DOC[0])
+        write_keyword_list(keywords, _TAB_DOC[1])
+        write_references(refs, _TAB_DOC[2])
+        assert run("search", "--corpus", str(corpus), "--keywords",
+                   str(keywords), "--out", str(tmp_path / "c.tsv")) == 1
+        assert run("pipeline", "--corpus", str(corpus), "--keywords",
+                   str(keywords), "--ref", str(refs), "--alpha", "0.1",
+                   "--trial-seconds", "1000", "--out", str(tmp_path / "run")) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2, lines
+        for line in lines:
+            assert line.startswith(f"drstd: {corpus}:1: doc_id 'a\\tb'"), line
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"]
+
     @pytest.mark.parametrize("argv,fragment", [
         (["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "nan"], "> 0"),
         (["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
@@ -369,6 +391,17 @@ class TestErrorHandling:
         (["rescore", "--in", "c", "--alpha", "nan"], "in [0, 1], got 'nan'"),
         (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0,7",
           "--trial-seconds", "3600"], "--alpha-grid: expected a finite float"),
+        (["pipeline", "--corpus", "c", "--keywords", "k", "--ref", "r",
+          "--alpha", "0.1", "--threshold", "1.5"],
+         "--threshold: expected a finite float in [0, 1]"),
+        (["decide", "--in", "c", "--threshold", "nan", "--trial-seconds",
+          "3600"], "in [0, 1], got 'nan'"),
+        (["decide", "--in", "c", "--decision", "kst"],
+         "--trial-seconds is required with --decision kst"),
+        (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0",
+          "--decision", "kst"], "--trial-seconds is required with --decision kst"),
+        (["diag", "--in", "c", "--ref", "r", "--decision", "kst"],
+         "--trial-seconds is required with --decision kst"),
     ])
     def test_non_finite_or_non_positive_flag_rejected(self, tmp_path, capsys,
                                                        argv, fragment):
@@ -405,7 +438,7 @@ VALID_ROWS = {
 # One line each input must reject, so that every fuzzed file is invalid.
 INVALID_LINES = {
     "corpus": ["{", "[]", "NaN", '{"doc_id": "x", "slots": 5}',
-               '{"doc_id": "", "slots": []}',
+               '{"doc_id": "", "slots": []}', '{"doc_id": "a\\tb", "slots": []}',
                '{"doc_id": "x", "slots": [{"start": 0, "dur": Infinity, '
                '"arcs": [["a", 1]]}]}'],
     "keywords": ["K", "K\t ", "K\ta\tb"],
@@ -482,3 +515,71 @@ def test_fuzzed_input_fails_in_one_line(tmp_path_factory, command, fuzzed,
     assert code in (1, 2)
     assert len(stderr.splitlines()) == 1, stderr
     assert "Traceback" not in stderr
+
+
+_any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+
+
+@st.composite
+def own_inputs(draw):
+    """A corpus of the shape `parse_cn_corpus` accepts, with arbitrary
+    Unicode doc_ids and tokens, plus keywords made of its tokens and
+    references to its documents."""
+    vocab = draw(st.lists(_any_text, min_size=1, max_size=4, unique=True))
+    doc_ids = draw(st.lists(_any_text.filter(bool), min_size=1, max_size=3,
+                            unique=True))
+    docs = []
+    for doc_id in doc_ids:
+        slots, clock = [], 0.0
+        for _ in range(draw(st.integers(0, 5))):
+            clock += draw(st.floats(0, 10))
+            tokens = draw(st.lists(st.sampled_from(vocab), max_size=3))
+            if draw(st.booleans()) or not tokens:
+                tokens.append(EPS_TOKEN)
+            weights = draw(st.lists(st.floats(1e-9, 1), min_size=len(tokens),
+                                    max_size=len(tokens)))
+            arcs = tuple((token, weight / sum(weights))
+                         for token, weight in zip(tokens, weights))
+            slots.append(Slot(clock, draw(st.floats(0, 10)), arcs))
+        docs.append(ConfusionNetworkDoc(doc_id, tuple(slots)))
+    keywords = [KeywordEntry(f"K{i}", tuple(draw(st.lists(
+        st.sampled_from(vocab), min_size=1, max_size=3))))
+        for i in range(draw(st.integers(1, 3)))]
+    refs = draw(st.lists(st.builds(
+        RefOccurrence, st.sampled_from([kw.kw_id for kw in keywords]),
+        st.sampled_from(doc_ids), st.floats(0, 50), st.floats(0.01, 5)),
+        min_size=1, max_size=4))
+    return docs, keywords, refs
+
+
+_TAB_DOC = ([ConfusionNetworkDoc(doc_id, (Slot(0.0, 0.4, (("cat", 1.0),)),))
+             for doc_id in ("a\tb", "d2")],
+            [KeywordEntry("K1", ("cat",))], [RefOccurrence("K1", "d2", 0.0, 0.4)])
+
+
+@given(inputs=own_inputs(), alpha=st.sampled_from(["0", "0.1", "1"]),
+       decision=st.sampled_from(["kst", "global"]))
+@example(inputs=_TAB_DOC, alpha="0.1", decision="kst")
+@settings(max_examples=100, deadline=None)
+def test_pipeline_accepts_what_its_parsers_accept(tmp_path_factory, inputs,
+                                                  alpha, decision):
+    """`pipeline` runs on whatever the writers of its input formats write,
+    or fails in one line that names no file under its own --out."""
+    docs, keywords, refs = inputs
+    work = tmp_path_factory.mktemp("own")
+    write_cn_corpus(work / "corpus.jsonl", docs)
+    write_keyword_list(work / "keywords.tsv", keywords)
+    write_references(work / "refs.tsv", refs)
+    out = work / "run"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--quiet", "pipeline", "--corpus", str(work / "corpus.jsonl"),
+                     "--keywords", str(work / "keywords.tsv"),
+                     "--ref", str(work / "refs.tsv"), "--alpha", alpha,
+                     "--decision", decision, "--trial-seconds", "1000",
+                     "--out", str(out)])
+    stderr = err.getvalue()
+    assert code in (0, 1), stderr
+    if code == 1:
+        assert len(stderr.splitlines()) == 1, stderr
+        assert str(out) not in stderr, stderr

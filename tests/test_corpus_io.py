@@ -91,6 +91,9 @@ class TestCnCorpusParsing:
         ('{"doc_id": "d1", "slots": [{"dur": 1, "arcs": [["a", 1.0]]}]}',
          "'start'"),
         ('{"doc_id": 7, "slots": []}', "doc_id must be"),
+        ('{"doc_id": "a\\tb", "slots": []}', "doc_id 'a\\\\tb' holds a tab"),
+        ('{"doc_id": "a\\nb", "slots": []}', "doc_id 'a\\\\nb' holds a tab"),
+        ('{"doc_id": "a\\rb", "slots": []}', "doc_id 'a\\\\rb' holds a tab"),
         ('{"slots": []}', "missing field 'doc_id'"),
         ('[1, 2]', "not a JSON object"),
         ('[' * 100000, "malformed JSON"),

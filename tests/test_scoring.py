@@ -34,7 +34,8 @@ class TestAlign:
     def test_midpoint_within_delta_is_correct(self):
         result = align([hyp("K", "d", 3.22)], [ref("K", "d", 3.20)], 0.5)
         assert result.hypothesis_labels == [CORRECT]
-        assert result.reference_matched == [True]
+        counts = result.keyword_counts["K"]
+        assert (counts.n_correct, counts.n_miss) == (1, 0)
 
     def test_two_hyps_near_one_ref_nearer_wins(self):
         hyps = [hyp("K", "d", 3.0), hyp("K", "d", 3.38)]
@@ -50,8 +51,8 @@ class TestAlign:
     def test_no_hypotheses_all_missed(self):
         refs = [ref("K", "d", 1.0), ref("K", "d", 5.0)]
         result = align([], refs, 0.5)
-        assert result.reference_matched == [False, False]
-        assert result.keyword_counts["K"].n_miss == 2
+        counts = result.keyword_counts["K"]
+        assert (counts.n_correct, counts.n_miss) == (0, 2)
 
     def test_beyond_delta_is_false_alarm(self):
         result = align([hyp("K", "d", 4.0)], [ref("K", "d", 1.0)], 0.5)
@@ -75,7 +76,8 @@ class TestAlign:
         total_correct = sum(c.n_correct for c in result.keyword_counts.values())
         total_fa = sum(c.n_fa for c in result.keyword_counts.values())
         assert total_correct + total_fa == len(hyps)
-        assert total_correct == sum(result.reference_matched)
+        assert total_correct == len(refs) - sum(
+            c.n_miss for c in result.keyword_counts.values())
         for counts in result.keyword_counts.values():
             assert counts.n_correct + counts.n_miss == counts.n_true
             assert counts.n_correct <= counts.n_true

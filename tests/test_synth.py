@@ -4,7 +4,7 @@ import pytest
 
 from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry,
                              RefOccurrence, corpus_duration_seconds,
-                             validate_doc, write_cn_corpus)
+                             parse_cn_corpus, write_cn_corpus)
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
 from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
@@ -76,11 +76,13 @@ class TestDeterminism:
 class TestValidity:
     @pytest.mark.parametrize("noise", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("affinity", [0.0, 1.0])
-    def test_generated_docs_satisfy_corpus_invariants(self, noise, affinity):
+    def test_generated_docs_satisfy_corpus_invariants(self, tmp_path, noise,
+                                                      affinity):
         docs, keywords, refs, _ = generate(
             small_config(noise=noise, topic_affinity=affinity))
-        for doc in docs:
-            validate_doc(doc)
+        path = tmp_path / "corpus.jsonl"
+        write_cn_corpus(path, docs)
+        assert list(parse_cn_corpus(path)) == docs
         kw_ids = {k.kw_id for k in keywords}
         ref_kw = {r.kw_id for r in refs}
         assert ref_kw <= kw_ids
