@@ -15,7 +15,6 @@ from .rescore import (build_weight_tables, reestimate_confidence,
                       rescore_candidates)
 from .scoring import (AlignmentResult, align, alpha_sweep, atwv,
                       doc_rank_curves, keyword_rates, mtwv, spearman)
-from .synth import SynthConfig, generate
 
 __all__ = [
     "AlignmentResult", "Candidate", "ConfusionNetworkDoc", "DecisionPolicy",
@@ -25,3 +24,12 @@ __all__ = [
     "keyword_rates", "kst_threshold", "mtwv", "reestimate_confidence",
     "rescore_candidates", "search_all", "spearman",
 ]
+
+
+def __getattr__(name: str):
+    # synth needs numpy; importing it on first use keeps numpy out of every
+    # other command's startup.
+    if name in ("SynthConfig", "generate"):
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

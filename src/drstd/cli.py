@@ -35,7 +35,6 @@ from .rescore import (build_weight_tables, rescore_candidates,
 from .scoring import (DEFAULT_DELTA_SECONDS, align, alpha_sweep, doc_rank_curves,
                       mtwv, score_detections, weight_performance_correlation,
                       write_csv, write_keyword_detail)
-from .synth import SynthConfig, generate
 
 log = logging.getLogger("drstd")
 
@@ -137,7 +136,7 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
     Returns the deduplicated candidates, the number of hits dropped
     because their score prints as 0 at 6 decimals (below 5e-7, which
     rescoring would reject), and the corpus's document count and speech
-    seconds.
+    seconds; a corpus whose seconds sum to infinity is a FormatError.
     """
     docs, seconds = 0, 0.0
 
@@ -149,6 +148,9 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
             yield doc
 
     found = search_all(counted(), keywords)
+    if not math.isfinite(seconds):
+        raise FormatError(f"documents span {seconds} seconds in all",
+                          path=args.corpus)
     kept = [c for c in found if quantize_score(c.score) > 0.0]
     return dedup_overlaps(kept), len(found) - len(kept), docs, seconds
 
@@ -271,6 +273,9 @@ def cmd_diag(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    # synth is the one command that needs numpy, so only it imports it.
+    from .synth import SynthConfig, generate
+
     config = SynthConfig(num_docs=args.docs, slots_per_doc=args.slots,
                          vocab_size=args.vocab, num_keywords=args.keywords,
                          topic_affinity=args.topic_affinity,

@@ -144,6 +144,7 @@ def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
     nothing derived from the corpus before the pass is complete.
     """
     seen: set[str] = set()
+    tokens: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -154,7 +155,7 @@ def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
             except (ValueError, RecursionError) as exc:
                 raise FormatError(f"malformed JSON ({getattr(exc, 'msg', exc)})",
                                   path=path, line=lineno) from exc
-            yield _doc_from_obj(obj, seen, path=path, line=lineno)
+            yield _doc_from_obj(obj, seen, tokens, path=path, line=lineno)
 
 
 def _reject_constant(name: str) -> float:
@@ -165,10 +166,14 @@ def _reject_constant(name: str) -> float:
 _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _doc_from_obj(obj: object, seen: set[str], *, path: str | Path,
-                  line: int) -> ConfusionNetworkDoc:
-    """Build and check one corpus document in one walk over its slots;
-    `seen` holds the earlier lines' doc_ids and gains this one."""
+def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
+                  path: str | Path, line: int) -> ConfusionNetworkDoc:
+    """Build and check one corpus document in one walk over its slots.
+
+    `seen` holds the earlier lines' doc_ids and gains this one; `tokens`
+    maps each raw arc token already checked in this pass to its
+    normalized form, so each distinct token is normalized once.
+    """
     if not isinstance(obj, dict):
         raise FormatError("document line is not a JSON object", path=path, line=line)
     try:
@@ -189,8 +194,9 @@ def _doc_from_obj(obj: object, seen: set[str], *, path: str | Path,
         raise FormatError(f"slots of doc {doc_id!r} is not a list",
                           path=path, line=line)
     slots = []
-    prev_start = None
+    first_start = prev_start = None
     for slot_idx, raw in enumerate(raw_slots):
+        where = f"doc {doc_id!r} slot {slot_idx}"
         try:
             raw_arcs = raw["arcs"]
             if not isinstance(raw_arcs, list):
@@ -199,16 +205,25 @@ def _doc_from_obj(obj: object, seen: set[str], *, path: str | Path,
             for arc in raw_arcs:
                 if not isinstance(arc, list) or len(arc) != 2:
                     raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
-                arcs.append((normalize_token(str(arc[0])),
-                             _finite(arc[1], "posterior")))
+                raw_token = str(arc[0])
+                token = tokens.get(raw_token)
+                if token is None:
+                    token = normalize_token(raw_token)
+                    if token.split() != [token]:
+                        # Keyword lists split their text on whitespace, so
+                        # no keyword could name this arc.
+                        raise FormatError(
+                            f"{where}: arc token {token!r} is empty or holds "
+                            f"whitespace", path=path, line=line)
+                    tokens[raw_token] = token
+                arcs.append((token, _finite(arc[1], "posterior")))
             start = _finite(raw["start"], "start")
             dur = _finite(raw["dur"], "dur")
+        except FormatError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
                               path=path, line=line) from exc
-        # FormatError is a ValueError, so the invariants are checked outside
-        # the try above.
-        where = f"doc {doc_id!r} slot {slot_idx}"
         if not arcs:
             raise FormatError(f"{where}: slot has no arcs", path=path, line=line)
         if dur < 0:
@@ -218,6 +233,13 @@ def _doc_from_obj(obj: object, seen: set[str], *, path: str | Path,
             raise FormatError(
                 f"{where}: start {start} precedes previous slot start {prev_start}",
                 path=path, line=line)
+        if first_start is None:
+            first_start = start
+        if not math.isfinite(start + dur - first_start):
+            # Hit durations and corpus seconds are differences of slot times.
+            raise FormatError(
+                f"{where}: span from the first slot start {first_start} to "
+                f"end {start} + {dur} is not finite", path=path, line=line)
         prev_start = start
         eps_count, total = 0, 0.0
         for token, posterior in arcs:

@@ -20,11 +20,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .corpus_io import Candidate, RefOccurrence
 from .decision import DecisionPolicy, apply_decisions, yes_only
@@ -239,11 +238,19 @@ def mtwv(scored_candidates: Sequence[Candidate],
     return best_threshold, best_twv
 
 
-def _average_ranks(values: Sequence[float]) -> np.ndarray:
+def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks of `values`; tied values share their mean position."""
-    _, inverse, counts = np.unique(np.asarray(values, dtype=float),
-                                   return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    values = [float(v) for v in values]
+    ranks = [0.0] * len(values)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    i = 0
+    for _value, tied in itertools.groupby(order, key=values.__getitem__):
+        tied = list(tied)
+        j = i + len(tied) - 1
+        for k in tied:
+            ranks[k] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -257,14 +264,20 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("need at least 2 points")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
+    # Ranks sum to n(n + 1)/2, so their mean is (n + 1)/2. The centred
+    # ranks are multiples of 0.5, so every product is exact and fsum
+    # rounds each dot product once, whatever the summation order.
+    mean = (len(x) + 1) / 2
+    rx = [r - mean for r in _average_ranks(x)]
+    ry = [r - mean for r in _average_ranks(y)]
+    denom = math.sqrt(_dot(rx, rx) * _dot(ry, ry))
     if denom == 0.0:
         return math.nan
-    return float(np.dot(rx, ry)) / denom
+    return _dot(rx, ry) / denom
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum(map(operator.mul, a, b))
 
 
 def _doc_performance(hypotheses: Sequence[Candidate],

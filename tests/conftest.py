@@ -1,11 +1,52 @@
-"""Shared helpers for building random test instances."""
+"""Shared helpers for building random test instances, and the acceptance
+corpus shared by the tests that read it."""
 
 from __future__ import annotations
 
-import numpy as np
+import io
+import logging
+from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
+import pytest
+
+from drstd.cli import main
 from drstd.corpus_io import (Candidate, ConfusionNetworkDoc, KeywordEntry,
                              RefOccurrence, Slot)
+
+# The fixed synthetic experiment of the acceptance criteria.
+ACCEPTANCE_SYNTH_ARGS = [
+    "--docs", "200", "--slots", "100", "--keywords", "50", "--vocab", "500",
+    "--topic-affinity", "0.9", "--noise", "0.5", "--docs-per-topic", "5",
+    "--seed", "7"]
+
+
+class SynthRun(NamedTuple):
+    out: Path
+    log: str  # the INFO lines `synth` logged
+
+
+def run_synth(args: list[str], out: Path) -> SynthRun:
+    """Run `drstd synth ARGS --out OUT` and capture its INFO log."""
+    logger = logging.getLogger("drstd")
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        assert main(["synth", *args, "--out", str(out)]) == 0
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return SynthRun(out, stream.getvalue())
+
+
+@pytest.fixture(scope="session")
+def acceptance_synth(tmp_path_factory) -> SynthRun:
+    return run_synth(ACCEPTANCE_SYNTH_ARGS,
+                     tmp_path_factory.mktemp("acceptance_synth"))
 
 
 def random_corpus(rng: np.random.Generator, max_docs: int = 50,

@@ -5,7 +5,9 @@ reusing the package's code paths: plain loops, brute-force enumeration,
 exhaustive scans. Tests compare package output against these.
 `exhaustive_mtwv` is the one exception: it re-runs the package's `align`
 on the whole YES set at every threshold, the definition that the
-incremental `scoring.mtwv` must reproduce exactly.
+incremental `scoring.mtwv` must reproduce exactly. `numpy_spearman` is
+the former numpy implementation, which the plain-Python
+`scoring.spearman` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 import math
 from collections import defaultdict
 from typing import Sequence
+
+import numpy as np
 
 from drstd.corpus_io import Candidate, EPS_TOKEN, RefOccurrence
 from drstd.scoring import DEFAULT_DELTA_SECONDS, align, atwv, keyword_rates
@@ -189,3 +193,31 @@ def exhaustive_mtwv(scored_candidates: Sequence[Candidate],
             best_twv = value
             best_threshold = threshold
     return best_threshold, best_twv
+
+
+def _numpy_average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks of `values`; tied values share their mean position."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def numpy_spearman(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman rank correlation with average ranks on ties.
+
+    Returns NaN when either argument has zero rank variance (correlation
+    undefined). Invariant under strictly monotone transforms of either
+    argument.
+    """
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 2:
+        raise ValueError("need at least 2 points")
+    rx = _numpy_average_ranks(x)
+    ry = _numpy_average_ranks(y)
+    rx = rx - rx.mean()
+    ry = ry - ry.mean()
+    denom = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
+    if denom == 0.0:
+        return math.nan
+    return float(np.dot(rx, ry)) / denom

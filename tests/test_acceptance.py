@@ -4,7 +4,7 @@ Each test prints a single PASS line when its criterion holds (run with
 ``pytest tests/test_acceptance.py -v -s``); tolerances are pinned in the
 assertions. The synthetic-experiment criteria use the fixed corpus
 configuration (200 docs, 50 keywords, topic affinity 0.9, noise 0.5,
-seed 7) shared through session fixtures.
+seed 7) shared through the session fixture `acceptance_synth`.
 """
 
 import json
@@ -24,14 +24,10 @@ from drstd.scoring import (align, atwv, keyword_rates, spearman,
                            weight_performance_correlation)
 from drstd.index_search import search_all
 
-from conftest import random_candidates, random_corpus, random_keywords, \
-    random_references
+from conftest import (ACCEPTANCE_SYNTH_ARGS, random_candidates,
+                      random_corpus, random_keywords, random_references)
 from oracles import (best_expected_twv, brute_force_atwv, expected_twv,
                      naive_scan_search, straightline_rescore)
-
-SYNTH_ARGS = ["--docs", "200", "--slots", "100", "--keywords", "50",
-              "--vocab", "500", "--topic-affinity", "0.9", "--noise", "0.5",
-              "--docs-per-topic", "5", "--seed", "7"]
 
 
 def report(criterion, detail):
@@ -39,10 +35,8 @@ def report(criterion, detail):
 
 
 @pytest.fixture(scope="module")
-def synth_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("accept_synth")
-    assert main(["--quiet", "synth", *SYNTH_ARGS, "--out", str(out)]) == 0
-    return out
+def synth_dir(acceptance_synth):
+    return acceptance_synth.out
 
 
 def run_pipeline(synth_dir, out_dir, alpha):
@@ -160,7 +154,8 @@ def test_criterion_6_synthetic_direction(tmp_path):
     """Rescoring at alpha=0.1 beats the baseline by >= 1% relative."""
     start = time.monotonic()
     synth_out = tmp_path / "synth"
-    assert main(["--quiet", "synth", *SYNTH_ARGS, "--out", str(synth_out)]) == 0
+    assert main(["--quiet", "synth", *ACCEPTANCE_SYNTH_ARGS,
+                 "--out", str(synth_out)]) == 0
     base = run_pipeline(synth_out, tmp_path / "base", alpha=0.0)
     prop = run_pipeline(synth_out, tmp_path / "prop", alpha=0.1)
     elapsed = time.monotonic() - start

@@ -4,17 +4,24 @@ import contextlib
 import io
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import drstd
 from drstd.cli import main
 from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry,
                              RefOccurrence, Slot, parse_occurrence_table,
                              write_cn_corpus, write_keyword_list,
                              write_references)
+
+from conftest import ACCEPTANCE_SYNTH_ARGS, run_synth
 
 DATA_CONFIG = ["--docs", "40", "--slots", "30", "--keywords", "10",
                "--vocab", "150", "--topic-affinity", "0.85",
@@ -66,17 +73,17 @@ class TestSynthCommand:
     @pytest.mark.parametrize("config,planned_at_least", [
         (["--docs", "1", "--slots", "5", "--keywords", "3", "--vocab", "20",
           "--seed", "1"], 18),
-        (["--docs", "200", "--slots", "100", "--keywords", "50", "--vocab",
-          "500", "--topic-affinity", "0.9", "--noise", "0.5",
-          "--docs-per-topic", "5", "--seed", "7"], 0),
+        (ACCEPTANCE_SYNTH_ARGS, 0),
     ], ids=["saturated", "acceptance"])
-    def test_dropped_occurrences_reported(self, tmp_path, caplog, config,
+    def test_dropped_occurrences_reported(self, tmp_path, request, config,
                                           planned_at_least):
-        caplog.set_level(logging.INFO, logger="drstd")
-        assert main(["synth", *config, "--out", str(tmp_path)]) == 0
+        if config == ACCEPTANCE_SYNTH_ARGS:
+            synth = request.getfixturevalue("acceptance_synth")
+        else:
+            synth = run_synth(config, tmp_path)
         dropped = int(re.search(r"(\d+) planned occurrences dropped",
-                                caplog.text).group(1))
-        refs = parse_occurrence_table(tmp_path / "refs.tsv", "ref")
+                                synth.log).group(1))
+        refs = parse_occurrence_table(synth.out / "refs.tsv", "ref")
         if planned_at_least:
             assert len(refs) == 5  # one per slot of the only document
             assert dropped > 0
@@ -418,6 +425,36 @@ class TestErrorHandling:
         assert run("decide", "--in", str(cands), "--decision", "kst",
                    "--out", str(tmp_path / "d.tsv")) == 1
 
+    @pytest.mark.parametrize("docs,fragment", [
+        ([[(-1e308, 0.4, "cat"), (1e308, 0.4, "dog")]],
+         ":1: doc 'd1' slot 1: span from the first slot start -1e+308"),
+        ([[(1e308, 1e308, "cat")], [(0.0, 0.4, "cat")]],
+         ":1: doc 'd1' slot 0: span from the first slot start 1e+308"),
+        ([[(0.0, 1e308, "cat")], [(0.0, 1e308, "cat")]],
+         ": documents span inf seconds in all"),
+    ], ids=["slot_to_slot", "slot_end", "corpus_total"])
+    @pytest.mark.parametrize("trial_seconds", [[], ["--trial-seconds", "1000"]],
+                             ids=["corpus_seconds", "given_seconds"])
+    def test_corpus_times_overflowing_rejected_before_anything_is_written(
+            self, tmp_path, capsys, docs, fragment, trial_seconds):
+        corpus, keywords, refs = (tmp_path / name for name in (
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+        write_cn_corpus(corpus, [
+            ConfusionNetworkDoc(f"d{i}", tuple(
+                Slot(start, dur, ((token, 1.0),)) for start, dur, token in doc))
+            for i, doc in enumerate(docs, 1)])
+        write_keyword_list(keywords, [KeywordEntry("K1", ("cat", "dog")),
+                                      KeywordEntry("K2", ("cat",))])
+        write_references(refs, [RefOccurrence("K1", "d1", 0.0, 0.4)])
+        out = tmp_path / "run"
+        assert run("pipeline", "--corpus", str(corpus), "--keywords",
+                   str(keywords), "--ref", str(refs), "--alpha", "0.1",
+                   *trial_seconds, "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"drstd: {corpus}{fragment}"), lines
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -440,6 +477,10 @@ INVALID_LINES = {
     "corpus": ["{", "[]", "NaN", '{"doc_id": "x", "slots": 5}',
                '{"doc_id": "", "slots": []}', '{"doc_id": "a\\tb", "slots": []}',
                '{"doc_id": "x", "slots": [{"start": 0, "dur": Infinity, '
+               '"arcs": [["a", 1]]}]}',
+               '{"doc_id": "x", "slots": [{"start": 0, "dur": 1, '
+               '"arcs": [["a b", 1]]}]}',
+               '{"doc_id": "x", "slots": [{"start": 1e308, "dur": 1e308, '
                '"arcs": [["a", 1]]}]}'],
     "keywords": ["K", "K\t ", "K\ta\tb"],
     "candidates": ["K\td\t0\t1", "K\td\tinf\t1\t0.5", "K\td\t0\t1\t2",
@@ -583,3 +624,59 @@ def test_pipeline_accepts_what_its_parsers_accept(tmp_path_factory, inputs,
     if code == 1:
         assert len(stderr.splitlines()) == 1, stderr
         assert str(out) not in stderr, stderr
+
+
+# Runs in a fresh interpreter: every command but synth must leave numpy
+# unloaded, and the package's lazy synth names must still resolve.
+_NUMPY_FREE_SCRIPT = """
+import json, sys
+from drstd.cli import main
+assert "numpy" not in sys.modules, "import drstd.cli"
+for argv in json.loads(sys.argv[1]):
+    assert main(["--quiet", *argv]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+import drstd
+assert drstd.SynthConfig.__name__ == "SynthConfig"
+names = {}
+exec("from drstd import *", names)
+assert set(drstd.__all__) <= names.keys()
+"""
+
+
+def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
+    corpus, keywords, refs = (tmp_path / name for name in (
+        "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+    write_cn_corpus(corpus, [
+        ConfusionNetworkDoc(f"d{i}", (
+            Slot(0.0, 0.4, (("cat", p), (EPS_TOKEN, 1 - p))),
+            Slot(0.5, 0.4, (("dog", 1.0),))))
+        for i, p in enumerate((0.9, 0.6, 0.3), 1)])
+    write_keyword_list(keywords, [KeywordEntry("K1", ("cat",)),
+                                  KeywordEntry("K2", ("cat", "dog"))])
+    write_references(refs, [RefOccurrence("K1", "d1", 0.0, 0.4),
+                            RefOccurrence("K2", "d2", 0.0, 0.9)])
+    files = {"corpus": corpus, "keywords": keywords, "ref": refs,
+             "run": tmp_path / "run", "cands": tmp_path / "run" / "candidates.tsv"}
+    commands = [
+        ["search", "--corpus", "{corpus}", "--keywords", "{keywords}",
+         "--out", "{run}.tsv"],
+        ["pipeline", "--corpus", "{corpus}", "--keywords", "{keywords}",
+         "--ref", "{ref}", "--alpha", "0.1", "--trial-seconds", "1000",
+         "--out", "{run}"],
+        ["score", "--mtwv", "--hyp", "{run}/decided.tsv", "--ref", "{ref}",
+         "--trial-seconds", "1000", "--out", "{run}/mtwv.json"],
+        ["sweep", "--in", "{cands}", "--ref", "{ref}", "--alpha-grid", "0,0.5",
+         "--trial-seconds", "1000", "--out", "{run}/sweep.csv"],
+        ["diag", "--in", "{cands}", "--ref", "{ref}", "--trial-seconds", "1000",
+         "--out", "{run}/diag"],
+    ]
+    argvs = [[arg.format(**files) for arg in argv] for argv in commands]
+    src = Path(drstd.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    diagnostics = json.loads((tmp_path / "run" / "diag" /
+                              "diagnostics.json").read_text())
+    assert diagnostics["spearman_weight_recall"] is not None  # spearman ran

@@ -94,6 +94,18 @@ class TestCnCorpusParsing:
         ('{"doc_id": "a\\tb", "slots": []}', "doc_id 'a\\\\tb' holds a tab"),
         ('{"doc_id": "a\\nb", "slots": []}', "doc_id 'a\\\\nb' holds a tab"),
         ('{"doc_id": "a\\rb", "slots": []}', "doc_id 'a\\\\rb' holds a tab"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, "arcs": [["", 1.0]]}]}',
+         "doc 'd1' slot 0: arc token '' is empty or holds whitespace"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, '
+         '"arcs": [["a", 0.5], ["b\\u00a0c", 0.5]]}]}',
+         "doc 'd1' slot 0: arc token 'b\\\\xa0c' is empty or holds whitespace"),
+        ('{"doc_id": "d1", "slots": [{"start": 1e308, "dur": 1e308, '
+         '"arcs": [["a", 1.0]]}]}',
+         "doc 'd1' slot 0: span from the first slot start 1e\\+308 to end "
+         "1e\\+308 \\+ 1e\\+308 is not finite"),
+        ('{"doc_id": "d1", "slots": [{"start": -1e308, "dur": 0, '
+         '"arcs": [["a", 1.0]]}, {"start": 1e308, "dur": 0, '
+         '"arcs": [["a", 1.0]]}]}', "doc 'd1' slot 1: span"),
         ('{"slots": []}', "missing field 'doc_id'"),
         ('[1, 2]', "not a JSON object"),
         ('[' * 100000, "malformed JSON"),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drstd import scoring
@@ -18,7 +18,8 @@ from drstd.scoring import (CORRECT, FALSE_ALARM, align, alpha_sweep, atwv,
                            weight_performance_correlation)
 
 from conftest import random_candidates, random_references
-from oracles import brute_force_atwv, exhaustive_mtwv, optimal_match_count
+from oracles import (brute_force_atwv, exhaustive_mtwv, numpy_spearman,
+                     optimal_match_count)
 
 
 def hyp(kw, doc, start, dur=0.4, score=0.9, decision="YES"):
@@ -290,6 +291,27 @@ class TestSpearman:
         base = list(range(len(xs)))
         assert spearman(base, xs) == pytest.approx(
             spearman(base, ys), abs=1e-12)
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Two equal-length float lists, each drawn from at most 5 values."""
+    n = draw(st.integers(2, 60))
+    pair = []
+    for _ in range(2):
+        pool = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=5))
+        pair.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return pair
+
+
+@given(tie_heavy_pairs())
+@example(([1.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]))
+@example(([0.5, 0.5], [-0.0, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_spearman_bit_equal_to_numpy_oracle(pair):
+    """The same float as the numpy implementation (NaN where it gives NaN)."""
+    x, y = pair
+    assert repr(spearman(x, y)) == repr(numpy_spearman(x, y))
 
 
 class TestDocRankCurves:
