@@ -165,6 +165,8 @@ def _reject_constant(name: str) -> float:
 # Rejects the NaN and Infinity literals that json accepts by default.
 _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
+_INF = math.inf
+
 
 def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
                   path: str | Path, line: int) -> ConfusionNetworkDoc:
@@ -193,70 +195,80 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
     if not isinstance(raw_slots, list):
         raise FormatError(f"slots of doc {doc_id!r} is not a list",
                           path=path, line=line)
+
+    def slot_error(message: str) -> FormatError:
+        return FormatError(f"doc {doc_id!r} slot {slot_idx}: {message}",
+                           path=path, line=line)
+
     slots = []
     first_start = prev_start = None
     for slot_idx, raw in enumerate(raw_slots):
-        where = f"doc {doc_id!r} slot {slot_idx}"
+        # One pass over the arcs checks each one and sums the slot; an
+        # out-of-range posterior is only recorded here, because the
+        # slot-level errors below take precedence over it.
+        arcs = []
+        eps_count, total, out_of_range = 0, 0.0, None
         try:
             raw_arcs = raw["arcs"]
             if not isinstance(raw_arcs, list):
                 raise TypeError(f"arcs is not a list: {raw_arcs!r}")
-            arcs = []
             for arc in raw_arcs:
                 if not isinstance(arc, list) or len(arc) != 2:
                     raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
-                raw_token = str(arc[0])
-                token = tokens.get(raw_token)
-                if token is None:
+                raw_token, posterior = arc
+                try:
+                    token = tokens[raw_token]
+                except (KeyError, TypeError):  # first sight, or unhashable
+                    if not isinstance(raw_token, str):
+                        raise slot_error(f"arc token {raw_token!r} is not a string")
                     token = normalize_token(raw_token)
                     if token.split() != [token]:
                         # Keyword lists split their text on whitespace, so
                         # no keyword could name this arc.
-                        raise FormatError(
-                            f"{where}: arc token {token!r} is empty or holds "
-                            f"whitespace", path=path, line=line)
+                        raise slot_error(
+                            f"arc token {token!r} is empty or holds whitespace")
                     tokens[raw_token] = token
-                arcs.append((token, _finite(arc[1], "posterior")))
-            start = _finite(raw["start"], "start")
-            dur = _finite(raw["dur"], "dur")
+                if type(posterior) is not float or not -_INF < posterior < _INF:
+                    posterior = _finite(posterior, "posterior")
+                if out_of_range is None and not 0.0 < posterior <= 1.0:
+                    out_of_range = (token, posterior)
+                if token == EPS_TOKEN:
+                    eps_count += 1
+                total += posterior
+                arcs.append((token, posterior))
+            start = raw["start"]
+            if type(start) is not float or not -_INF < start < _INF:
+                start = _finite(start, "start")
+            dur = raw["dur"]
+            if type(dur) is not float or not -_INF < dur < _INF:
+                dur = _finite(dur, "dur")
         except FormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
                               path=path, line=line) from exc
         if not arcs:
-            raise FormatError(f"{where}: slot has no arcs", path=path, line=line)
+            raise slot_error("slot has no arcs")
         if dur < 0:
-            raise FormatError(f"{where}: negative duration {dur}",
-                              path=path, line=line)
+            raise slot_error(f"negative duration {dur}")
         if prev_start is not None and start < prev_start:
-            raise FormatError(
-                f"{where}: start {start} precedes previous slot start {prev_start}",
-                path=path, line=line)
+            raise slot_error(f"start {start} precedes previous slot start {prev_start}")
         if first_start is None:
             first_start = start
         if not math.isfinite(start + dur - first_start):
             # Hit durations and corpus seconds are differences of slot times.
-            raise FormatError(
-                f"{where}: span from the first slot start {first_start} to "
-                f"end {start} + {dur} is not finite", path=path, line=line)
+            raise slot_error(f"span from the first slot start {first_start} to "
+                             f"end {start} + {dur} is not finite")
         prev_start = start
-        eps_count, total = 0, 0.0
-        for token, posterior in arcs:
-            if not 0.0 < posterior <= 1.0:
-                raise FormatError(
-                    f"{where}: arc {token!r} posterior {posterior} outside (0, 1]",
-                    path=path, line=line)
-            eps_count += token == EPS_TOKEN
-            total += posterior
+        if out_of_range is not None:
+            raise slot_error(f"arc {out_of_range[0]!r} posterior {out_of_range[1]} "
+                             f"outside (0, 1]")
         if eps_count > 1:
-            raise FormatError(f"{where}: more than one {EPS_TOKEN} arc",
-                              path=path, line=line)
+            raise slot_error(f"more than one {EPS_TOKEN} arc")
         if abs(total - 1.0) > POSTERIOR_SUM_TOL:
-            raise FormatError(f"{where}: posterior sum {total!r} differs from 1",
-                              path=path, line=line)
-        slots.append(Slot(start=start, duration=dur, arcs=tuple(arcs)))
-    return ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
+            raise slot_error(f"posterior sum {total!r} differs from 1")
+        slots.append(Slot(start, dur, tuple(arcs)))
+    return ConfusionNetworkDoc(doc_id, tuple(slots))
 
 
 def write_cn_corpus(path: str | Path, docs: Iterable[ConfusionNetworkDoc]) -> None:
@@ -369,7 +381,12 @@ def _parse_floats(path, line, **named: str) -> tuple[float, ...]:
 
 
 def _finite(value: object, what: str) -> float:
-    """float(value), or ValueError unless that is a finite number."""
+    """float(value), or ValueError unless that is a finite number.
+
+    JSON booleans are not numbers, although float() takes them.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{what} is not a number: {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -7,7 +7,10 @@ exhaustive scans. Tests compare package output against these.
 on the whole YES set at every threshold, the definition that the
 incremental `scoring.mtwv` must reproduce exactly. `numpy_spearman` is
 the former numpy implementation, which the plain-Python
-`scoring.spearman` must match bit for bit.
+`scoring.spearman` must match bit for bit. `reference_doc_from_obj` is
+the former straight-line corpus line check (each check its own step),
+which the one-pass `corpus_io._doc_from_obj` must match document for
+document and error message for error message.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from drstd.corpus_io import Candidate, EPS_TOKEN, RefOccurrence
+from drstd.corpus_io import (EPS_TOKEN, POSTERIOR_SUM_TOL, Candidate,
+                             ConfusionNetworkDoc, FormatError, RefOccurrence,
+                             Slot, normalize_token)
 from drstd.scoring import DEFAULT_DELTA_SECONDS, align, atwv, keyword_rates
 
 
@@ -221,3 +226,108 @@ def numpy_spearman(x: Sequence[float], y: Sequence[float]) -> float:
     if denom == 0.0:
         return math.nan
     return float(np.dot(rx, ry)) / denom
+
+
+def _reference_finite(value, what):
+    """float(value), or ValueError unless that is a finite number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} is not finite: {value!r}")
+    return number
+
+
+def reference_doc_from_obj(obj, seen, tokens, *, path, line):
+    """One decoded corpus line to a document, or the FormatError it earns.
+
+    Errors take this precedence within a slot: arc shape, token and
+    number errors arc by arc, then `start` and `dur`; then no arcs,
+    negative duration, start order and span; then posterior range arc by
+    arc, more than one null arc, and the posterior sum.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError("document line is not a JSON object", path=path, line=line)
+    try:
+        doc_id = obj["doc_id"]
+        raw_slots = obj["slots"]
+    except KeyError as exc:
+        raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
+    if not isinstance(doc_id, str) or not doc_id:
+        raise FormatError("doc_id must be a non-empty string", path=path, line=line)
+    if any(ch in doc_id for ch in "\t\n\r"):
+        raise FormatError(f"doc_id {doc_id!r} holds a tab or line break",
+                          path=path, line=line)
+    if doc_id in seen:
+        raise FormatError(f"duplicate doc_id {doc_id!r}", path=path, line=line)
+    seen.add(doc_id)
+    if not isinstance(raw_slots, list):
+        raise FormatError(f"slots of doc {doc_id!r} is not a list",
+                          path=path, line=line)
+    slots = []
+    first_start = prev_start = None
+    for slot_idx, raw in enumerate(raw_slots):
+        where = f"doc {doc_id!r} slot {slot_idx}"
+        try:
+            raw_arcs = raw["arcs"]
+            if not isinstance(raw_arcs, list):
+                raise TypeError(f"arcs is not a list: {raw_arcs!r}")
+            arcs = []
+            for arc in raw_arcs:
+                if not isinstance(arc, list) or len(arc) != 2:
+                    raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
+                raw_token = arc[0]
+                if not isinstance(raw_token, str):
+                    raise FormatError(f"{where}: arc token {raw_token!r} is not "
+                                      f"a string", path=path, line=line)
+                token = tokens.get(raw_token)
+                if token is None:
+                    token = normalize_token(raw_token)
+                    if token.split() != [token]:
+                        raise FormatError(
+                            f"{where}: arc token {token!r} is empty or holds "
+                            f"whitespace", path=path, line=line)
+                    tokens[raw_token] = token
+                arcs.append((token, _reference_finite(arc[1], "posterior")))
+            start = _reference_finite(raw["start"], "start")
+            dur = _reference_finite(raw["dur"], "dur")
+        except FormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
+                              path=path, line=line) from exc
+        if not arcs:
+            raise FormatError(f"{where}: slot has no arcs", path=path, line=line)
+        if dur < 0:
+            raise FormatError(f"{where}: negative duration {dur}",
+                              path=path, line=line)
+        if prev_start is not None and start < prev_start:
+            raise FormatError(
+                f"{where}: start {start} precedes previous slot start {prev_start}",
+                path=path, line=line)
+        if first_start is None:
+            first_start = start
+        if not math.isfinite(start + dur - first_start):
+            raise FormatError(
+                f"{where}: span from the first slot start {first_start} to "
+                f"end {start} + {dur} is not finite", path=path, line=line)
+        prev_start = start
+        eps_count, total = 0, 0.0
+        for token, posterior in arcs:
+            if not 0.0 < posterior <= 1.0:
+                raise FormatError(
+                    f"{where}: arc {token!r} posterior {posterior} outside (0, 1]",
+                    path=path, line=line)
+            eps_count += token == EPS_TOKEN
+            total += posterior
+        if eps_count > 1:
+            raise FormatError(f"{where}: more than one {EPS_TOKEN} arc",
+                              path=path, line=line)
+        if abs(total - 1.0) > POSTERIOR_SUM_TOL:
+            raise FormatError(f"{where}: posterior sum {total!r} differs from 1",
+                              path=path, line=line)
+        slots.append(Slot(start=start, duration=dur, arcs=tuple(arcs)))
+    return ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))

@@ -480,6 +480,8 @@ INVALID_LINES = {
                '"arcs": [["a", 1]]}]}',
                '{"doc_id": "x", "slots": [{"start": 0, "dur": 1, '
                '"arcs": [["a b", 1]]}]}',
+               '{"doc_id": "x", "slots": [{"start": 0, "dur": 1, '
+               '"arcs": [[null, 1]]}]}',
                '{"doc_id": "x", "slots": [{"start": 1e308, "dur": 1e308, '
                '"arcs": [["a", 1]]}]}'],
     "keywords": ["K", "K\t ", "K\ta\tb"],

@@ -1,12 +1,14 @@
 """File format parsing, validation and round-trip behaviour."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drstd import corpus_io
 from drstd.corpus_io import (Candidate, FormatError, RefOccurrence,
                              normalize_token, parse_cn_corpus,
                              parse_keyword_list, parse_occurrence_table,
@@ -15,6 +17,7 @@ from drstd.corpus_io import (Candidate, FormatError, RefOccurrence,
                              write_references)
 
 from conftest import random_candidates, random_corpus
+from oracles import reference_doc_from_obj
 
 
 def write_lines(path, lines):
@@ -106,6 +109,14 @@ class TestCnCorpusParsing:
         ('{"doc_id": "d1", "slots": [{"start": -1e308, "dur": 0, '
          '"arcs": [["a", 1.0]]}, {"start": 1e308, "dur": 0, '
          '"arcs": [["a", 1.0]]}]}', "doc 'd1' slot 1: span"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, '
+         '"arcs": [["a", 0.5], [null, 0.5]]}]}',
+         "doc 'd1' slot 0: arc token None is not a string"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, "arcs": [[5, 1.0]]}]}',
+         "doc 'd1' slot 0: arc token 5 is not a string"),
+        ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, '
+         '"arcs": [[["x"], 1.0]]}]}',
+         "doc 'd1' slot 0: arc token \\['x'\\] is not a string"),
         ('{"slots": []}', "missing field 'doc_id'"),
         ('[1, 2]', "not a JSON object"),
         ('[' * 100000, "malformed JSON"),
@@ -125,6 +136,7 @@ class TestCnCorpusParsing:
         ("-Infinity", "non-finite number -Infinity"),
         ("NaN", "non-finite number NaN"), ("null", "not a number"),
         ('"x"', "not a number"), ("[]", "not a number"),
+        ("true", "not a number"),
     ])
     def test_non_finite_numbers_rejected(self, tmp_path, field, value, message):
         slot = {"start": "0.0", "dur": "0.5", "posterior": "1.0"}
@@ -168,6 +180,127 @@ class TestCnCorpusParsing:
         p = tmp_path / "c.jsonl"
         write_cn_corpus(p, docs)
         assert list(parse_cn_corpus(p)) == docs
+
+
+# Each kind breaks one check of a slot (or, "none", nothing); the
+# differential test applies two to one slot, so that the order in which
+# the parser reports errors is tested as well as the errors themselves.
+_CORRUPTIONS = ["none", "shape", "token", "number", "no_arcs", "negative_dur",
+                "decreasing_start", "span", "range", "two_eps", "sum", "drop"]
+
+
+def _corrupt(draw, slot, kind):
+    arcs = slot.get("arcs")
+    arc = draw(st.sampled_from(arcs)) if isinstance(arcs, list) and arcs else None
+    if kind == "shape":
+        if arc is None:
+            slot["arcs"] = "x"
+        else:
+            arc.append(0.5)
+    elif kind == "token" and arc is not None:
+        arc[0] = draw(st.sampled_from([None, True, 5, ["x"], "a b", "", "Z"]))
+    elif kind == "number":
+        value = draw(st.sampled_from([None, True, math.inf, -math.inf, "x",
+                                      "0.5", 1]))
+        field = draw(st.sampled_from(["start", "dur", "posterior"]))
+        if field != "posterior":
+            slot[field] = value
+        elif arc is not None:
+            arc[-1] = value
+    elif kind == "no_arcs":
+        slot["arcs"] = []
+    elif kind == "negative_dur":
+        slot["dur"] = -0.1
+    elif kind == "decreasing_start":
+        slot["start"] = -1.5e308
+    elif kind == "span":
+        slot["start"] = slot["dur"] = 1e308
+    elif kind == "range" and arc is not None:
+        arc[-1] = draw(st.sampled_from([0, 0.0, -0.25, 1.5, 2]))
+    elif kind == "two_eps" and isinstance(arcs, list):
+        arcs += [["<eps>", 1e-9], ["<EPS>", 1e-9]]
+    elif kind == "sum" and arc is not None:
+        arc[-1] = 0.3
+    elif kind == "drop" and slot:
+        del slot[draw(st.sampled_from(sorted(slot)))]
+
+
+@st.composite
+def corrupted_corpus_lines(draw):
+    """Valid multi-slot documents, then two corruptions of one slot."""
+    docs = []
+    for d in range(draw(st.integers(1, 3))):
+        # Times of +-1e308 are valid but put a slot span near overflow.
+        clock = draw(st.sampled_from([0.0, 2.5, -1e308, 1e308]))
+        slots = []
+        for _ in range(draw(st.integers(1, 4))):
+            clock += draw(st.sampled_from([0.0, 0.25, 1.0]))
+            tokens = draw(st.lists(st.sampled_from(["a", "b", "C", "<eps>"]),
+                                   min_size=1, max_size=3, unique=True))
+            weights = draw(st.lists(st.floats(0.05, 1), min_size=len(tokens),
+                                    max_size=len(tokens)))
+            slots.append({"start": clock,
+                          "dur": draw(st.sampled_from([0.0, 0.1, 0.4])),
+                          "arcs": [[t, w / sum(weights)]
+                                   for t, w in zip(tokens, weights)]})
+        docs.append({"doc_id": f"d{d}", "slots": slots})
+    slot = draw(st.sampled_from(draw(st.sampled_from(docs))["slots"]))
+    for kind in draw(st.lists(st.sampled_from(_CORRUPTIONS), min_size=2,
+                              max_size=2)):
+        _corrupt(draw, slot, kind)
+    # json writes infinities as Infinity, which the parser refuses before
+    # any field check; 1e999 decodes to the same float.
+    return [json.dumps(doc).replace("Infinity", "1e999") for doc in docs]
+
+
+def _outcome(parse):
+    try:
+        return repr(parse())
+    except FormatError as exc:
+        return str(exc)
+
+
+@given(corrupted_corpus_lines())
+@settings(max_examples=400, deadline=None)
+@example(['{"doc_id": "d0", "slots": [{"start": -1e308, "dur": 0.1, '
+          '"arcs": [["a", 1.0]]}, {"start": 0.0, "dur": 1e308, '
+          '"arcs": [["a", 1.5]]}]}'])
+def test_parse_matches_reference_oracle(tmp_path_factory, lines):
+    """The one-pass parser yields the straight-line checker's documents, or
+    its first error message, byte for byte."""
+    path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    seen, tokens = set(), {}
+    want = _outcome(lambda: [
+        reference_doc_from_obj(json.loads(text), seen, tokens, path=path,
+                               line=lineno)
+        for lineno, text in enumerate(lines, start=1)])
+    assert _outcome(lambda: list(parse_cn_corpus(path))) == want
+
+
+def test_parse_checks_numbers_inline_and_each_token_once(acceptance_synth,
+                                                         monkeypatch):
+    """On a well-formed corpus no number takes the slow `_finite` path, and
+    each distinct raw token is normalized once per pass."""
+    finite_calls, normalized = [], []
+    finite, normalize = corpus_io._finite, corpus_io.normalize_token
+
+    def counting_finite(value, what):
+        finite_calls.append(value)
+        return finite(value, what)
+
+    def counting_normalize(token):
+        normalized.append(token)
+        return normalize(token)
+
+    monkeypatch.setattr(corpus_io, "_finite", counting_finite)
+    monkeypatch.setattr(corpus_io, "normalize_token", counting_normalize)
+    path = acceptance_synth.out / "corpus.jsonl"
+    assert sum(1 for _ in parse_cn_corpus(path)) == 200
+    raw_tokens = {arc[0] for text in path.read_text(encoding="utf-8").splitlines()
+                  for slot in json.loads(text)["slots"] for arc in slot["arcs"]}
+    assert finite_calls == []
+    assert sorted(normalized) == sorted(raw_tokens)
 
 
 class TestKeywordParsing:
