@@ -337,8 +337,8 @@ def _parse_ref_row(fields: list[str], *, path, line) -> RefOccurrence:
     if len(fields) != 4:
         raise FormatError(f"expected 4 columns for a reference row, got {len(fields)}",
                           path=path, line=line)
-    kw_id, doc_id, start_s, dur_s = fields
-    start, dur = _parse_floats(path, line, start=start_s, dur=dur_s)
+    kw_id, doc_id = fields[:2]
+    start, dur = _parse_floats(fields[2:], ("start", "dur"), path=path, line=line)
     if dur <= 0:
         raise FormatError(f"reference duration must be > 0, got {dur}",
                           path=path, line=line)
@@ -353,15 +353,15 @@ def _parse_candidate_row(fields: list[str], *, path, line,
     if decided and len(fields) == 5:
         raise FormatError("row carries no YES/NO decision; run 'drstd decide' "
                           "first", path=path, line=line)
-    kw_id, doc_id, start_s, dur_s, score_s = fields[:5]
+    kw_id, doc_id = fields[:2]
     decision = None
     if len(fields) == 6:
         decision = fields[5]
         if decision not in ("YES", "NO"):
             raise FormatError(f"decision column must be YES or NO, got {decision!r}",
                               path=path, line=line)
-    start, dur, score = _parse_floats(path, line, start=start_s, dur=dur_s,
-                                      score=score_s)
+    start, dur, score = _parse_floats(fields[2:5], ("start", "dur", "score"),
+                                      path=path, line=line)
     if dur < 0:
         raise FormatError(f"negative duration {dur}", path=path, line=line)
     if not 0.0 <= score <= 1.0:
@@ -370,20 +370,38 @@ def _parse_candidate_row(fields: list[str], *, path, line,
                      score=score, decision=decision)
 
 
-def _parse_floats(path, line, **named: str) -> tuple[float, ...]:
-    values = []
-    for name, text in named.items():
-        try:
-            values.append(_finite(text, f"column {name!r}"))
-        except ValueError as exc:
-            raise FormatError(str(exc), path=path, line=line) from exc
-    return tuple(values)
+def _parse_floats(texts: Sequence[str], names: Sequence[str], *, path,
+                  line) -> list[float]:
+    """The columns `texts`, named `names`, as finite plain decimal numbers;
+    the first column that is not one raises FormatError."""
+    try:
+        numbers = list(map(float, texts))
+    except ValueError:
+        numbers = None
+    # A finite sum means every number is finite; a sum that overflows
+    # takes the slow path and passes it.
+    if (numbers is not None and -_INF < sum(numbers) < _INF
+            and not "".join(texts).strip(_DECIMAL_CHARS)):
+        return numbers
+    try:
+        return [_finite(text, f"column {name!r}")
+                for text, name in zip(texts, names)]
+    except ValueError as exc:
+        raise FormatError(str(exc), path=path, line=line) from exc
+
+
+# A string that float() reads as a finite number is a plain decimal number,
+# [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? in ASCII digits, exactly when it
+# holds no character but these. float() also takes surrounding whitespace,
+# digit-group underscores and non-ASCII digits.
+_DECIMAL_CHARS = "0123456789.eE+-"
 
 
 def _finite(value: object, what: str) -> float:
     """float(value), or ValueError unless that is a finite number.
 
-    JSON booleans are not numbers, although float() takes them.
+    JSON booleans are not numbers, although float() takes them, and a
+    string must be a plain decimal number (see `_DECIMAL_CHARS`).
     """
     if isinstance(value, bool):
         raise ValueError(f"{what} is not a number: {value!r}")
@@ -393,6 +411,8 @@ def _finite(value: object, what: str) -> float:
         raise ValueError(f"{what} is not a number: {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"{what} is not finite: {value!r}")
+    if isinstance(value, str) and value.strip(_DECIMAL_CHARS):
+        raise ValueError(f"{what} is not a number: {value!r}")
     return number
 
 

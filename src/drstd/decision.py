@@ -46,36 +46,46 @@ def kst_threshold(candidates: Sequence[Candidate], policy: DecisionPolicy) -> fl
     """
     if policy.mode != "kst":
         raise ValueError("kst_threshold requires a policy with mode='kst'")
-    expected_true = sum(c.score for c in candidates)
+    return _kst_cut(sum(c.score for c in candidates), policy)
+
+
+def _kst_cut(expected_true: float, policy: DecisionPolicy) -> float:
+    """The KST threshold for a keyword whose scores sum to `expected_true`."""
     if expected_true <= 0.0:
         return 1.0
     return (policy.beta * expected_true
             / (policy.trial_seconds + (policy.beta - 1.0) * expected_true))
 
 
+def yes_flags(kw_ids: Sequence[str], scores: Sequence[float],
+              policy: DecisionPolicy) -> list[bool]:
+    """Whether each candidate, given as parallel kw_ids and scores, is a YES.
+
+    Global mode: YES iff score >= global_threshold. KST mode: YES iff
+    score >= the keyword's own threshold, from its scores summed in
+    input order.
+    """
+    if policy.mode == "global":
+        cut = policy.global_threshold
+        return [score >= cut for score in scores]
+    by_kw: dict[str, list[float]] = {}
+    for kw_id, score in zip(kw_ids, scores):
+        by_kw.setdefault(kw_id, []).append(score)
+    cuts = {kw_id: _kst_cut(sum(group), policy) for kw_id, group in by_kw.items()}
+    return [score >= cuts[kw_id] for kw_id, score in zip(kw_ids, scores)]
+
+
 def apply_decisions(candidates: Sequence[Candidate],
                     policy: DecisionPolicy) -> list[Candidate]:
     """Set each candidate's decision field; order and other fields kept.
 
-    Global mode: YES iff score >= global_threshold. KST mode: YES iff
-    score >= the keyword's own threshold. Idempotent.
+    The decisions are those of `yes_flags`. Idempotent.
     """
-    if policy.mode == "global":
-        thresholds = None
-    else:
-        by_kw: dict[str, list[Candidate]] = {}
-        for cand in candidates:
-            by_kw.setdefault(cand.kw_id, []).append(cand)
-        thresholds = {kw_id: kst_threshold(group, policy)
-                      for kw_id, group in by_kw.items()}
-    out = []
-    for cand in candidates:
-        cut = policy.global_threshold if thresholds is None else thresholds[cand.kw_id]
-        decision = "YES" if cand.score >= cut else "NO"
-        out.append(Candidate(kw_id=cand.kw_id, doc_id=cand.doc_id,
-                             start=cand.start, duration=cand.duration,
-                             score=cand.score, decision=decision))
-    return out
+    flags = yes_flags([c.kw_id for c in candidates],
+                      [c.score for c in candidates], policy)
+    return [Candidate(c.kw_id, c.doc_id, c.start, c.duration, c.score,
+                      "YES" if yes else "NO")
+            for c, yes in zip(candidates, flags)]
 
 
 def yes_only(candidates: Sequence[Candidate]) -> list[Candidate]:

@@ -52,6 +52,12 @@ def reestimate_confidence(score: float, weight: float, alpha: float) -> float:
     return float(alpha * weight + (1.0 - alpha) * score)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless `alpha` is a coefficient in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+
+
 def rescore_candidates(candidates: Sequence[Candidate], alpha: float
                        ) -> tuple[list[Candidate], WeightTables]:
     """Re-estimate every candidate's confidence, keyword by keyword.
@@ -60,8 +66,7 @@ def rescore_candidates(candidates: Sequence[Candidate], alpha: float
     Returns the rescored candidates in input order plus the weight
     tables for diagnostics.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     tables = build_weight_tables(candidates)
     rescored = [Candidate(c.kw_id, c.doc_id, c.start, c.duration,
                           reestimate_confidence(

@@ -21,13 +21,15 @@ import csv
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus_io import Candidate, RefOccurrence
-from .decision import DecisionPolicy, apply_decisions, yes_only
-from .rescore import WeightTables, rescore_candidates
+from .decision import DecisionPolicy, yes_flags, yes_only
+from .rescore import (WeightTables, build_weight_tables, check_alpha,
+                      reestimate_confidence)
 
 DEFAULT_DELTA_SECONDS = 0.5
 
@@ -62,12 +64,16 @@ def _group_indices(items: Sequence) -> dict[tuple[str, str], list[int]]:
     return groups
 
 
-def _match_group(hypotheses: Sequence[Candidate], hyp_idx: Sequence[int],
+def _group_pairs(hypotheses: Sequence[Candidate], hyp_idx: Sequence[int],
                  references: Sequence[RefOccurrence], ref_idx: Sequence[int],
-                 delta_seconds: float) -> list[tuple[int, int]]:
-    """Matched (hypothesis, reference) positions of one (kw_id, doc_id) group,
-    given as ascending positions: pairs with midpoints within `delta_seconds`
-    are taken nearest first, each hypothesis and reference at most once.
+                 delta_seconds: float) -> list[tuple]:
+    """The (hypothesis, reference) pairs of one (kw_id, doc_id) group whose
+    midpoints lie within `delta_seconds`, in match order.
+
+    Each pair is (dist, h.start, h.duration, r.start, i, j), for positions
+    i and j, and they are sorted: nearest first, ties broken by times,
+    then positions. The order depends on times alone, so a subset of the
+    hypotheses keeps its pairs in this order.
     """
     pairs = []
     for i in hyp_idx:
@@ -78,13 +84,37 @@ def _match_group(hypotheses: Sequence[Candidate], hyp_idx: Sequence[int],
             if dist <= delta_seconds:
                 pairs.append((dist, h.start, h.duration, r.start, i, j))
     pairs.sort()
+    return pairs
+
+
+def _greedy_matches(pairs: Iterable[tuple], accepted: Sequence[bool]
+                    ) -> list[int]:
+    """Matched hypothesis positions: the `_group_pairs` of accepted
+    hypotheses are taken in order, each hypothesis and reference at most
+    once."""
     hyp_used, ref_used, matches = set(), set(), []
     for _dist, _hs, _hd, _rs, i, j in pairs:
-        if i not in hyp_used and j not in ref_used:
+        if accepted[i] and i not in hyp_used and j not in ref_used:
             hyp_used.add(i)
             ref_used.add(j)
-            matches.append((i, j))
+            matches.append(i)
     return matches
+
+
+def _paired_groups(hypotheses: Sequence[Candidate],
+                   references: Sequence[RefOccurrence], delta_seconds: float
+                   ) -> dict[tuple[str, str], list[tuple]]:
+    """`_group_pairs` of each (kw_id, doc_id) group with references."""
+    ref_groups = _group_indices(references)
+    return {key: _group_pairs(hypotheses, hyp_idx, references, ref_groups[key],
+                              delta_seconds)
+            for key, hyp_idx in _group_indices(hypotheses).items()
+            if key in ref_groups}
+
+
+def _check_delta(delta_seconds: float) -> None:
+    if delta_seconds <= 0.0:
+        raise ValueError(f"delta_seconds must be > 0, got {delta_seconds}")
 
 
 def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
@@ -93,18 +123,15 @@ def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
 
     Unmatched hypotheses are false alarms; unmatched references are misses.
     """
-    if delta_seconds <= 0.0:
-        raise ValueError(f"delta_seconds must be > 0, got {delta_seconds}")
+    _check_delta(delta_seconds)
     labels = [FALSE_ALARM] * len(hypotheses)
     counts: dict[str, KeywordCounts] = {}
     for ref in references:
         counts.setdefault(ref.kw_id, KeywordCounts()).n_true += 1
-    ref_groups = _group_indices(references)
-    for key, hyp_idx in _group_indices(hypotheses).items():
-        if key in ref_groups:
-            for i, _j in _match_group(hypotheses, hyp_idx, references,
-                                      ref_groups[key], delta_seconds):
-                labels[i] = CORRECT
+    accepted = [True] * len(hypotheses)
+    for pairs in _paired_groups(hypotheses, references, delta_seconds).values():
+        for i in _greedy_matches(pairs, accepted):
+            labels[i] = CORRECT
     for hyp, label in zip(hypotheses, labels):
         kw_counts = counts.setdefault(hyp.kw_id, KeywordCounts())
         kw_counts.n_correct += label == CORRECT
@@ -209,24 +236,24 @@ def mtwv(scored_candidates: Sequence[Candidate],
     empty = align([], references, delta_seconds)
     counts = empty.keyword_counts  # the keywords with references
     rates = keyword_rates(empty, trial_seconds)
-    ref_groups = _group_indices(references)
-    hyp_groups = _group_indices(scored_candidates)
+    paired = _paired_groups(scored_candidates, references, delta_seconds)
+    scores = [c.score for c in scored_candidates]
+    accepted = [False] * len(scores)
     correct: dict[tuple[str, str], int] = {}
-    ordered = sorted(scored_candidates, key=lambda c: c.score, reverse=True)
-    best_threshold = (math.nextafter(ordered[0].score, math.inf) if ordered
+    ordered = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    best_threshold = (math.nextafter(scores[ordered[0]], math.inf) if ordered
                       else 1.0)
     best_twv = atwv(rates, beta)
-    for threshold, tie_group in itertools.groupby(ordered, lambda c: c.score):
+    for threshold, tie_group in itertools.groupby(ordered, scores.__getitem__):
         touched = set()
-        for cand in tie_group:
+        for i in tie_group:
+            accepted[i] = True
+            cand = scored_candidates[i]
             if cand.kw_id in counts:
                 counts[cand.kw_id].n_fa += 1
                 touched.add((cand.kw_id, cand.doc_id))
-        for key in touched & ref_groups.keys():
-            accepted = [i for i in hyp_groups[key]
-                        if scored_candidates[i].score >= threshold]
-            n_correct = len(_match_group(scored_candidates, accepted, references,
-                                         ref_groups[key], delta_seconds))
+        for key in touched & paired.keys():
+            n_correct = len(_greedy_matches(paired[key], accepted))
             counts[key[0]].n_correct += n_correct - correct.get(key, 0)
             counts[key[0]].n_fa -= n_correct - correct.get(key, 0)
             correct[key] = n_correct
@@ -366,15 +393,39 @@ def alpha_sweep(candidates: Sequence[Candidate],
                 delta_seconds: float = DEFAULT_DELTA_SECONDS) -> list[SweepPoint]:
     """Rescore, decide and score the same candidate set at each alpha.
 
+    Each row, and each error, is that of `rescore_candidates`,
+    `apply_decisions` and `score_detections` at its alpha. What does not
+    depend on alpha is built once, at the first grid point: the weight
+    tables, the reference counts and each group's pairs in match order.
     The alpha=0 row reproduces the baseline pipeline exactly, since
     interpolating with coefficient 0 leaves every score bit-identical.
     """
     rows = []
     for alpha in grid:
-        rescored, _tables = rescore_candidates(candidates, alpha)
-        aggregate = score_detections(apply_decisions(rescored, policy), references,
-                                     policy.trial_seconds, policy.beta,
-                                     delta_seconds)["aggregate"]
+        check_alpha(alpha)
+        if not rows:  # the first grid point, after its alpha check
+            tables = build_weight_tables(candidates)
+            weights = [tables[c.kw_id][c.doc_id][1] for c in candidates]
+            kw_ids = [c.kw_id for c in candidates]
+            n_true = Counter(ref.kw_id for ref in references)
+            paired = _paired_groups(candidates, references, delta_seconds)
+        yes = yes_flags(kw_ids, [reestimate_confidence(c.score, weight, alpha)
+                                 for c, weight in zip(candidates, weights)],
+                        policy)
+        # Checked where align checks it, so errors keep the order of
+        # rescoring, deciding and scoring.
+        _check_delta(delta_seconds)
+        counts = {kw_id: KeywordCounts(n) for kw_id, n in n_true.items()}
+        for kw_id, accepted in zip(kw_ids, yes):
+            if accepted:
+                counts.setdefault(kw_id, KeywordCounts()).n_fa += 1
+        for (kw_id, _doc_id), pairs in paired.items():
+            n_correct = len(_greedy_matches(pairs, yes))
+            counts[kw_id].n_correct += n_correct
+            counts[kw_id].n_fa -= n_correct
+        # build_report reads only the counts.
+        aggregate = build_report(AlignmentResult([], counts), policy.trial_seconds,
+                                 policy.beta, delta_seconds)["aggregate"]
         rows.append(SweepPoint(alpha, aggregate["atwv"],
                                aggregate["mean_p_miss"], aggregate["mean_p_fa"]))
     return rows

@@ -3,14 +3,17 @@
 Everything here is deliberately written from the definitions, without
 reusing the package's code paths: plain loops, brute-force enumeration,
 exhaustive scans. Tests compare package output against these.
-`exhaustive_mtwv` is the one exception: it re-runs the package's `align`
-on the whole YES set at every threshold, the definition that the
-incremental `scoring.mtwv` must reproduce exactly. `numpy_spearman` is
-the former numpy implementation, which the plain-Python
-`scoring.spearman` must match bit for bit. `reference_doc_from_obj` is
-the former straight-line corpus line check (each check its own step),
-which the one-pass `corpus_io._doc_from_obj` must match document for
-document and error message for error message.
+Two oracles are exceptions that reuse the package's code paths, since
+each is the definition its fast counterpart must reproduce exactly.
+`exhaustive_mtwv` re-runs the package's `align` on the whole YES set at
+every threshold, for the incremental `scoring.mtwv`.
+`reference_alpha_sweep` rescores, decides and scores afresh at each
+alpha, for `scoring.alpha_sweep`, row for row and error for error.
+`numpy_spearman` is the former numpy implementation, which the
+plain-Python `scoring.spearman` must match bit for bit.
+`reference_doc_from_obj` is the former straight-line corpus line check
+(each check its own step), which the one-pass `corpus_io._doc_from_obj`
+must match document for document and error message for error message.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ import numpy as np
 from drstd.corpus_io import (EPS_TOKEN, POSTERIOR_SUM_TOL, Candidate,
                              ConfusionNetworkDoc, FormatError, RefOccurrence,
                              Slot, normalize_token)
-from drstd.scoring import DEFAULT_DELTA_SECONDS, align, atwv, keyword_rates
+from drstd.decision import DecisionPolicy, apply_decisions
+from drstd.rescore import rescore_candidates
+from drstd.scoring import (DEFAULT_DELTA_SECONDS, SweepPoint, align, atwv,
+                           keyword_rates, score_detections)
 
 
 def straightline_rescore(candidates, alpha):
@@ -198,6 +204,27 @@ def exhaustive_mtwv(scored_candidates: Sequence[Candidate],
             best_twv = value
             best_threshold = threshold
     return best_threshold, best_twv
+
+
+def reference_alpha_sweep(candidates: Sequence[Candidate],
+                          references: Sequence[RefOccurrence],
+                          grid: Sequence[float], policy: DecisionPolicy,
+                          delta_seconds: float = DEFAULT_DELTA_SECONDS
+                          ) -> list[SweepPoint]:
+    """Rescore, decide and score the same candidate set at each alpha.
+
+    The alpha=0 row reproduces the baseline pipeline exactly, since
+    interpolating with coefficient 0 leaves every score bit-identical.
+    """
+    rows = []
+    for alpha in grid:
+        rescored, _tables = rescore_candidates(candidates, alpha)
+        aggregate = score_detections(apply_decisions(rescored, policy), references,
+                                     policy.trial_seconds, policy.beta,
+                                     delta_seconds)["aggregate"]
+        rows.append(SweepPoint(alpha, aggregate["atwv"],
+                               aggregate["mean_p_miss"], aggregate["mean_p_fa"]))
+    return rows
 
 
 def _numpy_average_ranks(values: Sequence[float]) -> np.ndarray:

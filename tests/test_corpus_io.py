@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,7 +137,8 @@ class TestCnCorpusParsing:
         ("-Infinity", "non-finite number -Infinity"),
         ("NaN", "non-finite number NaN"), ("null", "not a number"),
         ('"x"', "not a number"), ("[]", "not a number"),
-        ("true", "not a number"),
+        ("true", "not a number"), ('"1_0"', "not a number"),
+        ('" 0.5 "', "not a number"), ('"\\u0661"', "not a number"),
     ])
     def test_non_finite_numbers_rejected(self, tmp_path, field, value, message):
         slot = {"start": "0.0", "dur": "0.5", "posterior": "1.0"}
@@ -405,6 +407,8 @@ class TestOccurrenceTables:
         ("inf", "not finite"), ("-inf", "not finite"), ("nan", "not finite"),
         ("1e999", "not finite"), ("Infinity", "not finite"),
         ("x", "not a number"), ("", "not a number"),
+        ("1_0", "not a number"), (" 0.5 ", "not a number"),
+        ("\u0661", "not a number"),
     ])
     def test_non_finite_numbers_rejected(self, tmp_path, kind, row, column,
                                          value, message):
@@ -414,6 +418,61 @@ class TestOccurrenceTables:
                            ) as exc:
             parse_occurrence_table(p, kind)
         assert str(exc.value).startswith(f"{p}:2: ")
+
+
+    @pytest.mark.parametrize("kind,lines", [
+        ("keywords", ["# kw_id\ttokens", "KW1\thello world", "KW2\tcat"]),
+        ("ref", ["# header", "K1\td1\t3.2\t0.45", "K2\td2\t1e-05\t2.0"]),
+        ("candidate", ["K1\td1\t3.2\t0.45\t0.87",
+                       "K1\td2\t0.0\t0.0\t1.000000\tNO"]),
+        ("decided", ["K1\td1\t3.2\t0.45\t0.87\tYES",
+                     "K1\td2\t0.0\t0.0\t1.000000\tNO"]),
+    ])
+    def test_crlf_line_ends_parse_as_lf(self, tmp_path, kind, lines):
+        def parse(path):
+            if kind == "keywords":
+                return parse_keyword_list(path)
+            return parse_occurrence_table(path, kind)
+
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert parse(crlf) == parse(lf)
+
+
+# The number rule of every file format: a finite plain decimal number.
+_PLAIN_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?",
+                            re.ASCII)
+
+
+@given(st.text(alphabet="0123456789.eE+-_ \t\x1c\u00a0\u0661\uff11infaINFA",
+               max_size=8))
+@example("1_0")
+@example(" 0.5 ")
+@example("\u0661")
+@example("1e999")
+@example("5.")
+@example("-.5e+3")
+@settings(max_examples=500, deadline=None)
+def test_numbers_are_finite_plain_decimals(text):
+    """A string is a number, in a TSV column or a corpus field, exactly when
+    float() reads it as finite and it fully matches the decimal pattern."""
+    try:
+        finite = math.isfinite(float(text))
+    except ValueError:
+        finite = False
+    want = finite and _PLAIN_DECIMAL.fullmatch(text) is not None
+
+    def accepts(parse):
+        try:
+            parse()
+        except ValueError:
+            return False
+        return True
+
+    assert accepts(lambda: corpus_io._finite(text, "start")) == want
+    assert accepts(lambda: corpus_io._parse_floats(
+        ["0.5", text], ("start", "dur"), path="p", line=1)) == want
 
 
 class TestCandidateWriting:

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drstd import scoring
-from drstd.corpus_io import Candidate, RefOccurrence
+from drstd.cli import main
+from drstd.corpus_io import Candidate, RefOccurrence, parse_occurrence_table
 from drstd.decision import DecisionPolicy
 from drstd.rescore import build_weight_tables
 from drstd.scoring import (CORRECT, FALSE_ALARM, align, alpha_sweep, atwv,
@@ -19,7 +20,7 @@ from drstd.scoring import (CORRECT, FALSE_ALARM, align, alpha_sweep, atwv,
 
 from conftest import random_candidates, random_references
 from oracles import (brute_force_atwv, exhaustive_mtwv, numpy_spearman,
-                     optimal_match_count)
+                     optimal_match_count, reference_alpha_sweep)
 
 
 def hyp(kw, doc, start, dur=0.4, score=0.9, decision="YES"):
@@ -234,21 +235,27 @@ class TestMtwv:
 
     def test_matches_each_hypothesis_once(self, monkeypatch):
         # N singleton groups with distinct scores: the exhaustive scan would
-        # hand the matcher N(N+1)/2 hypotheses, one pass hands it N
-        seen = []
-        match_group = scoring._match_group
+        # pair and match N(N+1)/2 hypotheses, one pass pairs N and hands the
+        # greedy pass N pairs
+        paired, matched = [], []
+        group_pairs, greedy = scoring._group_pairs, scoring._greedy_matches
 
-        def counting(hypotheses, hyp_idx, *args):
-            seen.append(len(hyp_idx))
-            return match_group(hypotheses, hyp_idx, *args)
+        def counting_pairs(hypotheses, hyp_idx, *args):
+            paired.append(len(hyp_idx))
+            return group_pairs(hypotheses, hyp_idx, *args)
 
-        monkeypatch.setattr(scoring, "_match_group", counting)
+        def counting_greedy(pairs, accepted):
+            matched.append(len(pairs))
+            return greedy(pairs, accepted)
+
+        monkeypatch.setattr(scoring, "_group_pairs", counting_pairs)
+        monkeypatch.setattr(scoring, "_greedy_matches", counting_greedy)
         n = 500
         cands = [hyp("K", f"d{i}", 1.0, score=(i + 1) / 1000, decision=None)
                  for i in range(n)]
         refs = [ref("K", f"d{i}", 1.0) for i in range(n)]
         assert mtwv(cands, refs, 999.9, 3600.0) == (0.001, 1.0)
-        assert sum(seen) == n
+        assert sum(paired) == sum(matched) == n
 
 
 class TestSpearman:
@@ -381,8 +388,119 @@ class TestAlphaSweep:
 
     def test_rejects_bad_alpha(self):
         policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha must be in"):
             alpha_sweep([], [], [1.5], policy)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.5], [0.2, 1.0, -0.1]])
+    def test_rejects_bad_alpha_after_valid_points(self, grid):
+        policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
+        cands = [hyp("K", "d", 1.0, decision=None)]
+        with pytest.raises(ValueError, match="alpha must be in"):
+            alpha_sweep(cands, [ref("K", "d", 1.0)], grid, policy)
+
+    def test_empty_grid_checks_nothing(self):
+        # as rescoring, deciding and scoring at no alpha at all
+        cands = [hyp("K", "d", 1.0, score=0.0, decision=None)]
+        policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
+        assert alpha_sweep(cands, [], [], policy, 0.0) == []
+        assert reference_alpha_sweep(cands, [], [], policy, 0.0) == []
+
+    def test_kst_cuts_from_rescored_scores(self):
+        # at alpha 0.5 the d1 hit scores 0.3: above the cut from the raw
+        # scores (0.265), below the cut from the rescored ones (0.333)
+        cands = [hyp("K", "d0", 1.0, score=0.5, decision=None),
+                 hyp("K", "d0", 5.0, score=0.5, decision=None),
+                 hyp("K", "d1", 1.0, score=0.3, decision=None)]
+        refs = [ref("K", "d1", 1.0)]
+        policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
+        rows = alpha_sweep(cands, refs, [0.0, 0.5], policy)
+        assert [row.mean_p_miss for row in rows] == [0.0, 1.0]
+        assert rows == reference_alpha_sweep(cands, refs, [0.0, 0.5], policy)
+
+    def test_builds_alpha_independent_work_once(self, acceptance_synth,
+                                                 tmp_path, monkeypatch):
+        # the weight tables once per sweep, and each (kw_id, doc_id) group
+        # with references paired once, whatever the grid length
+        out = tmp_path / "candidates.tsv"
+        synth = acceptance_synth.out
+        assert main(["--quiet", "search", "--corpus", str(synth / "corpus.jsonl"),
+                     "--keywords", str(synth / "keywords.tsv"),
+                     "--out", str(out)]) == 0
+        cands = parse_occurrence_table(out, "candidate")
+        refs = parse_occurrence_table(synth / "refs.tsv", "ref")
+        tables, paired = [], []
+        build, group_pairs = scoring.build_weight_tables, scoring._group_pairs
+
+        def counting_build(candidates):
+            tables.append(len(candidates))
+            return build(candidates)
+
+        def counting_pairs(hypotheses, hyp_idx, *args):
+            first = hypotheses[hyp_idx[0]]
+            paired.append((first.kw_id, first.doc_id))
+            return group_pairs(hypotheses, hyp_idx, *args)
+
+        monkeypatch.setattr(scoring, "build_weight_tables", counting_build)
+        monkeypatch.setattr(scoring, "_group_pairs", counting_pairs)
+        policy = DecisionPolicy(mode="kst", trial_seconds=36000.0)
+        with_refs = ({(c.kw_id, c.doc_id) for c in cands}
+                     & {(r.kw_id, r.doc_id) for r in refs})
+        assert len(with_refs) > 50
+        for grid in ([0.1], [i / 9 for i in range(10)]):
+            tables.clear()
+            paired.clear()
+            assert len(alpha_sweep(cands, refs, grid, policy)) == len(grid)
+            assert tables == [len(cands)]
+            assert sorted(paired) == sorted(with_refs)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_alpha_sweep_matches_reference_oracle(data):
+    """Rows equal to rescoring, deciding and scoring at each alpha, bit for
+    bit, or the same first error."""
+    # few keywords, documents, times and scores, so groups hold several
+    # hypotheses and references and scores tie; K3 has no references
+    def occurrence(kws):
+        return st.tuples(st.sampled_from(kws), st.sampled_from(["d0", "d1"]),
+                         st.sampled_from([0.0, 0.2, 0.3, 0.6, 2.0]),
+                         st.sampled_from([0.2, 0.4]))
+    rows = data.draw(st.lists(
+        st.tuples(occurrence(["K0", "K1", "K2", "K3"]),
+                  st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.5 + 1e-9, 0.6,
+                                   0.75, 0.9, 1.0])),
+        min_size=6, max_size=25))
+    cands = [hyp(kw, doc, start, dur, score=score, decision=None)
+             for (kw, doc, start, dur), score in rows]
+    # a score of 0 in about one draw in eight
+    if data.draw(st.sampled_from([False] * 7 + [True])):
+        cands[data.draw(st.integers(0, len(cands) - 1))] = hyp(
+            "K0", "d0", 0.3, score=0.0, decision=None)
+    refs = [ref(*row) for row in data.draw(
+        st.lists(occurrence(["K0", "K1", "K2"]), max_size=12))]
+    # repeated alphas, 0 and 1; a bad alpha in about one draw in eight
+    grid = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+                              min_size=1, max_size=6))
+    if data.draw(st.sampled_from([False] * 7 + [True])):
+        grid.insert(data.draw(st.integers(0, len(grid))),
+                    data.draw(st.sampled_from([1.5, -0.25])))
+    policy = data.draw(st.sampled_from([
+        DecisionPolicy("kst", beta=999.9, trial_seconds=3600.0),
+        DecisionPolicy("kst", beta=999.9, trial_seconds=600.0),
+        DecisionPolicy("kst", beta=1.0, trial_seconds=5.0),
+        DecisionPolicy("kst", beta=999.9, trial_seconds=2.0),
+        DecisionPolicy("global", 0.5, beta=999.9, trial_seconds=3600.0),
+        DecisionPolicy("global", 0.3, beta=1.0, trial_seconds=5.0),
+        DecisionPolicy("global", 1.0, beta=999.9, trial_seconds=3600.0)]))
+    delta = data.draw(st.sampled_from([0.5, 0.15] * 4 + [0.0, -1.0]))
+
+    def outcome(sweep):
+        try:
+            return repr(sweep(cands, refs, grid, policy, delta))
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    assert outcome(alpha_sweep) == outcome(reference_alpha_sweep)
 
 
 def test_weight_performance_correlation_prefers_hit_rich_docs():
