@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .corpus_io import (Candidate, FormatError, corpus_duration_seconds,
                         parse_cn_corpus, parse_keyword_list,
-                        parse_occurrence_table, quantize_score,
+                        parse_occurrence_table, quantize_score, tsv_rows,
                         write_candidates, write_cn_corpus, write_keyword_list,
                         write_references)
 from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
@@ -82,14 +82,15 @@ def _write_manifest(primary_output: Path, subcommand: str, config: dict,
     _write_json(out_dir / f"{subcommand}.manifest.json", manifest)
 
 
-def _resolve_policy(args, corpus_seconds: float | None = None
-                    ) -> DecisionPolicy:
+def _resolve_policy(args, corpus_seconds: float | None = None) -> DecisionPolicy:
     trial_seconds = args.trial_seconds
     if trial_seconds is None:
         if corpus_seconds is not None:
             trial_seconds = corpus_seconds
         elif args.decision == "kst":
             raise _UsageError("--trial-seconds is required with --decision kst")
+        elif args.subcommand == "sweep":
+            raise _UsageError("--trial-seconds is required: sweep scores ATWV")
         else:
             trial_seconds = 3600.0
     return DecisionPolicy(mode=args.decision, global_threshold=args.threshold,
@@ -128,6 +129,18 @@ def _parse_grid(text: str) -> list[float]:
     if not grid:
         raise argparse.ArgumentTypeError("expected at least one alpha")
     return grid
+
+
+def _rescoring(path: str, candidates: list[Candidate], step, *args):
+    """Run the rescoring `step(candidates, *args)`, naming the line of `path`
+    in the error it raises first on a candidate of score 0 (parsers take 0)."""
+    try:
+        return step(candidates, *args)
+    except ValueError as exc:
+        for (line, _fields), cand in zip(tsv_rows(path), candidates):
+            if cand.score <= 0.0:
+                raise FormatError(str(exc), path=path, line=line) from None
+        raise
 
 
 def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
@@ -171,7 +184,8 @@ def cmd_search(args) -> None:
 
 def cmd_rescore(args) -> None:
     candidates = parse_occurrence_table(args.infile, "candidate")
-    rescored, tables = rescore_candidates(candidates, args.alpha)
+    rescored, tables = _rescoring(args.infile, candidates, rescore_candidates,
+                                  args.alpha)
     out = Path(args.out)
     write_candidates(out, rescored)
     if args.weights_out:
@@ -209,15 +223,14 @@ def cmd_score(args) -> None:
             hypotheses, references, args.beta, args.trial_seconds, args.delta)
     out = Path(args.out)
     _write_json(out, report)
-    detail = Path(args.detail_out) if args.detail_out else out.parent / DETAIL_FILE
-    write_keyword_detail(detail, report)
+    write_keyword_detail(out.parent / DETAIL_FILE, report)
     log.info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
              aggregate["atwv"], aggregate["num_scored_keywords"],
              aggregate["mean_p_miss"], aggregate["mean_p_fa"])
     _write_manifest(out, "score",
                     {"beta": args.beta, "trial_seconds": args.trial_seconds,
                      "delta": args.delta, "mtwv": args.mtwv, "out": str(out),
-                     "detail_out": str(detail)},
+                     "detail_out": str(out.parent / DETAIL_FILE)},
                     {"hypotheses": Path(args.hyp), "references": Path(args.ref)})
 
 
@@ -225,8 +238,8 @@ def cmd_sweep(args) -> None:
     policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.infile, "candidate")
     references = parse_occurrence_table(args.ref, "ref")
-    rows = alpha_sweep(candidates, references, args.alpha_grid, policy,
-                       args.delta)
+    rows = _rescoring(args.infile, candidates, alpha_sweep, references,
+                      args.alpha_grid, policy, args.delta)
     out = Path(args.out)
     write_csv(out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
     best = max(rows, key=lambda r: r.atwv)
@@ -244,7 +257,7 @@ def cmd_diag(args) -> None:
     policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.infile, "candidate")
     references = parse_occurrence_table(args.ref, "ref")
-    tables = build_weight_tables(candidates)
+    tables = _rescoring(args.infile, candidates, build_weight_tables)
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
     curve = doc_rank_curves(accepted, tables, alignment, args.max_rank)
@@ -385,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alignment midpoint tolerance in seconds")
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
-    p.add_argument("--detail-out", default=None,
-                   help=f"per-keyword TSV (default: {DETAIL_FILE} next to --out)")
     p.add_argument("--out", required=True, help="report JSON")
     p.set_defaults(func=cmd_score)
 

@@ -290,7 +290,7 @@ def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
     """Parse a TSV keyword list; duplicate kw_id or blank text is an error."""
     entries: list[KeywordEntry] = []
     seen: set[str] = set()
-    for lineno, fields in _tsv_rows(path):
+    for lineno, fields in tsv_rows(path):
         if len(fields) != 2:
             raise FormatError(f"expected 2 tab-separated columns, got {len(fields)}",
                               path=path, line=lineno)
@@ -324,7 +324,7 @@ def parse_occurrence_table(path: str | Path,
         raise ValueError(
             f"kind must be 'ref', 'candidate' or 'decided', got {kind!r}")
     rows: list = []
-    for lineno, fields in _tsv_rows(path):
+    for lineno, fields in tsv_rows(path):
         if kind == "ref":
             rows.append(_parse_ref_row(fields, path=path, line=lineno))
         else:
@@ -416,7 +416,7 @@ def _finite(value: object, what: str) -> float:
     return number
 
 
-def _tsv_rows(path: str | Path):
+def tsv_rows(path: str | Path):
     """Yield (lineno, fields) for non-blank, non-comment TSV lines."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -105,6 +105,8 @@ def _paired_groups(hypotheses: Sequence[Candidate],
                    references: Sequence[RefOccurrence], delta_seconds: float
                    ) -> dict[tuple[str, str], list[tuple]]:
     """`_group_pairs` of each (kw_id, doc_id) group with references."""
+    if delta_seconds <= 0.0:
+        raise ValueError(f"delta_seconds must be > 0, got {delta_seconds}")
     ref_groups = _group_indices(references)
     return {key: _group_pairs(hypotheses, hyp_idx, references, ref_groups[key],
                               delta_seconds)
@@ -112,9 +114,19 @@ def _paired_groups(hypotheses: Sequence[Candidate],
             if key in ref_groups}
 
 
-def _check_delta(delta_seconds: float) -> None:
-    if delta_seconds <= 0.0:
-        raise ValueError(f"delta_seconds must be > 0, got {delta_seconds}")
+def _tally(kw_ids: Sequence[str], yes: Sequence[bool], n_true: Mapping[str, int],
+           paired: Mapping[tuple, list[tuple]]) -> tuple[list[int], dict]:
+    """Matched positions and per-keyword counts of the YES hypotheses among
+    parallel `kw_ids` and `yes` flags. `paired` is their `_paired_groups`;
+    the keywords of `n_true` come first in the counts."""
+    counts = {kw_id: KeywordCounts(n) for kw_id, n in n_true.items()}
+    for kw_id in itertools.compress(kw_ids, yes):
+        counts.setdefault(kw_id, KeywordCounts()).n_fa += 1
+    matched = [i for pairs in paired.values() for i in _greedy_matches(pairs, yes)]
+    for i in matched:
+        counts[kw_ids[i]].n_correct += 1
+        counts[kw_ids[i]].n_fa -= 1
+    return matched, counts
 
 
 def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
@@ -123,19 +135,12 @@ def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
 
     Unmatched hypotheses are false alarms; unmatched references are misses.
     """
-    _check_delta(delta_seconds)
+    paired = _paired_groups(hypotheses, references, delta_seconds)
+    matched, counts = _tally([h.kw_id for h in hypotheses], [True] * len(hypotheses),
+                             Counter(ref.kw_id for ref in references), paired)
     labels = [FALSE_ALARM] * len(hypotheses)
-    counts: dict[str, KeywordCounts] = {}
-    for ref in references:
-        counts.setdefault(ref.kw_id, KeywordCounts()).n_true += 1
-    accepted = [True] * len(hypotheses)
-    for pairs in _paired_groups(hypotheses, references, delta_seconds).values():
-        for i in _greedy_matches(pairs, accepted):
-            labels[i] = CORRECT
-    for hyp, label in zip(hypotheses, labels):
-        kw_counts = counts.setdefault(hyp.kw_id, KeywordCounts())
-        kw_counts.n_correct += label == CORRECT
-        kw_counts.n_fa += label == FALSE_ALARM
+    for i in matched:
+        labels[i] = CORRECT
     return AlignmentResult(hypothesis_labels=labels, keyword_counts=counts)
 
 
@@ -412,17 +417,7 @@ def alpha_sweep(candidates: Sequence[Candidate],
         yes = yes_flags(kw_ids, [reestimate_confidence(c.score, weight, alpha)
                                  for c, weight in zip(candidates, weights)],
                         policy)
-        # Checked where align checks it, so errors keep the order of
-        # rescoring, deciding and scoring.
-        _check_delta(delta_seconds)
-        counts = {kw_id: KeywordCounts(n) for kw_id, n in n_true.items()}
-        for kw_id, accepted in zip(kw_ids, yes):
-            if accepted:
-                counts.setdefault(kw_id, KeywordCounts()).n_fa += 1
-        for (kw_id, _doc_id), pairs in paired.items():
-            n_correct = len(_greedy_matches(pairs, yes))
-            counts[kw_id].n_correct += n_correct
-            counts[kw_id].n_fa -= n_correct
+        _matched, counts = _tally(kw_ids, yes, n_true, paired)
         # build_report reads only the counts.
         aggregate = build_report(AlignmentResult([], counts), policy.trial_seconds,
                                  policy.beta, delta_seconds)["aggregate"]

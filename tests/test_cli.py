@@ -409,6 +409,10 @@ class TestErrorHandling:
           "--decision", "kst"], "--trial-seconds is required with --decision kst"),
         (["diag", "--in", "c", "--ref", "r", "--decision", "kst"],
          "--trial-seconds is required with --decision kst"),
+        (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0",
+          "--decision", "global"], "--trial-seconds is required: sweep scores ATWV"),
+        (["score", "--hyp", "h", "--ref", "r", "--trial-seconds", "3600",
+          "--detail-out", "x"], "unrecognized arguments: --detail-out x"),
     ])
     def test_non_finite_or_non_positive_flag_rejected(self, tmp_path, capsys,
                                                        argv, fragment):
@@ -418,6 +422,29 @@ class TestErrorHandling:
         assert len(stderr.splitlines()) == 1, stderr
         assert fragment in stderr
         assert not out.exists()
+
+    def test_zero_score_row_named_by_rescoring_commands(self, tmp_path, capsys):
+        # the parser takes a score of 0, but rescoring needs scores > 0
+        cands, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
+        cands.write_text("# kw_id\tdoc_id\tstart\tdur\tscore\n"
+                         "K1\td1\t3.0\t0.5\t0.5\n\n"
+                         "K1\td1\t1.0\t0.5\t0.000000\n")
+        refs.write_text("K1\td1\t1.0\t0.5\n")
+        out = tmp_path / "out"
+        inputs = ["--in", str(cands)]
+        for argv in (["rescore", *inputs, "--alpha", "0.1"],
+                     ["sweep", *inputs, "--ref", str(refs), "--alpha-grid", "0,1",
+                      "--trial-seconds", "3600"],
+                     ["diag", *inputs, "--ref", str(refs), "--trial-seconds", "3600"]):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"drstd: {cands}:4: candidate 'K1'/'d1'@1.0 has non-positive "
+                "score 0.0; rescoring needs scores > 0"]
+            assert not out.exists()
+        assert run("decide", *inputs, "--trial-seconds", "3600",
+                   "--out", str(tmp_path / "d.tsv")) == 0
+        assert run("score", "--hyp", str(tmp_path / "d.tsv"), "--ref", str(refs),
+                   "--trial-seconds", "3600", "--out", str(out)) == 0
 
     def test_kst_requires_trial_seconds(self, tmp_path):
         cands = tmp_path / "c.tsv"
@@ -628,20 +655,18 @@ def test_pipeline_accepts_what_its_parsers_accept(tmp_path_factory, inputs,
         assert str(out) not in stderr, stderr
 
 
-# Runs in a fresh interpreter: every command but synth must leave numpy
-# unloaded, and the package's lazy synth names must still resolve.
+# Runs in a fresh interpreter: importing the package loads none of its
+# modules, and every command but synth must leave numpy unloaded.
 _NUMPY_FREE_SCRIPT = """
 import json, sys
+import drstd
+assert drstd.__version__
+assert not [name for name in sys.modules if name.startswith("drstd.")]
 from drstd.cli import main
 assert "numpy" not in sys.modules, "import drstd.cli"
 for argv in json.loads(sys.argv[1]):
     assert main(["--quiet", *argv]) == 0, argv
     assert "numpy" not in sys.modules, argv
-import drstd
-assert drstd.SynthConfig.__name__ == "SynthConfig"
-names = {}
-exec("from drstd import *", names)
-assert set(drstd.__all__) <= names.keys()
 """
 
 
