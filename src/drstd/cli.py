@@ -8,7 +8,7 @@ pipeline itself round-trips each stage through disk, so its outputs are
 byte-identical to chaining the individual subcommands.
 
 Each run drops a `<subcommand>.manifest.json` next to its primary output
-recording the resolved configuration and sha256 hashes of all inputs.
+recording its flags and sha256 hashes of all input files.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -68,31 +68,38 @@ def _write_json(path: Path, obj) -> None:
                     + "\n", encoding="utf-8")
 
 
-def _write_manifest(primary_output: Path, subcommand: str, config: dict,
-                    inputs: dict[str, Path]) -> None:
-    out_dir = primary_output if primary_output.is_dir() else primary_output.parent
+def _write_manifest(args, **resolved) -> None:
+    """Write `<subcommand>.manifest.json` beside the file `args.out`, or
+    into the directory `args.out`, which is then not recorded: it holds the
+    manifest. Flags parsed as a Path are input files and are hashed; the
+    rest, with `resolved` in place of their given values, are config."""
+    flags = {name: value for name, value in {**vars(args), **resolved}.items()
+             if name not in ("func", "quiet", "subcommand", "out")}
+    if args.out.is_dir():
+        out_dir = args.out
+    else:
+        out_dir, flags["out"] = args.out.parent, str(args.out)
     manifest = {
         "tool": "drstd",
         "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
+        "subcommand": args.subcommand,
+        "config": {name: value for name, value in flags.items()
+                   if not isinstance(value, Path)},
         "inputs": {name: {"path": str(path), "sha256": _sha256(path)}
-                   for name, path in sorted(inputs.items())},
+                   for name, path in sorted(flags.items())
+                   if isinstance(path, Path)},
     }
-    _write_json(out_dir / f"{subcommand}.manifest.json", manifest)
+    _write_json(out_dir / f"{args.subcommand}.manifest.json", manifest)
 
 
 def _resolve_policy(args, corpus_seconds: float | None = None) -> DecisionPolicy:
-    trial_seconds = args.trial_seconds
-    if trial_seconds is None:
-        if corpus_seconds is not None:
-            trial_seconds = corpus_seconds
-        elif args.decision == "kst":
-            raise _UsageError("--trial-seconds is required with --decision kst")
-        elif args.subcommand == "sweep":
-            raise _UsageError("--trial-seconds is required: sweep scores ATWV")
-        else:
-            trial_seconds = 3600.0
+    """The policy of the decision flags. Its trial is --trial-seconds, else
+    `corpus_seconds`, else None, which only global decisions outside sweep take."""
+    trial_seconds = corpus_seconds if args.trial_seconds is None else args.trial_seconds
+    if trial_seconds is None and args.decision == "kst":
+        raise _UsageError("--trial-seconds is required with --decision kst")
+    if trial_seconds is None and args.subcommand == "sweep":
+        raise _UsageError("--trial-seconds is required: sweep scores ATWV")
     return DecisionPolicy(mode=args.decision, global_threshold=args.threshold,
                           beta=args.beta, trial_seconds=trial_seconds)
 
@@ -131,7 +138,7 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _rescoring(path: str, candidates: list[Candidate], step, *args):
+def _rescoring(path: Path, candidates: list[Candidate], step, *args):
     """Run the rescoring `step(candidates, *args)`, naming the line of `path`
     in the error it raises first on a candidate of score 0 (parsers take 0)."""
     try:
@@ -171,102 +178,83 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
 def cmd_search(args) -> None:
     keywords = parse_keyword_list(args.keywords)
     candidates, dropped, docs, _ = _search(args, keywords)
-    out = Path(args.out)
-    write_candidates(out, candidates)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_candidates(args.out, candidates)
     log.info("search: %d candidates for %d keywords over %d docs "
              "(%d hits below 5e-7 dropped)",
              len(candidates), len(keywords), docs, dropped)
-    _write_manifest(out, "search",
-                    {"out": str(out)},
-                    {"corpus": Path(args.corpus),
-                     "keywords": Path(args.keywords)})
+    _write_manifest(args)
 
 
 def cmd_rescore(args) -> None:
-    candidates = parse_occurrence_table(args.infile, "candidate")
-    rescored, tables = _rescoring(args.infile, candidates, rescore_candidates,
-                                  args.alpha)
-    out = Path(args.out)
-    write_candidates(out, rescored)
+    candidates = parse_occurrence_table(args.candidates, "candidate")
+    rescored, tables = _rescoring(args.candidates, candidates,
+                                  rescore_candidates, args.alpha)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_candidates(args.out, rescored)
     if args.weights_out:
+        Path(args.weights_out).parent.mkdir(parents=True, exist_ok=True)
         write_weight_tables(args.weights_out, tables)
     log.info("rescore: %d candidates, alpha=%s", len(rescored), args.alpha)
-    _write_manifest(out, "rescore",
-                    {"alpha": args.alpha, "out": str(out),
-                     "weights_out": args.weights_out},
-                    {"candidates": Path(args.infile)})
+    _write_manifest(args)
 
 
 def cmd_decide(args) -> None:
     policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.infile, "candidate")
+    candidates = parse_occurrence_table(args.candidates, "candidate")
     decided = apply_decisions(candidates, policy)
-    out = Path(args.out)
-    write_candidates(out, decided)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_candidates(args.out, decided)
     log.info("decide: %d YES of %d (%s mode)",
              sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
-    _write_manifest(out, "decide",
-                    {"decision": policy.mode, "threshold": policy.global_threshold,
-                     "beta": policy.beta, "trial_seconds": policy.trial_seconds,
-                     "out": str(out)},
-                    {"candidates": Path(args.infile)})
+    _write_manifest(args)
 
 
 def cmd_score(args) -> None:
-    hypotheses = parse_occurrence_table(args.hyp, "decided")
-    references = parse_occurrence_table(args.ref, "ref")
+    hypotheses = parse_occurrence_table(args.hypotheses, "decided")
+    references = parse_occurrence_table(args.references, "ref")
     report = score_detections(hypotheses, references, args.trial_seconds,
                               args.beta, args.delta)
     aggregate = report["aggregate"]
     if args.mtwv:
         aggregate["mtwv_threshold"], aggregate["mtwv"] = mtwv(
             hypotheses, references, args.beta, args.trial_seconds, args.delta)
-    out = Path(args.out)
-    _write_json(out, report)
-    write_keyword_detail(out.parent / DETAIL_FILE, report)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out, report)
+    write_keyword_detail(args.out.parent / DETAIL_FILE, report)
     log.info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
              aggregate["atwv"], aggregate["num_scored_keywords"],
              aggregate["mean_p_miss"], aggregate["mean_p_fa"])
-    _write_manifest(out, "score",
-                    {"beta": args.beta, "trial_seconds": args.trial_seconds,
-                     "delta": args.delta, "mtwv": args.mtwv, "out": str(out),
-                     "detail_out": str(out.parent / DETAIL_FILE)},
-                    {"hypotheses": Path(args.hyp), "references": Path(args.ref)})
+    _write_manifest(args)
 
 
 def cmd_sweep(args) -> None:
     policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.infile, "candidate")
-    references = parse_occurrence_table(args.ref, "ref")
-    rows = _rescoring(args.infile, candidates, alpha_sweep, references,
+    candidates = parse_occurrence_table(args.candidates, "candidate")
+    references = parse_occurrence_table(args.references, "ref")
+    rows = _rescoring(args.candidates, candidates, alpha_sweep, references,
                       args.alpha_grid, policy, args.delta)
-    out = Path(args.out)
-    write_csv(out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(args.out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
     best = max(rows, key=lambda r: r.atwv)
     log.info("sweep: best ATWV %.4f at alpha=%s (%d grid points)",
              best.atwv, best.alpha, len(rows))
-    _write_manifest(out, "sweep",
-                    {"alpha_grid": args.alpha_grid, "decision": policy.mode,
-                     "threshold": policy.global_threshold, "beta": policy.beta,
-                     "trial_seconds": policy.trial_seconds, "delta": args.delta,
-                     "out": str(out)},
-                    {"candidates": Path(args.infile), "references": Path(args.ref)})
+    _write_manifest(args)
 
 
 def cmd_diag(args) -> None:
     policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.infile, "candidate")
-    references = parse_occurrence_table(args.ref, "ref")
-    tables = _rescoring(args.infile, candidates, build_weight_tables)
+    candidates = parse_occurrence_table(args.candidates, "candidate")
+    references = parse_occurrence_table(args.references, "ref")
+    tables = _rescoring(args.candidates, candidates, build_weight_tables)
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
     curve = doc_rank_curves(accepted, tables, alignment, args.max_rank)
     rhos = weight_performance_correlation(accepted, tables, alignment)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "rank_curve.csv", ("rank", "avg_precision", "avg_recall"),
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_csv(args.out / "rank_curve.csv", ("rank", "avg_precision", "avg_recall"),
               curve)
-    _write_json(out_dir / "diagnostics.json", {
+    _write_json(args.out / "diagnostics.json", {
         "spearman_weight_precision": rhos[0],
         "spearman_weight_recall": rhos[1],
         "max_rank": args.max_rank,
@@ -277,12 +265,7 @@ def cmd_diag(args) -> None:
     })
     log.info("diag: weight-precision rho %s, weight-recall rho %s", *(
         "undefined" if rho is None else f"{rho:.3f}" for rho in rhos))
-    _write_manifest(out_dir, "diag",
-                    {"decision": policy.mode, "threshold": policy.global_threshold,
-                     "beta": policy.beta, "trial_seconds": policy.trial_seconds,
-                     "delta": args.delta, "max_rank": args.max_rank,
-                     "out": str(out_dir)},
-                    {"candidates": Path(args.infile), "references": Path(args.ref)})
+    _write_manifest(args)
 
 
 def cmd_synth(args) -> None:
@@ -295,57 +278,50 @@ def cmd_synth(args) -> None:
                          docs_per_topic=args.docs_per_topic, noise=args.noise,
                          seed=args.seed)
     docs, keywords, refs, dropped = generate(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_cn_corpus(out_dir / "corpus.jsonl", docs)
-    write_keyword_list(out_dir / "keywords.tsv", keywords)
-    write_references(out_dir / "refs.tsv", refs)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_cn_corpus(args.out / "corpus.jsonl", docs)
+    write_keyword_list(args.out / "keywords.tsv", keywords)
+    write_references(args.out / "refs.tsv", refs)
     log.info("synth: %d docs, %d keywords, %d references (%d planned "
              "occurrences dropped, their documents full) -> %s",
-             len(docs), len(keywords), len(refs), dropped, out_dir)
-    _write_manifest(out_dir, "synth",
-                    {"docs": config.num_docs, "slots": config.slots_per_doc,
-                     "vocab": config.vocab_size, "keywords": config.num_keywords,
-                     "topic_affinity": config.topic_affinity,
-                     "docs_per_topic": config.docs_per_topic,
-                     "noise": config.noise, "seed": config.seed}, {})
+             len(docs), len(keywords), len(refs), dropped, args.out)
+    _write_manifest(args)
 
 
 def cmd_pipeline(args) -> None:
     keywords = parse_keyword_list(args.keywords)
-    references = parse_occurrence_table(args.ref, "ref")
+    references = parse_occurrence_table(args.references, "ref")
     candidates, dropped, _, seconds = _search(args, keywords)
     policy = _resolve_policy(args, corpus_seconds=seconds)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_candidates(out_dir / CANDIDATES_FILE, candidates)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_candidates(args.out / CANDIDATES_FILE, candidates)
 
     # Each stage re-reads the artifact it just wrote so the pipeline sees
     # exactly what chained subcommands would (6-decimal score quantization
     # included) and produces byte-identical files.
-    candidates = parse_occurrence_table(out_dir / CANDIDATES_FILE, "candidate")
+    candidates = parse_occurrence_table(args.out / CANDIDATES_FILE, "candidate")
     rescored, tables = rescore_candidates(candidates, args.alpha)
-    write_candidates(out_dir / RESCORED_FILE, rescored)
-    write_weight_tables(out_dir / WEIGHTS_FILE, tables)
+    write_candidates(args.out / RESCORED_FILE, rescored)
+    write_weight_tables(args.out / WEIGHTS_FILE, tables)
 
-    rescored = parse_occurrence_table(out_dir / RESCORED_FILE, "candidate")
+    rescored = parse_occurrence_table(args.out / RESCORED_FILE, "candidate")
     decided = apply_decisions(rescored, policy)
-    write_candidates(out_dir / DECIDED_FILE, decided)
+    write_candidates(args.out / DECIDED_FILE, decided)
 
-    decided = parse_occurrence_table(out_dir / DECIDED_FILE, "candidate")
+    decided = parse_occurrence_table(args.out / DECIDED_FILE, "candidate")
     report = score_detections(decided, references, policy.trial_seconds,
                               policy.beta, args.delta)
-    _write_json(out_dir / REPORT_FILE, report)
-    write_keyword_detail(out_dir / DETAIL_FILE, report)
+    _write_json(args.out / REPORT_FILE, report)
+    write_keyword_detail(args.out / DETAIL_FILE, report)
     log.info("pipeline: ATWV %.4f (alpha=%s, %s decisions, %d search hits "
              "below 5e-7 dropped) -> %s",
-             report["aggregate"]["atwv"], args.alpha, policy.mode, dropped, out_dir)
-    _write_manifest(out_dir, "pipeline",
-                    {"alpha": args.alpha, "decision": policy.mode,
-                     "threshold": policy.global_threshold, "beta": policy.beta,
-                     "trial_seconds": policy.trial_seconds, "delta": args.delta},
-                    {"corpus": Path(args.corpus), "keywords": Path(args.keywords),
-                     "references": Path(args.ref)})
+             report["aggregate"]["atwv"], args.alpha, policy.mode, dropped, args.out)
+    _write_manifest(args, trial_seconds=policy.trial_seconds)
+
+
+def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
+    """Add an input-file flag: parsed as a Path, so its manifest hashes it."""
+    sub.add_argument(flag, dest=dest, type=Path, required=True, help=help)
 
 
 def _add_decision_flags(sub) -> None:
@@ -368,57 +344,57 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("search", help="one-pass keyword retrieval")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--keywords", required=True)
-    p.add_argument("--out", required=True, help="candidate TSV")
+    _add_input(p, "--corpus", "corpus")
+    _add_input(p, "--keywords", "keywords")
+    p.add_argument("--out", type=Path, required=True, help="candidate TSV")
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("rescore",
                         help="re-estimate confidences from document weights")
-    p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
+    _add_input(p, "--in", "candidates", "candidate TSV")
     p.add_argument("--alpha", type=_unit_interval, required=True,
                    help="interpolation coefficient in [0, 1]")
     p.add_argument("--weights-out", default=None,
                    help="optional TSV of per-keyword document weights")
-    p.add_argument("--out", required=True, help="rescored candidate TSV")
+    p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
     p.set_defaults(func=cmd_rescore)
 
     p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
-    p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
+    _add_input(p, "--in", "candidates", "candidate TSV")
     _add_decision_flags(p)
-    p.add_argument("--out", required=True, help="decided candidate TSV")
+    p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
     p.set_defaults(func=cmd_decide)
 
     p = subs.add_parser("score", help="term-weighted-value scoring")
-    p.add_argument("--hyp", required=True, help="decided candidate TSV")
-    p.add_argument("--ref", required=True, help="reference TSV")
+    _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
+    _add_input(p, "--ref", "references", "reference TSV")
     p.add_argument("--trial-seconds", type=_positive(float), required=True)
     p.add_argument("--beta", type=_positive(float), default=DEFAULT_BETA)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS,
                    help="alignment midpoint tolerance in seconds")
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
-    p.add_argument("--out", required=True, help="report JSON")
+    p.add_argument("--out", type=Path, required=True, help="report JSON")
     p.set_defaults(func=cmd_score)
 
     p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
-    p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
-    p.add_argument("--ref", required=True, help="reference TSV")
+    _add_input(p, "--in", "candidates", "candidate TSV")
+    _add_input(p, "--ref", "references", "reference TSV")
     p.add_argument("--alpha-grid", type=_parse_grid, required=True,
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
     _add_decision_flags(p)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--out", required=True, help="sweep CSV")
+    p.add_argument("--out", type=Path, required=True, help="sweep CSV")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("diag",
                         help="document-rank curves and weight correlations")
-    p.add_argument("--in", dest="infile", required=True, help="candidate TSV")
-    p.add_argument("--ref", required=True, help="reference TSV")
+    _add_input(p, "--in", "candidates", "candidate TSV")
+    _add_input(p, "--ref", "references", "reference TSV")
     _add_decision_flags(p)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--max-rank", type=_positive(int), default=10)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_diag)
 
     p = subs.add_parser("synth", help="generate a synthetic corpus",
@@ -439,18 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs-per-topic", type=int, default=5)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("pipeline",
                         help="search, rescore, decide and score in one run")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--keywords", required=True)
-    p.add_argument("--ref", required=True)
+    _add_input(p, "--corpus", "corpus")
+    _add_input(p, "--keywords", "keywords")
+    _add_input(p, "--ref", "references")
     p.add_argument("--alpha", type=_unit_interval, required=True)
     _add_decision_flags(p)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

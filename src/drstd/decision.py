@@ -26,7 +26,7 @@ class DecisionPolicy:
     mode: str  # "global" or "kst"
     global_threshold: float = 0.5
     beta: float = DEFAULT_BETA
-    trial_seconds: float = 3600.0
+    trial_seconds: float | None = None  # required in kst mode
 
     def __post_init__(self):
         if self.mode not in ("global", "kst"):
@@ -35,26 +35,29 @@ class DecisionPolicy:
             raise ValueError(f"global_threshold outside [0, 1]: {self.global_threshold}")
         if self.beta <= 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.trial_seconds <= 0.0:
+        if self.trial_seconds is None:
+            if self.mode == "kst":
+                raise ValueError("a kst policy needs trial_seconds")
+        elif self.trial_seconds <= 0.0:
             raise ValueError(f"trial_seconds must be > 0, got {self.trial_seconds}")
 
 
-def kst_threshold(candidates: Sequence[Candidate], policy: DecisionPolicy) -> float:
-    """Keyword-specific threshold for one keyword's candidate list.
+def kst_cuts(kw_ids: Sequence[str], scores: Sequence[float],
+             policy: DecisionPolicy) -> dict[str, float]:
+    """Each keyword's KST threshold, given parallel kw_ids and scores.
 
-    An empty list returns 1.0 by convention: nothing can pass.
+    A keyword's expected true count N is its scores summed in input
+    order; N = 0 gives 1.0 by convention, so only a perfect score passes.
     """
     if policy.mode != "kst":
-        raise ValueError("kst_threshold requires a policy with mode='kst'")
-    return _kst_cut(sum(c.score for c in candidates), policy)
-
-
-def _kst_cut(expected_true: float, policy: DecisionPolicy) -> float:
-    """The KST threshold for a keyword whose scores sum to `expected_true`."""
-    if expected_true <= 0.0:
-        return 1.0
-    return (policy.beta * expected_true
-            / (policy.trial_seconds + (policy.beta - 1.0) * expected_true))
+        raise ValueError("kst_cuts requires a policy with mode='kst'")
+    by_kw: dict[str, list[float]] = {}
+    for kw_id, score in zip(kw_ids, scores):
+        by_kw.setdefault(kw_id, []).append(score)
+    masses = {kw_id: sum(group) for kw_id, group in by_kw.items()}
+    beta, trial = policy.beta, policy.trial_seconds
+    return {kw_id: beta * n / (trial + (beta - 1.0) * n) if n > 0.0 else 1.0
+            for kw_id, n in masses.items()}
 
 
 def yes_flags(kw_ids: Sequence[str], scores: Sequence[float],
@@ -62,16 +65,12 @@ def yes_flags(kw_ids: Sequence[str], scores: Sequence[float],
     """Whether each candidate, given as parallel kw_ids and scores, is a YES.
 
     Global mode: YES iff score >= global_threshold. KST mode: YES iff
-    score >= the keyword's own threshold, from its scores summed in
-    input order.
+    score >= the keyword's own threshold from `kst_cuts`.
     """
     if policy.mode == "global":
         cut = policy.global_threshold
         return [score >= cut for score in scores]
-    by_kw: dict[str, list[float]] = {}
-    for kw_id, score in zip(kw_ids, scores):
-        by_kw.setdefault(kw_id, []).append(score)
-    cuts = {kw_id: _kst_cut(sum(group), policy) for kw_id, group in by_kw.items()}
+    cuts = kst_cuts(kw_ids, scores, policy)
     return [score >= cuts[kw_id] for kw_id, score in zip(kw_ids, scores)]
 
 

@@ -404,11 +404,15 @@ def alpha_sweep(candidates: Sequence[Candidate],
     tables, the reference counts and each group's pairs in match order.
     The alpha=0 row reproduces the baseline pipeline exactly, since
     interpolating with coefficient 0 leaves every score bit-identical.
+    A policy without trial_seconds fails at the first grid point.
     """
     rows = []
     for alpha in grid:
         check_alpha(alpha)
         if not rows:  # the first grid point, after its alpha check
+            if policy.trial_seconds is None:
+                raise ValueError("alpha_sweep scores ATWV: its policy needs "
+                                 "trial_seconds")
             tables = build_weight_tables(candidates)
             weights = [tables[c.kw_id][c.doc_id][1] for c in candidates]
             kw_ids = [c.kw_id for c in candidates]

@@ -230,15 +230,18 @@ class TestPipeline:
                 (chained / name).read_bytes(), name
 
     def test_rerun_manifest_identical(self, data_dir, tmp_path):
-        args = ["pipeline", "--corpus", str(data_dir / "corpus.jsonl"),
-                "--keywords", str(data_dir / "keywords.tsv"),
-                "--ref", str(data_dir / "refs.tsv"), "--alpha", "0.1",
-                "--trial-seconds", "3600"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(*args, "--out", str(a)) == 0
-        assert run(*args, "--out", str(b)) == 0
-        assert (a / "pipeline.manifest.json").read_bytes() == \
-            (b / "pipeline.manifest.json").read_bytes()
+        refs = str(data_dir / "refs.tsv")
+        pipeline = ["pipeline", "--corpus", str(data_dir / "corpus.jsonl"),
+                    "--keywords", str(data_dir / "keywords.tsv"),
+                    "--ref", refs, "--alpha", "0.1", "--trial-seconds", "3600"]
+        diag = ["diag", "--in", str(tmp_path / "pipeline_a" / "candidates.tsv"),
+                "--ref", refs, "--trial-seconds", "3600"]
+        for argv in (pipeline, diag):
+            name = f"{argv[0]}.manifest.json"
+            a, b = tmp_path / f"{argv[0]}_a", tmp_path / f"{argv[0]}_b"
+            assert run(*argv, "--out", str(a)) == 0
+            assert run(*argv, "--out", str(b)) == 0
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_hit_below_printable_score_dropped_and_counted(self, tmp_path,
                                                            caplog):
@@ -323,6 +326,115 @@ class TestSweepAndDiag:
         out = self._diag_strict(tmp_path, caplog, [("K1", "d1")])
         assert (out / "rank_curve.csv").read_text().splitlines() == [
             "rank,avg_precision,avg_recall", "1,1.0,1.0"]
+
+
+# The config keys and input names each subcommand's manifest records.
+MANIFEST_KEYS = {
+    "search": ({"out"}, {"corpus", "keywords"}),
+    "rescore": ({"alpha", "out", "weights_out"}, {"candidates"}),
+    "decide": ({"decision", "threshold", "beta", "trial_seconds", "out"},
+               {"candidates"}),
+    "score": ({"beta", "trial_seconds", "delta", "mtwv", "out"},
+              {"hypotheses", "references"}),
+    "sweep": ({"alpha_grid", "decision", "threshold", "beta", "trial_seconds",
+               "delta", "out"}, {"candidates", "references"}),
+    "diag": ({"decision", "threshold", "beta", "trial_seconds", "delta",
+              "max_rank"}, {"candidates", "references"}),
+    "synth": ({"docs", "slots", "vocab", "keywords", "topic_affinity",
+               "docs_per_topic", "noise", "seed"}, set()),
+    "pipeline": ({"alpha", "decision", "threshold", "beta", "trial_seconds",
+                  "delta"}, {"corpus", "keywords", "references"}),
+}
+
+
+def _manifest(directory, subcommand):
+    return json.loads((directory / f"{subcommand}.manifest.json").read_text())
+
+
+class TestManifests:
+    def test_config_and_input_keys(self, data_dir, tmp_path):
+        corpus, keywords, refs = (str(data_dir / name) for name in (
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+        cands, decided = str(tmp_path / "c.tsv"), str(tmp_path / "d.tsv")
+        for argv in (
+                ["search", "--corpus", corpus, "--keywords", keywords,
+                 "--out", cands],
+                ["rescore", "--in", cands, "--alpha", "0.1",
+                 "--out", str(tmp_path / "r.tsv")],
+                ["decide", "--in", cands, "--trial-seconds", "3600",
+                 "--out", decided],
+                ["score", "--hyp", decided, "--ref", refs, "--trial-seconds",
+                 "3600", "--out", str(tmp_path / "report.json")],
+                ["sweep", "--in", cands, "--ref", refs, "--alpha-grid", "0,0.1",
+                 "--trial-seconds", "3600", "--out", str(tmp_path / "s.csv")],
+                ["diag", "--in", cands, "--ref", refs, "--trial-seconds", "3600",
+                 "--out", str(tmp_path / "diag")],
+                ["pipeline", "--corpus", corpus, "--keywords", keywords,
+                 "--ref", refs, "--alpha", "0.1", "--out", str(tmp_path / "run")]):
+            assert run(*argv) == 0, argv
+        where = {"synth": data_dir, "diag": tmp_path / "diag",
+                 "pipeline": tmp_path / "run"}
+        for subcommand, (config, inputs) in MANIFEST_KEYS.items():
+            manifest = _manifest(where.get(subcommand, tmp_path), subcommand)
+            assert manifest["subcommand"] == subcommand
+            assert set(manifest["config"]) == config, subcommand
+            assert set(manifest["inputs"]) == inputs, subcommand
+
+    def test_global_decisions_without_trial_record_null(self, data_dir,
+                                                        tmp_path):
+        cands = str(tmp_path / "c.tsv")
+        assert run("search", "--corpus", str(data_dir / "corpus.jsonl"),
+                   "--keywords", str(data_dir / "keywords.tsv"),
+                   "--out", cands) == 0
+        assert run("decide", "--in", cands, "--decision", "global",
+                   "--out", str(tmp_path / "d.tsv")) == 0
+        assert run("diag", "--in", cands, "--ref", str(data_dir / "refs.tsv"),
+                   "--decision", "global", "--out", str(tmp_path / "diag")) == 0
+        diag = tmp_path / "diag"
+        for payload in (_manifest(tmp_path, "decide")["config"],
+                        _manifest(diag, "diag")["config"],
+                        json.loads((diag / "diagnostics.json").read_text())):
+            assert payload["trial_seconds"] is None
+
+
+# Commands that write a file --out, each with its input flags.
+OUT_FILE_COMMANDS = {
+    "search": ["search", "--corpus", "{corpus}", "--keywords", "{keywords}"],
+    "rescore": ["rescore", "--in", "{candidates}", "--alpha", "0.1",
+                "--weights-out", "{new}/weights/w.tsv"],
+    "decide": ["decide", "--in", "{candidates}", "--trial-seconds", "3600"],
+    "score": ["score", "--hyp", "{decided}", "--ref", "{refs}",
+              "--trial-seconds", "3600"],
+    "sweep": ["sweep", "--in", "{candidates}", "--ref", "{refs}",
+              "--alpha-grid", "0,0.1", "--trial-seconds", "3600"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_FILE_COMMANDS)
+def test_out_parent_made_on_first_write(data_dir, tmp_path, command):
+    """A missing parent of --out is created once the run has succeeded, and
+    a failed run leaves it missing."""
+    cands, decided = tmp_path / "c.tsv", tmp_path / "d.tsv"
+    assert run("search", "--corpus", str(data_dir / "corpus.jsonl"),
+               "--keywords", str(data_dir / "keywords.tsv"),
+               "--out", str(cands)) == 0
+    assert run("decide", "--in", str(cands), "--trial-seconds", "3600",
+               "--out", str(decided)) == 0
+    good = {"corpus": data_dir / "corpus.jsonl",
+            "keywords": data_dir / "keywords.tsv", "candidates": cands,
+            "decided": decided, "refs": data_dir / "refs.tsv"}
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("bad\n")
+    new = tmp_path / "new"
+    out = new / "out" / "result"
+    for files, code in (({name: bad for name in good}, 1), (good, 0)):
+        argv = [arg.format(new=new, **files) for arg in OUT_FILE_COMMANDS[command]]
+        assert run(*argv, "--out", str(out)) == code
+        assert new.exists() == (code == 0)
+    assert out.is_file()
+    assert _manifest(out.parent, command)["config"]["out"] == str(out)
+    if command == "rescore":
+        assert (new / "weights" / "w.tsv").is_file()
 
 
 class TestErrorHandling:

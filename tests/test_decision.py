@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drstd.corpus_io import Candidate
-from drstd.decision import DecisionPolicy, apply_decisions, kst_threshold, yes_only
+from drstd.decision import DecisionPolicy, apply_decisions, kst_cuts, yes_only
 
 from oracles import best_expected_twv, expected_twv
 
@@ -14,27 +14,37 @@ def cands_with_scores(scores, kw="K1"):
                       score=s) for i, s in enumerate(scores)]
 
 
+def kst_cut(candidates, policy):
+    """The `kst_cuts` threshold of one keyword's candidate list."""
+    cuts = kst_cuts([c.kw_id for c in candidates],
+                    [c.score for c in candidates], policy)
+    (cut,) = cuts.values()
+    return cut
+
+
 class TestKstThreshold:
     def test_closed_form_value(self):
         # expected-true-count 2 over a 3600 s trial at the default cost ratio
         policy = DecisionPolicy(mode="kst", beta=999.9, trial_seconds=3600.0)
-        theta = kst_threshold(cands_with_scores([1.0, 1.0]), policy)
+        theta = kst_cut(cands_with_scores([1.0, 1.0]), policy)
         assert theta == pytest.approx(1999.8 / 5597.8, abs=1e-12)
         assert theta == pytest.approx(0.357247, abs=5e-7)
 
     def test_empty_list_returns_one(self):
         policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
-        assert kst_threshold([], policy) == 1.0
+        assert kst_cuts([], [], policy) == {}
+        # a keyword of zero mass: nothing short of a perfect score passes
+        assert kst_cuts(["K1", "K1"], [0.0, 0.0], policy) == {"K1": 1.0}
 
     def test_small_mass_small_threshold(self):
         policy = DecisionPolicy(mode="kst", beta=999.9, trial_seconds=3600.0)
-        tiny = kst_threshold(cands_with_scores([0.001]), policy)
+        tiny = kst_cut(cands_with_scores([0.001]), policy)
         assert 0.0 < tiny < 0.001 * 999.9 / 3600.0 * 1.01
 
     def test_beta_one_reduces_to_mass_over_trial(self):
         policy = DecisionPolicy(mode="kst", beta=1.0, trial_seconds=3600.0)
         cands = cands_with_scores([0.5, 0.7, 0.3])
-        theta = kst_threshold(cands, policy)
+        theta = kst_cut(cands, policy)
         assert theta == pytest.approx(1.5 / 3600.0, abs=1e-15)
         # cross-check against the expected-TWV scan at beta=1
         scores = [c.score for c in cands]
@@ -45,7 +55,7 @@ class TestKstThreshold:
     def test_requires_kst_mode(self):
         policy = DecisionPolicy(mode="global", trial_seconds=3600.0)
         with pytest.raises(ValueError, match="kst"):
-            kst_threshold([], policy)
+            kst_cuts([], [], policy)
 
     @pytest.mark.parametrize("beta", [2.0, 10.0, 999.9])
     def test_decisions_maximize_expected_twv(self, beta):
@@ -77,7 +87,7 @@ class TestApplyDecisions:
         policy = DecisionPolicy(mode="kst", beta=999.9, trial_seconds=3600.0)
         cands = cands_with_scores([1.0, 1.0, 0.36, 0.35])
         # recompute with the extra candidates' mass included
-        theta = kst_threshold(cands, policy)
+        theta = kst_cut(cands, policy)
         decided = apply_decisions(cands, policy)
         for c in decided:
             assert c.decision == ("YES" if c.score >= theta else "NO")
@@ -122,6 +132,7 @@ class TestDecisionPolicy:
         {"mode": "global", "global_threshold": 1.5},
         {"mode": "kst", "beta": 0.0},
         {"mode": "kst", "trial_seconds": 0.0},
+        {"mode": "kst"},  # kst thresholds need a trial length
     ])
     def test_invalid_policies(self, kwargs):
         with pytest.raises(ValueError):

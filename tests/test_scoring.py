@@ -398,6 +398,14 @@ class TestAlphaSweep:
         with pytest.raises(ValueError, match="alpha must be in"):
             alpha_sweep(cands, [ref("K", "d", 1.0)], grid, policy)
 
+    def test_requires_trial_seconds(self):
+        # a global policy may have no trial, but every sweep row is an ATWV
+        policy = DecisionPolicy(mode="global")
+        cands = [hyp("K", "d", 1.0, decision=None)]
+        with pytest.raises(ValueError, match="trial_seconds"):
+            alpha_sweep(cands, [ref("K", "d", 1.0)], [0.0], policy)
+        assert alpha_sweep(cands, [], [], policy) == []
+
     def test_empty_grid_checks_nothing(self):
         # as rescoring, deciding and scoring at no alpha at all
         cands = [hyp("K", "d", 1.0, score=0.0, decision=None)]
