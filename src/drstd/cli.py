@@ -4,11 +4,13 @@ Chains the batch stages as separate subcommands (search, rescore,
 decide, score, sweep, diag, synth) plus a `pipeline` subcommand that runs
 search -> rescore -> decide -> score in one invocation. Every
 intermediate artifact is an ordinary file in the documented formats; the
-pipeline itself round-trips each stage through disk, so its outputs are
-byte-identical to chaining the individual subcommands.
+pipeline runs the stage code of `rescore`, `decide` and `score` on the
+file the stage before wrote, so its outputs are byte-identical to chaining
+the individual subcommands. It makes scoring's checks before any write.
 
-Each run drops a `<subcommand>.manifest.json` next to its primary output
-recording its flags and sha256 hashes of all input files.
+After a run succeeds, `main` drops a `<subcommand>.manifest.json` next to
+its primary output recording the flag values the run used and sha256
+hashes of all input files.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -23,11 +25,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus_io import (Candidate, FormatError, corpus_duration_seconds,
+from .corpus_io import (SCORE_DECIMALS, Candidate, FormatError,
                         parse_cn_corpus, parse_keyword_list,
-                        parse_occurrence_table, quantize_score, tsv_rows,
-                        write_candidates, write_cn_corpus, write_keyword_list,
-                        write_references)
+                        parse_occurrence_table, tsv_rows, write_candidates,
+                        write_cn_corpus, write_keyword_list, write_references)
 from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
 from .index_search import dedup_overlaps, search_all
 from .rescore import (build_weight_tables, rescore_candidates,
@@ -68,12 +69,12 @@ def _write_json(path: Path, obj) -> None:
                     + "\n", encoding="utf-8")
 
 
-def _write_manifest(args, **resolved) -> None:
+def _write_manifest(args) -> None:
     """Write `<subcommand>.manifest.json` beside the file `args.out`, or
     into the directory `args.out`, which is then not recorded: it holds the
     manifest. Flags parsed as a Path are input files and are hashed; the
-    rest, with `resolved` in place of their given values, are config."""
-    flags = {name: value for name, value in {**vars(args), **resolved}.items()
+    rest are config, as the run left them on `args`."""
+    flags = {name: value for name, value in vars(args).items()
              if name not in ("func", "quiet", "subcommand", "out")}
     if args.out.is_dir():
         out_dir = args.out
@@ -94,14 +95,19 @@ def _write_manifest(args, **resolved) -> None:
 
 def _resolve_policy(args, corpus_seconds: float | None = None) -> DecisionPolicy:
     """The policy of the decision flags. Its trial is --trial-seconds, else
-    `corpus_seconds`, else None, which only global decisions outside sweep take."""
+    `corpus_seconds`, else None, which only global decisions outside sweep take.
+    It leaves on `args`, for the manifest, the values the run uses: that
+    trial, and no threshold for kst decisions, which read none."""
     trial_seconds = corpus_seconds if args.trial_seconds is None else args.trial_seconds
     if trial_seconds is None and args.decision == "kst":
         raise _UsageError("--trial-seconds is required with --decision kst")
     if trial_seconds is None and args.subcommand == "sweep":
         raise _UsageError("--trial-seconds is required: sweep scores ATWV")
-    return DecisionPolicy(mode=args.decision, global_threshold=args.threshold,
-                          beta=args.beta, trial_seconds=trial_seconds)
+    policy = DecisionPolicy(mode=args.decision, global_threshold=args.threshold,
+                            beta=args.beta, trial_seconds=trial_seconds)
+    args.trial_seconds = trial_seconds
+    args.threshold = None if args.decision == "kst" else args.threshold
+    return policy
 
 
 def _positive(kind):
@@ -164,15 +170,56 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
         nonlocal docs, seconds
         for doc in parse_cn_corpus(args.corpus):
             docs += 1
-            seconds += corpus_duration_seconds((doc,))
+            if doc.slots:
+                seconds += doc.slots[-1].end - doc.slots[0].start
             yield doc
 
     found = search_all(counted(), keywords)
     if not math.isfinite(seconds):
         raise FormatError(f"documents span {seconds} seconds in all",
                           path=args.corpus)
-    kept = [c for c in found if quantize_score(c.score) > 0.0]
+    kept = [c for c in found if float(f"{c.score:.{SCORE_DECIMALS}f}") > 0.0]
     return dedup_overlaps(kept), len(found) - len(kept), docs, seconds
+
+
+# The stages `pipeline` chains: each reads its input file, computes,
+# creates its output's parent directory, writes and logs its line.
+def _rescore_stage(src: Path, out: Path, alpha: float,
+                   weights_out: str | Path | None) -> None:
+    candidates = parse_occurrence_table(src, "candidate")
+    rescored, tables = _rescoring(src, candidates, rescore_candidates, alpha)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_candidates(out, rescored)
+    if weights_out:
+        Path(weights_out).parent.mkdir(parents=True, exist_ok=True)
+        write_weight_tables(weights_out, tables)
+    log.info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
+
+
+def _decide_stage(src: Path, out: Path, policy: DecisionPolicy) -> None:
+    decided = apply_decisions(parse_occurrence_table(src, "candidate"), policy)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_candidates(out, decided)
+    log.info("decide: %d YES of %d (%s mode)",
+             sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
+
+
+def _score_stage(hyp: Path, ref: Path, out: Path, trial_seconds: float,
+                 beta: float, delta: float, with_mtwv: bool = False) -> None:
+    """Write the report `out` and its keyword detail beside it."""
+    hypotheses = parse_occurrence_table(hyp, "decided")
+    references = parse_occurrence_table(ref, "ref")
+    report = score_detections(hypotheses, references, trial_seconds, beta, delta)
+    aggregate = report["aggregate"]
+    if with_mtwv:
+        aggregate["mtwv_threshold"], aggregate["mtwv"] = mtwv(
+            hypotheses, references, beta, trial_seconds, delta)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(out, report)
+    write_keyword_detail(out.parent / DETAIL_FILE, report)
+    log.info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
+             aggregate["atwv"], aggregate["num_scored_keywords"],
+             aggregate["mean_p_miss"], aggregate["mean_p_fa"])
 
 
 def cmd_search(args) -> None:
@@ -183,49 +230,19 @@ def cmd_search(args) -> None:
     log.info("search: %d candidates for %d keywords over %d docs "
              "(%d hits below 5e-7 dropped)",
              len(candidates), len(keywords), docs, dropped)
-    _write_manifest(args)
 
 
 def cmd_rescore(args) -> None:
-    candidates = parse_occurrence_table(args.candidates, "candidate")
-    rescored, tables = _rescoring(args.candidates, candidates,
-                                  rescore_candidates, args.alpha)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_candidates(args.out, rescored)
-    if args.weights_out:
-        Path(args.weights_out).parent.mkdir(parents=True, exist_ok=True)
-        write_weight_tables(args.weights_out, tables)
-    log.info("rescore: %d candidates, alpha=%s", len(rescored), args.alpha)
-    _write_manifest(args)
+    _rescore_stage(args.candidates, args.out, args.alpha, args.weights_out)
 
 
 def cmd_decide(args) -> None:
-    policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.candidates, "candidate")
-    decided = apply_decisions(candidates, policy)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_candidates(args.out, decided)
-    log.info("decide: %d YES of %d (%s mode)",
-             sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
-    _write_manifest(args)
+    _decide_stage(args.candidates, args.out, _resolve_policy(args))
 
 
 def cmd_score(args) -> None:
-    hypotheses = parse_occurrence_table(args.hypotheses, "decided")
-    references = parse_occurrence_table(args.references, "ref")
-    report = score_detections(hypotheses, references, args.trial_seconds,
-                              args.beta, args.delta)
-    aggregate = report["aggregate"]
-    if args.mtwv:
-        aggregate["mtwv_threshold"], aggregate["mtwv"] = mtwv(
-            hypotheses, references, args.beta, args.trial_seconds, args.delta)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(args.out, report)
-    write_keyword_detail(args.out.parent / DETAIL_FILE, report)
-    log.info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
-             aggregate["atwv"], aggregate["num_scored_keywords"],
-             aggregate["mean_p_miss"], aggregate["mean_p_fa"])
-    _write_manifest(args)
+    _score_stage(args.hypotheses, args.references, args.out, args.trial_seconds,
+                 args.beta, args.delta, args.mtwv)
 
 
 def cmd_sweep(args) -> None:
@@ -239,7 +256,6 @@ def cmd_sweep(args) -> None:
     best = max(rows, key=lambda r: r.atwv)
     log.info("sweep: best ATWV %.4f at alpha=%s (%d grid points)",
              best.atwv, best.alpha, len(rows))
-    _write_manifest(args)
 
 
 def cmd_diag(args) -> None:
@@ -265,7 +281,6 @@ def cmd_diag(args) -> None:
     })
     log.info("diag: weight-precision rho %s, weight-recall rho %s", *(
         "undefined" if rho is None else f"{rho:.3f}" for rho in rhos))
-    _write_manifest(args)
 
 
 def cmd_synth(args) -> None:
@@ -285,7 +300,6 @@ def cmd_synth(args) -> None:
     log.info("synth: %d docs, %d keywords, %d references (%d planned "
              "occurrences dropped, their documents full) -> %s",
              len(docs), len(keywords), len(refs), dropped, args.out)
-    _write_manifest(args)
 
 
 def cmd_pipeline(args) -> None:
@@ -293,30 +307,17 @@ def cmd_pipeline(args) -> None:
     references = parse_occurrence_table(args.references, "ref")
     candidates, dropped, _, seconds = _search(args, keywords)
     policy = _resolve_policy(args, corpus_seconds=seconds)
+    # Scoring's checks of the trial and the references, before any write.
+    score_detections([], references, policy.trial_seconds, policy.beta, args.delta)
     args.out.mkdir(parents=True, exist_ok=True)
     write_candidates(args.out / CANDIDATES_FILE, candidates)
-
-    # Each stage re-reads the artifact it just wrote so the pipeline sees
-    # exactly what chained subcommands would (6-decimal score quantization
-    # included) and produces byte-identical files.
-    candidates = parse_occurrence_table(args.out / CANDIDATES_FILE, "candidate")
-    rescored, tables = rescore_candidates(candidates, args.alpha)
-    write_candidates(args.out / RESCORED_FILE, rescored)
-    write_weight_tables(args.out / WEIGHTS_FILE, tables)
-
-    rescored = parse_occurrence_table(args.out / RESCORED_FILE, "candidate")
-    decided = apply_decisions(rescored, policy)
-    write_candidates(args.out / DECIDED_FILE, decided)
-
-    decided = parse_occurrence_table(args.out / DECIDED_FILE, "candidate")
-    report = score_detections(decided, references, policy.trial_seconds,
-                              policy.beta, args.delta)
-    _write_json(args.out / REPORT_FILE, report)
-    write_keyword_detail(args.out / DETAIL_FILE, report)
-    log.info("pipeline: ATWV %.4f (alpha=%s, %s decisions, %d search hits "
-             "below 5e-7 dropped) -> %s",
-             report["aggregate"]["atwv"], args.alpha, policy.mode, dropped, args.out)
-    _write_manifest(args, trial_seconds=policy.trial_seconds)
+    _rescore_stage(args.out / CANDIDATES_FILE, args.out / RESCORED_FILE,
+                   args.alpha, args.out / WEIGHTS_FILE)
+    _decide_stage(args.out / RESCORED_FILE, args.out / DECIDED_FILE, policy)
+    _score_stage(args.out / DECIDED_FILE, args.references, args.out / REPORT_FILE,
+                 policy.trial_seconds, policy.beta, args.delta)
+    log.info("pipeline: alpha=%s, %s decisions, %d search hits below 5e-7 "
+             "dropped -> %s", args.alpha, policy.mode, dropped, args.out)
 
 
 def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
@@ -443,6 +444,7 @@ def main(argv=None) -> int:
                         format="%(message)s")
     try:
         args.func(args)
+        _write_manifest(args)
     except (_UsageError, FormatError, ValueError) as exc:
         print(f"drstd: {exc}", file=sys.stderr)
         return 1

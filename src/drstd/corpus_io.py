@@ -448,17 +448,3 @@ def write_references(path: str | Path, refs: Sequence[RefOccurrence]) -> None:
     for ref in sorted(refs, key=lambda r: (r.kw_id, r.doc_id, r.start, r.duration)):
         lines.append(f"{ref.kw_id}\t{ref.doc_id}\t{ref.start!r}\t{ref.duration!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def quantize_score(score: float) -> float:
-    """Score equality under the 6-decimal serialization used by write_candidates."""
-    return float(f"{score:.{SCORE_DECIMALS}f}")
-
-
-def corpus_duration_seconds(docs: Iterable[ConfusionNetworkDoc]) -> float:
-    """Total speech duration: the summed time span of every document."""
-    total = 0.0
-    for doc in docs:
-        if doc.slots:
-            total += doc.slots[-1].end - doc.slots[0].start
-    return total

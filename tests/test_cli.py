@@ -202,13 +202,17 @@ class TestScoreCommand:
 
 
 class TestPipeline:
-    def test_byte_identical_to_chained_subcommands(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("decision", [
+        ["--decision", "kst"], ["--decision", "global", "--threshold", "0.3"]],
+        ids=["kst", "global"])
+    def test_byte_identical_to_chained_subcommands(self, data_dir, tmp_path,
+                                                   decision):
         corpus = str(data_dir / "corpus.jsonl")
         keywords = str(data_dir / "keywords.tsv")
         refs = str(data_dir / "refs.tsv")
         piped = tmp_path / "piped"
         assert run("pipeline", "--corpus", corpus, "--keywords", keywords,
-                   "--ref", refs, "--alpha", "0.1", "--decision", "kst",
+                   "--ref", refs, "--alpha", "0.1", *decision,
                    "--trial-seconds", "3600", "--out", str(piped)) == 0
         chained = tmp_path / "chained"
         chained.mkdir()
@@ -219,7 +223,7 @@ class TestPipeline:
                    "--out", str(chained / "rescored.tsv"),
                    "--weights-out", str(chained / "weights.tsv")) == 0
         assert run("decide", "--in", str(chained / "rescored.tsv"),
-                   "--decision", "kst", "--trial-seconds", "3600",
+                   *decision, "--trial-seconds", "3600",
                    "--out", str(chained / "decided.tsv")) == 0
         assert run("score", "--hyp", str(chained / "decided.tsv"), "--ref",
                    refs, "--trial-seconds", "3600",
@@ -257,16 +261,51 @@ class TestPipeline:
         keywords.write_text("P1\ta b\n")
         refs = tmp_path / "refs.tsv"
         refs.write_text("P1\td1\t0.0\t3.0\n")
+        pipeline = ["pipeline", "--corpus", str(corpus), "--keywords",
+                    str(keywords), "--ref", str(refs), "--alpha", "0.1"]
+        # a fresh process, where --quiet sets the level of the root logger
+        quiet = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from drstd.cli import main; sys.exit(main())",
+             "--quiet", *pipeline, "--out", str(tmp_path / "quiet")],
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(drstd.__file__).resolve().parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert (quiet.returncode, quiet.stdout, quiet.stderr) == (0, "", "")
         caplog.set_level(logging.INFO, logger="drstd")
         out = tmp_path / "run"
-        assert main(["pipeline", "--corpus", str(corpus), "--keywords",
-                     str(keywords), "--ref", str(refs), "--alpha", "0.1",
-                     "--out", str(out)]) == 0
+        assert main([*pipeline, "--out", str(out)]) == 0
         assert parse_occurrence_table(out / "candidates.tsv", "candidate") == []
+        assert [line.split(":")[0] for line in caplog.messages] == [
+            "rescore", "decide", "score", "pipeline"]
+        assert "rescore: 0 candidates, alpha=0.1" in caplog.text
+        assert "decide: 0 YES of 0 (kst mode)" in caplog.text
+        assert "score: ATWV 0.0000 over 1 keywords" in caplog.text
         assert "1 search hits below 5e-7 dropped" in caplog.text
         assert main(["search", "--corpus", str(corpus), "--keywords",
                      str(keywords), "--out", str(tmp_path / "c.tsv")]) == 0
         assert "(1 hits below 5e-7 dropped)" in caplog.text
+
+    @pytest.mark.parametrize("flags,refs_text,message", [
+        (["--trial-seconds", "2"], None, "trial_seconds 2.0 must exceed the "),
+        ([], "# kw_id\tdoc_id\tstart\tdur\n", "no scoreable keywords"),
+    ], ids=["short-trial", "no-references"])
+    def test_failing_scoring_check_writes_nothing(self, data_dir, tmp_path,
+                                                   capsys, flags, refs_text,
+                                                   message):
+        refs = data_dir / "refs.tsv"
+        if refs_text is not None:
+            refs = tmp_path / "refs.tsv"
+            refs.write_text(refs_text)
+        out = tmp_path / "run"
+        assert run("pipeline", "--corpus", str(data_dir / "corpus.jsonl"),
+                   "--keywords", str(data_dir / "keywords.tsv"),
+                   "--ref", str(refs), "--alpha", "0.1", *flags,
+                   "--out", str(out)) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.count("\n") == 1
+        assert stderr.startswith(f"drstd: {message}"), stderr
+        assert not out.exists()
 
 
 class TestSweepAndDiag:
@@ -379,6 +418,38 @@ class TestManifests:
             assert manifest["subcommand"] == subcommand
             assert set(manifest["config"]) == config, subcommand
             assert set(manifest["inputs"]) == inputs, subcommand
+
+    def test_recorded_values_are_those_the_run_used(self, data_dir, tmp_path):
+        corpus, keywords, refs = (str(data_dir / name) for name in (
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+        cands = str(tmp_path / "c.tsv")
+        assert run("search", "--corpus", corpus, "--keywords", keywords,
+                   "--out", cands) == 0
+        commands = {
+            "decide": ["--in", cands, "--out", "{out}/d.tsv"],
+            "sweep": ["--in", cands, "--ref", refs, "--alpha-grid", "0,0.1",
+                      "--out", "{out}/s.csv"],
+            "diag": ["--in", cands, "--ref", refs, "--out", "{out}"],
+            "pipeline": ["--corpus", corpus, "--keywords", keywords,
+                         "--ref", refs, "--alpha", "0.1", "--out", "{out}"],
+        }
+        for decision, threshold in (("kst", None), ("global", 0.3)):
+            for command, argv in commands.items():
+                out = tmp_path / decision / command
+                assert run(command, *(a.format(out=out) for a in argv),
+                           "--decision", decision, "--threshold", "0.3",
+                           "--trial-seconds", "3600") == 0
+                config = _manifest(out, command)["config"]
+                assert config["threshold"] == threshold, (decision, command)
+                assert config["trial_seconds"] == 3600.0
+        # pipeline without --trial-seconds records the corpus's seconds
+        out = tmp_path / "derived"
+        assert run("pipeline", *(a.format(out=out)
+                                 for a in commands["pipeline"])) == 0
+        report = json.loads((out / "report.json").read_text())
+        config = _manifest(out, "pipeline")["config"]
+        assert config["trial_seconds"] == report["config"]["trial_seconds"] > 0
+        assert config["threshold"] is None
 
     def test_global_decisions_without_trial_record_null(self, data_dir,
                                                         tmp_path):

@@ -13,12 +13,16 @@ from drstd import corpus_io
 from drstd.corpus_io import (Candidate, FormatError, RefOccurrence,
                              normalize_token, parse_cn_corpus,
                              parse_keyword_list, parse_occurrence_table,
-                             quantize_score, write_candidates,
-                             write_cn_corpus, write_keyword_list,
-                             write_references)
+                             write_candidates, write_cn_corpus,
+                             write_keyword_list, write_references)
 
 from conftest import random_candidates, random_corpus
 from oracles import reference_doc_from_obj
+
+
+def quantize_score(score: float) -> float:
+    """Score equality under the 6-decimal serialization of write_candidates."""
+    return float(f"{score:.{corpus_io.SCORE_DECIMALS}f}")
 
 
 def write_lines(path, lines):

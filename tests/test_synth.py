@@ -3,14 +3,18 @@
 import pytest
 
 from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry,
-                             RefOccurrence, corpus_duration_seconds,
-                             parse_cn_corpus, write_cn_corpus)
+                             RefOccurrence, parse_cn_corpus, write_cn_corpus)
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
 from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
 from drstd.scoring import (align, atwv, keyword_rates,
                            weight_performance_correlation)
 from drstd.synth import SynthConfig, generate
+
+
+def corpus_duration_seconds(docs) -> float:
+    """Total speech duration: the summed time span of every document."""
+    return sum(doc.slots[-1].end - doc.slots[0].start for doc in docs if doc.slots)
 
 
 def plant_report(refs: list[RefOccurrence], config: SynthConfig,
