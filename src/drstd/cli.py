@@ -440,8 +440,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"drstd: {exc}", file=sys.stderr)
         return 1
-    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
-                        format="%(message)s")
+    # The level goes on our own logger: basicConfig does nothing once the
+    # root logger has a handler, as it may when main runs in process.
+    logging.basicConfig(format="%(message)s")
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         args.func(args)
         _write_manifest(args)

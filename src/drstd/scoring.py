@@ -173,16 +173,17 @@ def atwv(rates: Mapping[str, tuple[float, float]], beta: float) -> float:
     return 1.0 - total / len(rates)
 
 
-def build_report(alignment: AlignmentResult, trial_seconds: float, beta: float,
-                 delta_seconds: float = DEFAULT_DELTA_SECONDS) -> dict:
+def build_report(counts: Mapping[str, KeywordCounts], trial_seconds: float,
+                 beta: float, delta_seconds: float = DEFAULT_DELTA_SECONDS) -> dict:
     """The `report.json` dict: config, aggregate and per-keyword scores.
 
     Keywords without references are left out; `keywords` is in kw_id order.
     """
-    rates = keyword_rates(alignment, trial_seconds)
+    rates = {kw_id: _keyword_rate(kw_id, c, trial_seconds)
+             for kw_id, c in counts.items() if c.n_true}
     keywords = {}
     for kw_id, (p_miss, p_fa) in sorted(rates.items()):
-        c = alignment.keyword_counts[kw_id]
+        c = counts[kw_id]
         keywords[kw_id] = {"n_true": c.n_true, "n_correct": c.n_correct,
                            "n_fa": c.n_fa, "p_miss": p_miss, "p_fa": p_fa,
                            "twv": 1.0 - p_miss - beta * p_fa}
@@ -207,7 +208,7 @@ def score_detections(hypotheses: Sequence[Candidate],
     Only rows decided YES are accepted.
     """
     alignment = align(yes_only(hypotheses), references, delta_seconds)
-    return build_report(alignment, trial_seconds, beta, delta_seconds)
+    return build_report(alignment.keyword_counts, trial_seconds, beta, delta_seconds)
 
 
 def write_keyword_detail(path: str | Path, report: dict) -> None:
@@ -422,9 +423,8 @@ def alpha_sweep(candidates: Sequence[Candidate],
                                  for c, weight in zip(candidates, weights)],
                         policy)
         _matched, counts = _tally(kw_ids, yes, n_true, paired)
-        # build_report reads only the counts.
-        aggregate = build_report(AlignmentResult([], counts), policy.trial_seconds,
-                                 policy.beta, delta_seconds)["aggregate"]
+        aggregate = build_report(counts, policy.trial_seconds, policy.beta,
+                                 delta_seconds)["aggregate"]
         rows.append(SweepPoint(alpha, aggregate["atwv"],
                                aggregate["mean_p_miss"], aggregate["mean_p_fa"]))
     return rows

@@ -22,6 +22,14 @@ slots but do show up as recognizer confusions; inside a keyword's own
 home topic they additionally appear as the top competitor in a small
 fraction of slots, concentrating false alarms where document weights are
 high. Generation is single-threaded and fully determined by the seed.
+
+The weighted draws (fillers, and the distinct competitors of a slot) use
+a cdf built once per distribution, not once per slot; each draw equals
+numpy's `Generator.choice(..., p=...)` on the same stream, retries for
+repeated competitors included, so the corpus bytes are those `choice`
+gives. `TestMatchesNumpyChoice` in `tests/test_synth.py` checks this
+against the former per-slot `choice` code. A slot draws up to 5 distinct
+competitors, so the vocabulary needs at least 5 tokens.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ KEYWORD_CONFUSION_FACTOR = 0.10
 # this fraction of home-topic slots hypothesizes the keyword as the top
 # competitor arc, concentrating false alarms in high-weight documents.
 TOPICAL_CONFUSION_PROB = 0.03
+# The flat Dirichlet parameters, one per competitor count.
+_DIRICHLET_ALPHAS = {n: np.ones(n) for n in range(*COMPETITOR_RANGE)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +102,10 @@ def generate(config: SynthConfig) -> tuple[
         raise ValueError(
             f"vocabulary of {config.vocab_size} is too small to host "
             f"{config.num_keywords} keywords plus filler tokens")
+    if config.vocab_size < COMPETITOR_RANGE[1]:
+        raise ValueError(
+            f"vocabulary of {config.vocab_size} is too small: each slot draws "
+            f"up to {COMPETITOR_RANGE[1]} distinct competitor tokens")
     rng = np.random.default_rng(config.seed)
     vocab = [f"w{i:04d}" for i in range(config.vocab_size)]
     zipf = 1.0 / np.arange(1, config.vocab_size + 1) ** ZIPF_EXPONENT
@@ -110,6 +124,7 @@ def generate(config: SynthConfig) -> tuple[
     competitor_probs = np.where(filler_mask, zipf,
                                 zipf * KEYWORD_CONFUSION_FACTOR)
     competitor_probs /= competitor_probs.sum()
+    fillers, competitors = _Sampler(filler_probs), _Sampler(competitor_probs)
 
     planted, home_topics, dropped = _plan_placements(config, rng, kw_tokens)
     topic_keywords: dict[int, list[str]] = {}
@@ -129,18 +144,53 @@ def generate(config: SynthConfig) -> tuple[
             duration = float(rng.uniform(*SLOT_DURATION_RANGE))
             spoken = doc_plants.get(slot_idx)
             if spoken is None:
-                spoken = vocab[int(rng.choice(config.vocab_size, p=filler_probs))]
+                spoken = vocab[fillers.draw(rng)]
             else:
                 refs.append(RefOccurrence(kw_id=token_to_kw[spoken],
                                           doc_id=doc_id, start=clock,
                                           duration=duration))
             slots.append(Slot(start=clock, duration=duration,
-                              arcs=_draw_arcs(config, rng, competitor_probs,
-                                              vocab, spoken, topical)))
+                              arcs=_draw_arcs(config, rng, competitors, vocab,
+                                              spoken, topical)))
             clock += duration
         docs.append(ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots)))
     refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
     return docs, keywords, refs, dropped
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf numpy's `Generator.choice` builds from `p`."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+class _Sampler:
+    """Weighted draws of indices into `p`, each equal to the draw of
+    numpy's `Generator.choice(len(p), size, replace, p=p)` on the same
+    stream, but from a cdf built once rather than once per call."""
+
+    __slots__ = ("p", "cdf")
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.cdf = _cdf(p)
+
+    def draw(self, rng: np.random.Generator) -> int:
+        return int(self.cdf.searchsorted(rng.random(), side="right"))
+
+    def draw_distinct(self, rng: np.random.Generator, size: int) -> list[int]:
+        """`size` distinct indices in first-drawn order. As in numpy, the
+        draws that repeat an index are redrawn in one batch, from `p` with
+        the indices found so far set to zero, until `size` are found."""
+        found = list(dict.fromkeys(
+            self.cdf.searchsorted(rng.random(size), side="right").tolist()))
+        while len(found) < size:
+            x = rng.random(size - len(found))
+            p = self.p.copy()
+            p[found] = 0.0
+            found += dict.fromkeys(_cdf(p).searchsorted(x, side="right").tolist())
+        return found
 
 
 def _plan_placements(config: SynthConfig, rng: np.random.Generator,
@@ -186,14 +236,13 @@ def _free_slot(rng: np.random.Generator, used: dict[int, str],
 
 
 def _draw_arcs(config: SynthConfig, rng: np.random.Generator,
-               competitor_probs: np.ndarray, vocab: list[str], spoken: str,
+               competitors: _Sampler, vocab: list[str], spoken: str,
                topical: list[str]) -> tuple[tuple[str, float], ...]:
     lo, hi = TRUE_POSTERIOR_RANGE
     p_spoken = float(rng.uniform(lo - NOISE_SLOPE_LO * config.noise,
                                  hi - NOISE_SLOPE_HI * config.noise))
     n_comp = int(rng.integers(*COMPETITOR_RANGE))
-    draw = rng.choice(len(vocab), size=n_comp + 1, replace=False,
-                      p=competitor_probs)
+    draw = competitors.draw_distinct(rng, n_comp + 1)
     comp_tokens = [vocab[i] for i in draw if vocab[i] != spoken][:n_comp]
     candidates_topical = [t for t in topical if t != spoken]
     topical_hit = False
@@ -204,14 +253,13 @@ def _draw_arcs(config: SynthConfig, rng: np.random.Generator,
             topical_hit = True
     if rng.random() < EPS_ARC_PROB and len(comp_tokens) > 1:
         comp_tokens[-1] = EPS_TOKEN
-    shares = rng.dirichlet(np.ones(len(comp_tokens)))
-    shares = DIRICHLET_MIX * shares + (1.0 - DIRICHLET_MIX) / len(comp_tokens)
+    floor = (1.0 - DIRICHLET_MIX) / len(comp_tokens)
+    shares = [DIRICHLET_MIX * share + floor for share in
+              rng.dirichlet(_DIRICHLET_ALPHAS[len(comp_tokens)]).tolist()]
     if topical_hit:
-        shares = np.concatenate([[shares.max()],
-                                 np.delete(shares, shares.argmax())])
+        shares.insert(0, shares.pop(shares.index(max(shares))))
     remainder = 1.0 - p_spoken
     arcs = [(spoken, p_spoken)]
-    arcs += [(tok, float(remainder * share))
-             for tok, share in zip(comp_tokens, shares)]
+    arcs += [(tok, remainder * share) for tok, share in zip(comp_tokens, shares)]
     return tuple(arcs)
 

@@ -14,6 +14,9 @@ plain-Python `scoring.spearman` must match bit for bit.
 `reference_doc_from_obj` is the former straight-line corpus line check
 (each check its own step), which the one-pass `corpus_io._doc_from_obj`
 must match document for document and error message for error message.
+`reference_generate` is the former `synth.generate`, which draws every
+weighted token with numpy's `Generator.choice(..., p=...)`; the
+prebuilt-cdf draws of `synth.generate` must give exactly its corpus.
 """
 
 from __future__ import annotations
@@ -26,12 +29,17 @@ from typing import Sequence
 import numpy as np
 
 from drstd.corpus_io import (EPS_TOKEN, POSTERIOR_SUM_TOL, Candidate,
-                             ConfusionNetworkDoc, FormatError, RefOccurrence,
-                             Slot, normalize_token)
+                             ConfusionNetworkDoc, FormatError, KeywordEntry,
+                             RefOccurrence, Slot, normalize_token)
 from drstd.decision import DecisionPolicy, apply_decisions
 from drstd.rescore import rescore_candidates
 from drstd.scoring import (DEFAULT_DELTA_SECONDS, SweepPoint, align, atwv,
                            keyword_rates, score_detections)
+from drstd.synth import (COMPETITOR_RANGE, DIRICHLET_MIX, EPS_ARC_PROB,
+                         KEYWORD_CONFUSION_FACTOR, NOISE_SLOPE_HI,
+                         NOISE_SLOPE_LO, SLOT_DURATION_RANGE,
+                         TOPICAL_CONFUSION_PROB, TRUE_POSTERIOR_RANGE,
+                         ZIPF_EXPONENT, SynthConfig, _plan_placements)
 
 
 def straightline_rescore(candidates, alpha):
@@ -358,3 +366,101 @@ def reference_doc_from_obj(obj, seen, tokens, *, path, line):
                               path=path, line=line)
         slots.append(Slot(start=start, duration=dur, arcs=tuple(arcs)))
     return ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
+
+
+def reference_generate(config: SynthConfig) -> tuple[
+        list[ConfusionNetworkDoc], list[KeywordEntry], list[RefOccurrence], int]:
+    """Generate (corpus, keyword list, reference list, dropped) for one config.
+
+    `dropped` counts the planned true occurrences that found no free slot
+    in their saturated document and so were not planted. Deterministic
+    given the seed; raises ValueError when the vocabulary is too small to
+    host the keywords plus at least one filler token.
+    """
+    if config.vocab_size < config.num_keywords + 1:
+        raise ValueError(
+            f"vocabulary of {config.vocab_size} is too small to host "
+            f"{config.num_keywords} keywords plus filler tokens")
+    rng = np.random.default_rng(config.seed)
+    vocab = [f"w{i:04d}" for i in range(config.vocab_size)]
+    zipf = 1.0 / np.arange(1, config.vocab_size + 1) ** ZIPF_EXPONENT
+    zipf /= zipf.sum()
+
+    kw_indices = rng.choice(config.vocab_size, size=config.num_keywords,
+                            replace=False)
+    kw_tokens = [vocab[i] for i in kw_indices]
+    keywords = [KeywordEntry(kw_id=f"KW{i + 1:04d}", tokens=(tok,))
+                for i, tok in enumerate(kw_tokens)]
+
+    filler_mask = np.ones(config.vocab_size, dtype=bool)
+    filler_mask[kw_indices] = False
+    filler_probs = np.where(filler_mask, zipf, 0.0)
+    filler_probs /= filler_probs.sum()
+    competitor_probs = np.where(filler_mask, zipf,
+                                zipf * KEYWORD_CONFUSION_FACTOR)
+    competitor_probs /= competitor_probs.sum()
+
+    planted, home_topics, dropped = _plan_placements(config, rng, kw_tokens)
+    topic_keywords: dict[int, list[str]] = {}
+    for token, topic in home_topics.items():
+        topic_keywords.setdefault(topic, []).append(token)
+
+    docs: list[ConfusionNetworkDoc] = []
+    refs: list[RefOccurrence] = []
+    token_to_kw = {tok: kw.kw_id for tok, kw in zip(kw_tokens, keywords)}
+    for doc_idx in range(config.num_docs):
+        doc_id = f"d{doc_idx:04d}"
+        doc_plants = planted.get(doc_idx, {})
+        topical = topic_keywords.get(doc_idx // config.docs_per_topic, [])
+        slots = []
+        clock = 0.0
+        for slot_idx in range(config.slots_per_doc):
+            duration = float(rng.uniform(*SLOT_DURATION_RANGE))
+            spoken = doc_plants.get(slot_idx)
+            if spoken is None:
+                spoken = vocab[int(rng.choice(config.vocab_size, p=filler_probs))]
+            else:
+                refs.append(RefOccurrence(kw_id=token_to_kw[spoken],
+                                          doc_id=doc_id, start=clock,
+                                          duration=duration))
+            slots.append(Slot(start=clock, duration=duration,
+                              arcs=_reference_draw_arcs(
+                                  config, rng, competitor_probs, vocab,
+                                  spoken, topical)))
+            clock += duration
+        docs.append(ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots)))
+    refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
+    return docs, keywords, refs, dropped
+
+
+def _reference_draw_arcs(config: SynthConfig, rng: np.random.Generator,
+                         competitor_probs: np.ndarray, vocab: list[str],
+                         spoken: str, topical: list[str]
+                         ) -> tuple[tuple[str, float], ...]:
+    lo, hi = TRUE_POSTERIOR_RANGE
+    p_spoken = float(rng.uniform(lo - NOISE_SLOPE_LO * config.noise,
+                                 hi - NOISE_SLOPE_HI * config.noise))
+    n_comp = int(rng.integers(*COMPETITOR_RANGE))
+    draw = rng.choice(len(vocab), size=n_comp + 1, replace=False,
+                      p=competitor_probs)
+    comp_tokens = [vocab[i] for i in draw if vocab[i] != spoken][:n_comp]
+    candidates_topical = [t for t in topical if t != spoken]
+    topical_hit = False
+    if candidates_topical and rng.random() < TOPICAL_CONFUSION_PROB:
+        confusion = candidates_topical[int(rng.integers(len(candidates_topical)))]
+        if confusion not in comp_tokens:
+            comp_tokens[0] = confusion
+            topical_hit = True
+    if rng.random() < EPS_ARC_PROB and len(comp_tokens) > 1:
+        comp_tokens[-1] = EPS_TOKEN
+    shares = rng.dirichlet(np.ones(len(comp_tokens)))
+    shares = DIRICHLET_MIX * shares + (1.0 - DIRICHLET_MIX) / len(comp_tokens)
+    if topical_hit:
+        shares = np.concatenate([[shares.max()],
+                                 np.delete(shares, shares.argmax())])
+    remainder = 1.0 - p_spoken
+    arcs = [(spoken, p_spoken)]
+    arcs += [(tok, float(remainder * share))
+             for tok, share in zip(comp_tokens, shares)]
+    return tuple(arcs)
+

@@ -91,6 +91,30 @@ class TestSynthCommand:
         else:
             assert dropped == 0
 
+    @pytest.mark.parametrize("vocab", ["2", "3", "4"])
+    def test_vocabulary_below_competitor_draw_rejected(self, tmp_path, capsys,
+                                                       vocab):
+        out = tmp_path / "out"
+        assert main(["synth", "--docs", "2", "--slots", "3", "--keywords", "1",
+                     "--vocab", vocab, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"drstd: vocabulary of {vocab} is too small: each slot draws up "
+            "to 5 distinct competitor tokens\n")
+        assert not out.exists()
+
+
+class TestLogging:
+    def test_quiet_holds_when_logging_is_configured(self, data_dir, tmp_path,
+                                                    caplog):
+        caplog.set_level(logging.INFO)  # the root logger, as an embedding app
+        search = ["search", "--corpus", str(data_dir / "corpus.jsonl"),
+                  "--keywords", str(data_dir / "keywords.tsv"),
+                  "--out", str(tmp_path / "c.tsv")]
+        assert main(["--quiet", *search]) == 0
+        assert caplog.messages == []
+        assert main(search) == 0
+        assert [line.split(":")[0] for line in caplog.messages] == ["search"]
+
 
 class TestSearchAndIndex:
     def test_search_writes_candidates(self, data_dir, tmp_path):
@@ -263,7 +287,7 @@ class TestPipeline:
         refs.write_text("P1\td1\t0.0\t3.0\n")
         pipeline = ["pipeline", "--corpus", str(corpus), "--keywords",
                     str(keywords), "--ref", str(refs), "--alpha", "0.1"]
-        # a fresh process, where --quiet sets the level of the root logger
+        # a fresh process, where nothing but main configures logging
         quiet = subprocess.run(
             [sys.executable, "-c",
              "import sys; from drstd.cli import main; sys.exit(main())",

@@ -156,7 +156,8 @@ class TestAtwv:
         rng = np.random.default_rng(11)
         hyps = random_candidates(rng, 200, n_kws=8, n_docs=10)
         refs = random_references(rng, 80, n_kws=8, n_docs=10)
-        report = build_report(align(hyps, refs, 0.5), 3600.0, 999.9)
+        report = build_report(align(hyps, refs, 0.5).keyword_counts, 3600.0,
+                              999.9)
         aggregate = report["aggregate"]
         assert aggregate["atwv"] == pytest.approx(
             1.0 - aggregate["mean_p_miss"] - 999.9 * aggregate["mean_p_fa"],

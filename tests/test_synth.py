@@ -1,7 +1,10 @@
 """Synthetic corpus generation: determinism, validity, burstiness."""
 
+import hashlib
+
 import pytest
 
+from drstd import synth
 from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry,
                              RefOccurrence, parse_cn_corpus, write_cn_corpus)
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
@@ -9,7 +12,9 @@ from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
 from drstd.scoring import (align, atwv, keyword_rates,
                            weight_performance_correlation)
-from drstd.synth import SynthConfig, generate
+from drstd.synth import COMPETITOR_RANGE, SynthConfig, generate
+
+from oracles import reference_generate
 
 
 def corpus_duration_seconds(docs) -> float:
@@ -113,6 +118,56 @@ class TestValidity:
                         noise=0.3, seed=0)
         with pytest.raises(ValueError):
             small_config(noise=1.5)
+
+
+class TestMatchesNumpyChoice:
+    """`generate` draws its weighted tokens from cdfs built once;
+    `reference_generate`, the former code, calls numpy's
+    `Generator.choice(..., p=...)` for each. Equal output shows the draws
+    are numpy's, and fails if a numpy release changes how `choice` draws."""
+
+    @pytest.mark.parametrize("overrides,saturated", [
+        (dict(vocab_size=13, num_keywords=12, noise=1.0, topic_affinity=1.0),
+         False),
+        (dict(vocab_size=COMPETITOR_RANGE[1], num_keywords=1), False),
+        (dict(num_docs=4, slots_per_doc=3, noise=0.0, topic_affinity=0.0), True),
+        (dict(noise=0.0, topic_affinity=1.0), False),
+        (dict(noise=1.0, topic_affinity=0.0), False),
+    ], ids=["vocab-just-above-keywords", "smallest-vocab", "saturated",
+            "noise0-affinity1", "noise1-affinity0"])
+    def test_equals_reference_generate(self, monkeypatch, overrides, saturated):
+        build_cdf, cdf_builds = synth._cdf, []
+
+        def counting_cdf(p):
+            cdf_builds.append(len(p))
+            return build_cdf(p)
+
+        monkeypatch.setattr(synth, "_cdf", counting_cdf)
+        cfg = small_config(**overrides)
+        got = generate(cfg)
+        assert got == reference_generate(cfg)
+        # two cdfs are built up front; each further one is a redraw after
+        # a repeated token, numpy's retry path
+        assert len(cdf_builds) > 2
+        assert (got[3] > 0) == saturated  # dropped occurrences
+
+
+# sha256 of the acceptance corpus as `Generator.choice` drew it. A change
+# to the random stream that moves `generate` and `reference_generate`
+# alike is caught here.
+ACCEPTANCE_SHA256 = {
+    "corpus.jsonl":
+        "e9923d89abb541fe5111fb31a8faf2dfbf4dc30b00bd9fb744aeeccec2a0201e",
+    "keywords.tsv":
+        "7495c79b0a7ec1d0a3b28db78b0b37c2b7f73d6033a963644969a89ae4844ba5",
+    "refs.tsv":
+        "46fdff9612306ae294ba4c28e1140c83ab2790c94fe4d042118864a29a1b6e32",
+}
+
+
+def test_acceptance_corpus_bytes_pinned(acceptance_synth):
+    assert {name: hashlib.sha256((acceptance_synth.out / name).read_bytes())
+            .hexdigest() for name in ACCEPTANCE_SHA256} == ACCEPTANCE_SHA256
 
 
 class TestNoiseZero:
