@@ -124,6 +124,17 @@ def _positive(kind):
     return parse
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return value
+
+
 def _unit_interval(text: str) -> float:
     """argparse type: a finite float in [0, 1]."""
     try:
@@ -292,6 +303,8 @@ def cmd_synth(args) -> None:
                          topic_affinity=args.topic_affinity,
                          docs_per_topic=args.docs_per_topic, noise=args.noise,
                          seed=args.seed)
+    # generate checks the config before it returns; the documents are
+    # drawn as write_cn_corpus writes them, and refs is complete after.
     docs, keywords, refs, dropped = generate(config)
     args.out.mkdir(parents=True, exist_ok=True)
     write_cn_corpus(args.out / "corpus.jsonl", docs)
@@ -299,7 +312,7 @@ def cmd_synth(args) -> None:
     write_references(args.out / "refs.tsv", refs)
     log.info("synth: %d docs, %d keywords, %d references (%d planned "
              "occurrences dropped, their documents full) -> %s",
-             len(docs), len(keywords), len(refs), dropped, args.out)
+             config.num_docs, len(keywords), len(refs), dropped, args.out)
 
 
 def cmd_pipeline(args) -> None:
@@ -408,14 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "appearing as occasional confusions, "
                                 "preferentially in their home topic. "
                                 "Deterministic for a given --seed."))
-    p.add_argument("--docs", type=int, required=True)
-    p.add_argument("--slots", type=int, default=60, help="slots per document")
-    p.add_argument("--keywords", type=int, required=True)
-    p.add_argument("--vocab", type=int, default=500)
-    p.add_argument("--topic-affinity", type=float, default=0.8)
-    p.add_argument("--docs-per-topic", type=int, default=5)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--docs", type=_positive(int), required=True)
+    p.add_argument("--slots", type=_positive(int), default=60,
+                   help="slots per document")
+    p.add_argument("--keywords", type=_positive(int), required=True)
+    p.add_argument("--vocab", type=_positive(int), default=500)
+    p.add_argument("--topic-affinity", type=_unit_interval, default=0.8)
+    p.add_argument("--docs-per-topic", type=_positive(int), default=5)
+    p.add_argument("--noise", type=_unit_interval, default=0.3)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -29,12 +29,18 @@ numpy's `Generator.choice(..., p=...)` on the same stream, retries for
 repeated competitors included, so the corpus bytes are those `choice`
 gives. `TestMatchesNumpyChoice` in `tests/test_synth.py` checks this
 against the former per-slot `choice` code. A slot draws up to 5 distinct
-competitors, so the vocabulary needs at least 5 tokens.
+competitors, so the vocabulary needs at least 5 tokens. Uniform draws are
+`a + (b - a) * random()` and the flat Dirichlet is standard exponentials
+scaled by the reciprocal of their sum: numpy's own `uniform` and
+`dirichlet` on the same stream (`TestDrawsMatchNumpy`). The documents are
+drawn lazily, so `synth` writes each as it comes and its memory does not
+grow with their number.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +66,6 @@ KEYWORD_CONFUSION_FACTOR = 0.10
 # this fraction of home-topic slots hypothesizes the keyword as the top
 # competitor arc, concentrating false alarms in high-weight documents.
 TOPICAL_CONFUSION_PROB = 0.03
-# The flat Dirichlet parameters, one per competitor count.
-_DIRICHLET_ALPHAS = {n: np.ones(n) for n in range(*COMPETITOR_RANGE)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,12 +94,16 @@ class SynthConfig:
 
 
 def generate(config: SynthConfig) -> tuple[
-        list[ConfusionNetworkDoc], list[KeywordEntry], list[RefOccurrence], int]:
+        Iterator[ConfusionNetworkDoc], list[KeywordEntry], list[RefOccurrence],
+        int]:
     """Generate (corpus, keyword list, reference list, dropped) for one config.
 
-    `dropped` counts the planned true occurrences that found no free slot
-    in their saturated document and so were not planted. Deterministic
-    given the seed; raises ValueError when the vocabulary is too small to
+    The corpus is an iterator that draws one document per `next()`; the
+    reference list fills as the documents are drawn and is complete, and
+    sorted, once the last one has been. `dropped` counts the planned true
+    occurrences that found no free slot in their saturated document and
+    so were not planted. Deterministic given the seed; raises ValueError,
+    before any document is drawn, when the vocabulary is too small to
     host the keywords plus at least one filler token.
     """
     if config.vocab_size < config.num_keywords + 1:
@@ -131,31 +139,51 @@ def generate(config: SynthConfig) -> tuple[
     for token, topic in home_topics.items():
         topic_keywords.setdefault(topic, []).append(token)
 
-    docs: list[ConfusionNetworkDoc] = []
     refs: list[RefOccurrence] = []
     token_to_kw = {tok: kw.kw_id for tok, kw in zip(kw_tokens, keywords)}
-    for doc_idx in range(config.num_docs):
-        doc_id = f"d{doc_idx:04d}"
-        doc_plants = planted.get(doc_idx, {})
-        topical = topic_keywords.get(doc_idx // config.docs_per_topic, [])
-        slots = []
-        clock = 0.0
-        for slot_idx in range(config.slots_per_doc):
-            duration = float(rng.uniform(*SLOT_DURATION_RANGE))
-            spoken = doc_plants.get(slot_idx)
-            if spoken is None:
-                spoken = vocab[fillers.draw(rng)]
-            else:
-                refs.append(RefOccurrence(kw_id=token_to_kw[spoken],
-                                          doc_id=doc_id, start=clock,
-                                          duration=duration))
-            slots.append(Slot(start=clock, duration=duration,
-                              arcs=_draw_arcs(config, rng, competitors, vocab,
-                                              spoken, topical)))
-            clock += duration
-        docs.append(ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots)))
-    refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
-    return docs, keywords, refs, dropped
+
+    def documents() -> Iterator[ConfusionNetworkDoc]:
+        for doc_idx in range(config.num_docs):
+            doc_id = f"d{doc_idx:04d}"
+            doc_plants = planted.get(doc_idx, {})
+            topical = topic_keywords.get(doc_idx // config.docs_per_topic, [])
+            slots = []
+            clock = 0.0
+            for slot_idx in range(config.slots_per_doc):
+                duration = _uniform(rng, *SLOT_DURATION_RANGE)
+                spoken = doc_plants.get(slot_idx)
+                if spoken is None:
+                    spoken = vocab[fillers.draw(rng)]
+                else:
+                    refs.append(RefOccurrence(kw_id=token_to_kw[spoken],
+                                              doc_id=doc_id, start=clock,
+                                              duration=duration))
+                slots.append(Slot(start=clock, duration=duration,
+                                  arcs=_draw_arcs(config, rng, competitors,
+                                                  vocab, spoken, topical)))
+                clock += duration
+            yield ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
+        refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
+
+    return documents(), keywords, refs, dropped
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """`rng.uniform(low, high)`: numpy draws it as `low + (high - low) * u`
+    with `u` the next `random()`."""
+    return low + (high - low) * rng.random()
+
+
+def _flat_dirichlet(rng: np.random.Generator, n: int) -> list[float]:
+    """`rng.dirichlet(np.ones(n))`: numpy's gamma draw of shape 1 is a
+    standard exponential, and it scales the n draws by the reciprocal of
+    their left-to-right sum."""
+    draws = rng.standard_exponential(n).tolist()
+    total = 0.0
+    for x in draws:
+        total += x
+    scale = 1.0 / total
+    return [x * scale for x in draws]
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -239,8 +267,8 @@ def _draw_arcs(config: SynthConfig, rng: np.random.Generator,
                competitors: _Sampler, vocab: list[str], spoken: str,
                topical: list[str]) -> tuple[tuple[str, float], ...]:
     lo, hi = TRUE_POSTERIOR_RANGE
-    p_spoken = float(rng.uniform(lo - NOISE_SLOPE_LO * config.noise,
-                                 hi - NOISE_SLOPE_HI * config.noise))
+    p_spoken = _uniform(rng, lo - NOISE_SLOPE_LO * config.noise,
+                        hi - NOISE_SLOPE_HI * config.noise)
     n_comp = int(rng.integers(*COMPETITOR_RANGE))
     draw = competitors.draw_distinct(rng, n_comp + 1)
     comp_tokens = [vocab[i] for i in draw if vocab[i] != spoken][:n_comp]
@@ -254,8 +282,8 @@ def _draw_arcs(config: SynthConfig, rng: np.random.Generator,
     if rng.random() < EPS_ARC_PROB and len(comp_tokens) > 1:
         comp_tokens[-1] = EPS_TOKEN
     floor = (1.0 - DIRICHLET_MIX) / len(comp_tokens)
-    shares = [DIRICHLET_MIX * share + floor for share in
-              rng.dirichlet(_DIRICHLET_ALPHAS[len(comp_tokens)]).tolist()]
+    shares = [DIRICHLET_MIX * share + floor
+              for share in _flat_dirichlet(rng, len(comp_tokens))]
     if topical_hit:
         shares.insert(0, shares.pop(shares.index(max(shares))))
     remainder = 1.0 - p_spoken

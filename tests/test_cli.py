@@ -102,6 +102,34 @@ class TestSynthCommand:
             "to 5 distinct competitor tokens\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("keywords", ["10", "11"])
+    def test_keywords_filling_vocabulary_rejected(self, tmp_path, capsys,
+                                                  keywords):
+        out = tmp_path / "out"
+        assert main(["synth", "--docs", "2", "--slots", "3", "--keywords",
+                     keywords, "--vocab", "10", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"drstd: vocabulary of 10 is too small to host {keywords} "
+            "keywords plus filler tokens\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--docs", "0"), ("--slots", "-3"), ("--keywords", "2.5"),
+        ("--vocab", "many"), ("--docs-per-topic", "0"),
+        ("--topic-affinity", "1.5"), ("--noise", "nan"), ("--seed", "-1"),
+    ])
+    def test_bad_flag_named(self, tmp_path, capsys, flag, value):
+        argv = {"--docs": "2", "--slots": "3", "--keywords": "1",
+                "--vocab": "10", "--seed": "1", flag: value}
+        out = tmp_path / "out"
+        assert main(["synth", *(arg for item in argv.items() for arg in item),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"drstd: argument {flag}: ")
+        assert value in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestLogging:
     def test_quiet_holds_when_logging_is_configured(self, data_dir, tmp_path,

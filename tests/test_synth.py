@@ -1,7 +1,10 @@
 """Synthetic corpus generation: determinism, validity, burstiness."""
 
+import collections
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from drstd import synth
@@ -12,7 +15,9 @@ from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
 from drstd.scoring import (align, atwv, keyword_rates,
                            weight_performance_correlation)
-from drstd.synth import COMPETITOR_RANGE, SynthConfig, generate
+from drstd.synth import (COMPETITOR_RANGE, NOISE_SLOPE_HI, NOISE_SLOPE_LO,
+                         SLOT_DURATION_RANGE, TRUE_POSTERIOR_RANGE,
+                         SynthConfig, generate)
 
 from oracles import reference_generate
 
@@ -60,6 +65,13 @@ def min_true_posterior(docs: list[ConfusionNetworkDoc],
     return smallest
 
 
+def drawn(config: SynthConfig):
+    """`generate`'s four results, its documents drawn into a list; the
+    references are complete once they have been."""
+    docs, keywords, refs, dropped = generate(config)
+    return list(docs), keywords, refs, dropped
+
+
 def small_config(**overrides):
     base = dict(num_docs=40, slots_per_doc=30, vocab_size=150, num_keywords=12,
                 topic_affinity=0.8, docs_per_topic=4, noise=0.3, seed=2)
@@ -70,8 +82,8 @@ def small_config(**overrides):
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = small_config()
-        a = generate(cfg)
-        b = generate(cfg)
+        a = drawn(cfg)
+        b = drawn(cfg)
         assert a == b
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_cn_corpus(pa, a[0])
@@ -79,7 +91,7 @@ class TestDeterminism:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seed_differs(self):
-        assert generate(small_config(seed=2)) != generate(small_config(seed=3))
+        assert drawn(small_config(seed=2)) != drawn(small_config(seed=3))
 
 
 class TestValidity:
@@ -87,7 +99,7 @@ class TestValidity:
     @pytest.mark.parametrize("affinity", [0.0, 1.0])
     def test_generated_docs_satisfy_corpus_invariants(self, tmp_path, noise,
                                                       affinity):
-        docs, keywords, refs, _ = generate(
+        docs, keywords, refs, _ = drawn(
             small_config(noise=noise, topic_affinity=affinity))
         path = tmp_path / "corpus.jsonl"
         write_cn_corpus(path, docs)
@@ -99,7 +111,7 @@ class TestValidity:
         assert ref_kw == kw_ids
 
     def test_references_point_at_real_slots(self):
-        docs, keywords, refs, _ = generate(small_config())
+        docs, keywords, refs, _ = drawn(small_config())
         token_of = {k.kw_id: k.tokens[0] for k in keywords}
         by_doc = {d.doc_id: d for d in docs}
         for r in refs:
@@ -144,12 +156,78 @@ class TestMatchesNumpyChoice:
 
         monkeypatch.setattr(synth, "_cdf", counting_cdf)
         cfg = small_config(**overrides)
-        got = generate(cfg)
+        got = drawn(cfg)
         assert got == reference_generate(cfg)
         # two cdfs are built up front; each further one is a redraw after
         # a repeated token, numpy's retry path
         assert len(cdf_builds) > 2
         assert (got[3] > 0) == saturated  # dropped occurrences
+
+
+class TestDrawsMatchNumpy:
+    """`generate` draws its uniforms and flat Dirichlet shares without
+    numpy's wrappers. Each draw must equal numpy's bit for bit and leave
+    the stream where numpy leaves it; this fails on a numpy release that
+    changes either draw, whatever `generate` does."""
+
+    SEEDS = range(50)
+
+    @staticmethod
+    def twin_streams(seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    @pytest.mark.parametrize("n", range(*COMPETITOR_RANGE))
+    def test_flat_dirichlet(self, n):
+        for seed in self.SEEDS:
+            ours, numpy_rng = self.twin_streams(seed)
+            assert (synth._flat_dirichlet(ours, n)
+                    == numpy_rng.dirichlet(np.ones(n)).tolist()), seed
+            assert ours.random() == numpy_rng.random(), seed
+
+    @pytest.mark.parametrize("low,high", [
+        SLOT_DURATION_RANGE,
+        *((TRUE_POSTERIOR_RANGE[0] - NOISE_SLOPE_LO * noise,
+           TRUE_POSTERIOR_RANGE[1] - NOISE_SLOPE_HI * noise)
+          for noise in (0.0, 0.5, 1.0)),
+    ], ids=["duration", "posterior-noise0", "posterior-noise0.5",
+            "posterior-noise1"])
+    def test_uniform(self, low, high):
+        for seed in self.SEEDS:
+            ours, numpy_rng = self.twin_streams(seed)
+            assert (synth._uniform(ours, low, high)
+                    == float(numpy_rng.uniform(low, high))), seed
+            assert ours.random() == numpy_rng.random(), seed
+
+
+class TestStreaming:
+    def test_references_complete_once_documents_drawn(self):
+        docs, _, refs, _ = generate(small_config())
+        assert refs == []  # no document drawn yet
+        expected = drawn(small_config())
+        assert (list(docs), refs) == (expected[0], expected[2])
+
+    # Peak traced memory at 400 documents stays within this factor of the
+    # peak at 100; a generator holding its corpus would grow about 4x.
+    PEAK_GROWTH_BOUND = 1.5
+
+    def test_memory_flat_in_document_count(self):
+        # 30 slots per document: CPython keeps up to 2000 freed tuples of
+        # each size up to 20 for reuse, which tracemalloc counts as held.
+        def config(num_docs):
+            return small_config(num_docs=num_docs, slots_per_doc=30)
+
+        def peak(num_docs):
+            tracemalloc.start()
+            try:
+                docs, *_ = generate(config(num_docs))
+                collections.deque(docs, maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        collections.deque(generate(config(1))[0], maxlen=0)  # first-use imports
+        small, large = peak(100), peak(400)
+        assert large <= self.PEAK_GROWTH_BOUND * small, (small, large)
 
 
 # sha256 of the acceptance corpus as `Generator.choice` drew it. A change
@@ -173,7 +251,7 @@ def test_acceptance_corpus_bytes_pinned(acceptance_synth):
 class TestNoiseZero:
     def test_perfect_detection_below_min_true_posterior(self):
         cfg = small_config(noise=0.0, seed=11)
-        docs, keywords, refs, _ = generate(cfg)
+        docs, keywords, refs, _ = drawn(cfg)
         floor = min_true_posterior(docs, refs, keywords)
         assert floor >= 0.78 - 1e-12
         cands = dedup_overlaps(search_all(docs, keywords))
@@ -185,7 +263,7 @@ class TestNoiseZero:
         assert atwv(rates, policy.beta) == 1.0
 
     def test_true_token_always_on_top(self):
-        docs, keywords, refs, _ = generate(small_config(noise=0.0, seed=4))
+        docs, keywords, refs, _ = drawn(small_config(noise=0.0, seed=4))
         token_of = {k.kw_id: k.tokens[0] for k in keywords}
         by_doc = {d.doc_id: d for d in docs}
         for r in refs:
@@ -200,7 +278,7 @@ class TestBurstiness:
         cfg = SynthConfig(num_docs=200, slots_per_doc=100, vocab_size=500,
                           num_keywords=50, topic_affinity=0.9,
                           docs_per_topic=5, noise=0.5, seed=3)
-        docs, keywords, refs, _ = generate(cfg)
+        docs, keywords, refs, _ = drawn(cfg)
         shares = plant_report(refs, cfg, keywords)
         assert min(shares.values()) >= 0.7
 
@@ -210,7 +288,7 @@ class TestBurstiness:
             cfg = SynthConfig(num_docs=150, slots_per_doc=80, vocab_size=500,
                               num_keywords=40, topic_affinity=affinity,
                               docs_per_topic=5, noise=0.5, seed=1)
-            docs, keywords, refs, _ = generate(cfg)
+            docs, keywords, refs, _ = drawn(cfg)
             cands = dedup_overlaps(search_all(docs, keywords))
             policy = DecisionPolicy(
                 mode="kst", trial_seconds=corpus_duration_seconds(docs))
