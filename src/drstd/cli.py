@@ -148,11 +148,9 @@ def _unit_interval(text: str) -> float:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """argparse type: comma-separated alphas, each checked by `_unit_interval`."""
-    grid = [_unit_interval(v) for v in text.split(",") if v.strip()]
-    if not grid:
-        raise argparse.ArgumentTypeError("expected at least one alpha")
-    return grid
+    """argparse type: comma-separated alphas, each checked by `_unit_interval`,
+    so an empty item is an error."""
+    return [_unit_interval(v) for v in text.split(",")]
 
 
 def _rescoring(path: Path, candidates: list[Candidate], step, *args):

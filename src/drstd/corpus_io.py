@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 import math
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 EPS_TOKEN = "<eps>"
 
@@ -53,8 +52,7 @@ class FormatError(ValueError):
         super().__init__(loc + message)
 
 
-@dataclass(frozen=True, slots=True)
-class Slot:
+class Slot(NamedTuple):
     """One time slot of a confusion network: competing word arcs.
 
     ``arcs`` holds (token, posterior) pairs; the reserved token ``<eps>``
@@ -77,24 +75,21 @@ class Slot:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class ConfusionNetworkDoc:
+class ConfusionNetworkDoc(NamedTuple):
     """One transcribed document: an ordered sequence of slots."""
 
     doc_id: str
     slots: tuple[Slot, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class KeywordEntry:
+class KeywordEntry(NamedTuple):
     """A query term: an id and one or more normalized tokens."""
 
     kw_id: str
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class RefOccurrence:
+class RefOccurrence(NamedTuple):
     """A ground-truth occurrence of a keyword in a document."""
 
     kw_id: str
@@ -103,8 +98,7 @@ class RefOccurrence:
     duration: float
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A hypothesized keyword occurrence with its confidence score.
 
     ``decision`` is None until a thresholding step sets it to "YES"/"NO".
@@ -295,6 +289,8 @@ def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
             raise FormatError(f"expected 2 tab-separated columns, got {len(fields)}",
                               path=path, line=lineno)
         kw_id, text = fields
+        if not kw_id:
+            raise FormatError("kw_id must be non-empty", path=path, line=lineno)
         if kw_id in seen:
             raise FormatError(f"duplicate kw_id {kw_id!r}", path=path, line=lineno)
         seen.add(kw_id)
@@ -337,7 +333,7 @@ def _parse_ref_row(fields: list[str], *, path, line) -> RefOccurrence:
     if len(fields) != 4:
         raise FormatError(f"expected 4 columns for a reference row, got {len(fields)}",
                           path=path, line=line)
-    kw_id, doc_id = fields[:2]
+    kw_id, doc_id = _ids(fields, path=path, line=line)
     start, dur = _parse_floats(fields[2:], ("start", "dur"), path=path, line=line)
     if dur <= 0:
         raise FormatError(f"reference duration must be > 0, got {dur}",
@@ -353,7 +349,7 @@ def _parse_candidate_row(fields: list[str], *, path, line,
     if decided and len(fields) == 5:
         raise FormatError("row carries no YES/NO decision; run 'drstd decide' "
                           "first", path=path, line=line)
-    kw_id, doc_id = fields[:2]
+    kw_id, doc_id = _ids(fields, path=path, line=line)
     decision = None
     if len(fields) == 6:
         decision = fields[5]
@@ -368,6 +364,14 @@ def _parse_candidate_row(fields: list[str], *, path, line,
         raise FormatError(f"score {score} outside [0, 1]", path=path, line=line)
     return Candidate(kw_id=kw_id, doc_id=doc_id, start=start, duration=dur,
                      score=score, decision=decision)
+
+
+def _ids(fields: list[str], *, path, line) -> list[str]:
+    """The kw_id and doc_id columns of an occurrence row, neither empty."""
+    for name, value in zip(("kw_id", "doc_id"), fields):
+        if not value:
+            raise FormatError(f"{name} must be non-empty", path=path, line=line)
+    return fields[:2]
 
 
 def _parse_floats(texts: Sequence[str], names: Sequence[str], *, path,

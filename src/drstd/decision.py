@@ -13,7 +13,6 @@ which is the per-keyword threshold computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus_io import Candidate
@@ -21,25 +20,26 @@ from .corpus_io import Candidate
 DEFAULT_BETA = 999.9
 
 
-@dataclass(frozen=True, slots=True)
 class DecisionPolicy:
-    mode: str  # "global" or "kst"
-    global_threshold: float = 0.5
-    beta: float = DEFAULT_BETA
-    trial_seconds: float | None = None  # required in kst mode
+    """A checked decision policy; `trial_seconds` is required in kst mode."""
 
-    def __post_init__(self):
-        if self.mode not in ("global", "kst"):
-            raise ValueError(f"mode must be 'global' or 'kst', got {self.mode!r}")
-        if not 0.0 <= self.global_threshold <= 1.0:
-            raise ValueError(f"global_threshold outside [0, 1]: {self.global_threshold}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.trial_seconds is None:
-            if self.mode == "kst":
+    __slots__ = ("mode", "global_threshold", "beta", "trial_seconds")
+
+    def __init__(self, mode: str, global_threshold: float = 0.5,
+                 beta: float = DEFAULT_BETA, trial_seconds: float | None = None):
+        if mode not in ("global", "kst"):
+            raise ValueError(f"mode must be 'global' or 'kst', got {mode!r}")
+        if not 0.0 <= global_threshold <= 1.0:
+            raise ValueError(f"global_threshold outside [0, 1]: {global_threshold}")
+        if beta <= 0.0:
+            raise ValueError(f"beta must be > 0, got {beta}")
+        if trial_seconds is None:
+            if mode == "kst":
                 raise ValueError("a kst policy needs trial_seconds")
-        elif self.trial_seconds <= 0.0:
-            raise ValueError(f"trial_seconds must be > 0, got {self.trial_seconds}")
+        elif trial_seconds <= 0.0:
+            raise ValueError(f"trial_seconds must be > 0, got {trial_seconds}")
+        self.mode, self.global_threshold = mode, global_threshold
+        self.beta, self.trial_seconds = beta, trial_seconds
 
 
 def kst_cuts(kw_ids: Sequence[str], scores: Sequence[float],

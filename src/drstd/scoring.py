@@ -22,7 +22,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -37,19 +36,20 @@ CORRECT = "correct"
 FALSE_ALARM = "false_alarm"
 
 
-@dataclass(slots=True)
 class KeywordCounts:
-    n_true: int = 0
-    n_correct: int = 0
-    n_fa: int = 0
+    """One keyword's reference, correct and false-alarm counts; updated in place."""
+
+    __slots__ = ("n_true", "n_correct", "n_fa")
+
+    def __init__(self, n_true: int = 0, n_correct: int = 0, n_fa: int = 0):
+        self.n_true, self.n_correct, self.n_fa = n_true, n_correct, n_fa
 
     @property
     def n_miss(self) -> int:
         return self.n_true - self.n_correct
 
 
-@dataclass(slots=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     """Labels parallel to the hypotheses given to align(), and per-keyword counts."""
 
     hypothesis_labels: list[str]

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,18 +67,19 @@ KEYWORD_CONFUSION_FACTOR = 0.10
 TOPICAL_CONFUSION_PROB = 0.03
 
 
-@dataclass(frozen=True, slots=True)
 class SynthConfig:
-    num_docs: int
-    slots_per_doc: int
-    vocab_size: int
-    num_keywords: int
-    topic_affinity: float
-    docs_per_topic: int
-    noise: float
-    seed: int
+    """Generator settings, checked at construction."""
 
-    def __post_init__(self):
+    __slots__ = ("num_docs", "slots_per_doc", "vocab_size", "num_keywords",
+                 "topic_affinity", "docs_per_topic", "noise", "seed")
+
+    def __init__(self, num_docs: int, slots_per_doc: int, vocab_size: int,
+                 num_keywords: int, topic_affinity: float, docs_per_topic: int,
+                 noise: float, seed: int):
+        self.num_docs, self.slots_per_doc, self.vocab_size = (
+            num_docs, slots_per_doc, vocab_size)
+        self.num_keywords, self.topic_affinity = num_keywords, topic_affinity
+        self.docs_per_topic, self.noise, self.seed = docs_per_topic, noise, seed
         for name in ("num_docs", "slots_per_doc", "vocab_size",
                      "num_keywords", "docs_per_topic"):
             if getattr(self, name) < 1:

@@ -20,6 +20,8 @@ from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry,
                              RefOccurrence, Slot, parse_occurrence_table,
                              write_cn_corpus, write_keyword_list,
                              write_references)
+from drstd.decision import DecisionPolicy
+from drstd.synth import SynthConfig
 
 from conftest import ACCEPTANCE_SYNTH_ARGS, run_synth
 
@@ -633,6 +635,10 @@ class TestErrorHandling:
         (["rescore", "--in", "c", "--alpha", "nan"], "in [0, 1], got 'nan'"),
         (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0,7",
           "--trial-seconds", "3600"], "--alpha-grid: expected a finite float"),
+        (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0.1,,0.2,",
+          "--trial-seconds", "3600"],
+         "drstd: argument --alpha-grid: expected a finite float in [0, 1], "
+         "got ''"),
         (["pipeline", "--corpus", "c", "--keywords", "k", "--ref", "r",
           "--alpha", "0.1", "--threshold", "1.5"],
          "--threshold: expected a finite float in [0, 1]"),
@@ -898,14 +904,15 @@ import drstd
 assert drstd.__version__
 assert not [name for name in sys.modules if name.startswith("drstd.")]
 from drstd.cli import main
-assert "numpy" not in sys.modules, "import drstd.cli"
+assert not {"numpy", "dataclasses"} & sys.modules.keys(), "import drstd.cli"
 for argv in json.loads(sys.argv[1]):
     assert main(["--quiet", *argv]) == 0, argv
-    assert "numpy" not in sys.modules, argv
+    assert not {"numpy", "dataclasses"} & sys.modules.keys(), argv
 """
 
 
 def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
+    # nor dataclasses, whose import would add to every command's start-up
     corpus, keywords, refs = (tmp_path / name for name in (
         "corpus.jsonl", "keywords.tsv", "refs.tsv"))
     write_cn_corpus(corpus, [
@@ -942,3 +949,29 @@ def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
     diagnostics = json.loads((tmp_path / "run" / "diag" /
                               "diagnostics.json").read_text())
     assert diagnostics["spearman_weight_recall"] is not None  # spearman ran
+
+
+_SYNTH_FIELDS = dict(num_docs=10, slots_per_doc=10, vocab_size=50,
+                     num_keywords=2, topic_affinity=0.5, docs_per_topic=5,
+                     noise=0.3, seed=0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: DecisionPolicy("sometimes"),
+     "mode must be 'global' or 'kst', got 'sometimes'"),
+    (lambda: DecisionPolicy("global", global_threshold=1.5),
+     "global_threshold outside [0, 1]: 1.5"),
+    (lambda: DecisionPolicy("kst", beta=-1.0, trial_seconds=10.0),
+     "beta must be > 0, got -1.0"),
+    (lambda: DecisionPolicy("kst"), "a kst policy needs trial_seconds"),
+    (lambda: DecisionPolicy("global", trial_seconds=0.0),
+     "trial_seconds must be > 0, got 0.0"),
+    (lambda: SynthConfig(**{**_SYNTH_FIELDS, "docs_per_topic": 0}),
+     "docs_per_topic must be >= 1, got 0"),
+    (lambda: SynthConfig(**{**_SYNTH_FIELDS, "noise": 1.5}),
+     "noise must be in [0, 1], got 1.5"),
+])
+def test_checked_types_reject_bad_fields_at_construction(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

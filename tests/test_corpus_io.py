@@ -334,6 +334,14 @@ class TestKeywordParsing:
         with pytest.raises(FormatError, match="blank"):
             parse_keyword_list(p)
 
+    def test_empty_kw_id(self, tmp_path):
+        # search would write candidate rows with an empty kw_id column
+        p = tmp_path / "kw.tsv"
+        write_lines(p, ["KW1\tcat", "\tw0001"])
+        with pytest.raises(FormatError) as exc:
+            parse_keyword_list(p)
+        assert str(exc.value) == f"{p}:2: kw_id must be non-empty"
+
     def test_comments_ignored_and_text_normalized(self, tmp_path):
         p = tmp_path / "kw.tsv"
         write_lines(p, ["# a comment", "KW1\tHello WORLD"])
@@ -392,6 +400,20 @@ class TestOccurrenceTables:
         write_lines(p, ["KW1\td1\t3.20\t0.45\t0.87\tmaybe"])
         with pytest.raises(FormatError, match="YES or NO"):
             parse_occurrence_table(p, "candidate")
+
+    @pytest.mark.parametrize("kind,row,column", [
+        ("ref", ["", "d1", "3.2", "0.45"], "kw_id"),
+        ("ref", ["K1", "", "3.2", "0.45"], "doc_id"),
+        ("candidate", ["", "d1", "3.2", "0.45", "0.87"], "kw_id"),
+        ("decided", ["K1", "", "3.2", "0.45", "0.87", "YES"], "doc_id"),
+    ])
+    def test_empty_id_rejected(self, tmp_path, kind, row, column):
+        # the corpus parser rejects an empty doc_id too
+        p = tmp_path / "rows.tsv"
+        write_lines(p, ["# header", "\t".join(row)])
+        with pytest.raises(FormatError) as exc:
+            parse_occurrence_table(p, kind)
+        assert str(exc.value) == f"{p}:2: {column} must be non-empty"
 
     def test_rows_kept_in_file_order(self, tmp_path):
         p = tmp_path / "cand.tsv"
