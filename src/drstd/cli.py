@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .corpus_io import (SCORE_DECIMALS, Candidate, FormatError,
                         parse_cn_corpus, parse_keyword_list,
-                        parse_occurrence_table, tsv_rows, write_candidates,
+                        parse_occurrence_table, tsv_lines, write_candidates,
                         write_cn_corpus, write_keyword_list, write_references)
 from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
 from .index_search import dedup_overlaps, search_all
@@ -37,7 +36,13 @@ from .scoring import (DEFAULT_DELTA_SECONDS, align, alpha_sweep, doc_rank_curves
                       mtwv, score_detections, weight_performance_correlation,
                       write_csv, write_keyword_detail)
 
-log = logging.getLogger("drstd")
+
+def _quiet(*_args) -> None:
+    """Progress output under --quiet: none, and no `logging` import."""
+
+
+# `info(message, *args)`; main binds it once per run, to _quiet or the log.
+_info = _quiet
 
 CANDIDATES_FILE = "candidates.tsv"
 RESCORED_FILE = "rescored.tsv"
@@ -159,7 +164,7 @@ def _rescoring(path: Path, candidates: list[Candidate], step, *args):
     try:
         return step(candidates, *args)
     except ValueError as exc:
-        for (line, _fields), cand in zip(tsv_rows(path), candidates):
+        for (line, _text), cand in zip(tsv_lines(path), candidates):
             if cand.score <= 0.0:
                 raise FormatError(str(exc), path=path, line=line) from None
         raise
@@ -202,15 +207,15 @@ def _rescore_stage(src: Path, out: Path, alpha: float,
     if weights_out:
         Path(weights_out).parent.mkdir(parents=True, exist_ok=True)
         write_weight_tables(weights_out, tables)
-    log.info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
+    _info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
 
 
 def _decide_stage(src: Path, out: Path, policy: DecisionPolicy) -> None:
     decided = apply_decisions(parse_occurrence_table(src, "candidate"), policy)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_candidates(out, decided)
-    log.info("decide: %d YES of %d (%s mode)",
-             sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
+    _info("decide: %d YES of %d (%s mode)",
+          sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
 
 
 def _score_stage(hyp: Path, ref: Path, out: Path, trial_seconds: float,
@@ -226,9 +231,9 @@ def _score_stage(hyp: Path, ref: Path, out: Path, trial_seconds: float,
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, report)
     write_keyword_detail(out.parent / DETAIL_FILE, report)
-    log.info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
-             aggregate["atwv"], aggregate["num_scored_keywords"],
-             aggregate["mean_p_miss"], aggregate["mean_p_fa"])
+    _info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
+          aggregate["atwv"], aggregate["num_scored_keywords"],
+          aggregate["mean_p_miss"], aggregate["mean_p_fa"])
 
 
 def cmd_search(args) -> None:
@@ -236,9 +241,9 @@ def cmd_search(args) -> None:
     candidates, dropped, docs, _ = _search(args, keywords)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_candidates(args.out, candidates)
-    log.info("search: %d candidates for %d keywords over %d docs "
-             "(%d hits below 5e-7 dropped)",
-             len(candidates), len(keywords), docs, dropped)
+    _info("search: %d candidates for %d keywords over %d docs "
+          "(%d hits below 5e-7 dropped)",
+          len(candidates), len(keywords), docs, dropped)
 
 
 def cmd_rescore(args) -> None:
@@ -263,8 +268,8 @@ def cmd_sweep(args) -> None:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(args.out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
     best = max(rows, key=lambda r: r.atwv)
-    log.info("sweep: best ATWV %.4f at alpha=%s (%d grid points)",
-             best.atwv, best.alpha, len(rows))
+    _info("sweep: best ATWV %.4f at alpha=%s (%d grid points)",
+          best.atwv, best.alpha, len(rows))
 
 
 def cmd_diag(args) -> None:
@@ -288,7 +293,7 @@ def cmd_diag(args) -> None:
         "trial_seconds": policy.trial_seconds,
         "delta": args.delta,
     })
-    log.info("diag: weight-precision rho %s, weight-recall rho %s", *(
+    _info("diag: weight-precision rho %s, weight-recall rho %s", *(
         "undefined" if rho is None else f"{rho:.3f}" for rho in rhos))
 
 
@@ -308,9 +313,9 @@ def cmd_synth(args) -> None:
     write_cn_corpus(args.out / "corpus.jsonl", docs)
     write_keyword_list(args.out / "keywords.tsv", keywords)
     write_references(args.out / "refs.tsv", refs)
-    log.info("synth: %d docs, %d keywords, %d references (%d planned "
-             "occurrences dropped, their documents full) -> %s",
-             config.num_docs, len(keywords), len(refs), dropped, args.out)
+    _info("synth: %d docs, %d keywords, %d references (%d planned "
+          "occurrences dropped, their documents full) -> %s",
+          config.num_docs, len(keywords), len(refs), dropped, args.out)
 
 
 def cmd_pipeline(args) -> None:
@@ -327,8 +332,12 @@ def cmd_pipeline(args) -> None:
     _decide_stage(args.out / RESCORED_FILE, args.out / DECIDED_FILE, policy)
     _score_stage(args.out / DECIDED_FILE, args.references, args.out / REPORT_FILE,
                  policy.trial_seconds, policy.beta, args.delta)
-    log.info("pipeline: alpha=%s, %s decisions, %d search hits below 5e-7 "
-             "dropped -> %s", args.alpha, policy.mode, dropped, args.out)
+    _info("pipeline: alpha=%s, %s decisions, %d search hits below 5e-7 "
+          "dropped -> %s", args.alpha, policy.mode, dropped, args.out)
+
+
+# Rescoring rejects scores of 0, and only search drops those under 5e-7.
+_SEARCH_TSV = "candidate TSV from search, or pipeline's candidates.tsv"
 
 
 def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
@@ -363,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rescore",
                         help="re-estimate confidences from document weights")
-    _add_input(p, "--in", "candidates", "candidate TSV")
+    _add_input(p, "--in", "candidates", _SEARCH_TSV)
     p.add_argument("--alpha", type=_unit_interval, required=True,
                    help="interpolation coefficient in [0, 1]")
     p.add_argument("--weights-out", default=None,
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
-    _add_input(p, "--in", "candidates", "candidate TSV")
+    _add_input(p, "--in", "candidates", _SEARCH_TSV)
     _add_input(p, "--ref", "references", "reference TSV")
     p.add_argument("--alpha-grid", type=_parse_grid, required=True,
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
@@ -401,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("diag",
                         help="document-rank curves and weight correlations")
-    _add_input(p, "--in", "candidates", "candidate TSV")
+    _add_input(p, "--in", "candidates", _SEARCH_TSV)
     _add_input(p, "--ref", "references", "reference TSV")
     _add_decision_flags(p)
     p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
@@ -446,16 +455,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _info
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"drstd: {exc}", file=sys.stderr)
         return 1
-    # The level goes on our own logger: basicConfig does nothing once the
-    # root logger has a handler, as it may when main runs in process.
-    logging.basicConfig(format="%(message)s")
-    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    if args.quiet:
+        _info = _quiet
+    else:
+        import logging
+
+        # The level goes on our own logger: basicConfig does nothing once
+        # the root logger has a handler, as it may when main runs in process.
+        logging.basicConfig(format="%(message)s")
+        log = logging.getLogger("drstd")
+        log.setLevel(logging.INFO)
+        _info = log.info
     try:
         args.func(args)
         _write_manifest(args)

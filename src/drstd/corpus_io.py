@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import unicodedata
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -284,7 +285,8 @@ def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
     """Parse a TSV keyword list; duplicate kw_id or blank text is an error."""
     entries: list[KeywordEntry] = []
     seen: set[str] = set()
-    for lineno, fields in tsv_rows(path):
+    for lineno, line in tsv_lines(path):
+        fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(f"expected 2 tab-separated columns, got {len(fields)}",
                               path=path, line=lineno)
@@ -314,98 +316,102 @@ def parse_occurrence_table(path: str | Path,
 
     Candidate scores are validated to [0, 1]; durations of references must
     be positive and of candidates non-negative. A "decided" table is a
-    candidate table in which every row carries its YES/NO column.
+    candidate table in which every row carries its YES/NO column. Each
+    line must match its kind's grammar; a line that does not, or whose
+    numbers are out of range, raises the error of the first check it fails.
     """
     if kind not in ("ref", "candidate", "decided"):
         raise ValueError(
             f"kind must be 'ref', 'candidate' or 'decided', got {kind!r}")
+    grammar, build = _ROW_KINDS[kind]
+    fullmatch = re.compile(grammar, re.ASCII).fullmatch
     rows: list = []
-    for lineno, fields in tsv_rows(path):
-        if kind == "ref":
-            rows.append(_parse_ref_row(fields, path=path, line=lineno))
-        else:
-            rows.append(_parse_candidate_row(fields, path=path, line=lineno,
-                                             decided=kind == "decided"))
+    for lineno, line in tsv_lines(path):
+        match = fullmatch(line)
+        row = match and build(*match.groups())
+        if not row:
+            raise _row_error(line.split("\t"), kind, path=path, line=lineno)
+        rows.append(row)
     return rows
 
 
-def _parse_ref_row(fields: list[str], *, path, line) -> RefOccurrence:
-    if len(fields) != 4:
-        raise FormatError(f"expected 4 columns for a reference row, got {len(fields)}",
-                          path=path, line=line)
-    kw_id, doc_id = _ids(fields, path=path, line=line)
-    start, dur = _parse_floats(fields[2:], ("start", "dur"), path=path, line=line)
-    if dur <= 0:
-        raise FormatError(f"reference duration must be > 0, got {dur}",
-                          path=path, line=line)
-    return RefOccurrence(kw_id=kw_id, doc_id=doc_id, start=start, duration=dur)
+def _ref_row(kw_id: str, doc_id: str, start: str, dur: str) -> RefOccurrence | None:
+    """The row of matched columns, or None unless its numbers are finite
+    and in range."""
+    start, dur = float(start), float(dur)
+    if -_INF < start < _INF and 0.0 < dur < _INF:
+        return RefOccurrence(kw_id, doc_id, start, dur)
+    return None
 
 
-def _parse_candidate_row(fields: list[str], *, path, line,
-                         decided: bool) -> Candidate:
-    if len(fields) not in (5, 6):
-        raise FormatError(f"expected 5 or 6 columns for a candidate row, got {len(fields)}",
-                          path=path, line=line)
-    if decided and len(fields) == 5:
-        raise FormatError("row carries no YES/NO decision; run 'drstd decide' "
-                          "first", path=path, line=line)
-    kw_id, doc_id = _ids(fields, path=path, line=line)
-    decision = None
-    if len(fields) == 6:
-        decision = fields[5]
-        if decision not in ("YES", "NO"):
-            raise FormatError(f"decision column must be YES or NO, got {decision!r}",
-                              path=path, line=line)
-    start, dur, score = _parse_floats(fields[2:5], ("start", "dur", "score"),
-                                      path=path, line=line)
-    if dur < 0:
-        raise FormatError(f"negative duration {dur}", path=path, line=line)
-    if not 0.0 <= score <= 1.0:
-        raise FormatError(f"score {score} outside [0, 1]", path=path, line=line)
-    return Candidate(kw_id=kw_id, doc_id=doc_id, start=start, duration=dur,
-                     score=score, decision=decision)
+def _candidate_row(kw_id: str, doc_id: str, start: str, dur: str, score: str,
+                   decision: str | None = None) -> Candidate | None:
+    """As `_ref_row`, for a candidate row."""
+    start, dur, score = float(start), float(dur), float(score)
+    if -_INF < start < _INF and 0.0 <= dur < _INF and 0.0 <= score <= 1.0:
+        return Candidate(kw_id, doc_id, start, dur, score, decision)
+    return None
 
 
-def _ids(fields: list[str], *, path, line) -> list[str]:
-    """The kw_id and doc_id columns of an occurrence row, neither empty."""
+# The number rule of every file format: a plain decimal number in ASCII
+# digits, which float() reads as finite. float() also takes surrounding
+# whitespace, digit-group underscores, non-ASCII digits, inf and nan.
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+
+# One grammar per row kind: non-empty ids, then the numeric columns, then
+# the decision column where the kind takes one. Each is compiled, with
+# re.ASCII, when first used, so a command compiles only the kinds it reads.
+_IDS = r"([^\t]+)\t([^\t]+)"
+_COLUMN = rf"\t({_NUMBER})"
+_ROW_KINDS = {
+    "ref": (_IDS + 2 * _COLUMN, _ref_row),
+    "candidate": (_IDS + 3 * _COLUMN + r"(?:\t(YES|NO))?", _candidate_row),
+    "decided": (_IDS + 3 * _COLUMN + r"\t(YES|NO)", _candidate_row),
+}
+
+
+def _row_error(fields: list[str], kind: str, *, path, line) -> FormatError:
+    """The error of a row that its grammar or its value checks reject: the
+    first check it fails, in column order."""
+    def error(message: str) -> FormatError:
+        return FormatError(message, path=path, line=line)
+
+    if kind == "ref":
+        if len(fields) != 4:
+            return error(f"expected 4 columns for a reference row, got {len(fields)}")
+        names = ("start", "dur")
+    else:
+        if len(fields) not in (5, 6):
+            return error(f"expected 5 or 6 columns for a candidate row, "
+                         f"got {len(fields)}")
+        if kind == "decided" and len(fields) == 5:
+            return error("row carries no YES/NO decision; run 'drstd decide' first")
+        names = ("start", "dur", "score")
     for name, value in zip(("kw_id", "doc_id"), fields):
         if not value:
-            raise FormatError(f"{name} must be non-empty", path=path, line=line)
-    return fields[:2]
-
-
-def _parse_floats(texts: Sequence[str], names: Sequence[str], *, path,
-                  line) -> list[float]:
-    """The columns `texts`, named `names`, as finite plain decimal numbers;
-    the first column that is not one raises FormatError."""
+            return error(f"{name} must be non-empty")
+    if len(fields) == 6 and fields[5] not in ("YES", "NO"):
+        return error(f"decision column must be YES or NO, got {fields[5]!r}")
     try:
-        numbers = list(map(float, texts))
-    except ValueError:
-        numbers = None
-    # A finite sum means every number is finite; a sum that overflows
-    # takes the slow path and passes it.
-    if (numbers is not None and -_INF < sum(numbers) < _INF
-            and not "".join(texts).strip(_DECIMAL_CHARS)):
-        return numbers
-    try:
-        return [_finite(text, f"column {name!r}")
-                for text, name in zip(texts, names)]
+        numbers = [_finite(text, f"column {name!r}")
+                   for text, name in zip(fields[2:], names)]
     except ValueError as exc:
-        raise FormatError(str(exc), path=path, line=line) from exc
-
-
-# A string that float() reads as a finite number is a plain decimal number,
-# [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? in ASCII digits, exactly when it
-# holds no character but these. float() also takes surrounding whitespace,
-# digit-group underscores and non-ASCII digits.
-_DECIMAL_CHARS = "0123456789.eE+-"
+        return error(str(exc))
+    if kind == "ref":
+        if numbers[1] <= 0:
+            return error(f"reference duration must be > 0, got {numbers[1]}")
+    elif numbers[1] < 0:
+        return error(f"negative duration {numbers[1]}")
+    elif not 0.0 <= numbers[2] <= 1.0:
+        return error(f"score {numbers[2]} outside [0, 1]")
+    raise AssertionError(f"no check rejects the row {fields!r}")
 
 
 def _finite(value: object, what: str) -> float:
     """float(value), or ValueError unless that is a finite number.
 
     JSON booleans are not numbers, although float() takes them, and a
-    string must be a plain decimal number (see `_DECIMAL_CHARS`).
+    string must be a plain decimal number (see `_NUMBER`).
     """
     if isinstance(value, bool):
         raise ValueError(f"{what} is not a number: {value!r}")
@@ -415,19 +421,19 @@ def _finite(value: object, what: str) -> float:
         raise ValueError(f"{what} is not a number: {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"{what} is not finite: {value!r}")
-    if isinstance(value, str) and value.strip(_DECIMAL_CHARS):
+    if isinstance(value, str) and not re.fullmatch(_NUMBER, value, re.ASCII):
         raise ValueError(f"{what} is not a number: {value!r}")
     return number
 
 
-def tsv_rows(path: str | Path):
-    """Yield (lineno, fields) for non-blank, non-comment TSV lines."""
+def tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line) for non-blank, non-comment TSV lines, each
+    without its line end."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.rstrip("\n")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            yield lineno, stripped.split("\t")
+            line = raw.rstrip("\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
 
 
 def write_candidates(path: str | Path, candidates: Sequence[Candidate]) -> None:

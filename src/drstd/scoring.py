@@ -17,7 +17,6 @@ performance, and interpolation-coefficient sweeps.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import operator
@@ -221,11 +220,12 @@ def write_keyword_detail(path: str | Path, report: dict) -> None:
 
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
-    """Write `rows` under `header`, each value as its repr (floats exact)."""
+    """Write `rows` under `header`, each value as its repr (floats exact),
+    as csv.writer writes them: no repr of a number needs quoting, and each
+    line ends in CRLF."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(value) for value in row] for row in rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def mtwv(scored_candidates: Sequence[Candidate],

@@ -14,6 +14,9 @@ plain-Python `scoring.spearman` must match bit for bit.
 `reference_doc_from_obj` is the former straight-line corpus line check
 (each check its own step), which the one-pass `corpus_io._doc_from_obj`
 must match document for document and error message for error message.
+`reference_parse_occurrence_table` is the former split-and-check TSV
+row parser, which the grammar-first `corpus_io.parse_occurrence_table`
+must match row for row and error message for error message.
 `reference_generate` is the former `synth.generate`, which draws every
 weighted token with numpy's `Generator.choice(..., p=...)`; the
 prebuilt-cdf draws of `synth.generate` must give exactly its corpus.
@@ -366,6 +369,99 @@ def reference_doc_from_obj(obj, seen, tokens, *, path, line):
                               path=path, line=line)
         slots.append(Slot(start=start, duration=dur, arcs=tuple(arcs)))
     return ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
+
+
+# A string that float() reads as a finite number is a plain decimal number,
+# [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? in ASCII digits, exactly when it
+# holds no character but these.
+_DECIMAL_CHARS = "0123456789.eE+-"
+
+
+def _reference_decimal(text, what):
+    """`_reference_finite`, and ValueError unless `text` is a plain decimal."""
+    number = _reference_finite(text, what)
+    if text.strip(_DECIMAL_CHARS):
+        raise ValueError(f"{what} is not a number: {text!r}")
+    return number
+
+
+def _reference_floats(texts, names, *, path, line):
+    """The columns `texts`, named `names`, as finite plain decimal numbers;
+    the first column that is not one raises FormatError."""
+    try:
+        numbers = list(map(float, texts))
+    except ValueError:
+        numbers = None
+    # A finite sum means every number is finite; a sum that overflows
+    # takes the slow path and passes it.
+    if (numbers is not None and -math.inf < sum(numbers) < math.inf
+            and not "".join(texts).strip(_DECIMAL_CHARS)):
+        return numbers
+    try:
+        return [_reference_decimal(text, f"column {name!r}")
+                for text, name in zip(texts, names)]
+    except ValueError as exc:
+        raise FormatError(str(exc), path=path, line=line) from exc
+
+
+def _reference_ids(fields, *, path, line):
+    for name, value in zip(("kw_id", "doc_id"), fields):
+        if not value:
+            raise FormatError(f"{name} must be non-empty", path=path, line=line)
+    return fields[:2]
+
+
+def reference_parse_occurrence_table(path, kind):
+    """The former split-and-check `corpus_io.parse_occurrence_table`.
+
+    Each line is split on tabs and its columns checked one by one, in
+    column order; numbers take a float() fast path that falls back to a
+    per-column check. The grammar-first parser must give its rows, or its
+    first error message, exactly.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.rstrip("\n")
+            if not stripped.strip() or stripped.lstrip().startswith("#"):
+                continue
+            fields = stripped.split("\t")
+            where = dict(path=path, line=lineno)
+            if kind == "ref":
+                if len(fields) != 4:
+                    raise FormatError("expected 4 columns for a reference row, "
+                                      f"got {len(fields)}", **where)
+                kw_id, doc_id = _reference_ids(fields, **where)
+                start, dur = _reference_floats(fields[2:], ("start", "dur"),
+                                               **where)
+                if dur <= 0:
+                    raise FormatError(
+                        f"reference duration must be > 0, got {dur}", **where)
+                rows.append(RefOccurrence(kw_id=kw_id, doc_id=doc_id,
+                                          start=start, duration=dur))
+                continue
+            if len(fields) not in (5, 6):
+                raise FormatError("expected 5 or 6 columns for a candidate row, "
+                                  f"got {len(fields)}", **where)
+            if kind == "decided" and len(fields) == 5:
+                raise FormatError("row carries no YES/NO decision; run "
+                                  "'drstd decide' first", **where)
+            kw_id, doc_id = _reference_ids(fields, **where)
+            decision = None
+            if len(fields) == 6:
+                decision = fields[5]
+                if decision not in ("YES", "NO"):
+                    raise FormatError("decision column must be YES or NO, "
+                                      f"got {decision!r}", **where)
+            start, dur, score = _reference_floats(
+                fields[2:5], ("start", "dur", "score"), **where)
+            if dur < 0:
+                raise FormatError(f"negative duration {dur}", **where)
+            if not 0.0 <= score <= 1.0:
+                raise FormatError(f"score {score} outside [0, 1]", **where)
+            rows.append(Candidate(kw_id=kw_id, doc_id=doc_id, start=start,
+                                  duration=dur, score=score, decision=decision))
+    return rows
 
 
 def reference_generate(config: SynthConfig) -> tuple[

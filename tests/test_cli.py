@@ -897,22 +897,25 @@ def test_pipeline_accepts_what_its_parsers_accept(tmp_path_factory, inputs,
 
 
 # Runs in a fresh interpreter: importing the package loads none of its
-# modules, and every command but synth must leave numpy unloaded.
+# modules, and every command but synth must leave numpy unloaded, and
+# logging and csv too under --quiet.
 _NUMPY_FREE_SCRIPT = """
 import json, sys
 import drstd
 assert drstd.__version__
 assert not [name for name in sys.modules if name.startswith("drstd.")]
 from drstd.cli import main
-assert not {"numpy", "dataclasses"} & sys.modules.keys(), "import drstd.cli"
+unused = {"numpy", "dataclasses", "logging", "csv"}
+assert not unused & sys.modules.keys(), "import drstd.cli"
 for argv in json.loads(sys.argv[1]):
     assert main(["--quiet", *argv]) == 0, argv
-    assert not {"numpy", "dataclasses"} & sys.modules.keys(), argv
+    assert not unused & sys.modules.keys(), argv
 """
 
 
 def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
-    # nor dataclasses, whose import would add to every command's start-up
+    # nor dataclasses, logging or csv, whose imports would add to every
+    # command's start-up
     corpus, keywords, refs = (tmp_path / name for name in (
         "corpus.jsonl", "keywords.tsv", "refs.tsv"))
     write_cn_corpus(corpus, [
@@ -932,6 +935,10 @@ def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
         ["pipeline", "--corpus", "{corpus}", "--keywords", "{keywords}",
          "--ref", "{ref}", "--alpha", "0.1", "--trial-seconds", "1000",
          "--out", "{run}"],
+        ["rescore", "--in", "{cands}", "--alpha", "0.5",
+         "--out", "{run}/rescored_again.tsv"],
+        ["decide", "--in", "{cands}", "--trial-seconds", "1000",
+         "--out", "{run}/decided_again.tsv"],
         ["score", "--mtwv", "--hyp", "{run}/decided.tsv", "--ref", "{ref}",
          "--trial-seconds", "1000", "--out", "{run}/mtwv.json"],
         ["sweep", "--in", "{cands}", "--ref", "{ref}", "--alpha-grid", "0,0.5",

@@ -17,7 +17,7 @@ from drstd.corpus_io import (Candidate, FormatError, RefOccurrence,
                              write_keyword_list, write_references)
 
 from conftest import random_candidates, random_corpus
-from oracles import reference_doc_from_obj
+from oracles import reference_doc_from_obj, reference_parse_occurrence_table
 
 
 def quantize_score(score: float) -> float:
@@ -480,7 +480,7 @@ _PLAIN_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?",
 @example("5.")
 @example("-.5e+3")
 @settings(max_examples=500, deadline=None)
-def test_numbers_are_finite_plain_decimals(text):
+def test_numbers_are_finite_plain_decimals(tmp_path_factory, text):
     """A string is a number, in a TSV column or a corpus field, exactly when
     float() reads it as finite and it fully matches the decimal pattern."""
     try:
@@ -497,8 +497,71 @@ def test_numbers_are_finite_plain_decimals(text):
         return True
 
     assert accepts(lambda: corpus_io._finite(text, "start")) == want
-    assert accepts(lambda: corpus_io._parse_floats(
-        ["0.5", text], ("start", "dur"), path="p", line=1)) == want
+    path = tmp_path_factory.getbasetemp() / "number.tsv"
+    path.write_text(f"K1\td1\t{text}\t0.5\n", encoding="utf-8")
+    assert accepts(lambda: parse_occurrence_table(path, "ref")) == want
+
+
+# Pieces of adversarial row text: tabs, comment marks, padding, a
+# non-ASCII digit, digit-group underscores, exponents, signs, inf, and
+# decision words in and out of case.
+_ROW_PIECES = ["\t", "#", " ", "\u0661", "_", "e", "+", "-", ".", "inf",
+               "YES", "NO", "yes", "0", "1", "5", "999", "K1", "d1"]
+# Well-formed values of each column, so that many rows parse, and near
+# misses that a looser grammar or a dropped check would let through.
+_ROW_VALUES = {
+    "id": ["K1", "d1", " d2", "K#3", "a b"],
+    "number": ["0", "0.5", "1.0", "1.", ".25", "-3.2", "+4", "2e-3", "1E2",
+               "0.000000"],
+    "decision": ["YES", "NO"],
+}
+_NEAR_MISSES = {
+    "id": ["", " ", "#"],
+    "number": ["", "\u0661", "1\u0661", "1_0", " 0.5", "inf", "-inf", "1e",
+               ".", "+-1", "1.5.", "5e999", "-5e999", "1e309", "-2E400"],
+    "decision": ["", "yes", "YES ", "NO\t"],
+}
+
+
+@st.composite
+def occurrence_lines(draw, kind):
+    """One TSV line of 3 to 7 columns (more if a piece is a tab), most of
+    them as wide as a `kind` row: well-formed values with up to two columns
+    replaced by a near miss or adversarial pieces, the line perhaps opening
+    with padding or `#`."""
+    widths = {"ref": [4], "candidate": [5, 6], "decided": [6]}[kind]
+    width = draw(st.one_of(st.sampled_from(widths), st.integers(3, 7)))
+    roles = ["id" if column < 2 else "decision" if column == 5 else "number"
+             for column in range(width)]
+    fields = [draw(st.sampled_from(_ROW_VALUES[role])) for role in roles]
+    pieces = st.lists(st.sampled_from(_ROW_PIECES), max_size=4).map("".join)
+    for _ in range(draw(st.integers(0, 2))):
+        column = draw(st.integers(0, width - 1))
+        fields[column] = draw(st.one_of(
+            st.sampled_from(_NEAR_MISSES[roles[column]]), pieces))
+    prefix = draw(st.sampled_from(["", "", "", "#", " ", " #"]))
+    return prefix + "\t".join(fields)
+
+
+@st.composite
+def occurrence_tables(draw):
+    kind = draw(st.sampled_from(["ref", "candidate", "decided"]))
+    return kind, draw(st.lists(occurrence_lines(kind), min_size=1, max_size=3))
+
+
+@given(occurrence_tables())
+@example(("candidate", ["#K1\td1\t1.0\t0.5\t0.5"]))
+@example(("ref", ["K1\td1\t\u0661\t0.5"]))
+@example(("decided", ["K1\td1\t9e999\t0.5\t0.5\tNO"]))
+@settings(max_examples=400, deadline=None)
+def test_occurrence_rows_match_reference_oracle(tmp_path_factory, table):
+    """The grammar-first row parser gives the split-and-check parser's rows,
+    or its first error message, byte for byte."""
+    kind, lines = table
+    path = tmp_path_factory.getbasetemp() / "rows.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = _outcome(lambda: reference_parse_occurrence_table(path, kind))
+    assert _outcome(lambda: parse_occurrence_table(path, kind)) == want
 
 
 class TestCandidateWriting:

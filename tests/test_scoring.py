@@ -1,5 +1,7 @@
 """Alignment, term-weighted values, rank diagnostics and sweeps."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -522,3 +524,20 @@ def test_weight_performance_correlation_prefers_hit_rich_docs():
     rho_p, rho_r = weight_performance_correlation(hyps, tables, alignment)
     assert rho_p == 1.0
     assert rho_r == 1.0
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(1, 0.5, 0.25), (2, 1.0, 0.0)],
+    [(-3, -0.0, -1.5), (10**20, 1e-07, -2.5e-05), (0, 1.5e+300, -1e22),
+     (7, 5e-324, 1.7976931348623157e+308)],
+])
+def test_write_csv_bytes_match_csv_writer(tmp_path, rows):
+    header = ("rank", "avg_precision", "avg_recall")
+    path = tmp_path / "out.csv"
+    scoring.write_csv(path, header, rows)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows([repr(value) for value in row] for row in rows)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
