@@ -115,47 +115,32 @@ def _resolve_policy(args, corpus_seconds: float | None = None) -> DecisionPolicy
     return policy
 
 
-def _positive(kind):
-    """argparse type: a finite `kind` (float or int) > 0."""
+def _number(kind, low, high, wanted: str):
+    """argparse type: a `kind` in [low, high], else an error that says it
+    expected `wanted`. Text `kind` cannot parse reads as NaN, in no range."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
-            value = 0
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"expected a finite {kind.__name__} > 0, got {text!r}")
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
         return value
     return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an int >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    """argparse type: a finite float in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite float in [0, 1], got {text!r}")
-    return value
+# math.ulp(0.0) is the least float > 0.
+_POSITIVE_FLOAT = _number(float, math.ulp(0.0), sys.float_info.max,
+                          "a finite float > 0")
+_POSITIVE_INT = _number(int, 1, math.inf, "a finite int > 0")
+_NON_NEGATIVE_INT = _number(int, 0, math.inf, "an int >= 0")
+_UNIT_INTERVAL = _number(float, 0.0, 1.0, "a finite float in [0, 1]")
 
 
 def _parse_grid(text: str) -> list[float]:
-    """argparse type: comma-separated alphas, each checked by `_unit_interval`,
+    """argparse type: comma-separated alphas, each checked by `_UNIT_INTERVAL`,
     so an empty item is an error."""
-    return [_unit_interval(v) for v in text.split(",")]
+    return [_UNIT_INTERVAL(v) for v in text.split(",")]
 
 
 def _rescoring(path: Path, candidates: list[Candidate], step, *args):
@@ -348,11 +333,11 @@ def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
 def _add_decision_flags(sub) -> None:
     sub.add_argument("--decision", choices=["global", "kst"], default="kst",
                      help="thresholding policy (default: kst)")
-    sub.add_argument("--threshold", type=_unit_interval, default=0.5,
+    sub.add_argument("--threshold", type=_UNIT_INTERVAL, default=0.5,
                      help="global-mode threshold (default: 0.5)")
-    sub.add_argument("--beta", type=_positive(float), default=DEFAULT_BETA,
+    sub.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA,
                      help=f"false-alarm cost ratio (default: {DEFAULT_BETA})")
-    sub.add_argument("--trial-seconds", type=_positive(float), default=None,
+    sub.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, default=None,
                      help="total speech seconds defining false-alarm trials")
 
 
@@ -373,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rescore",
                         help="re-estimate confidences from document weights")
     _add_input(p, "--in", "candidates", _SEARCH_TSV)
-    p.add_argument("--alpha", type=_unit_interval, required=True,
+    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
                    help="interpolation coefficient in [0, 1]")
     p.add_argument("--weights-out", default=None,
                    help="optional TSV of per-keyword document weights")
@@ -389,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("score", help="term-weighted-value scoring")
     _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
     _add_input(p, "--ref", "references", "reference TSV")
-    p.add_argument("--trial-seconds", type=_positive(float), required=True)
-    p.add_argument("--beta", type=_positive(float), default=DEFAULT_BETA)
-    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS,
+    p.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, required=True)
+    p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS,
                    help="alignment midpoint tolerance in seconds")
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
@@ -404,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", type=_parse_grid, required=True,
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
     _add_decision_flags(p)
-    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--out", type=Path, required=True, help="sweep CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -413,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--in", "candidates", _SEARCH_TSV)
     _add_input(p, "--ref", "references", "reference TSV")
     _add_decision_flags(p)
-    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--max-rank", type=_positive(int), default=10)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--max-rank", type=_POSITIVE_INT, default=10)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_diag)
 
@@ -428,15 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "appearing as occasional confusions, "
                                 "preferentially in their home topic. "
                                 "Deterministic for a given --seed."))
-    p.add_argument("--docs", type=_positive(int), required=True)
-    p.add_argument("--slots", type=_positive(int), default=60,
+    p.add_argument("--docs", type=_POSITIVE_INT, required=True)
+    p.add_argument("--slots", type=_POSITIVE_INT, default=60,
                    help="slots per document")
-    p.add_argument("--keywords", type=_positive(int), required=True)
-    p.add_argument("--vocab", type=_positive(int), default=500)
-    p.add_argument("--topic-affinity", type=_unit_interval, default=0.8)
-    p.add_argument("--docs-per-topic", type=_positive(int), default=5)
-    p.add_argument("--noise", type=_unit_interval, default=0.3)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
+    p.add_argument("--keywords", type=_POSITIVE_INT, required=True)
+    p.add_argument("--vocab", type=_POSITIVE_INT, default=500)
+    p.add_argument("--topic-affinity", type=_UNIT_INTERVAL, default=0.8)
+    p.add_argument("--docs-per-topic", type=_POSITIVE_INT, default=5)
+    p.add_argument("--noise", type=_UNIT_INTERVAL, default=0.3)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -445,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--corpus", "corpus")
     _add_input(p, "--keywords", "keywords")
     _add_input(p, "--ref", "references")
-    p.add_argument("--alpha", type=_unit_interval, required=True)
+    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True)
     _add_decision_flags(p)
-    p.add_argument("--delta", type=_positive(float), default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

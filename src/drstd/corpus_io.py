@@ -141,16 +141,19 @@ def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
     seen: set[str] = set()
     tokens: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = _JSON_DECODER.decode(raw)
-            except (ValueError, RecursionError) as exc:
-                raise FormatError(f"malformed JSON ({getattr(exc, 'msg', exc)})",
-                                  path=path, line=lineno) from exc
-            yield _doc_from_obj(obj, seen, tokens, path=path, line=lineno)
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    obj = _JSON_DECODER.decode(raw)
+                except (ValueError, RecursionError) as exc:
+                    raise FormatError(f"malformed JSON ({getattr(exc, 'msg', exc)})",
+                                      path=path, line=lineno) from exc
+                yield _doc_from_obj(obj, seen, tokens, path=path, line=lineno)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
 
 
 def _reject_constant(name: str) -> float:
@@ -430,10 +433,24 @@ def tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for non-blank, non-comment TSV lines, each
     without its line end."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.strip() and not line.lstrip().startswith("#"):
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if line.strip() and not line.lstrip().startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> FormatError:
+    """The error for `path`, which `exc` found not to be UTF-8, at the line
+    of its first bad byte: read again with bad bytes as lone surrogates, the
+    file splits into lines as in the readers."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lineno = next((n for n, line in enumerate(fh, start=1)
+                       if re.search("[\udc80-\udcff]", line)), None)
+    return FormatError(f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                       f"{exc.reason})", path=path, line=lineno)
 
 
 def write_candidates(path: str | Path, candidates: Sequence[Candidate]) -> None:

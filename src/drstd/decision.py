@@ -13,6 +13,7 @@ which is the per-keyword threshold computed here.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .corpus_io import Candidate
@@ -48,16 +49,23 @@ def kst_cuts(kw_ids: Sequence[str], scores: Sequence[float],
 
     A keyword's expected true count N is its scores summed in input
     order; N = 0 gives 1.0 by convention, so only a perfect score passes.
+    Any other threshold that is not finite and > 0 is a ValueError naming
+    its keyword; a zero denominator makes it NaN.
     """
     if policy.mode != "kst":
         raise ValueError("kst_cuts requires a policy with mode='kst'")
-    by_kw: dict[str, list[float]] = {}
+    masses: dict[str, float] = {}
     for kw_id, score in zip(kw_ids, scores):
-        by_kw.setdefault(kw_id, []).append(score)
-    masses = {kw_id: sum(group) for kw_id, group in by_kw.items()}
+        masses[kw_id] = masses.get(kw_id, 0) + score
     beta, trial = policy.beta, policy.trial_seconds
-    return {kw_id: beta * n / (trial + (beta - 1.0) * n) if n > 0.0 else 1.0
-            for kw_id, n in masses.items()}
+    cuts = {}
+    for kw_id, n in masses.items():
+        cut = beta * n / (trial + (beta - 1.0) * n or math.nan) if n > 0.0 else 1.0
+        if not 0.0 < cut < math.inf:
+            raise ValueError(f"keyword {kw_id!r} has no KST threshold: beta*N / (T "
+                             f"+ (beta-1)*N) is {cut} at beta={beta}, T={trial}, N={n}")
+        cuts[kw_id] = cut
+    return cuts
 
 
 def yes_flags(kw_ids: Sequence[str], scores: Sequence[float],

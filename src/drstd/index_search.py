@@ -81,13 +81,13 @@ def _extend_paths(keyword: KeywordEntry, doc: ConfusionNetworkDoc,
     ]
 
 
-def _overlap_exceeds(a: Candidate, b: Candidate, fraction: float) -> bool:
+def _overlap_exceeds(a: Candidate, b: Candidate) -> bool:
     overlap = min(a.end, b.end) - max(a.start, b.start)
     shorter = min(a.duration, b.duration)
     if shorter <= 0.0:
         # Zero-length hits collide only when they sit at the same instant.
         return overlap >= 0.0 and a.start == b.start
-    return overlap > fraction * shorter
+    return overlap > OVERLAP_DEDUP_FRACTION * shorter
 
 
 def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
@@ -106,8 +106,7 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
         group.sort(key=lambda c: (-c.score, c.start, c.duration))
         kept: list[Candidate] = []
         for cand in group:
-            if not any(_overlap_exceeds(cand, other, OVERLAP_DEDUP_FRACTION)
-                       for other in kept):
+            if not any(_overlap_exceeds(cand, other) for other in kept):
                 kept.append(cand)
         survivors.extend(kept)
     survivors.sort(key=Candidate.sort_key)

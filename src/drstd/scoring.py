@@ -43,10 +43,6 @@ class KeywordCounts:
     def __init__(self, n_true: int = 0, n_correct: int = 0, n_fa: int = 0):
         self.n_true, self.n_correct, self.n_fa = n_true, n_correct, n_fa
 
-    @property
-    def n_miss(self) -> int:
-        return self.n_true - self.n_correct
-
 
 class AlignmentResult(NamedTuple):
     """Labels parallel to the hypotheses given to align(), and per-keyword counts."""

@@ -88,10 +88,6 @@ class SynthConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
-    @property
-    def num_topics(self) -> int:
-        return math.ceil(self.num_docs / self.docs_per_topic)
-
 
 def generate(config: SynthConfig) -> tuple[
         Iterator[ConfusionNetworkDoc], list[KeywordEntry], list[RefOccurrence],
@@ -225,21 +221,19 @@ def _plan_placements(config: SynthConfig, rng: np.random.Generator,
                      kw_tokens: list[str]
                      ) -> tuple[dict[int, dict[int, str]], dict[str, int], int]:
     """Choose (doc, slot) for every true occurrence; count those dropped."""
-    topic_docs = {
-        t: [d for d in range(t * config.docs_per_topic,
-                             min((t + 1) * config.docs_per_topic, config.num_docs))]
-        for t in range(config.num_topics)
-    }
+    num_topics = math.ceil(config.num_docs / config.docs_per_topic)
     planted: dict[int, dict[int, str]] = {}
     home_topics: dict[str, int] = {}
     dropped = 0
     for token in kw_tokens:
-        home = int(rng.integers(config.num_topics))
+        home = int(rng.integers(num_topics))
         home_topics[token] = home
+        first = home * config.docs_per_topic
+        home_docs = range(first, min(first + config.docs_per_topic, config.num_docs))
         n_occ = int(rng.integers(*OCCURRENCES_RANGE))
         for _ in range(n_occ):
             if rng.random() < config.topic_affinity:
-                doc_idx = int(rng.choice(topic_docs[home]))
+                doc_idx = int(rng.choice(home_docs))
             else:
                 doc_idx = int(rng.integers(config.num_docs))
             used = planted.setdefault(doc_idx, {})

@@ -20,6 +20,9 @@ must match row for row and error message for error message.
 `reference_generate` is the former `synth.generate`, which draws every
 weighted token with numpy's `Generator.choice(..., p=...)`; the
 prebuilt-cdf draws of `synth.generate` must give exactly its corpus.
+It places the true occurrences with `_reference_plan_placements`, the
+former `synth._plan_placements`, which draws home-topic documents from a
+table of per-topic document lists.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from drstd.synth import (COMPETITOR_RANGE, DIRICHLET_MIX, EPS_ARC_PROB,
                          KEYWORD_CONFUSION_FACTOR, NOISE_SLOPE_HI,
                          NOISE_SLOPE_LO, SLOT_DURATION_RANGE,
                          TOPICAL_CONFUSION_PROB, TRUE_POSTERIOR_RANGE,
-                         ZIPF_EXPONENT, SynthConfig, _plan_placements)
+                         OCCURRENCES_RANGE, ZIPF_EXPONENT, SynthConfig)
 
 
 def straightline_rescore(candidates, alpha):
@@ -496,7 +499,8 @@ def reference_generate(config: SynthConfig) -> tuple[
                                 zipf * KEYWORD_CONFUSION_FACTOR)
     competitor_probs /= competitor_probs.sum()
 
-    planted, home_topics, dropped = _plan_placements(config, rng, kw_tokens)
+    planted, home_topics, dropped = _reference_plan_placements(config, rng,
+                                                               kw_tokens)
     topic_keywords: dict[int, list[str]] = {}
     for token, topic in home_topics.items():
         topic_keywords.setdefault(topic, []).append(token)
@@ -527,6 +531,50 @@ def reference_generate(config: SynthConfig) -> tuple[
         docs.append(ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots)))
     refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
     return docs, keywords, refs, dropped
+
+
+def _reference_plan_placements(config: SynthConfig, rng: np.random.Generator,
+                               kw_tokens: list[str]
+                               ) -> tuple[dict[int, dict[int, str]],
+                                          dict[str, int], int]:
+    """Choose (doc, slot) for every true occurrence; count those dropped."""
+    num_topics = math.ceil(config.num_docs / config.docs_per_topic)
+    topic_docs = {
+        t: [d for d in range(t * config.docs_per_topic,
+                             min((t + 1) * config.docs_per_topic, config.num_docs))]
+        for t in range(num_topics)
+    }
+    planted: dict[int, dict[int, str]] = {}
+    home_topics: dict[str, int] = {}
+    dropped = 0
+    for token in kw_tokens:
+        home = int(rng.integers(num_topics))
+        home_topics[token] = home
+        n_occ = int(rng.integers(*OCCURRENCES_RANGE))
+        for _ in range(n_occ):
+            if rng.random() < config.topic_affinity:
+                doc_idx = int(rng.choice(topic_docs[home]))
+            else:
+                doc_idx = int(rng.integers(config.num_docs))
+            used = planted.setdefault(doc_idx, {})
+            slot_idx = _reference_free_slot(rng, used, config.slots_per_doc)
+            if slot_idx is None:
+                dropped += 1  # document saturated
+                continue
+            used[slot_idx] = token
+    return planted, home_topics, dropped
+
+
+def _reference_free_slot(rng: np.random.Generator, used: dict[int, str],
+                         slots_per_doc: int) -> int | None:
+    for _ in range(50):
+        slot_idx = int(rng.integers(slots_per_doc))
+        if slot_idx not in used:
+            return slot_idx
+    for slot_idx in range(slots_per_doc):
+        if slot_idx not in used:
+            return slot_idx
+    return None
 
 
 def _reference_draw_arcs(config: SynthConfig, rng: np.random.Generator,

@@ -1,5 +1,6 @@
 """Command line behaviour: subcommand composition, exit codes, manifests."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drstd
+from drstd import cli
 from drstd.cli import main
 from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry,
                              RefOccurrence, Slot, parse_occurrence_table,
@@ -361,6 +363,26 @@ class TestPipeline:
         assert stderr.startswith(f"drstd: {message}"), stderr
         assert not out.exists()
 
+    def test_undefined_kst_cut_fails_after_rescore(self, tmp_path, capsys):
+        # Two perfect hits rescore to N = 2, and T + (beta - 1) * N is 0.
+        corpus, keywords, refs = (tmp_path / name for name in (
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+        write_cn_corpus(corpus, [ConfusionNetworkDoc("d1", (
+            Slot(0.0, 0.5, (("cat", 1.0),)), Slot(1.0, 0.5, (("cat", 1.0),))))])
+        write_keyword_list(keywords, [KeywordEntry("K1", ("cat",))])
+        write_references(refs, [RefOccurrence("K1", "d1", 0.0, 0.5)])
+        out = tmp_path / "run"
+        assert run("pipeline", "--corpus", str(corpus), "--keywords",
+                   str(keywords), "--ref", str(refs), "--alpha", "0.1",
+                   "--beta", "0.25", "--trial-seconds", "1.5",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "drstd: keyword 'K1' has no KST threshold: beta*N / (T + (beta-1)*N) "
+            "is nan at beta=0.25, T=1.5, N=2.0"]
+        # the cut needs the rescored scores, so the stages before it wrote
+        assert sorted(p.name for p in out.iterdir()) == [
+            "candidates.tsv", "rescored.tsv", "weights.tsv"]
+
 
 class TestSweepAndDiag:
     def test_sweep_csv(self, data_dir, tmp_path):
@@ -687,6 +709,52 @@ class TestErrorHandling:
         assert run("score", "--hyp", str(tmp_path / "d.tsv"), "--ref", str(refs),
                    "--trial-seconds", "3600", "--out", str(out)) == 0
 
+    @pytest.mark.parametrize("beta,trial_seconds,cut", [
+        ("0.5", "1", "nan"), ("0.25", "1", "-1.0"), ("1e308", "100", "nan")],
+        ids=["zero-denominator", "negative", "overflow"])
+    def test_undefined_kst_cut_is_one_line(self, tmp_path, capsys, beta,
+                                           trial_seconds, cut):
+        cands, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
+        cands.write_text("K1\td1\t0.0\t0.5\t1.000000\n"
+                         "K1\td1\t1.0\t0.5\t1.000000\n")
+        refs.write_text("K1\td1\t0.0\t0.5\n")
+        out = tmp_path / "out"
+        flags = ["--beta", beta, "--trial-seconds", trial_seconds, "--out", str(out)]
+        for argv in (["decide", "--in", str(cands)],
+                     ["sweep", "--in", str(cands), "--ref", str(refs),
+                      "--alpha-grid", "0"],
+                     ["diag", "--in", str(cands), "--ref", str(refs)]):
+            assert run(*argv, *flags) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"drstd: keyword 'K1' has no KST threshold: beta*N / "
+                f"(T + (beta-1)*N) is {cut} at beta={float(beta)}, "
+                f"T={float(trial_seconds)}, N=2.0"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command,bad", [
+        ("search", "corpus"), ("search", "keywords"), ("rescore", "candidates"),
+        ("score", "references")])
+    def test_undecodable_input_named_by_line(self, tmp_path, capsys, command,
+                                             bad):
+        files = {"corpus": '{"doc_id": "d1", "slots": []}',
+                 "keywords": "K1\tcat", "candidates": "K1\td1\t0.0\t0.5\t0.5\tYES",
+                 "references": "K1\td1\t0.0\t0.5"}
+        for name, line in files.items():
+            path = tmp_path / name
+            path.write_bytes(line.encode() + b"\r\n\r\n"
+                             + (b"\xe9\r\n" if name == bad else b""))
+        flags = {"search": ["--corpus", "corpus", "--keywords", "keywords"],
+                 "rescore": ["--in", "candidates", "--alpha", "0.1"],
+                 "score": ["--hyp", "candidates", "--ref", "references",
+                           "--trial-seconds", "10"]}[command]
+        argv = [str(tmp_path / flag) if flag in files else flag for flag in flags]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"drstd: {tmp_path / bad}:3: not UTF-8 text (byte 0xe9: invalid "
+            "continuation byte)"]
+        assert not out.exists()
+
     def test_kst_requires_trial_seconds(self, tmp_path):
         cands = tmp_path / "c.tsv"
         cands.write_text("K1\td1\t0.0\t0.4\t0.5\n")
@@ -894,6 +962,38 @@ def test_pipeline_accepts_what_its_parsers_accept(tmp_path_factory, inputs,
     if code == 1:
         assert len(stderr.splitlines()) == 1, stderr
         assert str(out) not in stderr, stderr
+
+
+def _subcommands():
+    (subs,) = [action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    return subs.choices
+
+
+# The checked-number flag types; `--alpha-grid` checks each of its items.
+_NUMBER_TYPES = {cli._POSITIVE_FLOAT, cli._POSITIVE_INT, cli._NON_NEGATIVE_INT,
+                 cli._UNIT_INTERVAL, cli._parse_grid}
+_NUMBER_FLAGS = [(name, action.option_strings[0])
+                 for name, sub in _subcommands().items()
+                 for action in sub._actions if action.type in _NUMBER_TYPES]
+
+
+@pytest.mark.parametrize("subcommand,flag", _NUMBER_FLAGS,
+                         ids=[" ".join(pair) for pair in _NUMBER_FLAGS])
+def test_every_number_flag_rejects_bad_values(tmp_path, capsys, subcommand,
+                                              flag):
+    required = {action.option_strings[0]:
+                "1" if action.type in _NUMBER_TYPES else str(tmp_path / "f")
+                for action in _subcommands()[subcommand]._actions
+                if action.required}
+    for value in ("nan", "inf", "-1", "x", ""):
+        argv = {**required, flag: value}
+        assert main([subcommand, *(f"{name}={text}"
+                                   for name, text in argv.items())]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"drstd: argument {flag}: expected [^\n]+, "
+                            rf"got {re.escape(repr(value))}\n", err), err
+    assert not any(tmp_path.iterdir())
 
 
 # Runs in a fresh interpreter: importing the package loads none of its

@@ -466,6 +466,44 @@ class TestOccurrenceTables:
         assert parse(crlf) == parse(lf)
 
 
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is a FormatError naming the path and the
+    line of the byte. The valid lines before it fill more than one 8 KiB
+    read chunk, and end in LF, CRLF and lone CR in turn, each counted as
+    one line; comment and blank lines count too."""
+
+    @staticmethod
+    def write(path, lines, bad_line, comment):
+        lines = [(comment if i % 40 == 7 else " " if i % 40 == 19 else line)
+                 for i, line in enumerate(lines)]
+        text = "".join(line + ("\n", "\r\n", "\r")[i % 3]
+                       for i, line in enumerate(lines))
+        assert len(text.encode()) > 8192
+        path.write_bytes(text.encode() + bad_line + b"\n")
+        return len(lines) + 1
+
+    @pytest.mark.parametrize("kind,line,bad_line", [
+        ("keywords", "K{}\tcaf\u00e9 noir", b"K\xff\tcat"),
+        ("ref", "K{}\td\u00e9\t1.0\t0.5", b"K1\td1\t\xff.0\t0.5"),
+        ("candidate", "K{}\td1\t1.0\t0.5\t0.5", b"K1\td1\t1.0\t0.5\t0.5\xff"),
+        ("corpus", json.dumps({"doc_id": "d\u00e9{}", "slots": [
+            {"start": 0.0, "dur": 0.5, "arcs": [["cat", 1.0]]}]}),
+         b'{"doc_id": "\xff", "slots": []}'),
+    ])
+    def test_bad_byte_named_by_line(self, tmp_path, kind, line, bad_line):
+        path = tmp_path / "input"
+        lineno = self.write(path, [line.replace("{}", str(i))
+                                   for i in range(1000)], bad_line,
+                            " " if kind == "corpus" else "# note")
+        parse = {"keywords": parse_keyword_list,
+                 "corpus": lambda p: list(parse_cn_corpus(p))}.get(
+            kind, lambda p: parse_occurrence_table(p, kind))
+        with pytest.raises(FormatError) as exc:
+            parse(path)
+        assert str(exc.value) == (
+            f"{path}:{lineno}: not UTF-8 text (byte 0xff: invalid start byte)")
+
+
 # The number rule of every file format: a finite plain decimal number.
 _PLAIN_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?",
                             re.ASCII)

@@ -52,6 +52,26 @@ class TestKstThreshold:
         assert expected_twv(scores, accepted, 3600.0, 1.0) == pytest.approx(
             best_expected_twv(scores, 3600.0, 1.0), abs=1e-9)
 
+    @pytest.mark.parametrize("beta,trial_seconds,cut", [
+        (0.5, 1.0, "nan"),  # T + (beta - 1) * N is 0
+        (0.25, 1.0, "-1.0"),
+        (1e308, 100.0, "nan"),  # beta * N overflows
+    ], ids=["zero-denominator", "negative", "overflow"])
+    def test_undefined_cut_names_its_keyword(self, beta, trial_seconds, cut):
+        policy = DecisionPolicy(mode="kst", beta=beta, trial_seconds=trial_seconds)
+        with pytest.raises(ValueError, match=rf"^keyword 'K1' has no KST "
+                           rf"threshold: .* is {cut} at beta="):
+            kst_cuts(["K0", "K1", "K1"], [0.0, 1.0, 1.0], policy)
+        with pytest.raises(ValueError, match="^keyword 'K1' "):
+            apply_decisions(cands_with_scores([1.0, 1.0]), policy)
+        # N = 0 keeps its convention under the same policy
+        assert kst_cuts(["K0"], [0.0], policy) == {"K0": 1.0}
+
+    def test_finite_cut_above_one_is_kept(self):
+        # beta * N / (T + (beta - 1) * N) = 0.75 / 0.25: no score passes
+        policy = DecisionPolicy(mode="kst", beta=0.5, trial_seconds=1.0)
+        assert kst_cuts(["K1"] * 3, [0.5] * 3, policy) == {"K1": 3.0}
+
     def test_requires_kst_mode(self):
         policy = DecisionPolicy(mode="global", trial_seconds=3600.0)
         with pytest.raises(ValueError, match="kst"):

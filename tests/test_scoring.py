@@ -39,7 +39,7 @@ class TestAlign:
         result = align([hyp("K", "d", 3.22)], [ref("K", "d", 3.20)], 0.5)
         assert result.hypothesis_labels == [CORRECT]
         counts = result.keyword_counts["K"]
-        assert (counts.n_correct, counts.n_miss) == (1, 0)
+        assert (counts.n_correct, counts.n_true) == (1, 1)
 
     def test_two_hyps_near_one_ref_nearer_wins(self):
         hyps = [hyp("K", "d", 3.0), hyp("K", "d", 3.38)]
@@ -56,7 +56,7 @@ class TestAlign:
         refs = [ref("K", "d", 1.0), ref("K", "d", 5.0)]
         result = align([], refs, 0.5)
         counts = result.keyword_counts["K"]
-        assert (counts.n_correct, counts.n_miss) == (0, 2)
+        assert (counts.n_correct, counts.n_true) == (0, 2)
 
     def test_beyond_delta_is_false_alarm(self):
         result = align([hyp("K", "d", 4.0)], [ref("K", "d", 1.0)], 0.5)
@@ -80,10 +80,8 @@ class TestAlign:
         total_correct = sum(c.n_correct for c in result.keyword_counts.values())
         total_fa = sum(c.n_fa for c in result.keyword_counts.values())
         assert total_correct + total_fa == len(hyps)
-        assert total_correct == len(refs) - sum(
-            c.n_miss for c in result.keyword_counts.values())
+        assert sum(c.n_true for c in result.keyword_counts.values()) == len(refs)
         for counts in result.keyword_counts.values():
-            assert counts.n_correct + counts.n_miss == counts.n_true
             assert counts.n_correct <= counts.n_true
 
     def test_delta_must_be_positive(self):

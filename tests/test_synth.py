@@ -145,8 +145,9 @@ class TestMatchesNumpyChoice:
         (dict(num_docs=4, slots_per_doc=3, noise=0.0, topic_affinity=0.0), True),
         (dict(noise=0.0, topic_affinity=1.0), False),
         (dict(noise=1.0, topic_affinity=0.0), False),
+        (dict(num_docs=7, docs_per_topic=5, topic_affinity=1.0), False),
     ], ids=["vocab-just-above-keywords", "smallest-vocab", "saturated",
-            "noise0-affinity1", "noise1-affinity0"])
+            "noise0-affinity1", "noise1-affinity0", "partial-last-topic"])
     def test_equals_reference_generate(self, monkeypatch, overrides, saturated):
         build_cdf, cdf_builds = synth._cdf, []
 
