@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus_io import (SCORE_DECIMALS, Candidate, FormatError,
+from .corpus_io import (SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
                         parse_cn_corpus, parse_keyword_list,
                         parse_occurrence_table, tsv_lines, write_candidates,
                         write_cn_corpus, write_keyword_list, write_references)
@@ -181,8 +181,10 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
     return dedup_overlaps(kept), len(found) - len(kept), docs, seconds
 
 
-# The stages `pipeline` chains: each reads its input file, computes,
-# creates its output's parent directory, writes and logs its line.
+# The stages `pipeline` chains, each the whole of a subcommand: each reads
+# its input (`_score_stage` takes the parsed tables, as `pipeline` reads
+# --ref first), computes, creates its output's parent directory, writes and
+# logs its line.
 def _rescore_stage(src: Path, out: Path, alpha: float,
                    weights_out: str | Path | None) -> None:
     candidates = parse_occurrence_table(src, "candidate")
@@ -203,11 +205,10 @@ def _decide_stage(src: Path, out: Path, policy: DecisionPolicy) -> None:
           sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
 
 
-def _score_stage(hyp: Path, ref: Path, out: Path, trial_seconds: float,
-                 beta: float, delta: float, with_mtwv: bool = False) -> None:
+def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
+                 out: Path, trial_seconds: float, beta: float, delta: float,
+                 with_mtwv: bool = False) -> None:
     """Write the report `out` and its keyword detail beside it."""
-    hypotheses = parse_occurrence_table(hyp, "decided")
-    references = parse_occurrence_table(ref, "ref")
     report = score_detections(hypotheses, references, trial_seconds, beta, delta)
     aggregate = report["aggregate"]
     if with_mtwv:
@@ -229,19 +230,6 @@ def cmd_search(args) -> None:
     _info("search: %d candidates for %d keywords over %d docs "
           "(%d hits below 5e-7 dropped)",
           len(candidates), len(keywords), docs, dropped)
-
-
-def cmd_rescore(args) -> None:
-    _rescore_stage(args.candidates, args.out, args.alpha, args.weights_out)
-
-
-def cmd_decide(args) -> None:
-    _decide_stage(args.candidates, args.out, _resolve_policy(args))
-
-
-def cmd_score(args) -> None:
-    _score_stage(args.hypotheses, args.references, args.out, args.trial_seconds,
-                 args.beta, args.delta, args.mtwv)
 
 
 def cmd_sweep(args) -> None:
@@ -315,8 +303,9 @@ def cmd_pipeline(args) -> None:
     _rescore_stage(args.out / CANDIDATES_FILE, args.out / RESCORED_FILE,
                    args.alpha, args.out / WEIGHTS_FILE)
     _decide_stage(args.out / RESCORED_FILE, args.out / DECIDED_FILE, policy)
-    _score_stage(args.out / DECIDED_FILE, args.references, args.out / REPORT_FILE,
-                 policy.trial_seconds, policy.beta, args.delta)
+    _score_stage(parse_occurrence_table(args.out / DECIDED_FILE, "decided"),
+                 references, args.out / REPORT_FILE, policy.trial_seconds,
+                 policy.beta, args.delta)
     _info("pipeline: alpha=%s, %s decisions, %d search hits below 5e-7 "
           "dropped -> %s", args.alpha, policy.mode, dropped, args.out)
 
@@ -363,13 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", default=None,
                    help="optional TSV of per-keyword document weights")
     p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
-    p.set_defaults(func=cmd_rescore)
+    p.set_defaults(func=lambda a: _rescore_stage(a.candidates, a.out, a.alpha,
+                                                 a.weights_out))
 
     p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
     _add_input(p, "--in", "candidates", "candidate TSV")
     _add_decision_flags(p)
     p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
-    p.set_defaults(func=cmd_decide)
+    p.set_defaults(func=lambda a: _decide_stage(a.candidates, a.out,
+                                                _resolve_policy(a)))
 
     p = subs.add_parser("score", help="term-weighted-value scoring")
     _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
@@ -381,7 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
     p.add_argument("--out", type=Path, required=True, help="report JSON")
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=lambda a: _score_stage(
+        parse_occurrence_table(a.hypotheses, "decided"),
+        parse_occurrence_table(a.references, "ref"),
+        a.out, a.trial_seconds, a.beta, a.delta, a.mtwv))
 
     p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
     _add_input(p, "--in", "candidates", _SEARCH_TSV)

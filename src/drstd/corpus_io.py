@@ -141,19 +141,23 @@ def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
     seen: set[str] = set()
     tokens: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    obj = _JSON_DECODER.decode(raw)
-                except (ValueError, RecursionError) as exc:
-                    raise FormatError(f"malformed JSON ({getattr(exc, 'msg', exc)})",
-                                      path=path, line=lineno) from exc
-                yield _doc_from_obj(obj, seen, tokens, path=path, line=lineno)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+        numbered, lineno = enumerate(fh, start=1), 0
+        while numbered:
+            try:
+                for lineno, raw in numbered:
+                    raw = raw.strip()
+                    if not raw:
+                        continue
+                    try:
+                        obj = _JSON_DECODER.decode(raw)
+                    except (ValueError, RecursionError) as exc:
+                        raise FormatError(
+                            f"malformed JSON ({getattr(exc, 'msg', exc)})",
+                            path=path, line=lineno) from exc
+                    yield _doc_from_obj(obj, seen, tokens, path=path, line=lineno)
+                numbered = None
+            except UnicodeDecodeError as exc:
+                numbered = _lines_before_bad_byte(path, lineno, exc)
 
 
 def _reject_constant(name: str) -> float:
@@ -165,6 +169,10 @@ _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 _INF = math.inf
 
+# Builds a slot or a table row from its fields, without the call of the
+# Python-level NamedTuple __new__: `_new_tuple(Slot, (start, dur, arcs))`.
+_new_tuple = tuple.__new__
+
 
 def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
                   path: str | Path, line: int) -> ConfusionNetworkDoc:
@@ -172,7 +180,8 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
 
     `seen` holds the earlier lines' doc_ids and gains this one; `tokens`
     maps each raw arc token already checked in this pass to its
-    normalized form, so each distinct token is normalized once.
+    normalized form, so each distinct token is normalized once. A slot the
+    lean walk doubts goes to `_slot_error`, which names its first error.
     """
     if not isinstance(obj, dict):
         raise FormatError("document line is not a JSON object", path=path, line=line)
@@ -194,79 +203,125 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
         raise FormatError(f"slots of doc {doc_id!r} is not a list",
                           path=path, line=line)
 
-    def slot_error(message: str) -> FormatError:
-        return FormatError(f"doc {doc_id!r} slot {slot_idx}: {message}",
-                           path=path, line=line)
-
     slots = []
-    first_start = prev_start = None
+    first_start, prev_start = None, -_INF
     for slot_idx, raw in enumerate(raw_slots):
-        # One pass over the arcs checks each one and sums the slot; an
-        # out-of-range posterior is only recorded here, because the
-        # slot-level errors below take precedence over it.
-        arcs = []
-        eps_count, total, out_of_range = 0, 0.0, None
+        # The lean walk checks a slot in full in one pass over its arcs, if
+        # this pass has seen its tokens and its numbers are floats. Anything
+        # else, a failed check or a malformed shape included, leaves `lean`
+        # false.
         try:
-            raw_arcs = raw["arcs"]
-            if not isinstance(raw_arcs, list):
-                raise TypeError(f"arcs is not a list: {raw_arcs!r}")
-            for arc in raw_arcs:
-                if not isinstance(arc, list) or len(arc) != 2:
-                    raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
-                raw_token, posterior = arc
-                try:
-                    token = tokens[raw_token]
-                except (KeyError, TypeError):  # first sight, or unhashable
-                    if not isinstance(raw_token, str):
-                        raise slot_error(f"arc token {raw_token!r} is not a string")
-                    token = normalize_token(raw_token)
-                    if token.split() != [token]:
-                        # Keyword lists split their text on whitespace, so
-                        # no keyword could name this arc.
-                        raise slot_error(
-                            f"arc token {token!r} is empty or holds whitespace")
-                    tokens[raw_token] = token
-                if type(posterior) is not float or not -_INF < posterior < _INF:
-                    posterior = _finite(posterior, "posterior")
-                if out_of_range is None and not 0.0 < posterior <= 1.0:
-                    out_of_range = (token, posterior)
+            arcs, total, eps_count = [], 0.0, 0
+            for token, posterior in raw["arcs"]:
+                if type(posterior) is not float or not 0.0 < posterior <= 1.0:
+                    raise ValueError
+                token = tokens[token]
                 if token == EPS_TOKEN:
                     eps_count += 1
                 total += posterior
                 arcs.append((token, posterior))
-            start = raw["start"]
-            if type(start) is not float or not -_INF < start < _INF:
-                start = _finite(start, "start")
-            dur = raw["dur"]
-            if type(dur) is not float or not -_INF < dur < _INF:
-                dur = _finite(dur, "dur")
-        except FormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
-                              path=path, line=line) from exc
-        if not arcs:
-            raise slot_error("slot has no arcs")
-        if dur < 0:
-            raise slot_error(f"negative duration {dur}")
-        if prev_start is not None and start < prev_start:
-            raise slot_error(f"start {start} precedes previous slot start {prev_start}")
+            start, dur = raw["start"], raw["dur"]
+            origin = start if first_start is None else first_start
+            # A finite span from the first start implies finite start and dur.
+            lean =(type(start) is float and type(dur) is float and dur >= 0.0
+                    and prev_start <= start and -_INF < start + dur - origin < _INF
+                    and eps_count < 2 and abs(total - 1.0) <= POSTERIOR_SUM_TOL)
+        except (KeyError, TypeError, ValueError):
+            lean = False
+        if not lean:
+            error = _slot_error(raw, tokens, first_start, prev_start,
+                                doc_id=doc_id, slot_idx=slot_idx, path=path, line=line)
+            if error is not None:
+                raise error
+            # Valid after all: its tokens are in `tokens` now, and its
+            # numbers are finite ints or floats.
+            start, dur = float(raw["start"]), float(raw["dur"])
+            arcs = [(tokens[token], float(posterior))
+                    for token, posterior in raw["arcs"]]
         if first_start is None:
             first_start = start
-        if not math.isfinite(start + dur - first_start):
-            # Hit durations and corpus seconds are differences of slot times.
-            raise slot_error(f"span from the first slot start {first_start} to "
-                             f"end {start} + {dur} is not finite")
         prev_start = start
-        if out_of_range is not None:
-            raise slot_error(f"arc {out_of_range[0]!r} posterior {out_of_range[1]} "
-                             f"outside (0, 1]")
-        if eps_count > 1:
-            raise slot_error(f"more than one {EPS_TOKEN} arc")
-        if abs(total - 1.0) > POSTERIOR_SUM_TOL:
-            raise slot_error(f"posterior sum {total!r} differs from 1")
-        slots.append(Slot(start, dur, tuple(arcs)))
+        slots.append(_new_tuple(Slot, (start, dur, tuple(arcs))))
     return ConfusionNetworkDoc(doc_id, tuple(slots))
+
+
+def _slot_error(raw: object, tokens: dict[str, str], first_start: float | None,
+                prev_start: float, *, doc_id: str, slot_idx: int, path: str | Path,
+                line: int) -> FormatError | None:
+    """The error of a slot the lean walk of `_doc_from_obj` doubts: the first
+    check it fails. Arc by arc: shape, token, posterior number; then `start`
+    and `dur`; then no arcs, negative duration, start order and span; then
+    posterior range, null arcs and posterior sum.
+
+    New tokens are normalized into `tokens`. None means the slot is valid,
+    as it may be only if it holds a new token or a number that is not a
+    float; a slot with neither is an AssertionError.
+    """
+    def error(message: str) -> FormatError:
+        return FormatError(f"doc {doc_id!r} slot {slot_idx}: {message}",
+                           path=path, line=line)
+
+    # Arc by arc, an out-of-range posterior is only recorded, because the
+    # slot-level errors below take precedence over it.
+    eps_count, total, out_of_range, unseen = 0, 0.0, None, False
+    try:
+        raw_arcs = raw["arcs"]
+        if not isinstance(raw_arcs, list):
+            raise TypeError(f"arcs is not a list: {raw_arcs!r}")
+        for arc in raw_arcs:
+            if not isinstance(arc, list) or len(arc) != 2:
+                raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
+            raw_token, posterior = arc
+            try:
+                token = tokens[raw_token]
+            except (KeyError, TypeError):  # first sight, or unhashable
+                if not isinstance(raw_token, str):
+                    return error(f"arc token {raw_token!r} is not a string")
+                token = normalize_token(raw_token)
+                if token.split() != [token]:
+                    # Keyword lists split their text on whitespace, so no
+                    # keyword could name this arc.
+                    return error(f"arc token {token!r} is empty or holds whitespace")
+                tokens[raw_token] = token
+                unseen = True
+            if type(posterior) is not float or not -_INF < posterior < _INF:
+                posterior, unseen = _finite(posterior, "posterior"), True
+            if out_of_range is None and not 0.0 < posterior <= 1.0:
+                out_of_range = (token, posterior)
+            if token == EPS_TOKEN:
+                eps_count += 1
+            total += posterior
+        start = raw["start"]
+        if type(start) is not float or not -_INF < start < _INF:
+            start, unseen = _finite(start, "start"), True
+        dur = raw["dur"]
+        if type(dur) is not float or not -_INF < dur < _INF:
+            dur, unseen = _finite(dur, "dur"), True
+    except (KeyError, TypeError, ValueError) as exc:
+        return FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
+                           path=path, line=line)
+    if not raw_arcs:
+        return error("slot has no arcs")
+    if dur < 0:
+        return error(f"negative duration {dur}")
+    if start < prev_start:
+        return error(f"start {start} precedes previous slot start {prev_start}")
+    if first_start is None:
+        first_start = start
+    if not math.isfinite(start + dur - first_start):
+        # Hit durations and corpus seconds are differences of slot times.
+        return error(f"span from the first slot start {first_start} to "
+                     f"end {start} + {dur} is not finite")
+    if out_of_range is not None:
+        return error(f"arc {out_of_range[0]!r} posterior {out_of_range[1]} "
+                     f"outside (0, 1]")
+    if eps_count > 1:
+        return error(f"more than one {EPS_TOKEN} arc")
+    if abs(total - 1.0) > POSTERIOR_SUM_TOL:
+        return error(f"posterior sum {total!r} differs from 1")
+    if not unseen:
+        raise AssertionError(f"no check rejects the slot {raw!r}")
+    return None
 
 
 def write_cn_corpus(path: str | Path, docs: Iterable[ConfusionNetworkDoc]) -> None:
@@ -343,7 +398,7 @@ def _ref_row(kw_id: str, doc_id: str, start: str, dur: str) -> RefOccurrence | N
     and in range."""
     start, dur = float(start), float(dur)
     if -_INF < start < _INF and 0.0 < dur < _INF:
-        return RefOccurrence(kw_id, doc_id, start, dur)
+        return _new_tuple(RefOccurrence, (kw_id, doc_id, start, dur))
     return None
 
 
@@ -352,7 +407,7 @@ def _candidate_row(kw_id: str, doc_id: str, start: str, dur: str, score: str,
     """As `_ref_row`, for a candidate row."""
     start, dur, score = float(start), float(dur), float(score)
     if -_INF < start < _INF and 0.0 <= dur < _INF and 0.0 <= score <= 1.0:
-        return Candidate(kw_id, doc_id, start, dur, score, decision)
+        return _new_tuple(Candidate, (kw_id, doc_id, start, dur, score, decision))
     return None
 
 
@@ -433,39 +488,70 @@ def tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for non-blank, non-comment TSV lines, each
     without its line end."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if line.strip() and not line.lstrip().startswith("#"):
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+        numbered, lineno = enumerate(fh, start=1), 0
+        while numbered:
+            try:
+                for lineno, raw in numbered:
+                    line = raw.rstrip("\n")
+                    if line.strip() and not line.lstrip().startswith("#"):
+                        yield lineno, line
+                numbered = None
+            except UnicodeDecodeError as exc:
+                numbered = _lines_before_bad_byte(path, lineno, exc)
 
 
-def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> FormatError:
-    """The error for `path`, which `exc` found not to be UTF-8, at the line
-    of its first bad byte: read again with bad bytes as lone surrogates, the
-    file splits into lines as in the readers."""
+def _lines_before_bad_byte(path: str | Path, done: int, exc: UnicodeDecodeError
+                           ) -> Iterator[tuple[int, str]]:
+    """The numbered lines of `path` after line `done`, up to its first line
+    that is not UTF-8, then the FormatError naming that line.
+
+    `exc` stopped a UTF-8 read of `path`, which decodes a whole chunk before
+    it yields the chunk's lines, after line `done`. Read again with bad bytes
+    as lone surrogates, the file splits into the same lines, so the readers
+    check the lines before the bad byte first.
+    """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        lineno = next((n for n, line in enumerate(fh, start=1)
-                       if re.search("[\udc80-\udcff]", line)), None)
-    return FormatError(f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
-                       f"{exc.reason})", path=path, line=lineno)
+        for lineno, line in enumerate(fh, start=1):
+            if lineno <= done:
+                continue
+            if re.search("[\udc80-\udcff]", line):
+                break
+            yield lineno, line
+        else:
+            lineno = None
+    raise FormatError(f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                      f"{exc.reason})", path=path, line=lineno)
+
+
+def sort_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
+    """`candidates` in `Candidate.sort_key` order: kw_id, doc_id, start,
+    duration, score, then undecided before NO before YES.
+
+    Candidates compare in C as plain tuples, in that same order, unless a
+    decided and an undecided row tie on their first five fields: comparing
+    their decisions, None and a string, raises TypeError, and then the
+    rows sort by that key.
+    """
+    try:
+        return sorted(candidates)
+    except TypeError:
+        return sorted(candidates, key=Candidate.sort_key)
 
 
 def write_candidates(path: str | Path, candidates: Sequence[Candidate]) -> None:
-    """Write candidates sorted by (kw_id, doc_id, start); scores at 6 decimals.
+    """Write candidates sorted by `sort_candidates` (kw_id, doc_id, start,
+    duration, score, decision); scores at 6 decimals.
 
     The output parses back to an equal sequence, with scores compared after
     6-decimal quantization.
     """
+    score_format = f".{SCORE_DECIMALS}f"
     lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
-    for cand in sorted(candidates, key=Candidate.sort_key):
-        row = (f"{cand.kw_id}\t{cand.doc_id}\t{cand.start!r}\t{cand.duration!r}"
-               f"\t{cand.score:.{SCORE_DECIMALS}f}")
-        if cand.decision is not None:
-            row += f"\t{cand.decision}"
-        lines.append(row)
+    for kw_id, doc_id, start, dur, score, decision in sort_candidates(candidates):
+        row = [kw_id, doc_id, repr(start), repr(dur), format(score, score_format)]
+        if decision is not None:
+            row.append(decision)
+        lines.append("\t".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

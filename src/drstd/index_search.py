@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .corpus_io import Candidate, ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry
+from .corpus_io import (Candidate, ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry,
+                        sort_candidates)
 
 # A later hit suppresses an earlier one (or vice versa) when their spans
 # overlap by more than this fraction of the shorter span.
@@ -22,7 +23,8 @@ OVERLAP_DEDUP_FRACTION = 0.5
 
 def search_all(docs: Iterable[ConfusionNetworkDoc],
                keywords: Sequence[KeywordEntry]) -> list[Candidate]:
-    """Every occurrence of every keyword, sorted by (kw_id, doc_id, start).
+    """Every occurrence of every keyword, sorted by kw_id, doc_id, start,
+    duration and score.
 
     Reads `docs` once and holds one document at a time: each non-null arc
     whose token starts some keyword anchors that keyword's matches.
@@ -36,7 +38,9 @@ def search_all(docs: Iterable[ConfusionNetworkDoc],
     for doc in docs:
         for slot_idx, slot in enumerate(doc.slots):
             for token, posterior in slot.arcs:
-                for keyword in by_first.get(token, ()):
+                if token not in by_first:  # most arcs start no keyword
+                    continue
+                for keyword in by_first[token]:
                     if len(keyword.tokens) == 1:
                         hits.append(Candidate(
                             kw_id=keyword.kw_id, doc_id=doc.doc_id,
@@ -45,7 +49,7 @@ def search_all(docs: Iterable[ConfusionNetworkDoc],
                     else:
                         hits.extend(_extend_paths(keyword, doc, slot_idx,
                                                   posterior))
-    hits.sort(key=Candidate.sort_key)
+    hits.sort()  # undecided: plain tuples in `Candidate.sort_key` order
     return hits
 
 
@@ -96,7 +100,8 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     Within each (kw_id, doc_id) group, candidates are considered in
     descending score order (ties: earliest start); one is kept only if it
     does not overlap a kept candidate by more than half of the shorter
-    span. Idempotent.
+    span. Idempotent. The survivors come in `sort_candidates` order: kw_id,
+    doc_id, start, duration, score, decision.
     """
     groups: dict[tuple[str, str], list[Candidate]] = {}
     for cand in candidates:
@@ -109,5 +114,4 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
             if not any(_overlap_exceeds(cand, other) for other in kept):
                 kept.append(cand)
         survivors.extend(kept)
-    survivors.sort(key=Candidate.sort_key)
-    return survivors
+    return sort_candidates(survivors)

@@ -17,6 +17,9 @@ must match document for document and error message for error message.
 `reference_parse_occurrence_table` is the former split-and-check TSV
 row parser, which the grammar-first `corpus_io.parse_occurrence_table`
 must match row for row and error message for error message.
+`reference_write_candidates` is the former `corpus_io.write_candidates`,
+which sorted with a Python key per row, here written out field by field;
+the writer that sorts in C must give its bytes exactly.
 `reference_generate` is the former `synth.generate`, which draws every
 weighted token with numpy's `Generator.choice(..., p=...)`; the
 prebuilt-cdf draws of `synth.generate` must give exactly its corpus.
@@ -30,13 +33,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from drstd.corpus_io import (EPS_TOKEN, POSTERIOR_SUM_TOL, Candidate,
                              ConfusionNetworkDoc, FormatError, KeywordEntry,
-                             RefOccurrence, Slot, normalize_token)
+                             RefOccurrence, SCORE_DECIMALS, Slot,
+                             normalize_token)
 from drstd.decision import DecisionPolicy, apply_decisions
 from drstd.rescore import rescore_candidates
 from drstd.scoring import (DEFAULT_DELTA_SECONDS, SweepPoint, align, atwv,
@@ -465,6 +470,22 @@ def reference_parse_occurrence_table(path, kind):
             rows.append(Candidate(kw_id=kw_id, doc_id=doc_id, start=start,
                                   duration=dur, score=score, decision=decision))
     return rows
+
+
+def reference_write_candidates(path, candidates):
+    """The former `corpus_io.write_candidates`: rows sorted by kw_id, doc_id,
+    start, duration, score, then decision with undecided first; scores at
+    6 decimals."""
+    lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
+    for cand in sorted(candidates, key=lambda c: (c.kw_id, c.doc_id, c.start,
+                                                  c.duration, c.score,
+                                                  c.decision or "")):
+        row = (f"{cand.kw_id}\t{cand.doc_id}\t{cand.start!r}\t{cand.duration!r}"
+               f"\t{cand.score:.{SCORE_DECIMALS}f}")
+        if cand.decision is not None:
+            row += f"\t{cand.decision}"
+        lines.append(row)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def reference_generate(config: SynthConfig) -> tuple[

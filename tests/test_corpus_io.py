@@ -17,7 +17,8 @@ from drstd.corpus_io import (Candidate, FormatError, RefOccurrence,
                              write_keyword_list, write_references)
 
 from conftest import random_candidates, random_corpus
-from oracles import reference_doc_from_obj, reference_parse_occurrence_table
+from oracles import (reference_doc_from_obj, reference_parse_occurrence_table,
+                     reference_write_candidates)
 
 
 def quantize_score(score: float) -> float:
@@ -271,6 +272,17 @@ def _outcome(parse):
 @example(['{"doc_id": "d0", "slots": [{"start": -1e308, "dur": 0.1, '
           '"arcs": [["a", 1.0]]}, {"start": 0.0, "dur": 1e308, '
           '"arcs": [["a", 1.5]]}]}'])
+# Hand-offs from the lean walk to `_slot_error`: a first-seen token before
+# a malformed arc, an int posterior in a slot of seen tokens, and a boolean.
+@example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
+          '"arcs": [["a", 1.0]]}, {"start": 0.1, "dur": 0.1, '
+          '"arcs": [["New", 0.5], ["a", 0.5, 2]]}]}'])
+@example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
+          '"arcs": [["a", 0.5], ["b", 0.5]]}, {"start": 0.1, "dur": 0.1, '
+          '"arcs": [["b", 1]]}]}'])
+@example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
+          '"arcs": [["a", 1.0]]}, {"start": 0.1, "dur": true, '
+          '"arcs": [["a", 1.0]]}]}'])
 def test_parse_matches_reference_oracle(tmp_path_factory, lines):
     """The one-pass parser yields the straight-line checker's documents, or
     its first error message, byte for byte."""
@@ -504,6 +516,26 @@ class TestUndecodableInput:
             f"{path}:{lineno}: not UTF-8 text (byte 0xff: invalid start byte)")
 
 
+@pytest.mark.parametrize("kind,text,message", [
+    ("candidate", b"K1\td1\t1.0\t0.5\t0.5\nK1\td1\tbad\t0.5\t0.5\n"
+     b"K1\td1\t1.0\t0.5\t0.5\nK1\td1\t1.0\t0.5\t0.5\xff\n",
+     "2: column 'start' is not a number: 'bad'"),
+    ("corpus", b'{"doc_id": "d1", "slots": 5}\n{"doc_id": "\xff", "slots": []}\n',
+     "1: slots of doc 'd1' is not a list"),
+])
+def test_error_before_bad_byte_comes_first(tmp_path, kind, text, message):
+    """A malformed line before an undecodable one is the error reported,
+    although both lie in the first 8 KiB read chunk."""
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    with pytest.raises(FormatError) as exc:
+        if kind == "corpus":
+            list(parse_cn_corpus(path))
+        else:
+            parse_occurrence_table(path, kind)
+    assert str(exc.value) == f"{path}:{message}"
+
+
 # The number rule of every file format: a finite plain decimal number.
 _PLAIN_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?",
                             re.ASCII)
@@ -658,6 +690,42 @@ def test_write_parse_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "cand.tsv"
     write_candidates(path, cands)
     assert parse_occurrence_table(path, "candidate") == expected
+
+
+# Scores at and next to the 6-decimal rounding edges, ties among them.
+_EDGE_SCORES = [0.0, 5e-7, 4.999999e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.1234575,
+                0.12345649999999999, 0.5, 0.9999995, 0.99999949, 1.0]
+
+
+@st.composite
+def candidate_tables(draw):
+    """Up to 30 candidates over few distinct values, so that rows tie on
+    their first five fields; all undecided, all decided, or mixed."""
+    decisions = draw(st.sampled_from([[None, "YES", "NO"], [None], ["YES", "NO"]]))
+    row = st.builds(Candidate, st.sampled_from(["K1", "K2"]),
+                    st.sampled_from(["d1", "d2"]),
+                    st.sampled_from([-2.5, -0.0, 0.0, 0.25, 1e-7, 3.1]),
+                    st.sampled_from([0.0, 0.1, 0.5]),
+                    st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(0, 1)),
+                    st.sampled_from(decisions))
+    return draw(st.lists(row, max_size=30))
+
+
+@given(candidate_tables())
+@example([Candidate("K1", "d1", 0.0, 0.1, 0.5, "YES"),
+          Candidate("K1", "d1", 0.0, 0.1, 0.5),
+          Candidate("K1", "d1", 0.0, 0.0, 0.5, "NO")])
+@settings(max_examples=300, deadline=None)
+def test_write_candidates_matches_reference_oracle(tmp_path_factory, cands):
+    """The writer gives the bytes of the former key-sorted writer, on rows
+    that tie on their first five fields, tables that mix decided and
+    undecided rows or hold one kind, scores at the rounding edges and
+    negative starts."""
+    directory = tmp_path_factory.getbasetemp()
+    write_candidates(directory / "got.tsv", cands)
+    reference_write_candidates(directory / "want.tsv", cands)
+    assert ((directory / "got.tsv").read_bytes()
+            == (directory / "want.tsv").read_bytes())
 
 
 def test_normalize_token_nfc_lowercase():
