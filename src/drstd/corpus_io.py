@@ -9,8 +9,11 @@ Four file formats are handled here:
 * candidate occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur<TAB>score[<TAB>YES|NO]``
 
 Lines starting with ``#`` and blank lines are ignored in all TSV formats.
-All invariants of the in-memory types are enforced at parse time and
-violations raise :class:`FormatError` carrying the offending line number.
+All invariants of the in-memory types are enforced at parse time, and a
+violation raises :class:`FormatError` with its line number. The corpus and
+the occurrence tables each have one path that accepts a line; only a line
+it rejects goes to a diagnostic (`_slot_error`, `_row_error`) that names
+the first check the line fails.
 Tokens (both confusion-network arcs and keyword text) are normalized to
 NFC + lowercase at parse time so that matching elsewhere is exact-string.
 """
@@ -140,24 +143,16 @@ def parse_cn_corpus(path: str | Path) -> Iterator[ConfusionNetworkDoc]:
     """
     seen: set[str] = set()
     tokens: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        numbered, lineno = enumerate(fh, start=1), 0
-        while numbered:
-            try:
-                for lineno, raw in numbered:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        obj = _JSON_DECODER.decode(raw)
-                    except (ValueError, RecursionError) as exc:
-                        raise FormatError(
-                            f"malformed JSON ({getattr(exc, 'msg', exc)})",
-                            path=path, line=lineno) from exc
-                    yield _doc_from_obj(obj, seen, tokens, path=path, line=lineno)
-                numbered = None
-            except UnicodeDecodeError as exc:
-                numbered = _lines_before_bad_byte(path, lineno, exc)
+    for lineno, raw in _numbered_lines(path):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = _JSON_DECODER.decode(raw)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"malformed JSON ({getattr(exc, 'msg', exc)})",
+                              path=path, line=lineno) from exc
+        yield _doc_from_obj(obj, seen, tokens, path=path, line=lineno)
 
 
 def _reject_constant(name: str) -> float:
@@ -176,18 +171,18 @@ _new_tuple = tuple.__new__
 
 def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
                   path: str | Path, line: int) -> ConfusionNetworkDoc:
-    """Build and check one corpus document in one walk over its slots.
+    """Check and build one corpus document in one walk over its slots.
 
     `seen` holds the earlier lines' doc_ids and gains this one; `tokens`
     maps each raw arc token already checked in this pass to its
-    normalized form, so each distinct token is normalized once. A slot the
-    lean walk doubts goes to `_slot_error`, which names its first error.
+    normalized form, so each distinct token is normalized once. The walk
+    is the one path that accepts a slot; a slot it rejects goes to
+    `_slot_error`, which names the slot's first error.
     """
     if not isinstance(obj, dict):
         raise FormatError("document line is not a JSON object", path=path, line=line)
     try:
-        doc_id = obj["doc_id"]
-        raw_slots = obj["slots"]
+        doc_id, raw_slots = obj["doc_id"], obj["slots"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
     if not isinstance(doc_id, str) or not doc_id:
@@ -206,38 +201,43 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
     slots = []
     first_start, prev_start = None, -_INF
     for slot_idx, raw in enumerate(raw_slots):
-        # The lean walk checks a slot in full in one pass over its arcs, if
-        # this pass has seen its tokens and its numbers are floats. Anything
-        # else, a failed check or a malformed shape included, leaves `lean`
-        # false.
+        # Every check of a slot, in one pass over its arcs; a failed check
+        # or a malformed shape raises one of the errors caught below.
         try:
             arcs, total, eps_count = [], 0.0, 0
-            for token, posterior in raw["arcs"]:
-                if type(posterior) is not float or not 0.0 < posterior <= 1.0:
+            for arc in raw["arcs"]:
+                token, posterior = arc
+                if type(posterior) is not float:
+                    # A string or object arc unpacks too, but never to a float.
+                    if type(arc) is not list:
+                        raise ValueError
+                    posterior = _finite(posterior, "posterior")
+                if not 0.0 < posterior <= 1.0:
                     raise ValueError
-                token = tokens[token]
-                if token == EPS_TOKEN:
-                    eps_count += 1
+                try:
+                    token = tokens[token]
+                except KeyError:  # first sight
+                    raw_token, token = token, normalize_token(token)
+                    if token.split() != [token]:
+                        raise ValueError
+                    tokens[raw_token] = token
+                eps_count += token == EPS_TOKEN
                 total += posterior
                 arcs.append((token, posterior))
             start, dur = raw["start"], raw["dur"]
+            if type(start) is not float:
+                start = _finite(start, "start")
+            if type(dur) is not float:
+                dur = _finite(dur, "dur")
             origin = start if first_start is None else first_start
             # A finite span from the first start implies finite start and dur.
-            lean =(type(start) is float and type(dur) is float and dur >= 0.0
-                    and prev_start <= start and -_INF < start + dur - origin < _INF
-                    and eps_count < 2 and abs(total - 1.0) <= POSTERIOR_SUM_TOL)
+            if not (dur >= 0.0 and prev_start <= start
+                    and -_INF < start + dur - origin < _INF
+                    and eps_count < 2 and abs(total - 1.0) <= POSTERIOR_SUM_TOL):
+                raise ValueError
         except (KeyError, TypeError, ValueError):
-            lean = False
-        if not lean:
-            error = _slot_error(raw, tokens, first_start, prev_start,
-                                doc_id=doc_id, slot_idx=slot_idx, path=path, line=line)
-            if error is not None:
-                raise error
-            # Valid after all: its tokens are in `tokens` now, and its
-            # numbers are finite ints or floats.
-            start, dur = float(raw["start"]), float(raw["dur"])
-            arcs = [(tokens[token], float(posterior))
-                    for token, posterior in raw["arcs"]]
+            raise _slot_error(raw, first_start, prev_start, doc_id=doc_id,
+                              slot_idx=slot_idx, path=path, line=line) from None
         if first_start is None:
             first_start = start
         prev_start = start
@@ -245,17 +245,14 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
     return ConfusionNetworkDoc(doc_id, tuple(slots))
 
 
-def _slot_error(raw: object, tokens: dict[str, str], first_start: float | None,
-                prev_start: float, *, doc_id: str, slot_idx: int, path: str | Path,
-                line: int) -> FormatError | None:
-    """The error of a slot the lean walk of `_doc_from_obj` doubts: the first
-    check it fails. Arc by arc: shape, token, posterior number; then `start`
-    and `dur`; then no arcs, negative duration, start order and span; then
-    posterior range, null arcs and posterior sum.
-
-    New tokens are normalized into `tokens`. None means the slot is valid,
-    as it may be only if it holds a new token or a number that is not a
-    float; a slot with neither is an AssertionError.
+def _slot_error(raw: object, first_start: float | None, prev_start: float, *,
+                doc_id: str, slot_idx: int, path: str | Path,
+                line: int) -> FormatError:
+    """The error of a slot that the walk of `_doc_from_obj` rejects: the
+    first check it fails. Arc by arc: shape, token, posterior number; then
+    `start` and `dur`; then no arcs, negative duration, start order and
+    span; then posterior range, null arcs and posterior sum. A slot that
+    no check rejects is an AssertionError.
     """
     def error(message: str) -> FormatError:
         return FormatError(f"doc {doc_id!r} slot {slot_idx}: {message}",
@@ -263,7 +260,7 @@ def _slot_error(raw: object, tokens: dict[str, str], first_start: float | None,
 
     # Arc by arc, an out-of-range posterior is only recorded, because the
     # slot-level errors below take precedence over it.
-    eps_count, total, out_of_range, unseen = 0, 0.0, None, False
+    eps_count, total, out_of_range = 0, 0.0, None
     try:
         raw_arcs = raw["arcs"]
         if not isinstance(raw_arcs, list):
@@ -271,32 +268,21 @@ def _slot_error(raw: object, tokens: dict[str, str], first_start: float | None,
         for arc in raw_arcs:
             if not isinstance(arc, list) or len(arc) != 2:
                 raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
-            raw_token, posterior = arc
-            try:
-                token = tokens[raw_token]
-            except (KeyError, TypeError):  # first sight, or unhashable
-                if not isinstance(raw_token, str):
-                    return error(f"arc token {raw_token!r} is not a string")
-                token = normalize_token(raw_token)
-                if token.split() != [token]:
-                    # Keyword lists split their text on whitespace, so no
-                    # keyword could name this arc.
-                    return error(f"arc token {token!r} is empty or holds whitespace")
-                tokens[raw_token] = token
-                unseen = True
-            if type(posterior) is not float or not -_INF < posterior < _INF:
-                posterior, unseen = _finite(posterior, "posterior"), True
+            token, posterior = arc
+            if not isinstance(token, str):
+                return error(f"arc token {token!r} is not a string")
+            token = normalize_token(token)
+            if token.split() != [token]:
+                # Keyword lists split their text on whitespace, so no
+                # keyword could name this arc.
+                return error(f"arc token {token!r} is empty or holds whitespace")
+            posterior = _finite(posterior, "posterior")
             if out_of_range is None and not 0.0 < posterior <= 1.0:
                 out_of_range = (token, posterior)
-            if token == EPS_TOKEN:
-                eps_count += 1
+            eps_count += token == EPS_TOKEN
             total += posterior
-        start = raw["start"]
-        if type(start) is not float or not -_INF < start < _INF:
-            start, unseen = _finite(start, "start"), True
-        dur = raw["dur"]
-        if type(dur) is not float or not -_INF < dur < _INF:
-            dur, unseen = _finite(dur, "dur"), True
+        start = _finite(raw["start"], "start")
+        dur = _finite(raw["dur"], "dur")
     except (KeyError, TypeError, ValueError) as exc:
         return FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
                            path=path, line=line)
@@ -319,9 +305,7 @@ def _slot_error(raw: object, tokens: dict[str, str], first_start: float | None,
         return error(f"more than one {EPS_TOKEN} arc")
     if abs(total - 1.0) > POSTERIOR_SUM_TOL:
         return error(f"posterior sum {total!r} differs from 1")
-    if not unseen:
-        raise AssertionError(f"no check rejects the slot {raw!r}")
-    return None
+    raise AssertionError(f"no check rejects the slot {raw!r}")
 
 
 def write_cn_corpus(path: str | Path, docs: Iterable[ConfusionNetworkDoc]) -> None:
@@ -487,29 +471,30 @@ def _finite(value: object, what: str) -> float:
 def tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for non-blank, non-comment TSV lines, each
     without its line end."""
-    with open(path, encoding="utf-8") as fh:
-        numbered, lineno = enumerate(fh, start=1), 0
-        while numbered:
-            try:
-                for lineno, raw in numbered:
-                    line = raw.rstrip("\n")
-                    if line.strip() and not line.lstrip().startswith("#"):
-                        yield lineno, line
-                numbered = None
-            except UnicodeDecodeError as exc:
-                numbered = _lines_before_bad_byte(path, lineno, exc)
+    for lineno, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
 
 
-def _lines_before_bad_byte(path: str | Path, done: int, exc: UnicodeDecodeError
-                           ) -> Iterator[tuple[int, str]]:
-    """The numbered lines of `path` after line `done`, up to its first line
-    that is not UTF-8, then the FormatError naming that line.
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line) for the lines of the UTF-8 text file `path` up
+    to its first line that is not UTF-8, then raise the FormatError naming
+    that line.
 
-    `exc` stopped a UTF-8 read of `path`, which decodes a whole chunk before
-    it yields the chunk's lines, after line `done`. Read again with bad bytes
-    as lone surrogates, the file splits into the same lines, so the readers
-    check the lines before the bad byte first.
+    A UTF-8 read decodes a whole chunk before it yields its lines. So after
+    a bad byte stops it at line `done`, the file is read again with bad
+    bytes as lone surrogates, which splits it into the same lines, and the
+    readers check the lines before the bad one first.
     """
+    done = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for done, line in enumerate(fh, start=1):
+                yield done, line
+        return
+    except UnicodeDecodeError as exc:
+        bad = exc
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno <= done:
@@ -519,8 +504,8 @@ def _lines_before_bad_byte(path: str | Path, done: int, exc: UnicodeDecodeError
             yield lineno, line
         else:
             lineno = None
-    raise FormatError(f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
-                      f"{exc.reason})", path=path, line=lineno)
+    raise FormatError(f"not UTF-8 text (byte 0x{bad.object[bad.start]:02x}: "
+                      f"{bad.reason})", path=path, line=lineno)
 
 
 def sort_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
