@@ -9,8 +9,8 @@ file the stage before wrote, so its outputs are byte-identical to chaining
 the individual subcommands. It makes scoring's checks before any write.
 
 After a run succeeds, `main` drops a `<subcommand>.manifest.json` next to
-its primary output recording the flag values the run used and sha256
-hashes of all input files.
+its primary output recording the flag values the run used, sha256
+hashes of all input files and, for `synth`, the counts the run returns.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -74,11 +74,12 @@ def _write_json(path: Path, obj) -> None:
                     + "\n", encoding="utf-8")
 
 
-def _write_manifest(args) -> None:
+def _write_manifest(args, counts: dict[str, int] | None) -> None:
     """Write `<subcommand>.manifest.json` beside the file `args.out`, or
     into the directory `args.out`, which is then not recorded: it holds the
     manifest. Flags parsed as a Path are input files and are hashed; the
-    rest are config, as the run left them on `args`."""
+    rest are config, as the run left them on `args`. `counts`, when the
+    subcommand returns any, goes in as they are."""
     flags = {name: value for name, value in vars(args).items()
              if name not in ("func", "quiet", "subcommand", "out")}
     if args.out.is_dir():
@@ -95,6 +96,8 @@ def _write_manifest(args) -> None:
                    for name, path in sorted(flags.items())
                    if isinstance(path, Path)},
     }
+    if counts is not None:
+        manifest["counts"] = counts
     _write_json(out_dir / f"{args.subcommand}.manifest.json", manifest)
 
 
@@ -270,7 +273,7 @@ def cmd_diag(args) -> None:
         "undefined" if rho is None else f"{rho:.3f}" for rho in rhos))
 
 
-def cmd_synth(args) -> None:
+def cmd_synth(args) -> dict[str, int]:
     # synth is the one command that needs numpy, so only it imports it.
     from .synth import SynthConfig, generate
 
@@ -289,6 +292,7 @@ def cmd_synth(args) -> None:
     _info("synth: %d docs, %d keywords, %d references (%d planned "
           "occurrences dropped, their documents full) -> %s",
           config.num_docs, len(keywords), len(refs), dropped, args.out)
+    return {"references": len(refs), "dropped": dropped}
 
 
 def cmd_pipeline(args) -> None:
@@ -453,8 +457,7 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO)
         _info = log.info
     try:
-        args.func(args)
-        _write_manifest(args)
+        _write_manifest(args, args.func(args))
     except (_UsageError, FormatError, ValueError) as exc:
         print(f"drstd: {exc}", file=sys.stderr)
         return 1

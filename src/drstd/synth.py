@@ -40,12 +40,13 @@ grow with their number.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 
 import numpy as np
 
 from .corpus_io import (ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry,
-                        RefOccurrence, Slot)
+                        RefOccurrence, Slot, _new_tuple)
 
 TRUE_POSTERIOR_RANGE = (0.78, 0.97)
 # Noise pulls the spoken token's posterior down and also spreads it out:
@@ -128,7 +129,7 @@ def generate(config: SynthConfig) -> tuple[
     competitor_probs = np.where(filler_mask, zipf,
                                 zipf * KEYWORD_CONFUSION_FACTOR)
     competitor_probs /= competitor_probs.sum()
-    fillers, competitors = _Sampler(filler_probs), _Sampler(competitor_probs)
+    competitors = _Sampler(competitor_probs)
 
     planted, home_topics, dropped = _plan_placements(config, rng, kw_tokens)
     topic_keywords: dict[int, list[str]] = {}
@@ -137,28 +138,55 @@ def generate(config: SynthConfig) -> tuple[
 
     refs: list[RefOccurrence] = []
     token_to_kw = {tok: kw.kw_id for tok, kw in zip(kw_tokens, keywords)}
+    # Per-corpus constants and bound methods, out of the per-slot loop.
+    random, integers = rng.random, rng.integers
+    filler_cdf, draw_distinct = _cdf(filler_probs).tolist(), competitors.draw_distinct
+    d_lo, d_hi = SLOT_DURATION_RANGE
+    p_lo = TRUE_POSTERIOR_RANGE[0] - NOISE_SLOPE_LO * config.noise
+    p_hi = TRUE_POSTERIOR_RANGE[1] - NOISE_SLOPE_HI * config.noise
 
     def documents() -> Iterator[ConfusionNetworkDoc]:
         for doc_idx in range(config.num_docs):
             doc_id = f"d{doc_idx:04d}"
             doc_plants = planted.get(doc_idx, {})
-            topical = topic_keywords.get(doc_idx // config.docs_per_topic, [])
+            topical = topic_keywords.get(doc_idx // config.docs_per_topic)
             slots = []
             clock = 0.0
             for slot_idx in range(config.slots_per_doc):
-                duration = _uniform(rng, *SLOT_DURATION_RANGE)
+                duration = _uniform(rng, d_lo, d_hi)
                 spoken = doc_plants.get(slot_idx)
                 if spoken is None:
-                    spoken = vocab[fillers.draw(rng)]
+                    # cdf.searchsorted(random(), side="right"), as a list
+                    spoken = vocab[bisect_right(filler_cdf, random())]
                 else:
-                    refs.append(RefOccurrence(kw_id=token_to_kw[spoken],
-                                              doc_id=doc_id, start=clock,
-                                              duration=duration))
-                slots.append(Slot(start=clock, duration=duration,
-                                  arcs=_draw_arcs(config, rng, competitors,
-                                                  vocab, spoken, topical)))
+                    refs.append(_new_tuple(RefOccurrence, (
+                        token_to_kw[spoken], doc_id, clock, duration)))
+                p_spoken = _uniform(rng, p_lo, p_hi)
+                n_comp = int(integers(*COMPETITOR_RANGE))
+                comp_tokens = [vocab[i] for i in draw_distinct(rng, n_comp + 1)
+                               if vocab[i] != spoken][:n_comp]
+                topical_hit = False
+                if topical:  # no draw for a topic without keywords
+                    candidates = [t for t in topical if t != spoken]
+                    if candidates and random() < TOPICAL_CONFUSION_PROB:
+                        confusion = candidates[int(integers(len(candidates)))]
+                        if confusion not in comp_tokens:
+                            comp_tokens[0] = confusion
+                            topical_hit = True
+                if random() < EPS_ARC_PROB and len(comp_tokens) > 1:
+                    comp_tokens[-1] = EPS_TOKEN
+                floor = (1.0 - DIRICHLET_MIX) / len(comp_tokens)
+                shares = [DIRICHLET_MIX * share + floor
+                          for share in _flat_dirichlet(rng, len(comp_tokens))]
+                if topical_hit:
+                    shares.insert(0, shares.pop(shares.index(max(shares))))
+                remainder = 1.0 - p_spoken
+                slots.append(_new_tuple(Slot, (clock, duration, (
+                    (spoken, p_spoken),
+                    *[(tok, remainder * share)
+                      for tok, share in zip(comp_tokens, shares)]))))
                 clock += duration
-            yield ConfusionNetworkDoc(doc_id=doc_id, slots=tuple(slots))
+            yield ConfusionNetworkDoc(doc_id, tuple(slots))
         refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
 
     return documents(), keywords, refs, dropped
@@ -199,9 +227,6 @@ class _Sampler:
     def __init__(self, p: np.ndarray):
         self.p = p
         self.cdf = _cdf(p)
-
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(self.cdf.searchsorted(rng.random(), side="right"))
 
     def draw_distinct(self, rng: np.random.Generator, size: int) -> list[int]:
         """`size` distinct indices in first-drawn order. As in numpy, the
@@ -255,33 +280,4 @@ def _free_slot(rng: np.random.Generator, used: dict[int, str],
         if slot_idx not in used:
             return slot_idx
     return None
-
-
-def _draw_arcs(config: SynthConfig, rng: np.random.Generator,
-               competitors: _Sampler, vocab: list[str], spoken: str,
-               topical: list[str]) -> tuple[tuple[str, float], ...]:
-    lo, hi = TRUE_POSTERIOR_RANGE
-    p_spoken = _uniform(rng, lo - NOISE_SLOPE_LO * config.noise,
-                        hi - NOISE_SLOPE_HI * config.noise)
-    n_comp = int(rng.integers(*COMPETITOR_RANGE))
-    draw = competitors.draw_distinct(rng, n_comp + 1)
-    comp_tokens = [vocab[i] for i in draw if vocab[i] != spoken][:n_comp]
-    candidates_topical = [t for t in topical if t != spoken]
-    topical_hit = False
-    if candidates_topical and rng.random() < TOPICAL_CONFUSION_PROB:
-        confusion = candidates_topical[int(rng.integers(len(candidates_topical)))]
-        if confusion not in comp_tokens:
-            comp_tokens[0] = confusion
-            topical_hit = True
-    if rng.random() < EPS_ARC_PROB and len(comp_tokens) > 1:
-        comp_tokens[-1] = EPS_TOKEN
-    floor = (1.0 - DIRICHLET_MIX) / len(comp_tokens)
-    shares = [DIRICHLET_MIX * share + floor
-              for share in _flat_dirichlet(rng, len(comp_tokens))]
-    if topical_hit:
-        shares.insert(0, shares.pop(shares.index(max(shares))))
-    remainder = 1.0 - p_spoken
-    arcs = [(spoken, p_spoken)]
-    arcs += [(tok, remainder * share) for tok, share in zip(comp_tokens, shares)]
-    return tuple(arcs)
 

@@ -20,6 +20,9 @@ must match row for row and error message for error message.
 `reference_write_candidates` is the former `corpus_io.write_candidates`,
 which sorted with a Python key per row, here written out field by field;
 the writer that sorts in C must give its bytes exactly.
+`reference_write_cn_corpus` is the former `corpus_io.write_cn_corpus`,
+which wrote each document with `json.dumps` over a dict per slot and a
+list per arc; the writer that formats its lines must give its bytes.
 `reference_generate` is the former `synth.generate`, which draws every
 weighted token with numpy's `Generator.choice(..., p=...)`; the
 prebuilt-cdf draws of `synth.generate` must give exactly its corpus.
@@ -31,6 +34,7 @@ table of per-topic document lists.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import defaultdict
 from pathlib import Path
@@ -486,6 +490,22 @@ def reference_write_candidates(path, candidates):
             row += f"\t{cand.decision}"
         lines.append(row)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_write_cn_corpus(path, docs):
+    """The former `corpus_io.write_cn_corpus`: one `json.dumps` line per
+    document, in input order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            obj = {
+                "doc_id": doc.doc_id,
+                "slots": [
+                    {"start": slot.start, "dur": slot.duration,
+                     "arcs": [[token, posterior] for token, posterior in slot.arcs]}
+                    for slot in doc.slots
+                ],
+            }
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def reference_generate(config: SynthConfig) -> tuple[

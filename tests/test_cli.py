@@ -88,12 +88,22 @@ class TestSynthCommand:
         dropped = int(re.search(r"(\d+) planned occurrences dropped",
                                 synth.log).group(1))
         refs = parse_occurrence_table(synth.out / "refs.tsv", "ref")
+        assert _manifest(synth.out, "synth")["counts"] == {
+            "references": len(refs), "dropped": dropped}
         if planned_at_least:
             assert len(refs) == 5  # one per slot of the only document
             assert dropped > 0
             assert dropped + len(refs) >= planned_at_least
         else:
             assert dropped == 0
+
+    def test_dropped_occurrences_counted_under_quiet(self, tmp_path, caplog):
+        assert run("synth", "--docs", "1", "--slots", "5", "--keywords", "3",
+                   "--vocab", "20", "--seed", "1", "--out", str(tmp_path)) == 0
+        assert caplog.text == ""
+        counts = _manifest(tmp_path, "synth")["counts"]
+        assert counts["references"] == 5
+        assert counts["dropped"] > 0
 
     @pytest.mark.parametrize("vocab", ["2", "3", "4"])
     def test_vocabulary_below_competitor_draw_rejected(self, tmp_path, capsys,
@@ -494,6 +504,7 @@ class TestManifests:
             assert manifest["subcommand"] == subcommand
             assert set(manifest["config"]) == config, subcommand
             assert set(manifest["inputs"]) == inputs, subcommand
+            assert ("counts" in manifest) == (subcommand == "synth"), subcommand
 
     def test_recorded_values_are_those_the_run_used(self, data_dir, tmp_path):
         corpus, keywords, refs = (str(data_dir / name) for name in (

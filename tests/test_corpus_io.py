@@ -10,15 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drstd import corpus_io
-from drstd.corpus_io import (Candidate, FormatError, RefOccurrence,
-                             normalize_token, parse_cn_corpus,
+from drstd.corpus_io import (Candidate, ConfusionNetworkDoc, FormatError,
+                             RefOccurrence, Slot, normalize_token,
+                             parse_cn_corpus,
                              parse_keyword_list, parse_occurrence_table,
                              write_candidates, write_cn_corpus,
                              write_keyword_list, write_references)
 
 from conftest import random_candidates, random_corpus
 from oracles import (reference_doc_from_obj, reference_parse_occurrence_table,
-                     reference_write_candidates)
+                     reference_write_candidates, reference_write_cn_corpus)
 
 
 def quantize_score(score: float) -> float:
@@ -744,3 +745,41 @@ def test_normalize_token_nfc_lowercase():
     assert normalize_token("CAT") == "cat"
     # decomposed e + combining acute composes to a single code point
     assert normalize_token("Café") == "café"
+
+
+# Text json escapes (quote, backslash, control characters) or passes
+# through as it is under ensure_ascii=False (U+2028, non-ASCII).
+_JSON_TEXT = st.one_of(
+    st.sampled_from(['"', "\\", "a\"b\\c", "\x00", "\x1f\x7f", "\n\t\r\b\f",
+                     "\u2028", "\u2029", "café", "日本語", "\U0001f600", "<eps>"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+# Numbers at the edges of float repr, and numpy float64s, whose own repr
+# is `np.float64(...)` under numpy 2.
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0,
+                     1e16, 1e-7, 123456789.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_JSON_NUMBERS = st.one_of(_JSON_FLOATS, _JSON_FLOATS.map(np.float64))
+
+_EDGE_DOC = ConfusionNetworkDoc('d"\\\u2028é', (
+    Slot(-0.0, 5e-324, (('"\x01\u2028', np.float64(0.5)), ("<eps>", 0.1))),
+    Slot(1e308, 0.1, (("日本", 1e308), ('"\x01\u2028', -0.0)))))
+
+
+@given(st.lists(st.builds(
+    ConfusionNetworkDoc, _JSON_TEXT,
+    st.lists(st.builds(Slot, _JSON_NUMBERS, _JSON_NUMBERS, st.lists(
+        st.tuples(_JSON_TEXT, _JSON_NUMBERS), max_size=4).map(tuple)),
+        max_size=4).map(tuple)), max_size=4))
+@example([])
+@example([ConfusionNetworkDoc("d0", ()), _EDGE_DOC])
+@settings(max_examples=300, deadline=None)
+def test_write_cn_corpus_matches_reference_oracle(tmp_path_factory, docs):
+    """The writer gives the bytes of the former `json.dumps` writer on
+    text json escapes, documents with no slots or arcs, an empty corpus,
+    and numbers at the edges of float repr, numpy float64s among them."""
+    directory = tmp_path_factory.getbasetemp()
+    write_cn_corpus(directory / "got.jsonl", docs)
+    reference_write_cn_corpus(directory / "want.jsonl", docs)
+    assert ((directory / "got.jsonl").read_bytes()
+            == (directory / "want.jsonl").read_bytes())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from drstd import synth
+from drstd.cli import main
 from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry,
                              RefOccurrence, parse_cn_corpus, write_cn_corpus)
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
@@ -247,6 +248,29 @@ ACCEPTANCE_SHA256 = {
 def test_acceptance_corpus_bytes_pinned(acceptance_synth):
     assert {name: hashlib.sha256((acceptance_synth.out / name).read_bytes())
             .hexdigest() for name in ACCEPTANCE_SHA256} == ACCEPTANCE_SHA256
+
+
+# The vocabulary, affinity and noise of perfbench's `ingest` corpus, on 30
+# of its 300 documents: fillers drawn from a 2,000-token cdf, where the
+# acceptance corpus has 500.
+INGEST_SCALE_ARGS = ["--docs", "30", "--slots", "100", "--keywords", "50",
+                     "--vocab", "2000", "--topic-affinity", "0.9",
+                     "--noise", "0.5", "--seed", "7"]
+INGEST_SCALE_SHA256 = {
+    "corpus.jsonl":
+        "c245fd888c222dddcca2d4d701eb634d151250920b83ffef67e53d6d9a403f1c",
+    "keywords.tsv":
+        "8ab6aa303d08cdd859b60e94cd27928d6c6c432f5eefbc3ec29844836fbf5716",
+    "refs.tsv":
+        "b5172123a8c2161a029774c8f8524500f67c3e2625f691e9ee72b4ead964898e",
+}
+
+
+def test_ingest_scale_corpus_bytes_pinned(tmp_path):
+    assert main(["--quiet", "synth", *INGEST_SCALE_ARGS,
+                 "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in INGEST_SCALE_SHA256} == INGEST_SCALE_SHA256
 
 
 class TestNoiseZero:
