@@ -10,10 +10,11 @@ Four file formats are handled here:
 
 Lines starting with ``#`` and blank lines are ignored in all TSV formats.
 All invariants of the in-memory types are enforced at parse time, and a
-violation raises :class:`FormatError` with its line number. The corpus and
-the occurrence tables each have one path that accepts a line; only a line
-it rejects goes to a diagnostic (`_slot_error`, `_row_error`) that names
-the first check the line fails.
+violation raises :class:`FormatError` with its line number. The corpus
+walk names its own errors: each check raises at the point that finds the
+fault. The occurrence tables have one path that accepts a row; only a row
+it rejects goes to `_row_error`, the one diagnostic left, which names the
+first check the row fails.
 Tokens (both confusion-network arcs and keyword text) are normalized to
 NFC + lowercase at parse time so that matching elsewhere is exact-string.
 """
@@ -176,8 +177,10 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
     `seen` holds the earlier lines' doc_ids and gains this one; `tokens`
     maps each raw arc token already checked in this pass to its
     normalized form, so each distinct token is normalized once. The walk
-    is the one path that accepts a slot; a slot it rejects goes to
-    `_slot_error`, which names the slot's first error.
+    is the one path that accepts a slot or names its error. A slot with
+    several faults reports the first: arc by arc its shape, token and
+    posterior number, then `start` and `dur`; then no arcs, negative
+    duration, start order, span, posterior range, null arcs and sum.
     """
     if not isinstance(obj, dict):
         raise FormatError("document line is not a JSON object", path=path, line=line)
@@ -198,114 +201,79 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
         raise FormatError(f"slots of doc {doc_id!r} is not a list",
                           path=path, line=line)
 
-    slots = []
-    first_start, prev_start = None, -_INF
-    for slot_idx, raw in enumerate(raw_slots):
-        # Every check of a slot, in one pass over its arcs; a failed check
-        # or a malformed shape raises one of the errors caught below.
-        try:
-            arcs, total, eps_count = [], 0.0, 0
-            for arc in raw["arcs"]:
-                token, posterior = arc
-                if type(posterior) is not float:
-                    # A string or object arc unpacks too, but never to a float.
-                    if type(arc) is not list:
-                        raise ValueError
-                    posterior = _finite(posterior, "posterior")
-                if not 0.0 < posterior <= 1.0:
-                    raise ValueError
-                try:
-                    token = tokens[token]
-                except KeyError:  # first sight
-                    raw_token, token = token, normalize_token(token)
-                    if token.split() != [token]:
-                        raise ValueError
-                    tokens[raw_token] = token
-                eps_count += token == EPS_TOKEN
-                total += posterior
-                arcs.append((token, posterior))
-            start, dur = raw["start"], raw["dur"]
-            if type(start) is not float:
-                start = _finite(start, "start")
-            if type(dur) is not float:
-                dur = _finite(dur, "dur")
-            origin = start if first_start is None else first_start
-            # A finite span from the first start implies finite start and dur.
-            if not (dur >= 0.0 and prev_start <= start
-                    and -_INF < start + dur - origin < _INF
-                    and eps_count < 2 and abs(total - 1.0) <= POSTERIOR_SUM_TOL):
-                raise ValueError
-        except (KeyError, TypeError, ValueError):
-            raise _slot_error(raw, first_start, prev_start, doc_id=doc_id,
-                              slot_idx=slot_idx, path=path, line=line) from None
-        if first_start is None:
-            first_start = start
-        prev_start = start
-        slots.append(_new_tuple(Slot, (start, dur, tuple(arcs))))
-    return ConfusionNetworkDoc(doc_id, tuple(slots))
-
-
-def _slot_error(raw: object, first_start: float | None, prev_start: float, *,
-                doc_id: str, slot_idx: int, path: str | Path,
-                line: int) -> FormatError:
-    """The error of a slot that the walk of `_doc_from_obj` rejects: the
-    first check it fails. Arc by arc: shape, token, posterior number; then
-    `start` and `dur`; then no arcs, negative duration, start order and
-    span; then posterior range, null arcs and posterior sum. A slot that
-    no check rejects is an AssertionError.
-    """
     def error(message: str) -> FormatError:
         return FormatError(f"doc {doc_id!r} slot {slot_idx}: {message}",
                            path=path, line=line)
 
-    # Arc by arc, an out-of-range posterior is only recorded, because the
-    # slot-level errors below take precedence over it.
-    eps_count, total, out_of_range = 0, 0.0, None
-    try:
-        raw_arcs = raw["arcs"]
-        if not isinstance(raw_arcs, list):
-            raise TypeError(f"arcs is not a list: {raw_arcs!r}")
-        for arc in raw_arcs:
-            if not isinstance(arc, list) or len(arc) != 2:
-                raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
-            token, posterior = arc
-            if not isinstance(token, str):
-                return error(f"arc token {token!r} is not a string")
-            token = normalize_token(token)
-            if token.split() != [token]:
-                # Keyword lists split their text on whitespace, so no
-                # keyword could name this arc.
-                return error(f"arc token {token!r} is empty or holds whitespace")
-            posterior = _finite(posterior, "posterior")
-            if out_of_range is None and not 0.0 < posterior <= 1.0:
-                out_of_range = (token, posterior)
-            eps_count += token == EPS_TOKEN
-            total += posterior
-        start = _finite(raw["start"], "start")
-        dur = _finite(raw["dur"], "dur")
-    except (KeyError, TypeError, ValueError) as exc:
-        return FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
-                           path=path, line=line)
-    if not raw_arcs:
-        return error("slot has no arcs")
-    if dur < 0:
-        return error(f"negative duration {dur}")
-    if start < prev_start:
-        return error(f"start {start} precedes previous slot start {prev_start}")
-    if first_start is None:
-        first_start = start
-    if not math.isfinite(start + dur - first_start):
-        # Hit durations and corpus seconds are differences of slot times.
-        return error(f"span from the first slot start {first_start} to "
-                     f"end {start} + {dur} is not finite")
-    if out_of_range is not None:
-        return error(f"arc {out_of_range[0]!r} posterior {out_of_range[1]} "
-                     f"outside (0, 1]")
-    if eps_count > 1:
-        return error(f"more than one {EPS_TOKEN} arc")
-    if abs(total - 1.0) > POSTERIOR_SUM_TOL:
-        return error(f"posterior sum {total!r} differs from 1")
-    raise AssertionError(f"no check rejects the slot {raw!r}")
+    slots = []
+    first_start, prev_start = None, -_INF
+    for slot_idx, raw in enumerate(raw_slots):
+        # Each check raises its own error; `start` is checked before `dur`
+        # is read. A finite posterior outside (0, 1] is only recorded: the
+        # slot-level errors after the walk take precedence over it.
+        try:
+            raw_arcs = raw["arcs"]
+            if type(raw_arcs) is not list:
+                raise TypeError(f"arcs is not a list: {raw_arcs!r}")
+            arcs, total, eps_count, out_of_range = [], 0.0, 0, None
+            for arc in raw_arcs:
+                # A string or an object arc never matches a sequence pattern.
+                match arc:
+                    case [token, posterior]:
+                        pass
+                    case _:
+                        raise TypeError(f"arc is not a [token, posterior] pair: {arc!r}")
+                try:
+                    token = tokens[token]
+                except (KeyError, TypeError):  # first sight, or unhashable
+                    if not isinstance(token, str):
+                        raise error(f"arc token {token!r} is not a string")
+                    raw_token, token = token, normalize_token(token)
+                    if token.split() != [token]:
+                        # Keyword lists split their text on whitespace, so
+                        # no keyword could name this arc.
+                        raise error(f"arc token {token!r} is empty or holds whitespace")
+                    tokens[raw_token] = token
+                if type(posterior) is not float or not 0.0 < posterior <= 1.0:
+                    posterior = _finite(posterior, "posterior")
+                    if out_of_range is None and not 0.0 < posterior <= 1.0:
+                        out_of_range = (token, posterior)
+                eps_count += token == EPS_TOKEN
+                total += posterior
+                arcs.append((token, posterior))
+            start = raw["start"]
+            if type(start) is not float or not -_INF < start < _INF:
+                start = _finite(start, "start")
+            dur = raw["dur"]
+            if type(dur) is not float or not -_INF < dur < _INF:
+                dur = _finite(dur, "dur")
+        except FormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed slot in doc {doc_id!r}: {exc}",
+                              path=path, line=line) from None
+        if first_start is None:
+            first_start = start
+        if not arcs:
+            raise error("slot has no arcs")
+        if dur < 0.0:
+            raise error(f"negative duration {dur}")
+        if start < prev_start:
+            raise error(f"start {start} precedes previous slot start {prev_start}")
+        if not -_INF < start + dur - first_start < _INF:
+            # Hit durations and corpus seconds are differences of slot times.
+            raise error(f"span from the first slot start {first_start} to "
+                        f"end {start} + {dur} is not finite")
+        if out_of_range is not None:
+            raise error(f"arc {out_of_range[0]!r} posterior {out_of_range[1]} "
+                        f"outside (0, 1]")
+        if eps_count > 1:
+            raise error(f"more than one {EPS_TOKEN} arc")
+        if abs(total - 1.0) > POSTERIOR_SUM_TOL:
+            raise error(f"posterior sum {total!r} differs from 1")
+        prev_start = start
+        slots.append(_new_tuple(Slot, (start, dur, tuple(arcs))))
+    return ConfusionNetworkDoc(doc_id, tuple(slots))
 
 
 def write_cn_corpus(path: str | Path, docs: Iterable[ConfusionNetworkDoc]) -> None:

@@ -273,10 +273,10 @@ def _outcome(parse):
 @example(['{"doc_id": "d0", "slots": [{"start": -1e308, "dur": 0.1, '
           '"arcs": [["a", 1.0]]}, {"start": 0.0, "dur": 1e308, '
           '"arcs": [["a", 1.5]]}]}'])
-# Slots that the parser's walk checks in place and `_slot_error` must agree
-# with: a first-seen token before a malformed arc, an int posterior in a
-# slot of seen tokens, a boolean, and an arc that is an object whose keys
-# unpack to a token and a decimal-string posterior.
+# Slots whose error the parser's walk must name in the oracle's order: a
+# first-seen token before a malformed arc, an int posterior in a slot of
+# seen tokens, a boolean, and an arc that is an object whose keys unpack to
+# a token and a decimal-string posterior.
 @example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
           '"arcs": [["a", 1.0]]}, {"start": 0.1, "dur": 0.1, '
           '"arcs": [["New", 0.5], ["a", 0.5, 2]]}]}'])
@@ -288,6 +288,15 @@ def _outcome(parse):
           '"arcs": [["a", 1.0]]}]}'])
 @example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
           '"arcs": [{"a": 1, "1": 2}]}]}'])
+# Three precedence rules: `start`'s finiteness before a missing `dur`; a
+# non-finite posterior at its arc, after an earlier out-of-range one; and
+# the shape of an object arc before its whitespace token.
+@example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
+          '"arcs": [["a", 1.0]]}, {"start": 1e999, "arcs": [["a", 1.0]]}]}'])
+@example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
+          '"arcs": [["a", 1.5], ["b", 1e999]]}]}'])
+@example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
+          '"arcs": [{" ": 1, "x": 2}]}]}'])
 def test_parse_matches_reference_oracle(tmp_path_factory, lines):
     """The one-pass parser yields the straight-line checker's documents, or
     its first error message, byte for byte."""
@@ -303,12 +312,10 @@ def test_parse_matches_reference_oracle(tmp_path_factory, lines):
 
 def test_parse_checks_numbers_inline_and_each_token_once(acceptance_synth,
                                                          monkeypatch):
-    """On a well-formed corpus no number takes the slow `_finite` path, no
-    slot reaches the `_slot_error` diagnostic, and each distinct raw token
-    is normalized once per pass."""
-    finite_calls, normalized, slot_errors = [], [], []
+    """On a well-formed corpus no number takes the slow `_finite` path and
+    each distinct raw token is normalized once per pass."""
+    finite_calls, normalized = [], []
     finite, normalize = corpus_io._finite, corpus_io.normalize_token
-    slot_error = corpus_io._slot_error
 
     def counting_finite(value, what):
         finite_calls.append(value)
@@ -318,19 +325,13 @@ def test_parse_checks_numbers_inline_and_each_token_once(acceptance_synth,
         normalized.append(token)
         return normalize(token)
 
-    def counting_slot_error(raw, *args, **kwargs):
-        slot_errors.append(raw)
-        return slot_error(raw, *args, **kwargs)
-
     monkeypatch.setattr(corpus_io, "_finite", counting_finite)
     monkeypatch.setattr(corpus_io, "normalize_token", counting_normalize)
-    monkeypatch.setattr(corpus_io, "_slot_error", counting_slot_error)
     path = acceptance_synth.out / "corpus.jsonl"
     assert sum(1 for _ in parse_cn_corpus(path)) == 200
     raw_tokens = {arc[0] for text in path.read_text(encoding="utf-8").splitlines()
                   for slot in json.loads(text)["slots"] for arc in slot["arcs"]}
     assert finite_calls == []
-    assert slot_errors == []
     assert sorted(normalized) == sorted(raw_tokens)
 
 
