@@ -10,11 +10,10 @@ Four file formats are handled here:
 
 Lines starting with ``#`` and blank lines are ignored in all TSV formats.
 All invariants of the in-memory types are enforced at parse time, and a
-violation raises :class:`FormatError` with its line number. The corpus
-walk names its own errors: each check raises at the point that finds the
-fault. The occurrence tables have one path that accepts a row; only a row
-it rejects goes to `_row_error`, the one diagnostic left, which names the
-first check the row fails.
+violation raises :class:`FormatError` with its line number. A corpus
+slot and a table row are each checked in one walk that names its own
+errors: each check raises at the point that finds the fault, so a slot or
+a row with several faults reports the first one the walk reaches.
 Tokens (both confusion-network arcs and keyword text) are normalized to
 NFC + lowercase at parse time so that matching elsewhere is exact-string.
 """
@@ -71,13 +70,6 @@ class Slot(NamedTuple):
     @property
     def end(self) -> float:
         return self.start + self.duration
-
-    def eps_posterior(self) -> float | None:
-        """Posterior of this slot's null arc, or None if it has none."""
-        for token, posterior in self.arcs:
-            if token == EPS_TOKEN:
-                return posterior
-        return None
 
 
 class ConfusionNetworkDoc(NamedTuple):
@@ -338,95 +330,75 @@ def parse_occurrence_table(path: str | Path,
 
     Candidate scores are validated to [0, 1]; durations of references must
     be positive and of candidates non-negative. A "decided" table is a
-    candidate table in which every row carries its YES/NO column. Each
-    line must match its kind's grammar; a line that does not, or whose
-    numbers are out of range, raises the error of the first check it fails.
+    candidate table in which every row carries its YES/NO column.
+
+    Each row is checked in one walk over its columns, and each check raises
+    its own error. A row with several faults reports the first, in this
+    order: the column count (a decided row's missing YES/NO included),
+    kw_id, doc_id, the decision, each number in column order, then the
+    duration and score ranges.
     """
     if kind not in ("ref", "candidate", "decided"):
         raise ValueError(
             f"kind must be 'ref', 'candidate' or 'decided', got {kind!r}")
-    grammar, build = _ROW_KINDS[kind]
-    fullmatch = re.compile(grammar, re.ASCII).fullmatch
+    ref = kind == "ref"
     rows: list = []
     for lineno, line in tsv_lines(path):
-        match = fullmatch(line)
-        row = match and build(*match.groups())
-        if not row:
-            raise _row_error(line.split("\t"), kind, path=path, line=lineno)
-        rows.append(row)
+        fields = line.split("\t")
+        try:
+            if ref:
+                if len(fields) != 4:
+                    raise ValueError(f"expected 4 columns for a reference row, "
+                                     f"got {len(fields)}")
+                kw_id, doc_id, start, dur = fields
+            elif len(fields) == 6:
+                kw_id, doc_id, start, dur, score, decision = fields
+            elif len(fields) != 5:
+                raise ValueError(f"expected 5 or 6 columns for a candidate row, "
+                                 f"got {len(fields)}")
+            elif kind == "decided":
+                raise ValueError("row carries no YES/NO decision; "
+                                 "run 'drstd decide' first")
+            else:
+                kw_id, doc_id, start, dur, score = fields
+                decision = None
+            if not kw_id:
+                raise ValueError("kw_id must be non-empty")
+            if not doc_id:
+                raise ValueError("doc_id must be non-empty")
+            if ref:
+                start, dur = _column(start, "start"), _column(dur, "dur")
+                if dur <= 0.0:
+                    raise ValueError(f"reference duration must be > 0, got {dur}")
+                rows.append(_new_tuple(RefOccurrence, (kw_id, doc_id, start, dur)))
+                continue
+            if decision not in ("YES", "NO", None):
+                raise ValueError(f"decision column must be YES or NO, got {decision!r}")
+            start, dur = _column(start, "start"), _column(dur, "dur")
+            score = _column(score, "score")
+            if dur < 0.0:
+                raise ValueError(f"negative duration {dur}")
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score {score} outside [0, 1]")
+        except ValueError as exc:
+            raise FormatError(str(exc), path=path, line=lineno) from None
+        rows.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur, score, decision)))
     return rows
-
-
-def _ref_row(kw_id: str, doc_id: str, start: str, dur: str) -> RefOccurrence | None:
-    """The row of matched columns, or None unless its numbers are finite
-    and in range."""
-    start, dur = float(start), float(dur)
-    if -_INF < start < _INF and 0.0 < dur < _INF:
-        return _new_tuple(RefOccurrence, (kw_id, doc_id, start, dur))
-    return None
-
-
-def _candidate_row(kw_id: str, doc_id: str, start: str, dur: str, score: str,
-                   decision: str | None = None) -> Candidate | None:
-    """As `_ref_row`, for a candidate row."""
-    start, dur, score = float(start), float(dur), float(score)
-    if -_INF < start < _INF and 0.0 <= dur < _INF and 0.0 <= score <= 1.0:
-        return _new_tuple(Candidate, (kw_id, doc_id, start, dur, score, decision))
-    return None
 
 
 # The number rule of every file format: a plain decimal number in ASCII
 # digits, which float() reads as finite. float() also takes surrounding
 # whitespace, digit-group underscores, non-ASCII digits, inf and nan.
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-
-# One grammar per row kind: non-empty ids, then the numeric columns, then
-# the decision column where the kind takes one. Each is compiled, with
-# re.ASCII, when first used, so a command compiles only the kinds it reads.
-_IDS = r"([^\t]+)\t([^\t]+)"
-_COLUMN = rf"\t({_NUMBER})"
-_ROW_KINDS = {
-    "ref": (_IDS + 2 * _COLUMN, _ref_row),
-    "candidate": (_IDS + 3 * _COLUMN + r"(?:\t(YES|NO))?", _candidate_row),
-    "decided": (_IDS + 3 * _COLUMN + r"\t(YES|NO)", _candidate_row),
-}
+_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
-def _row_error(fields: list[str], kind: str, *, path, line) -> FormatError:
-    """The error of a row that its grammar or its value checks reject: the
-    first check it fails, in column order."""
-    def error(message: str) -> FormatError:
-        return FormatError(message, path=path, line=line)
-
-    if kind == "ref":
-        if len(fields) != 4:
-            return error(f"expected 4 columns for a reference row, got {len(fields)}")
-        names = ("start", "dur")
-    else:
-        if len(fields) not in (5, 6):
-            return error(f"expected 5 or 6 columns for a candidate row, "
-                         f"got {len(fields)}")
-        if kind == "decided" and len(fields) == 5:
-            return error("row carries no YES/NO decision; run 'drstd decide' first")
-        names = ("start", "dur", "score")
-    for name, value in zip(("kw_id", "doc_id"), fields):
-        if not value:
-            return error(f"{name} must be non-empty")
-    if len(fields) == 6 and fields[5] not in ("YES", "NO"):
-        return error(f"decision column must be YES or NO, got {fields[5]!r}")
-    try:
-        numbers = [_finite(text, f"column {name!r}")
-                   for text, name in zip(fields[2:], names)]
-    except ValueError as exc:
-        return error(str(exc))
-    if kind == "ref":
-        if numbers[1] <= 0:
-            return error(f"reference duration must be > 0, got {numbers[1]}")
-    elif numbers[1] < 0:
-        return error(f"negative duration {numbers[1]}")
-    elif not 0.0 <= numbers[2] <= 1.0:
-        return error(f"score {numbers[2]} outside [0, 1]")
-    raise AssertionError(f"no check rejects the row {fields!r}")
+def _column(text: str, name: str) -> float:
+    """The number in table column `name`, or `_finite`'s ValueError."""
+    if _NUMBER.fullmatch(text):
+        number = float(text)
+        if -_INF < number < _INF:
+            return number
+    return _finite(text, f"column {name!r}")
 
 
 def _finite(value: object, what: str) -> float:
@@ -443,7 +415,7 @@ def _finite(value: object, what: str) -> float:
         raise ValueError(f"{what} is not a number: {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"{what} is not finite: {value!r}")
-    if isinstance(value, str) and not re.fullmatch(_NUMBER, value, re.ASCII):
+    if isinstance(value, str) and not _NUMBER.fullmatch(value):
         raise ValueError(f"{what} is not a number: {value!r}")
     return number
 
@@ -452,9 +424,9 @@ def tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (lineno, line) for non-blank, non-comment TSV lines, each
     without its line end."""
     for lineno, raw in _numbered_lines(path):
-        line = raw.rstrip("\n")
-        if line.strip() and not line.lstrip().startswith("#"):
-            yield lineno, line
+        head = raw.lstrip()
+        if head and head[0] != "#":
+            yield lineno, raw.rstrip("\n")
 
 
 def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:

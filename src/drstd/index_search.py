@@ -66,10 +66,12 @@ def _extend_paths(keyword: KeywordEntry, doc: ConfusionNetworkDoc,
             gap_score = score
             j = slot_idx + 1
             while j < len(slots):
+                eps = None
                 for arc_token, arc_posterior in slots[j].arcs:
                     if arc_token == token:
                         next_frontier.append((j, gap_score * arc_posterior))
-                eps = slots[j].eps_posterior()
+                    if arc_token == EPS_TOKEN:  # not elif: `token` may be <eps>
+                        eps = arc_posterior
                 if eps is None:
                     break
                 gap_score *= eps

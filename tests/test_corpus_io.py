@@ -592,7 +592,7 @@ def test_numbers_are_finite_plain_decimals(tmp_path_factory, text):
 _ROW_PIECES = ["\t", "#", " ", "\u0661", "_", "e", "+", "-", ".", "inf",
                "YES", "NO", "yes", "0", "1", "5", "999", "K1", "d1"]
 # Well-formed values of each column, so that many rows parse, and near
-# misses that a looser grammar or a dropped check would let through.
+# misses that a looser number rule or a dropped check would let through.
 _ROW_VALUES = {
     "id": ["K1", "d1", " d2", "K#3", "a b"],
     "number": ["0", "0.5", "1.0", "1.", ".25", "-3.2", "+4", "2e-3", "1E2",
@@ -637,10 +637,33 @@ def occurrence_tables(draw):
 @example(("candidate", ["#K1\td1\t1.0\t0.5\t0.5"]))
 @example(("ref", ["K1\td1\t\u0661\t0.5"]))
 @example(("decided", ["K1\td1\t9e999\t0.5\t0.5\tNO"]))
+# The column count comes before the ids, a decided row's missing YES/NO too.
+@example(("ref", ["\td1\t1.0"]))
+@example(("candidate", ["\td1\t1.0"]))
+@example(("decided", ["\td1\t1.0\t0.5\t0.5"]))
+# The ids come before the decision, and the decision before the numbers.
+@example(("candidate", ["K1\t\t1.0\t0.5\t0.5\tyes"]))
+@example(("decided", ["K1\td1\tx\t0.5\t0.5\tyes"]))
+# Not finite and not a number, in each numeric column, before any range.
+@example(("candidate", ["K1\td1\tinf\t-1\t2"]))
+@example(("candidate", ["K1\td1\t1e999\t-1\t2"]))
+@example(("candidate", ["K1\td1\t 0.5\t-1\t2"]))
+@example(("candidate", ["K1\td1\t1_0\t-1\t2"]))
+@example(("candidate", ["K1\td1\t1.0\tinf\t2"]))
+@example(("candidate", ["K1\td1\t1.0\t1e999\t2"]))
+@example(("candidate", ["K1\td1\t1.0\t 0.5\t2"]))
+@example(("candidate", ["K1\td1\t1.0\t1_0\t2"]))
+@example(("decided", ["K1\td1\t1.0\t-1\tinf\tNO"]))
+@example(("decided", ["K1\td1\t1.0\t-1\t1e999\tNO"]))
+@example(("decided", ["K1\td1\t1.0\t-1\t 0.5\tNO"]))
+@example(("decided", ["K1\td1\t1.0\t-1\t1_0\tNO"]))
+# The ranges: a reference needs dur > 0; a candidate's dur comes first.
+@example(("ref", ["K1\td1\t1.0\t0"]))
+@example(("candidate", ["K1\td1\t1.0\t-0.5\t2"]))
 @settings(max_examples=400, deadline=None)
 def test_occurrence_rows_match_reference_oracle(tmp_path_factory, table):
-    """The grammar-first row parser gives the split-and-check parser's rows,
-    or its first error message, byte for byte."""
+    """The one-walk row parser gives the split-and-check parser's rows, or
+    its first error message, byte for byte."""
     kind, lines = table
     path = tmp_path_factory.getbasetemp() / "rows.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

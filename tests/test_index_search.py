@@ -107,6 +107,17 @@ class TestSearchAll:
         got = search_all(iter(corpus), keywords)
         assert got == naive_scan_search(corpus, keywords)
 
+    def test_eps_as_a_later_keyword_token(self):
+        # "<eps>" matches a null arc, which also lets the gap go on past it
+        d = doc("d1", ([("a", 0.6), ("<eps>", 0.4)], 0.3),
+                ([("<eps>", 0.5), ("b", 0.5)], 0.3),
+                ([("d", 0.7), ("<eps>", 0.3)], 0.3), ([("d", 1.0)], 0.3))
+        kws = [KeywordEntry("K1", ("a", "<eps>", "d")),
+               KeywordEntry("K2", ("a", "<eps>"))]
+        hits = search_all([d], kws)
+        assert hits == naive_scan_search([d], kws)
+        assert len(hits) == 5
+
     def test_scores_are_probabilities(self):
         rng = np.random.default_rng(10)
         corpus = random_corpus(rng, max_docs=30)
