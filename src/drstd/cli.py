@@ -24,17 +24,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus_io import (SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
-                        parse_cn_corpus, parse_keyword_list,
-                        parse_occurrence_table, tsv_lines, write_candidates,
-                        write_cn_corpus, write_keyword_list, write_references)
 from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
-from .index_search import dedup_overlaps, search_all
-from .rescore import (build_weight_tables, rescore_candidates,
-                      write_weight_tables)
-from .scoring import (DEFAULT_DELTA_SECONDS, align, alpha_sweep, doc_rank_curves,
-                      mtwv, score_detections, weight_performance_correlation,
+from .scoring import (DEFAULT_DELTA_SECONDS, align, mtwv, score_detections,
                       write_csv, write_keyword_detail)
+from .tables import (SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
+                     parse_occurrence_table, tsv_lines, write_candidates,
+                     write_references)
 
 
 def _quiet(*_args) -> None:
@@ -166,6 +161,8 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
     rescoring would reject), and the corpus's document count and speech
     seconds; a corpus whose seconds sum to infinity is a FormatError.
     """
+    from .corpus_io import parse_cn_corpus
+    from .index_search import dedup_overlaps, search_all
     docs, seconds = 0, 0.0
 
     def counted():
@@ -190,6 +187,7 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
 # logs its line.
 def _rescore_stage(src: Path, out: Path, alpha: float,
                    weights_out: str | Path | None) -> None:
+    from .rescore import rescore_candidates, write_weight_tables
     candidates = parse_occurrence_table(src, "candidate")
     rescored, tables = _rescoring(src, candidates, rescore_candidates, alpha)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -226,6 +224,7 @@ def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
 
 
 def cmd_search(args) -> None:
+    from .corpus_io import parse_keyword_list
     keywords = parse_keyword_list(args.keywords)
     candidates, dropped, docs, _ = _search(args, keywords)
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -236,6 +235,7 @@ def cmd_search(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    from .diagnostics import alpha_sweep
     policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.candidates, "candidate")
     references = parse_occurrence_table(args.references, "ref")
@@ -249,6 +249,8 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_diag(args) -> None:
+    from .diagnostics import doc_rank_curves, weight_performance_correlation
+    from .rescore import build_weight_tables
     policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.candidates, "candidate")
     references = parse_occurrence_table(args.references, "ref")
@@ -274,9 +276,9 @@ def cmd_diag(args) -> None:
 
 
 def cmd_synth(args) -> dict[str, int]:
+    from .corpus_io import write_cn_corpus, write_keyword_list
     # synth is the one command that needs numpy, so only it imports it.
     from .synth import SynthConfig, generate
-
     config = SynthConfig(num_docs=args.docs, slots_per_doc=args.slots,
                          vocab_size=args.vocab, num_keywords=args.keywords,
                          topic_affinity=args.topic_affinity,
@@ -296,6 +298,7 @@ def cmd_synth(args) -> dict[str, int]:
 
 
 def cmd_pipeline(args) -> None:
+    from .corpus_io import parse_keyword_list
     keywords = parse_keyword_list(args.keywords)
     references = parse_occurrence_table(args.references, "ref")
     candidates, dropped, _, seconds = _search(args, keywords)
@@ -334,7 +337,11 @@ def _add_decision_flags(sub) -> None:
                      help="total speech seconds defining false-alarm trials")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SUBCOMMANDS = "search rescore decide score sweep diag synth pipeline".split()
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand `only` alone."""
     parser = _Parser(prog="drstd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"drstd {__version__}")
@@ -342,104 +349,115 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress progress logging")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("search", help="one-pass keyword retrieval")
-    _add_input(p, "--corpus", "corpus")
-    _add_input(p, "--keywords", "keywords")
-    p.add_argument("--out", type=Path, required=True, help="candidate TSV")
-    p.set_defaults(func=cmd_search)
+    if only in (None, "search"):
+        p = subs.add_parser("search", help="one-pass keyword retrieval")
+        _add_input(p, "--corpus", "corpus")
+        _add_input(p, "--keywords", "keywords")
+        p.add_argument("--out", type=Path, required=True, help="candidate TSV")
+        p.set_defaults(func=cmd_search)
 
-    p = subs.add_parser("rescore",
-                        help="re-estimate confidences from document weights")
-    _add_input(p, "--in", "candidates", _SEARCH_TSV)
-    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
-                   help="interpolation coefficient in [0, 1]")
-    p.add_argument("--weights-out", default=None,
-                   help="optional TSV of per-keyword document weights")
-    p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
-    p.set_defaults(func=lambda a: _rescore_stage(a.candidates, a.out, a.alpha,
-                                                 a.weights_out))
+    if only in (None, "rescore"):
+        p = subs.add_parser("rescore",
+                            help="re-estimate confidences from document weights")
+        _add_input(p, "--in", "candidates", _SEARCH_TSV)
+        p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
+                       help="interpolation coefficient in [0, 1]")
+        p.add_argument("--weights-out", default=None,
+                       help="optional TSV of per-keyword document weights")
+        p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
+        p.set_defaults(func=lambda a: _rescore_stage(a.candidates, a.out, a.alpha,
+                                                     a.weights_out))
 
-    p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
-    _add_input(p, "--in", "candidates", "candidate TSV")
-    _add_decision_flags(p)
-    p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
-    p.set_defaults(func=lambda a: _decide_stage(a.candidates, a.out,
-                                                _resolve_policy(a)))
+    if only in (None, "decide"):
+        p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
+        _add_input(p, "--in", "candidates", "candidate TSV")
+        _add_decision_flags(p)
+        p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
+        p.set_defaults(func=lambda a: _decide_stage(a.candidates, a.out,
+                                                    _resolve_policy(a)))
 
-    p = subs.add_parser("score", help="term-weighted-value scoring")
-    _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
-    _add_input(p, "--ref", "references", "reference TSV")
-    p.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, required=True)
-    p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS,
-                   help="alignment midpoint tolerance in seconds")
-    p.add_argument("--mtwv", action="store_true",
-                   help="also scan for the best global threshold")
-    p.add_argument("--out", type=Path, required=True, help="report JSON")
-    p.set_defaults(func=lambda a: _score_stage(
-        parse_occurrence_table(a.hypotheses, "decided"),
-        parse_occurrence_table(a.references, "ref"),
-        a.out, a.trial_seconds, a.beta, a.delta, a.mtwv))
+    if only in (None, "score"):
+        p = subs.add_parser("score", help="term-weighted-value scoring")
+        _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
+        _add_input(p, "--ref", "references", "reference TSV")
+        p.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, required=True)
+        p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA)
+        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS,
+                       help="alignment midpoint tolerance in seconds")
+        p.add_argument("--mtwv", action="store_true",
+                       help="also scan for the best global threshold")
+        p.add_argument("--out", type=Path, required=True, help="report JSON")
+        p.set_defaults(func=lambda a: _score_stage(
+            parse_occurrence_table(a.hypotheses, "decided"),
+            parse_occurrence_table(a.references, "ref"),
+            a.out, a.trial_seconds, a.beta, a.delta, a.mtwv))
 
-    p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
-    _add_input(p, "--in", "candidates", _SEARCH_TSV)
-    _add_input(p, "--ref", "references", "reference TSV")
-    p.add_argument("--alpha-grid", type=_parse_grid, required=True,
-                   help="comma-separated coefficients, e.g. 0,0.05,0.1")
-    _add_decision_flags(p)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--out", type=Path, required=True, help="sweep CSV")
-    p.set_defaults(func=cmd_sweep)
+    if only in (None, "sweep"):
+        p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
+        _add_input(p, "--in", "candidates", _SEARCH_TSV)
+        _add_input(p, "--ref", "references", "reference TSV")
+        p.add_argument("--alpha-grid", type=_parse_grid, required=True,
+                       help="comma-separated coefficients, e.g. 0,0.05,0.1")
+        _add_decision_flags(p)
+        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+        p.add_argument("--out", type=Path, required=True, help="sweep CSV")
+        p.set_defaults(func=cmd_sweep)
 
-    p = subs.add_parser("diag",
-                        help="document-rank curves and weight correlations")
-    _add_input(p, "--in", "candidates", _SEARCH_TSV)
-    _add_input(p, "--ref", "references", "reference TSV")
-    _add_decision_flags(p)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--max-rank", type=_POSITIVE_INT, default=10)
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.set_defaults(func=cmd_diag)
+    if only in (None, "diag"):
+        p = subs.add_parser("diag",
+                            help="document-rank curves and weight correlations")
+        _add_input(p, "--in", "candidates", _SEARCH_TSV)
+        _add_input(p, "--ref", "references", "reference TSV")
+        _add_decision_flags(p)
+        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+        p.add_argument("--max-rank", type=_POSITIVE_INT, default=10)
+        p.add_argument("--out", type=Path, required=True, help="output directory")
+        p.set_defaults(func=cmd_diag)
 
-    p = subs.add_parser("synth", help="generate a synthetic corpus",
-                        epilog=("Writes corpus.jsonl, keywords.tsv and refs.tsv. "
-                                "Spoken-token posteriors are uniform on "
-                                "[0.78-0.72*noise, 0.97-0.46*noise]; the rest "
-                                "of each slot's mass is split over 2-4 "
-                                "competitor arcs by a flattened Dirichlet "
-                                "(0.7*Dirichlet + 0.3*uniform), with keywords "
-                                "appearing as occasional confusions, "
-                                "preferentially in their home topic. "
-                                "Deterministic for a given --seed."))
-    p.add_argument("--docs", type=_POSITIVE_INT, required=True)
-    p.add_argument("--slots", type=_POSITIVE_INT, default=60,
-                   help="slots per document")
-    p.add_argument("--keywords", type=_POSITIVE_INT, required=True)
-    p.add_argument("--vocab", type=_POSITIVE_INT, default=500)
-    p.add_argument("--topic-affinity", type=_UNIT_INTERVAL, default=0.8)
-    p.add_argument("--docs-per-topic", type=_POSITIVE_INT, default=5)
-    p.add_argument("--noise", type=_UNIT_INTERVAL, default=0.3)
-    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
+    if only in (None, "synth"):
+        p = subs.add_parser("synth", help="generate a synthetic corpus",
+                            epilog=("Writes corpus.jsonl, keywords.tsv and refs.tsv. "
+                                    "Spoken-token posteriors are uniform on "
+                                    "[0.78-0.72*noise, 0.97-0.46*noise]; the rest "
+                                    "of each slot's mass is split over 2-4 "
+                                    "competitor arcs by a flattened Dirichlet "
+                                    "(0.7*Dirichlet + 0.3*uniform), with keywords "
+                                    "appearing as occasional confusions, "
+                                    "preferentially in their home topic. "
+                                    "Deterministic for a given --seed."))
+        p.add_argument("--docs", type=_POSITIVE_INT, required=True)
+        p.add_argument("--slots", type=_POSITIVE_INT, default=60,
+                       help="slots per document")
+        p.add_argument("--keywords", type=_POSITIVE_INT, required=True)
+        p.add_argument("--vocab", type=_POSITIVE_INT, default=500)
+        p.add_argument("--topic-affinity", type=_UNIT_INTERVAL, default=0.8)
+        p.add_argument("--docs-per-topic", type=_POSITIVE_INT, default=5)
+        p.add_argument("--noise", type=_UNIT_INTERVAL, default=0.3)
+        p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
+        p.add_argument("--out", type=Path, required=True, help="output directory")
+        p.set_defaults(func=cmd_synth)
 
-    p = subs.add_parser("pipeline",
-                        help="search, rescore, decide and score in one run")
-    _add_input(p, "--corpus", "corpus")
-    _add_input(p, "--keywords", "keywords")
-    _add_input(p, "--ref", "references")
-    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True)
-    _add_decision_flags(p)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.set_defaults(func=cmd_pipeline)
+    if only in (None, "pipeline"):
+        p = subs.add_parser("pipeline",
+                            help="search, rescore, decide and score in one run")
+        _add_input(p, "--corpus", "corpus")
+        _add_input(p, "--keywords", "keywords")
+        _add_input(p, "--ref", "references")
+        p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True)
+        _add_decision_flags(p)
+        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+        p.add_argument("--out", type=Path, required=True, help="output directory")
+        p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
     global _info
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Parse with the subcommand's parser alone when only --quiet precedes it.
+    first = next((word for word in argv if word != "--quiet"), None)
+    parser = build_parser(first if first in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

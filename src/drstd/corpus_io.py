@@ -1,59 +1,31 @@
-"""Readers and writers for the on-disk artifacts of the toolkit.
-
-Four file formats are handled here:
+"""Readers and writers for the corpus and keyword files of the toolkit.
 
 * confusion-network corpora: JSON-lines, one document object per line,
   ``{"doc_id": str, "slots": [{"start": f, "dur": f, "arcs": [[token, posterior], ...]}, ...]}``
 * keyword lists: TSV ``kw_id<TAB>token token ...``
-* reference occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur``
-* candidate occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur<TAB>score[<TAB>YES|NO]``
 
-Lines starting with ``#`` and blank lines are ignored in all TSV formats.
 All invariants of the in-memory types are enforced at parse time, and a
 violation raises :class:`FormatError` with its line number. A corpus
-slot and a table row are each checked in one walk that names its own
-errors: each check raises at the point that finds the fault, so a slot or
-a row with several faults reports the first one the walk reaches.
-Tokens (both confusion-network arcs and keyword text) are normalized to
-NFC + lowercase at parse time so that matching elsewhere is exact-string.
+slot is checked in one walk that names its own errors, so a slot with
+several faults reports the first one the walk reaches. Tokens (both
+confusion-network arcs and keyword text) are normalized to NFC +
+lowercase at parse time so that matching elsewhere is exact-string.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import re
 import unicodedata
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
+
+from .tables import _INF, FormatError, _finite, _new_tuple, _numbered_lines, tsv_lines
 
 EPS_TOKEN = "<eps>"
 
 # Tolerance for the per-slot posterior sum; absorbs decimal serialization
 # error without hiding real mass-accounting bugs.
 POSTERIOR_SUM_TOL = 1e-6
-
-SCORE_DECIMALS = 6
-
-
-class FormatError(ValueError):
-    """A file violated its schema or a type invariant.
-
-    Carries enough location information (path and 1-based line number)
-    to produce a one-line actionable message.
-    """
-
-    def __init__(self, message: str, *, path: str | Path | None = None,
-                 line: int | None = None):
-        self.path = str(path) if path is not None else None
-        self.line = line
-        loc = ""
-        if self.path is not None:
-            loc = f"{self.path}:"
-            if line is not None:
-                loc += f"{line}:"
-            loc += " "
-        super().__init__(loc + message)
 
 
 class Slot(NamedTuple):
@@ -84,41 +56,6 @@ class KeywordEntry(NamedTuple):
 
     kw_id: str
     tokens: tuple[str, ...]
-
-
-class RefOccurrence(NamedTuple):
-    """A ground-truth occurrence of a keyword in a document."""
-
-    kw_id: str
-    doc_id: str
-    start: float
-    duration: float
-
-
-class Candidate(NamedTuple):
-    """A hypothesized keyword occurrence with its confidence score.
-
-    ``decision`` is None until a thresholding step sets it to "YES"/"NO".
-    """
-
-    kw_id: str
-    doc_id: str
-    start: float
-    duration: float
-    score: float
-    decision: str | None = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    @property
-    def midpoint(self) -> float:
-        return self.start + self.duration / 2.0
-
-    def sort_key(self) -> tuple:
-        return (self.kw_id, self.doc_id, self.start, self.duration,
-                self.score, self.decision or "")
 
 
 def normalize_token(token: str) -> str:
@@ -154,12 +91,6 @@ def _reject_constant(name: str) -> float:
 
 # Rejects the NaN and Infinity literals that json accepts by default.
 _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-_INF = math.inf
-
-# Builds a slot or a table row from its fields, without the call of the
-# Python-level NamedTuple __new__: `_new_tuple(Slot, (start, dur, arcs))`.
-_new_tuple = tuple.__new__
 
 
 def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
@@ -320,181 +251,4 @@ def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
 def write_keyword_list(path: str | Path, keywords: Iterable[KeywordEntry]) -> None:
     lines = ["# kw_id\ttokens"]
     lines += [f"{kw.kw_id}\t{' '.join(kw.tokens)}" for kw in keywords]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def parse_occurrence_table(path: str | Path,
-                           kind: Literal["ref", "candidate", "decided"]
-                           ) -> list[RefOccurrence] | list[Candidate]:
-    """Parse a reference or candidate TSV; rows are returned in file order.
-
-    Candidate scores are validated to [0, 1]; durations of references must
-    be positive and of candidates non-negative. A "decided" table is a
-    candidate table in which every row carries its YES/NO column.
-
-    Each row is checked in one walk over its columns, and each check raises
-    its own error. A row with several faults reports the first, in this
-    order: the column count (a decided row's missing YES/NO included),
-    kw_id, doc_id, the decision, each number in column order, then the
-    duration and score ranges.
-    """
-    if kind not in ("ref", "candidate", "decided"):
-        raise ValueError(
-            f"kind must be 'ref', 'candidate' or 'decided', got {kind!r}")
-    ref = kind == "ref"
-    rows: list = []
-    for lineno, line in tsv_lines(path):
-        fields = line.split("\t")
-        try:
-            if ref:
-                if len(fields) != 4:
-                    raise ValueError(f"expected 4 columns for a reference row, "
-                                     f"got {len(fields)}")
-                kw_id, doc_id, start, dur = fields
-            elif len(fields) == 6:
-                kw_id, doc_id, start, dur, score, decision = fields
-            elif len(fields) != 5:
-                raise ValueError(f"expected 5 or 6 columns for a candidate row, "
-                                 f"got {len(fields)}")
-            elif kind == "decided":
-                raise ValueError("row carries no YES/NO decision; "
-                                 "run 'drstd decide' first")
-            else:
-                kw_id, doc_id, start, dur, score = fields
-                decision = None
-            if not kw_id:
-                raise ValueError("kw_id must be non-empty")
-            if not doc_id:
-                raise ValueError("doc_id must be non-empty")
-            if ref:
-                start, dur = _column(start, "start"), _column(dur, "dur")
-                if dur <= 0.0:
-                    raise ValueError(f"reference duration must be > 0, got {dur}")
-                rows.append(_new_tuple(RefOccurrence, (kw_id, doc_id, start, dur)))
-                continue
-            if decision not in ("YES", "NO", None):
-                raise ValueError(f"decision column must be YES or NO, got {decision!r}")
-            start, dur = _column(start, "start"), _column(dur, "dur")
-            score = _column(score, "score")
-            if dur < 0.0:
-                raise ValueError(f"negative duration {dur}")
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"score {score} outside [0, 1]")
-        except ValueError as exc:
-            raise FormatError(str(exc), path=path, line=lineno) from None
-        rows.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur, score, decision)))
-    return rows
-
-
-# The number rule of every file format: a plain decimal number in ASCII
-# digits, which float() reads as finite. float() also takes surrounding
-# whitespace, digit-group underscores, non-ASCII digits, inf and nan.
-_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
-
-
-def _column(text: str, name: str) -> float:
-    """The number in table column `name`, or `_finite`'s ValueError."""
-    if _NUMBER.fullmatch(text):
-        number = float(text)
-        if -_INF < number < _INF:
-            return number
-    return _finite(text, f"column {name!r}")
-
-
-def _finite(value: object, what: str) -> float:
-    """float(value), or ValueError unless that is a finite number.
-
-    JSON booleans are not numbers, although float() takes them, and a
-    string must be a plain decimal number (see `_NUMBER`).
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"{what} is not a number: {value!r}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} is not a number: {value!r}") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{what} is not finite: {value!r}")
-    if isinstance(value, str) and not _NUMBER.fullmatch(value):
-        raise ValueError(f"{what} is not a number: {value!r}")
-    return number
-
-
-def tsv_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, line) for non-blank, non-comment TSV lines, each
-    without its line end."""
-    for lineno, raw in _numbered_lines(path):
-        head = raw.lstrip()
-        if head and head[0] != "#":
-            yield lineno, raw.rstrip("\n")
-
-
-def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (lineno, line) for the lines of the UTF-8 text file `path` up
-    to its first line that is not UTF-8, then raise the FormatError naming
-    that line.
-
-    A UTF-8 read decodes a whole chunk before it yields its lines. So after
-    a bad byte stops it at line `done`, the file is read again with bad
-    bytes as lone surrogates, which splits it into the same lines, and the
-    readers check the lines before the bad one first.
-    """
-    done = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for done, line in enumerate(fh, start=1):
-                yield done, line
-        return
-    except UnicodeDecodeError as exc:
-        bad = exc
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno <= done:
-                continue
-            if re.search("[\udc80-\udcff]", line):
-                break
-            yield lineno, line
-        else:
-            lineno = None
-    raise FormatError(f"not UTF-8 text (byte 0x{bad.object[bad.start]:02x}: "
-                      f"{bad.reason})", path=path, line=lineno)
-
-
-def sort_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
-    """`candidates` in `Candidate.sort_key` order: kw_id, doc_id, start,
-    duration, score, then undecided before NO before YES.
-
-    Candidates compare in C as plain tuples, in that same order, unless a
-    decided and an undecided row tie on their first five fields: comparing
-    their decisions, None and a string, raises TypeError, and then the
-    rows sort by that key.
-    """
-    try:
-        return sorted(candidates)
-    except TypeError:
-        return sorted(candidates, key=Candidate.sort_key)
-
-
-def write_candidates(path: str | Path, candidates: Sequence[Candidate]) -> None:
-    """Write candidates sorted by `sort_candidates` (kw_id, doc_id, start,
-    duration, score, decision); scores at 6 decimals.
-
-    The output parses back to an equal sequence, with scores compared after
-    6-decimal quantization.
-    """
-    score_format = f".{SCORE_DECIMALS}f"
-    lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
-    for kw_id, doc_id, start, dur, score, decision in sort_candidates(candidates):
-        row = [kw_id, doc_id, repr(start), repr(dur), format(score, score_format)]
-        if decision is not None:
-            row.append(decision)
-        lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_references(path: str | Path, refs: Sequence[RefOccurrence]) -> None:
-    """Write references sorted by (kw_id, doc_id, start)."""
-    lines = ["# kw_id\tdoc_id\tstart\tdur"]
-    for ref in sorted(refs, key=lambda r: (r.kw_id, r.doc_id, r.start, r.duration)):
-        lines.append(f"{ref.kw_id}\t{ref.doc_id}\t{ref.start!r}\t{ref.duration!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

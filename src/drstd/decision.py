@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .corpus_io import Candidate
+from .tables import Candidate
 
 DEFAULT_BETA = 999.9
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .corpus_io import (Candidate, ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry,
-                        sort_candidates)
+from .corpus_io import ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry
+from .tables import Candidate, sort_candidates
 
 # A later hit suppresses an earlier one (or vice versa) when their spans
 # overlap by more than this fraction of the shorter span.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .corpus_io import Candidate
+from .tables import Candidate
 
 # kw_id -> doc_id -> (summed document score, relative-to-max weight)
 WeightTables = dict[str, dict[str, tuple[float, float]]]

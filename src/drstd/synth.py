@@ -45,8 +45,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .corpus_io import (ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry,
-                        RefOccurrence, Slot, _new_tuple)
+from .corpus_io import ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry, Slot
+from .tables import RefOccurrence, _new_tuple
 
 TRUE_POSTERIOR_RANGE = (0.78, 0.97)
 # Noise pulls the spoken token's posterior down and also spreads it out:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from drstd.cli import main
-from drstd.corpus_io import (Candidate, ConfusionNetworkDoc, KeywordEntry,
-                             RefOccurrence, Slot)
+from drstd.corpus_io import ConfusionNetworkDoc, KeywordEntry, Slot
+from drstd.tables import Candidate, RefOccurrence
 
 # The fixed synthetic experiment of the acceptance criteria.
 ACCEPTANCE_SYNTH_ARGS = [

@@ -8,18 +8,18 @@ each is the definition its fast counterpart must reproduce exactly.
 `exhaustive_mtwv` re-runs the package's `align` on the whole YES set at
 every threshold, for the incremental `scoring.mtwv`.
 `reference_alpha_sweep` rescores, decides and scores afresh at each
-alpha, for `scoring.alpha_sweep`, row for row and error for error.
+alpha, for `diagnostics.alpha_sweep`, row for row and error for error.
 `numpy_spearman` is the former numpy implementation, which the
-plain-Python `scoring.spearman` must match bit for bit.
+plain-Python `diagnostics.spearman` must match bit for bit.
 `reference_doc_from_obj` is the former straight-line corpus line check
 (each check its own step), which the one-pass `corpus_io._doc_from_obj`
 must match document for document and error message for error message.
 `reference_parse_occurrence_table` is the former split-and-check TSV
-row parser, which the grammar-first `corpus_io.parse_occurrence_table`
+row parser, which `tables.parse_occurrence_table`, one walk per row,
 must match row for row and error message for error message.
-`reference_write_candidates` is the former `corpus_io.write_candidates`,
-which sorted with a Python key per row, here written out field by field;
-the writer that sorts in C must give its bytes exactly.
+`reference_write_candidates` is the former `write_candidates`, which
+sorted with a Python key per row, here written out field by field;
+`tables.write_candidates`, which sorts in C, must give its bytes exactly.
 `reference_write_cn_corpus` is the former `corpus_io.write_cn_corpus`,
 which wrote each document with `json.dumps` over a dict per slot and a
 list per arc; the writer that formats its lines must give its bytes.
@@ -42,14 +42,14 @@ from typing import Sequence
 
 import numpy as np
 
-from drstd.corpus_io import (EPS_TOKEN, POSTERIOR_SUM_TOL, Candidate,
-                             ConfusionNetworkDoc, FormatError, KeywordEntry,
-                             RefOccurrence, SCORE_DECIMALS, Slot,
-                             normalize_token)
+from drstd.corpus_io import (EPS_TOKEN, POSTERIOR_SUM_TOL, ConfusionNetworkDoc,
+                             KeywordEntry, Slot, normalize_token)
 from drstd.decision import DecisionPolicy, apply_decisions
+from drstd.diagnostics import SweepPoint
 from drstd.rescore import rescore_candidates
-from drstd.scoring import (DEFAULT_DELTA_SECONDS, SweepPoint, align, atwv,
-                           keyword_rates, score_detections)
+from drstd.scoring import (DEFAULT_DELTA_SECONDS, align, atwv, keyword_rates,
+                           score_detections)
+from drstd.tables import SCORE_DECIMALS, Candidate, FormatError, RefOccurrence
 from drstd.synth import (COMPETITOR_RANGE, DIRICHLET_MIX, EPS_ARC_PROB,
                          KEYWORD_CONFUSION_FACTOR, NOISE_SLOPE_HI,
                          NOISE_SLOPE_LO, SLOT_DURATION_RANGE,
@@ -291,6 +291,13 @@ def _reference_finite(value, what):
     return number
 
 
+def _reference_number(value, what):
+    """A corpus number: a string must also be a plain decimal, as in tables."""
+    if isinstance(value, str):
+        return _reference_decimal(value, what)
+    return _reference_finite(value, what)
+
+
 def reference_doc_from_obj(obj, seen, tokens, *, path, line):
     """One decoded corpus line to a document, or the FormatError it earns.
 
@@ -341,9 +348,9 @@ def reference_doc_from_obj(obj, seen, tokens, *, path, line):
                             f"{where}: arc token {token!r} is empty or holds "
                             f"whitespace", path=path, line=line)
                     tokens[raw_token] = token
-                arcs.append((token, _reference_finite(arc[1], "posterior")))
-            start = _reference_finite(raw["start"], "start")
-            dur = _reference_finite(raw["dur"], "dur")
+                arcs.append((token, _reference_number(arc[1], "posterior")))
+            start = _reference_number(raw["start"], "start")
+            dur = _reference_number(raw["dur"], "dur")
         except FormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -424,12 +431,12 @@ def _reference_ids(fields, *, path, line):
 
 
 def reference_parse_occurrence_table(path, kind):
-    """The former split-and-check `corpus_io.parse_occurrence_table`.
+    """The former split-and-check `parse_occurrence_table`.
 
     Each line is split on tabs and its columns checked one by one, in
     column order; numbers take a float() fast path that falls back to a
-    per-column check. The grammar-first parser must give its rows, or its
-    first error message, exactly.
+    per-column check. `tables.parse_occurrence_table` must give its rows,
+    or its first error message, exactly.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -477,7 +484,7 @@ def reference_parse_occurrence_table(path, kind):
 
 
 def reference_write_candidates(path, candidates):
-    """The former `corpus_io.write_candidates`: rows sorted by kw_id, doc_id,
+    """The former `write_candidates`: rows sorted by kw_id, doc_id,
     start, duration, score, then decision with undecided first; scores at
     6 decimals."""
     lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]

@@ -16,13 +16,13 @@ import pytest
 import scipy.stats
 
 from drstd.cli import main
-from drstd.corpus_io import Candidate, parse_occurrence_table
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
+from drstd.diagnostics import spearman, weight_performance_correlation
 from drstd.rescore import (build_weight_tables, reestimate_confidence,
                            rescore_candidates)
-from drstd.scoring import (align, atwv, keyword_rates, spearman,
-                           weight_performance_correlation)
+from drstd.scoring import align, atwv, keyword_rates
 from drstd.index_search import search_all
+from drstd.tables import Candidate, parse_occurrence_table
 
 from conftest import (ACCEPTANCE_SYNTH_ARGS, random_candidates,
                       random_corpus, random_keywords, random_references)

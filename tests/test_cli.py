@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 import drstd
 from drstd import cli
 from drstd.cli import main
-from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry,
-                             RefOccurrence, Slot, parse_occurrence_table,
-                             write_cn_corpus, write_keyword_list,
-                             write_references)
+from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry, Slot,
+                             write_cn_corpus, write_keyword_list)
 from drstd.decision import DecisionPolicy
 from drstd.synth import SynthConfig
+from drstd.tables import RefOccurrence, parse_occurrence_table, write_references
 
 from conftest import ACCEPTANCE_SYNTH_ARGS, run_synth
 
@@ -1067,6 +1066,87 @@ def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
     diagnostics = json.loads((tmp_path / "run" / "diag" /
                               "diagnostics.json").read_text())
     assert diagnostics["spearman_weight_recall"] is not None  # spearman ran
+
+
+# Runs one command in a fresh interpreter and prints which of the given
+# modules it loaded.
+_LOADED_SCRIPT = """
+import json, sys
+from drstd.cli import main
+argv, modules = json.loads(sys.argv[1])
+assert main(["--quiet", *argv]) == 0, argv
+print(json.dumps(sorted(set(modules) & sys.modules.keys())))
+"""
+
+# Without a bytecode cache each command compiles every module it imports.
+_CORPUS_CODE = ["drstd.corpus_io", "drstd.index_search", "unicodedata"]
+_TABLE_COMMANDS = {
+    "score": (["score", "--mtwv", "--hyp", "{run}/decided.tsv", "--ref", "{ref}",
+               "--trial-seconds", "3600", "--out", "{out}/report.json"],
+              [*_CORPUS_CODE, "drstd.diagnostics"]),
+    "rescore": (["rescore", "--in", "{run}/candidates.tsv", "--alpha", "0.5",
+                 "--weights-out", "{out}/w.tsv", "--out", "{out}/r.tsv"],
+                [*_CORPUS_CODE, "drstd.diagnostics"]),
+    "decide": (["decide", "--in", "{run}/candidates.tsv", "--trial-seconds",
+                "3600", "--out", "{out}/d.tsv"],
+               [*_CORPUS_CODE, "drstd.diagnostics"]),
+    "sweep": (["sweep", "--in", "{run}/candidates.tsv", "--ref", "{ref}",
+               "--alpha-grid", "0,0.5", "--trial-seconds", "3600",
+               "--out", "{out}/s.csv"], _CORPUS_CODE),
+    "diag": (["diag", "--in", "{run}/candidates.tsv", "--ref", "{ref}",
+              "--trial-seconds", "3600", "--out", "{out}/diag"], _CORPUS_CODE),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipeline")
+    assert run("pipeline", "--corpus", str(data_dir / "corpus.jsonl"),
+               "--keywords", str(data_dir / "keywords.tsv"),
+               "--ref", str(data_dir / "refs.tsv"), "--alpha", "0.1",
+               "--trial-seconds", "3600", "--out", str(out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_COMMANDS))
+def test_table_commands_load_no_corpus_code(data_dir, pipeline_run, tmp_path,
+                                            command):
+    # nor, outside sweep and diag, the diagnostics
+    argv, unloaded = _TABLE_COMMANDS[command]
+    argv = [arg.format(run=pipeline_run, ref=data_dir / "refs.tsv", out=tmp_path)
+            for arg in argv]
+    src = Path(drstd.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, json.dumps([argv, unloaded])],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+@pytest.mark.parametrize("subcommand", sorted(_subcommands()))
+def test_subcommand_help_is_that_of_the_full_parser(capsys, subcommand):
+    # main builds the parser of the subcommand it runs alone
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _subcommands()[subcommand].format_help()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--quiet", "-h", "score"]])
+def test_help_before_a_subcommand_names_all_of_them(capsys, argv):
+    assert cli._SUBCOMMANDS == list(_subcommands())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
+def test_unknown_subcommand_error_names_all_of_them(capsys):
+    assert main(["--quiet", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("drstd: argument subcommand: invalid choice: 'bogus'")
+    assert all(repr(name) in err for name in _subcommands())
 
 
 _SYNTH_FIELDS = dict(num_docs=10, slots_per_doc=10, vocab_size=50,

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drstd import corpus_io
-from drstd.corpus_io import (Candidate, ConfusionNetworkDoc, FormatError,
-                             RefOccurrence, Slot, normalize_token,
-                             parse_cn_corpus,
-                             parse_keyword_list, parse_occurrence_table,
-                             write_candidates, write_cn_corpus,
-                             write_keyword_list, write_references)
+from drstd import corpus_io, tables
+from drstd.corpus_io import (ConfusionNetworkDoc, Slot, normalize_token,
+                             parse_cn_corpus, parse_keyword_list,
+                             write_cn_corpus, write_keyword_list)
+from drstd.tables import (Candidate, FormatError, RefOccurrence,
+                          parse_occurrence_table, write_candidates,
+                          write_references)
 
 from conftest import random_candidates, random_corpus
 from oracles import (reference_doc_from_obj, reference_parse_occurrence_table,
@@ -24,7 +24,7 @@ from oracles import (reference_doc_from_obj, reference_parse_occurrence_table,
 
 def quantize_score(score: float) -> float:
     """Score equality under the 6-decimal serialization of write_candidates."""
-    return float(f"{score:.{corpus_io.SCORE_DECIMALS}f}")
+    return float(f"{score:.{tables.SCORE_DECIMALS}f}")
 
 
 def write_lines(path, lines):
@@ -209,7 +209,7 @@ def _corrupt(draw, slot, kind):
         arc[0] = draw(st.sampled_from([None, True, 5, ["x"], "a b", "", "Z"]))
     elif kind == "number":
         value = draw(st.sampled_from([None, True, math.inf, -math.inf, "x",
-                                      "0.5", 1]))
+                                      "0.5", " 0.5", "1_0", "\u0661", 1]))
         field = draw(st.sampled_from(["start", "dur", "posterior"]))
         if field != "posterior":
             slot[field] = value

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from drstd.corpus_io import Candidate
 from drstd.decision import DecisionPolicy, apply_decisions, kst_cuts, yes_only
+from drstd.tables import Candidate
 
 from oracles import best_expected_twv, expected_twv
 

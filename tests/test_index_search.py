@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drstd.corpus_io import Candidate, ConfusionNetworkDoc, KeywordEntry, Slot
+from drstd.corpus_io import ConfusionNetworkDoc, KeywordEntry, Slot
 from drstd.index_search import dedup_overlaps, search_all
+from drstd.tables import Candidate
 
 from conftest import random_corpus, random_keywords
 from oracles import naive_scan_search, pairwise_merge_dedup

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drstd.corpus_io import Candidate
 from drstd.rescore import (build_weight_tables, reestimate_confidence,
                            rescore_candidates, write_weight_tables)
+from drstd.tables import Candidate
 
 from conftest import random_candidates
 from oracles import straightline_rescore

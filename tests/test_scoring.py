@@ -10,15 +10,15 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drstd import scoring
+from drstd import diagnostics, scoring
 from drstd.cli import main
-from drstd.corpus_io import Candidate, RefOccurrence, parse_occurrence_table
 from drstd.decision import DecisionPolicy
+from drstd.diagnostics import (alpha_sweep, doc_rank_curves, spearman,
+                               weight_performance_correlation)
 from drstd.rescore import build_weight_tables
-from drstd.scoring import (CORRECT, FALSE_ALARM, align, alpha_sweep, atwv,
-                           build_report, doc_rank_curves, keyword_rates, mtwv,
-                           score_detections, spearman,
-                           weight_performance_correlation)
+from drstd.scoring import (CORRECT, FALSE_ALARM, align, atwv, build_report,
+                           keyword_rates, mtwv, score_detections)
+from drstd.tables import Candidate, RefOccurrence, parse_occurrence_table
 
 from conftest import random_candidates, random_references
 from oracles import (brute_force_atwv, exhaustive_mtwv, numpy_spearman,
@@ -438,7 +438,7 @@ class TestAlphaSweep:
         cands = parse_occurrence_table(out, "candidate")
         refs = parse_occurrence_table(synth / "refs.tsv", "ref")
         tables, paired = [], []
-        build, group_pairs = scoring.build_weight_tables, scoring._group_pairs
+        build, group_pairs = diagnostics.build_weight_tables, scoring._group_pairs
 
         def counting_build(candidates):
             tables.append(len(candidates))
@@ -449,7 +449,7 @@ class TestAlphaSweep:
             paired.append((first.kw_id, first.doc_id))
             return group_pairs(hypotheses, hyp_idx, *args)
 
-        monkeypatch.setattr(scoring, "build_weight_tables", counting_build)
+        monkeypatch.setattr(diagnostics, "build_weight_tables", counting_build)
         monkeypatch.setattr(scoring, "_group_pairs", counting_pairs)
         policy = DecisionPolicy(mode="kst", trial_seconds=36000.0)
         with_refs = ({(c.kw_id, c.doc_id) for c in cands}

@@ -9,13 +9,14 @@ import pytest
 
 from drstd import synth
 from drstd.cli import main
-from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry,
-                             RefOccurrence, parse_cn_corpus, write_cn_corpus)
+from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry, parse_cn_corpus,
+                             write_cn_corpus)
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
+from drstd.diagnostics import weight_performance_correlation
 from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
-from drstd.scoring import (align, atwv, keyword_rates,
-                           weight_performance_correlation)
+from drstd.scoring import align, atwv, keyword_rates
+from drstd.tables import RefOccurrence
 from drstd.synth import (COMPETITOR_RANGE, NOISE_SLOPE_HI, NOISE_SLOPE_LO,
                          SLOT_DURATION_RANGE, TRUE_POSTERIOR_RANGE,
                          SynthConfig, generate)
