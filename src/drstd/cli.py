@@ -249,7 +249,8 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_diag(args) -> None:
-    from .diagnostics import doc_rank_curves, weight_performance_correlation
+    from .diagnostics import (doc_performance, doc_rank_curves,
+                              weight_performance_correlation)
     from .rescore import build_weight_tables
     policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.candidates, "candidate")
@@ -257,8 +258,9 @@ def cmd_diag(args) -> None:
     tables = _rescoring(args.candidates, candidates, build_weight_tables)
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
-    curve = doc_rank_curves(accepted, tables, alignment, args.max_rank)
-    rhos = weight_performance_correlation(accepted, tables, alignment)
+    rows = doc_performance(accepted, tables, alignment)
+    curve = doc_rank_curves(rows, args.max_rank)
+    rhos = weight_performance_correlation(rows)
     args.out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out / "rank_curve.csv", ("rank", "avg_precision", "avg_recall"),
               curve)

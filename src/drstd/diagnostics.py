@@ -7,13 +7,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .decision import DecisionPolicy, yes_flags
 from .rescore import (WeightTables, build_weight_tables, check_alpha,
                       reestimate_confidence)
-from .scoring import (CORRECT, DEFAULT_DELTA_SECONDS, AlignmentResult,
-                      _paired_groups, _tally, build_report)
+from .scoring import (DEFAULT_DELTA_SECONDS, AlignmentResult, _paired_groups,
+                      _tally, build_report)
 from .tables import Candidate, RefOccurrence
 
 
@@ -59,72 +59,66 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return math.fsum(map(operator.mul, a, b))
 
 
-def _doc_performance(hypotheses: Sequence[Candidate],
-                     weight_tables: WeightTables, alignment: AlignmentResult
-                     ) -> Iterator[tuple[str, str, float, float, float]]:
-    """Yield (kw_id, doc_id, weight, precision, recall) in weight-table order.
+def doc_performance(hypotheses: Sequence[Candidate],
+                    weight_tables: WeightTables, alignment: AlignmentResult
+                    ) -> list[tuple[str, str, float, float, float]]:
+    """(kw_id, doc_id, weight, precision, recall) rows in weight-table order.
 
     Covers every document in the weight table of each keyword that has
     references. Precision is correct / accepted hits in the document (0
     when it has none); recall is correct hits in it / the keyword's true
-    occurrences. `hypotheses` must be the sequence the alignment was
-    computed from.
+    occurrences. `hypotheses` are the accepted hits, the sequence whose
+    positions `alignment.matched` holds.
     """
-    hits: dict[tuple[str, str], list[int]] = {}
-    for hyp, label in zip(hypotheses, alignment.hypothesis_labels):
-        entry = hits.setdefault((hyp.kw_id, hyp.doc_id), [0, 0])
-        entry[0] += 1
-        entry[1] += label == CORRECT
+    accepted = Counter((h.kw_id, h.doc_id) for h in hypotheses)
+    correct = Counter((hypotheses[i].kw_id, hypotheses[i].doc_id)
+                      for i in alignment.matched)
+    rows = []
     for kw_id, table in weight_tables.items():
         kw_counts = alignment.keyword_counts.get(kw_id)
         if kw_counts is None or kw_counts.n_true == 0:
             continue
         for doc_id, (_score, weight) in table.items():
-            accepted, correct = hits.get((kw_id, doc_id), (0, 0))
-            yield (kw_id, doc_id, weight,
-                   correct / accepted if accepted else 0.0,
-                   correct / kw_counts.n_true)
+            n_accepted, n_correct = accepted[kw_id, doc_id], correct[kw_id, doc_id]
+            rows.append((kw_id, doc_id, weight,
+                         n_correct / n_accepted if n_accepted else 0.0,
+                         n_correct / kw_counts.n_true))
+    return rows
 
 
-def doc_rank_curves(hypotheses: Sequence[Candidate],
-                    weight_tables: WeightTables,
-                    alignment: AlignmentResult,
+def doc_rank_curves(rows: Sequence[tuple[str, str, float, float, float]],
                     max_rank: int) -> list[tuple[int, float, float]]:
     """Average per-rank detection precision and recall over keywords.
 
-    For each keyword, its documents are sorted by descending ranking
-    weight, ties by doc_id; the document at rank k contributes its
-    detection precision and recall (see `_doc_performance`). Rows are
+    For each keyword of the `doc_performance` rows, its documents are
+    sorted by descending ranking weight, ties by doc_id; the document at
+    rank k contributes its detection precision and recall. Rows are
     (rank, avg_precision, avg_recall), averaged over the keywords that
-    have at least k ranked documents; keywords without references are
-    skipped.
+    have at least k ranked documents.
     """
     by_keyword: dict[str, list] = {}
-    for row in _doc_performance(hypotheses, weight_tables, alignment):
+    for row in rows:
         by_keyword.setdefault(row[0], []).append(row)
     per_rank: dict[int, list[tuple[float, float]]] = {}
-    for rows in by_keyword.values():
-        rows.sort(key=lambda row: (-row[2], row[1]))
-        for rank, (*_, precision, recall) in enumerate(rows[:max_rank], 1):
+    for kw_rows in by_keyword.values():
+        kw_rows.sort(key=lambda row: (-row[2], row[1]))
+        for rank, (*_, precision, recall) in enumerate(kw_rows[:max_rank], 1):
             per_rank.setdefault(rank, []).append((precision, recall))
     return [(rank, sum(p for p, _ in pairs) / len(pairs),
              sum(r for _, r in pairs) / len(pairs))
             for rank, pairs in sorted(per_rank.items())]
 
 
-def weight_performance_correlation(hypotheses: Sequence[Candidate],
-                                   weight_tables: WeightTables,
-                                   alignment: AlignmentResult
-                                   ) -> tuple[float | None, float | None]:
+def weight_performance_correlation(
+        rows: Sequence[tuple[str, str, float, float, float]]
+        ) -> tuple[float | None, float | None]:
     """Rank correlation of document weights against detection performance.
 
-    Pools (weight, per-document precision) and (weight, per-document
-    recall) pairs over every keyword with references and every document
-    in its weight table, and returns the two Spearman coefficients. A
-    coefficient is None where it is undefined: fewer than two documents
-    pooled, or zero rank variance on either side.
+    Pools the (weight, precision) and (weight, recall) pairs of all the
+    `doc_performance` rows and returns the two Spearman coefficients. A
+    coefficient is None where it is undefined: fewer than two rows, or
+    zero rank variance on either side.
     """
-    rows = list(_doc_performance(hypotheses, weight_tables, alignment))
     if len(rows) < 2:
         return None, None
     rhos = (spearman([row[2] for row in rows], [row[k] for row in rows])

@@ -100,10 +100,12 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     """Collapse same-keyword same-document hits that overlap heavily.
 
     Within each (kw_id, doc_id) group, candidates are considered in
-    descending score order (ties: earliest start); one is kept only if it
-    does not overlap a kept candidate by more than half of the shorter
-    span. Idempotent. The survivors come in `sort_candidates` order: kw_id,
-    doc_id, start, duration, score, decision.
+    descending score order (ties: earliest start, then shortest duration,
+    then input order); one is kept only if it does not overlap a kept
+    candidate by more than half of the shorter span. A zero-length span
+    overlaps another only when both start at the same instant. Idempotent.
+    The survivors come in `sort_candidates` order: kw_id, doc_id, start,
+    duration, score, decision.
     """
     groups: dict[tuple[str, str], list[Candidate]] = {}
     for cand in candidates:

@@ -26,9 +26,6 @@ from .tables import Candidate, RefOccurrence
 
 DEFAULT_DELTA_SECONDS = 0.5
 
-CORRECT = "correct"
-FALSE_ALARM = "false_alarm"
-
 
 class KeywordCounts:
     """One keyword's reference, correct and false-alarm counts; updated in place."""
@@ -40,9 +37,10 @@ class KeywordCounts:
 
 
 class AlignmentResult(NamedTuple):
-    """Labels parallel to the hypotheses given to align(), and per-keyword counts."""
+    """The positions, in increasing order, of the hypotheses given to
+    align() that matched a reference, and per-keyword counts."""
 
-    hypothesis_labels: list[str]
+    matched: list[int]
     keyword_counts: dict[str, KeywordCounts]
 
 
@@ -128,10 +126,7 @@ def align(hypotheses: Sequence[Candidate], references: Sequence[RefOccurrence],
     paired = _paired_groups(hypotheses, references, delta_seconds)
     matched, counts = _tally([h.kw_id for h in hypotheses], [True] * len(hypotheses),
                              Counter(ref.kw_id for ref in references), paired)
-    labels = [FALSE_ALARM] * len(hypotheses)
-    for i in matched:
-        labels[i] = CORRECT
-    return AlignmentResult(hypothesis_labels=labels, keyword_counts=counts)
+    return AlignmentResult(sorted(matched), counts)
 
 
 def _keyword_rate(kw_id: str, c: KeywordCounts, trial_seconds: float

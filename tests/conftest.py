@@ -5,8 +5,16 @@ from __future__ import annotations
 
 import io
 import logging
+import os
+import sys
 from pathlib import Path
 from typing import NamedTuple
+
+# A test run leaves no bytecode cache beside the sources, in this process
+# or in the commands it spawns: a cache left in `src/drstd` would be read
+# by every later run of that checkout and skip compiling drstd.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import numpy as np
 import pytest

@@ -148,6 +148,42 @@ def pairwise_merge_dedup(candidates, fraction=0.5):
     return items
 
 
+def reference_greedy_dedup(candidates, fraction=0.5):
+    """The greedy rule of `dedup_overlaps`, as its docstring states it.
+
+    Every candidate is visited once, best first: highest score, then
+    earliest start, then shortest duration, then input order. It is kept
+    unless an already kept candidate of the same keyword and document
+    overlaps it by more than `fraction` of the shorter of the two spans;
+    a zero-length span overlaps another only when both start at the same
+    instant. The kept candidates are returned in `Candidate.sort_key`
+    order.
+    """
+    order = sorted(range(len(candidates)), key=lambda i: (
+        -candidates[i].score, candidates[i].start, candidates[i].duration, i))
+    kept = []
+    for i in order:
+        cand = candidates[i]
+        clash = False
+        for other in kept:
+            if (other.kw_id, other.doc_id) != (cand.kw_id, cand.doc_id):
+                continue
+            shorter = min(cand.duration, other.duration)
+            if shorter == 0:
+                clash = cand.start == other.start
+            else:
+                overlap = (min(cand.start + cand.duration,
+                               other.start + other.duration)
+                           - max(cand.start, other.start))
+                clash = overlap > fraction * shorter
+            if clash:
+                break
+        if not clash:
+            kept.append(cand)
+    kept.sort(key=Candidate.sort_key)
+    return kept
+
+
 def expected_twv(scores, accepted, trial_seconds, beta):
     """Expected term-weighted value for one keyword's YES set.
 

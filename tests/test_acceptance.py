@@ -17,7 +17,8 @@ import scipy.stats
 
 from drstd.cli import main
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
-from drstd.diagnostics import spearman, weight_performance_correlation
+from drstd.diagnostics import (doc_performance, spearman,
+                               weight_performance_correlation)
 from drstd.rescore import (build_weight_tables, reestimate_confidence,
                            rescore_candidates)
 from drstd.scoring import align, atwv, keyword_rates
@@ -176,9 +177,9 @@ def test_criterion_7_correlation_diagnostic(synth_dir, baseline_run, tmp_path):
     refs = parse_occurrence_table(synth_dir / "refs.tsv", "ref")
     policy = DecisionPolicy(mode="kst", trial_seconds=_trial_seconds(base_dir))
     accepted = yes_only(apply_decisions(cands, policy))
-    alignment = align(accepted, refs, 0.5)
-    tables = build_weight_tables(cands)
-    rho_p, rho_r = weight_performance_correlation(accepted, tables, alignment)
+    doc_rows = doc_performance(accepted, build_weight_tables(cands),
+                               align(accepted, refs, 0.5))
+    rho_p, rho_r = weight_performance_correlation(doc_rows)
     assert rho_p >= 0.5
     assert rho_r >= 0.5
     diag_out = tmp_path / "diag"

@@ -420,6 +420,20 @@ class TestSweepAndDiag:
         diagnostics = json.loads((out / "diagnostics.json").read_text())
         assert "spearman_weight_precision" in diagnostics
 
+    def test_diag_builds_doc_rows_once(self, data_dir, tmp_path, monkeypatch):
+        from drstd import diagnostics
+        cands = tmp_path / "c.tsv"
+        run("search", "--corpus", str(data_dir / "corpus.jsonl"),
+            "--keywords", str(data_dir / "keywords.tsv"), "--out", str(cands))
+        calls = []
+        build = diagnostics.doc_performance
+        monkeypatch.setattr(diagnostics, "doc_performance",
+                            lambda *args: calls.append(args) or build(*args))
+        assert run("diag", "--in", str(cands),
+                   "--ref", str(data_dir / "refs.tsv"),
+                   "--trial-seconds", "3600", "--out", str(tmp_path / "diag")) == 0
+        assert len(calls) == 1
+
     @staticmethod
     def _diag_strict(tmp_path, caplog, rows):
         cands, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
@@ -718,6 +732,37 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "d.tsv")) == 0
         assert run("score", "--hyp", str(tmp_path / "d.tsv"), "--ref", str(refs),
                    "--trial-seconds", "3600", "--out", str(out)) == 0
+
+    def test_rescored_zero_score_rejected_only_by_rescoring_commands(
+            self, tmp_path, capsys):
+        # at alpha 1, d2's score becomes its weight, 5e-9, written as 0
+        cands, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
+        cands.write_text("".join(f"K1\td1\t{i}.0\t0.5\t1.000000\n"
+                                 for i in range(200))
+                         + "K1\td2\t0.0\t0.5\t0.000001\n")
+        refs.write_text("K1\td1\t0.0\t0.5\n")
+        rescored = tmp_path / "rescored.tsv"
+        assert run("rescore", "--in", str(cands), "--alpha", "1",
+                   "--out", str(rescored)) == 0
+        assert rescored.read_text().splitlines()[201] == "K1\td2\t0.0\t0.5\t0.000000"
+        decided = tmp_path / "decided.tsv"
+        assert run("decide", "--in", str(rescored), "--trial-seconds", "3600",
+                   "--out", str(decided)) == 0
+        assert run("score", "--hyp", str(decided), "--ref", str(refs),
+                   "--trial-seconds", "3600",
+                   "--out", str(tmp_path / "report.json")) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        inputs = ["--in", str(rescored)]
+        for argv in (["rescore", *inputs, "--alpha", "0.5"],
+                     ["sweep", *inputs, "--ref", str(refs), "--alpha-grid", "0,1",
+                      "--trial-seconds", "3600"],
+                     ["diag", *inputs, "--ref", str(refs), "--trial-seconds", "3600"]):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"drstd: {rescored}:202: candidate 'K1'/'d2'@0.0 has non-positive "
+                "score 0.0; rescoring needs scores > 0"]
+            assert not out.exists()
 
     @pytest.mark.parametrize("beta,trial_seconds,cut", [
         ("0.5", "1", "nan"), ("0.25", "1", "-1.0"), ("1e308", "100", "nan")],

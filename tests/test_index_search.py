@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drstd.corpus_io import ConfusionNetworkDoc, KeywordEntry, Slot
@@ -10,7 +10,8 @@ from drstd.index_search import dedup_overlaps, search_all
 from drstd.tables import Candidate
 
 from conftest import random_corpus, random_keywords
-from oracles import naive_scan_search, pairwise_merge_dedup
+from oracles import (naive_scan_search, pairwise_merge_dedup,
+                     reference_greedy_dedup)
 
 
 def doc(doc_id, *slot_specs):
@@ -172,3 +173,36 @@ def test_dedup_idempotent(rows):
     cands = [Candidate(f"K{k}", "d1", s, d, sc) for k, s, d, sc in rows]
     once = dedup_overlaps(cands)
     assert dedup_overlaps(once) == once
+
+
+# Starts and durations on a quarter-second grid make equal starts, touching
+# spans (one ends where the next starts), nested spans, exact half overlaps
+# and zero-length spans common; few scores make score ties common.
+_GRID_START = st.integers(0, 12).map(lambda q: q / 4)
+_GRID_DURATION = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+_DEDUP_ROW = st.tuples(
+    st.sampled_from(["K1", "K2"]), st.sampled_from(["d1", "d2"]),
+    st.one_of(_GRID_START, st.floats(0, 3, allow_nan=False)),
+    st.one_of(_GRID_DURATION, st.floats(0, 2, allow_nan=False)),
+    st.sampled_from([0.2, 0.5, 0.9]),
+    st.sampled_from([None, "NO", "YES"]))
+
+
+@given(st.lists(_DEDUP_ROW, max_size=20))
+@example([("K1", "d1", 1.0, 1.0, 0.5, None),     # equal starts: the
+          ("K1", "d1", 1.0, 0.5, 0.5, None)])    # shorter one wins the tie
+@example([("K1", "d1", 1.0, 2.0, 0.9, None),     # zero-length spans inside
+          ("K1", "d1", 1.5, 0.0, 0.5, None),     # a span (kept), at its
+          ("K1", "d1", 1.0, 0.0, 0.2, None),     # start (dropped), and two
+          ("K1", "d2", 2.0, 0.0, 0.9, None),     # at the same instant
+          ("K1", "d2", 2.0, 0.0, 0.5, None)])    # (one kept)
+@example([("K1", "d1", 0.0, 2.0, 0.5, None),     # nested spans
+          ("K1", "d1", 0.5, 0.5, 0.9, None)])
+@example([("K1", "d1", 0.0, 1.0, 0.5, None),     # touching spans
+          ("K1", "d1", 1.0, 1.0, 0.9, None)])
+@example([("K1", "d1", 0.0, 1.0, 0.5, "YES"),    # a full tie: the first
+          ("K1", "d1", 0.0, 1.0, 0.5, "NO")])    # in input order is kept
+@settings(max_examples=300, deadline=None)
+def test_dedup_matches_greedy_oracle(rows):
+    cands = [Candidate(*row) for row in rows]
+    assert dedup_overlaps(cands) == reference_greedy_dedup(cands)

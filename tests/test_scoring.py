@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from drstd import diagnostics, scoring
 from drstd.cli import main
 from drstd.decision import DecisionPolicy
-from drstd.diagnostics import (alpha_sweep, doc_rank_curves, spearman,
-                               weight_performance_correlation)
+from drstd.diagnostics import (alpha_sweep, doc_performance, doc_rank_curves,
+                               spearman, weight_performance_correlation)
 from drstd.rescore import build_weight_tables
-from drstd.scoring import (CORRECT, FALSE_ALARM, align, atwv, build_report,
-                           keyword_rates, mtwv, score_detections)
+from drstd.scoring import (align, atwv, build_report, keyword_rates, mtwv,
+                           score_detections)
 from drstd.tables import Candidate, RefOccurrence, parse_occurrence_table
 
 from conftest import random_candidates, random_references
@@ -37,7 +37,7 @@ def ref(kw, doc, start, dur=0.4):
 class TestAlign:
     def test_midpoint_within_delta_is_correct(self):
         result = align([hyp("K", "d", 3.22)], [ref("K", "d", 3.20)], 0.5)
-        assert result.hypothesis_labels == [CORRECT]
+        assert result.matched == [0]
         counts = result.keyword_counts["K"]
         assert (counts.n_correct, counts.n_true) == (1, 1)
 
@@ -45,7 +45,7 @@ class TestAlign:
         hyps = [hyp("K", "d", 3.0), hyp("K", "d", 3.38)]
         refs = [ref("K", "d", 3.40)]
         result = align(hyps, refs, 0.5)
-        assert result.hypothesis_labels == [FALSE_ALARM, CORRECT]
+        assert result.matched == [1]
         # brute-force optimal matching agrees on the match count
         optimal = optimal_match_count(
             [h.midpoint for h in hyps], [r.start + r.duration / 2 for r in refs],
@@ -60,17 +60,24 @@ class TestAlign:
 
     def test_beyond_delta_is_false_alarm(self):
         result = align([hyp("K", "d", 4.0)], [ref("K", "d", 1.0)], 0.5)
-        assert result.hypothesis_labels == [FALSE_ALARM]
+        assert result.matched == []
 
     def test_keyword_and_doc_must_match(self):
         result = align([hyp("K1", "d", 1.0), hyp("K2", "other", 1.0)],
                        [ref("K1", "other", 1.0), ref("K2", "d", 1.0)], 0.5)
-        assert result.hypothesis_labels == [FALSE_ALARM, FALSE_ALARM]
+        assert result.matched == []
 
     def test_each_reference_consumed_once(self):
         hyps = [hyp("K", "d", 1.0), hyp("K", "d", 1.02), hyp("K", "d", 1.04)]
         result = align(hyps, [ref("K", "d", 1.01)], 0.5)
-        assert result.hypothesis_labels.count(CORRECT) == 1
+        assert len(result.matched) == 1
+
+    def test_matched_positions_increase_across_groups(self):
+        # the d2 group comes first in input order, yet positions ascend
+        hyps = [hyp("K", "d2", 1.0), hyp("K", "d1", 1.0), hyp("K", "d1", 9.0),
+                hyp("K", "d2", 5.0)]
+        refs = [ref("K", "d1", 1.0), ref("K", "d2", 5.0), ref("K", "d2", 1.0)]
+        assert align(hyps, refs, 0.5).matched == [0, 1, 3]
 
     def test_counts_balance(self):
         rng = np.random.default_rng(0)
@@ -322,31 +329,47 @@ def test_spearman_bit_equal_to_numpy_oracle(pair):
     assert repr(spearman(x, y)) == repr(numpy_spearman(x, y))
 
 
+class TestDocPerformance:
+    def test_rows_per_document_in_weight_table_order(self):
+        hyps = [hyp("K", "rich", 1.0), hyp("K", "rich", 3.0),
+                hyp("K", "mixed", 1.0, score=0.3), hyp("K", "mixed", 7.0),
+                hyp("NOREF", "d", 1.0)]
+        refs = [ref("K", "rich", 1.0), ref("K", "rich", 3.0),
+                ref("K", "mixed", 7.0), ref("K", "elsewhere", 1.0)]
+        tables = build_weight_tables(hyps)
+        # "none" has a weight but no accepted hit: precision 0, recall 0
+        tables["K"]["none"] = (0.1, 0.1)
+        rows = doc_performance(hyps, tables, align(hyps, refs, 0.5))
+        assert rows == [("K", "rich", 1.0, 1.0, 0.5),
+                        ("K", "mixed", tables["K"]["mixed"][1], 0.5, 0.25),
+                        ("K", "none", 0.1, 0.0, 0.0)]
+
+
 class TestDocRankCurves:
     def test_single_keyword_top_doc(self):
         hyps = [hyp("K", "top", 1.0), hyp("K", "top", 5.0)]
         refs = [ref("K", "top", 1.0), ref("K", "top", 5.0),
                 ref("K", "elsewhere", 9.0), ref("K", "elsewhere", 12.0)]
-        alignment = align(hyps, refs, 0.5)
         tables = build_weight_tables(hyps)
-        rows = doc_rank_curves(hyps, tables, alignment, max_rank=5)
+        doc_rows = doc_performance(hyps, tables, align(hyps, refs, 0.5))
+        rows = doc_rank_curves(doc_rows, max_rank=5)
         assert rows[0] == (1, 1.0, 0.5)
 
     def test_keyword_without_candidates_contributes_nothing(self):
         hyps = [hyp("K", "d", 1.0)]
         refs = [ref("K", "d", 1.0), ref("GHOST", "d", 5.0)]
-        alignment = align(hyps, refs, 0.5)
         tables = build_weight_tables(hyps)
-        rows = doc_rank_curves(hyps, tables, alignment, max_rank=3)
+        doc_rows = doc_performance(hyps, tables, align(hyps, refs, 0.5))
+        rows = doc_rank_curves(doc_rows, max_rank=3)
         assert rows == [(1, 1.0, 1.0)]
 
     def test_rank_positions_average_over_available_keywords(self):
         hyps = [hyp("A", "d1", 1.0), hyp("A", "d2", 5.0, score=0.2),
                 hyp("B", "d1", 9.0)]
         refs = [ref("A", "d1", 1.0), ref("B", "d1", 9.0)]
-        alignment = align(hyps, refs, 0.5)
         tables = build_weight_tables(hyps)
-        rows = doc_rank_curves(hyps, tables, alignment, max_rank=4)
+        doc_rows = doc_performance(hyps, tables, align(hyps, refs, 0.5))
+        rows = doc_rank_curves(doc_rows, max_rank=4)
         # rank 1 averages keywords A and B; rank 2 only keyword A has a doc
         assert rows[0][0] == 1 and rows[1][0] == 2
         assert rows[0][1] == pytest.approx(1.0)
@@ -356,11 +379,11 @@ class TestDocRankCurves:
         # d2 comes first in the weight table; with equal weights d1 ranks first
         hyps = [hyp("K", "d2", 1.0), hyp("K", "d1", 1.0)]
         refs = [ref("K", "d1", 1.0)]
-        alignment = align(hyps, refs, 0.5)
         tables = build_weight_tables(hyps)
         assert list(tables["K"]) == ["d2", "d1"]
         assert tables["K"]["d1"][1] == tables["K"]["d2"][1]
-        rows = doc_rank_curves(hyps, tables, alignment, max_rank=5)
+        doc_rows = doc_performance(hyps, tables, align(hyps, refs, 0.5))
+        rows = doc_rank_curves(doc_rows, max_rank=5)
         assert rows == [(1, 1.0, 1.0), (2, 0.0, 0.0)]
 
 
@@ -517,9 +540,9 @@ def test_weight_performance_correlation_prefers_hit_rich_docs():
     hyps = [hyp("K", "rich", 1.0), hyp("K", "rich", 3.0),
             hyp("K", "junk", 50.0, score=0.3)]
     refs = [ref("K", "rich", 1.0), ref("K", "rich", 3.0)]
-    alignment = align(hyps, refs, 0.5)
-    tables = build_weight_tables(hyps)
-    rho_p, rho_r = weight_performance_correlation(hyps, tables, alignment)
+    doc_rows = doc_performance(hyps, build_weight_tables(hyps),
+                               align(hyps, refs, 0.5))
+    rho_p, rho_r = weight_performance_correlation(doc_rows)
     assert rho_p == 1.0
     assert rho_r == 1.0
 

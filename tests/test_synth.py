@@ -12,7 +12,7 @@ from drstd.cli import main
 from drstd.corpus_io import (ConfusionNetworkDoc, KeywordEntry, parse_cn_corpus,
                              write_cn_corpus)
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
-from drstd.diagnostics import weight_performance_correlation
+from drstd.diagnostics import doc_performance, weight_performance_correlation
 from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
 from drstd.scoring import align, atwv, keyword_rates
@@ -319,8 +319,8 @@ class TestBurstiness:
             policy = DecisionPolicy(
                 mode="kst", trial_seconds=corpus_duration_seconds(docs))
             accepted = yes_only(apply_decisions(cands, policy))
-            alignment = align(accepted, refs, 0.5)
-            rho_p, _rho_r = weight_performance_correlation(
-                accepted, build_weight_tables(cands), alignment)
+            doc_rows = doc_performance(accepted, build_weight_tables(cands),
+                                       align(accepted, refs, 0.5))
+            rho_p, _rho_r = weight_performance_correlation(doc_rows)
             rhos.append(rho_p)
         assert rhos[0] < rhos[1] < rhos[2]
