@@ -339,11 +339,8 @@ def _add_decision_flags(sub) -> None:
                      help="total speech seconds defining false-alarm trials")
 
 
-_SUBCOMMANDS = "search rescore decide score sweep diag synth pipeline".split()
-
-
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the subcommand `only` alone."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = _Parser(prog="drstd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"drstd {__version__}")
@@ -351,117 +348,105 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
                         help="suppress progress logging")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    if only in (None, "search"):
-        p = subs.add_parser("search", help="one-pass keyword retrieval")
-        _add_input(p, "--corpus", "corpus")
-        _add_input(p, "--keywords", "keywords")
-        p.add_argument("--out", type=Path, required=True, help="candidate TSV")
-        p.set_defaults(func=cmd_search)
+    p = subs.add_parser("search", help="one-pass keyword retrieval")
+    _add_input(p, "--corpus", "corpus")
+    _add_input(p, "--keywords", "keywords")
+    p.add_argument("--out", type=Path, required=True, help="candidate TSV")
+    p.set_defaults(func=cmd_search)
 
-    if only in (None, "rescore"):
-        p = subs.add_parser("rescore",
-                            help="re-estimate confidences from document weights")
-        _add_input(p, "--in", "candidates", _SEARCH_TSV)
-        p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
-                       help="interpolation coefficient in [0, 1]")
-        p.add_argument("--weights-out", default=None,
-                       help="optional TSV of per-keyword document weights")
-        p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
-        p.set_defaults(func=lambda a: _rescore_stage(a.candidates, a.out, a.alpha,
-                                                     a.weights_out))
+    p = subs.add_parser("rescore",
+                        help="re-estimate confidences from document weights")
+    _add_input(p, "--in", "candidates", _SEARCH_TSV)
+    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
+                   help="interpolation coefficient in [0, 1]")
+    p.add_argument("--weights-out", default=None,
+                   help="optional TSV of per-keyword document weights")
+    p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
+    p.set_defaults(func=lambda a: _rescore_stage(a.candidates, a.out, a.alpha,
+                                                 a.weights_out))
 
-    if only in (None, "decide"):
-        p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
-        _add_input(p, "--in", "candidates", "candidate TSV")
-        _add_decision_flags(p)
-        p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
-        p.set_defaults(func=lambda a: _decide_stage(a.candidates, a.out,
-                                                    _resolve_policy(a)))
+    p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
+    _add_input(p, "--in", "candidates", "candidate TSV")
+    _add_decision_flags(p)
+    p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
+    p.set_defaults(func=lambda a: _decide_stage(a.candidates, a.out,
+                                                _resolve_policy(a)))
 
-    if only in (None, "score"):
-        p = subs.add_parser("score", help="term-weighted-value scoring")
-        _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
-        _add_input(p, "--ref", "references", "reference TSV")
-        p.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, required=True)
-        p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA)
-        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS,
-                       help="alignment midpoint tolerance in seconds")
-        p.add_argument("--mtwv", action="store_true",
-                       help="also scan for the best global threshold")
-        p.add_argument("--out", type=Path, required=True, help="report JSON")
-        p.set_defaults(func=lambda a: _score_stage(
-            parse_occurrence_table(a.hypotheses, "decided"),
-            parse_occurrence_table(a.references, "ref"),
-            a.out, a.trial_seconds, a.beta, a.delta, a.mtwv))
+    p = subs.add_parser("score", help="term-weighted-value scoring")
+    _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
+    _add_input(p, "--ref", "references", "reference TSV")
+    p.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, required=True)
+    p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS,
+                   help="alignment midpoint tolerance in seconds")
+    p.add_argument("--mtwv", action="store_true",
+                   help="also scan for the best global threshold")
+    p.add_argument("--out", type=Path, required=True, help="report JSON")
+    p.set_defaults(func=lambda a: _score_stage(
+        parse_occurrence_table(a.hypotheses, "decided"),
+        parse_occurrence_table(a.references, "ref"),
+        a.out, a.trial_seconds, a.beta, a.delta, a.mtwv))
 
-    if only in (None, "sweep"):
-        p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
-        _add_input(p, "--in", "candidates", _SEARCH_TSV)
-        _add_input(p, "--ref", "references", "reference TSV")
-        p.add_argument("--alpha-grid", type=_parse_grid, required=True,
-                       help="comma-separated coefficients, e.g. 0,0.05,0.1")
-        _add_decision_flags(p)
-        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-        p.add_argument("--out", type=Path, required=True, help="sweep CSV")
-        p.set_defaults(func=cmd_sweep)
+    p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
+    _add_input(p, "--in", "candidates", _SEARCH_TSV)
+    _add_input(p, "--ref", "references", "reference TSV")
+    p.add_argument("--alpha-grid", type=_parse_grid, required=True,
+                   help="comma-separated coefficients, e.g. 0,0.05,0.1")
+    _add_decision_flags(p)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--out", type=Path, required=True, help="sweep CSV")
+    p.set_defaults(func=cmd_sweep)
 
-    if only in (None, "diag"):
-        p = subs.add_parser("diag",
-                            help="document-rank curves and weight correlations")
-        _add_input(p, "--in", "candidates", _SEARCH_TSV)
-        _add_input(p, "--ref", "references", "reference TSV")
-        _add_decision_flags(p)
-        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-        p.add_argument("--max-rank", type=_POSITIVE_INT, default=10)
-        p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.set_defaults(func=cmd_diag)
+    p = subs.add_parser("diag",
+                        help="document-rank curves and weight correlations")
+    _add_input(p, "--in", "candidates", _SEARCH_TSV)
+    _add_input(p, "--ref", "references", "reference TSV")
+    _add_decision_flags(p)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--max-rank", type=_POSITIVE_INT, default=10)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.set_defaults(func=cmd_diag)
 
-    if only in (None, "synth"):
-        p = subs.add_parser("synth", help="generate a synthetic corpus",
-                            epilog=("Writes corpus.jsonl, keywords.tsv and refs.tsv. "
-                                    "Spoken-token posteriors are uniform on "
-                                    "[0.78-0.72*noise, 0.97-0.46*noise]; the rest "
-                                    "of each slot's mass is split over 2-4 "
-                                    "competitor arcs by a flattened Dirichlet "
-                                    "(0.7*Dirichlet + 0.3*uniform), with keywords "
-                                    "appearing as occasional confusions, "
-                                    "preferentially in their home topic. "
-                                    "Deterministic for a given --seed."))
-        p.add_argument("--docs", type=_POSITIVE_INT, required=True)
-        p.add_argument("--slots", type=_POSITIVE_INT, default=60,
-                       help="slots per document")
-        p.add_argument("--keywords", type=_POSITIVE_INT, required=True)
-        p.add_argument("--vocab", type=_POSITIVE_INT, default=500)
-        p.add_argument("--topic-affinity", type=_UNIT_INTERVAL, default=0.8)
-        p.add_argument("--docs-per-topic", type=_POSITIVE_INT, default=5)
-        p.add_argument("--noise", type=_UNIT_INTERVAL, default=0.3)
-        p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
-        p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.set_defaults(func=cmd_synth)
+    p = subs.add_parser("synth", help="generate a synthetic corpus",
+                        epilog=("Writes corpus.jsonl, keywords.tsv and refs.tsv. "
+                                "Spoken-token posteriors are uniform on "
+                                "[0.78-0.72*noise, 0.97-0.46*noise]; the rest "
+                                "of each slot's mass is split over 2-4 "
+                                "competitor arcs by a flattened Dirichlet "
+                                "(0.7*Dirichlet + 0.3*uniform), with keywords "
+                                "appearing as occasional confusions, "
+                                "preferentially in their home topic. "
+                                "Deterministic for a given --seed."))
+    p.add_argument("--docs", type=_POSITIVE_INT, required=True)
+    p.add_argument("--slots", type=_POSITIVE_INT, default=60,
+                   help="slots per document")
+    p.add_argument("--keywords", type=_POSITIVE_INT, required=True)
+    p.add_argument("--vocab", type=_POSITIVE_INT, default=500)
+    p.add_argument("--topic-affinity", type=_UNIT_INTERVAL, default=0.8)
+    p.add_argument("--docs-per-topic", type=_POSITIVE_INT, default=5)
+    p.add_argument("--noise", type=_UNIT_INTERVAL, default=0.3)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.set_defaults(func=cmd_synth)
 
-    if only in (None, "pipeline"):
-        p = subs.add_parser("pipeline",
-                            help="search, rescore, decide and score in one run")
-        _add_input(p, "--corpus", "corpus")
-        _add_input(p, "--keywords", "keywords")
-        _add_input(p, "--ref", "references")
-        p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True)
-        _add_decision_flags(p)
-        p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-        p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.set_defaults(func=cmd_pipeline)
+    p = subs.add_parser("pipeline",
+                        help="search, rescore, decide and score in one run")
+    _add_input(p, "--corpus", "corpus")
+    _add_input(p, "--keywords", "keywords")
+    _add_input(p, "--ref", "references")
+    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True)
+    _add_decision_flags(p)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
     global _info
-    argv = sys.argv[1:] if argv is None else argv
-    # Parse with the subcommand's parser alone when only --quiet precedes it.
-    first = next((word for word in argv if word != "--quiet"), None)
-    parser = build_parser(first if first in _SUBCOMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"drstd: {exc}", file=sys.stderr)
         return 1

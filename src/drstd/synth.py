@@ -187,7 +187,7 @@ def generate(config: SynthConfig) -> tuple[
                       for tok, share in zip(comp_tokens, shares)]))))
                 clock += duration
             yield ConfusionNetworkDoc(doc_id, tuple(slots))
-        refs.sort(key=lambda r: (r.kw_id, r.doc_id, r.start))
+        refs.sort()  # no two share (kw_id, doc_id, start): one plant a slot
 
     return documents(), keywords, refs, dropped
 

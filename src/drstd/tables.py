@@ -248,8 +248,8 @@ def write_candidates(path: str | Path, candidates: Sequence[Candidate]) -> None:
 
 
 def write_references(path: str | Path, refs: Sequence[RefOccurrence]) -> None:
-    """Write references sorted by (kw_id, doc_id, start)."""
+    """Write references sorted by kw_id, doc_id, start, then duration."""
     lines = ["# kw_id\tdoc_id\tstart\tdur"]
-    for ref in sorted(refs, key=lambda r: (r.kw_id, r.doc_id, r.start, r.duration)):
+    for ref in sorted(refs):
         lines.append(f"{ref.kw_id}\t{ref.doc_id}\t{ref.start!r}\t{ref.duration!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -184,6 +184,80 @@ def reference_greedy_dedup(candidates, fraction=0.5):
     return kept
 
 
+def reference_kst_cut(scores, beta, trial_seconds):
+    """One keyword's KST threshold, as `decision`'s docstrings state it.
+
+    N, the expected number of true occurrences, is the keyword's scores
+    summed in input order. N = 0 gives a cut of 1.0, so that only a
+    perfect score passes. Otherwise the cut is
+    beta * N / (T + (beta - 1) * N), and a cut that is not a finite
+    number > 0, a zero denominator included, is a ValueError.
+    """
+    n = 0.0
+    for score in scores:
+        n += score
+    if n == 0.0:
+        return 1.0
+    denominator = trial_seconds + (beta - 1.0) * n
+    if denominator == 0.0:
+        raise ValueError(f"no KST threshold: zero denominator at N={n}")
+    cut = beta * n / denominator
+    if not (math.isfinite(cut) and cut > 0.0):
+        raise ValueError(f"no KST threshold: the cut is {cut} at N={n}")
+    return cut
+
+
+def reference_nearest_first_alignment(hypotheses, references, delta_seconds):
+    """The nearest-first alignment of `scoring`'s docstrings.
+
+    Every hypothesis given counts as accepted. A hypothesis and a
+    reference of the same keyword and document may pair when their
+    midpoints lie at most `delta_seconds` apart. Pairs are taken one at a
+    time: each time, the best pair whose hypothesis and reference are
+    both still unused, by nearest midpoints, then earliest hypothesis
+    start, shortest hypothesis duration, earliest reference start, and
+    lowest hypothesis and then reference position.
+
+    Returns the matched hypothesis positions in increasing order, and
+    (n_true, n_correct, n_fa) for each keyword of the references or the
+    hypotheses.
+    """
+    free_hyps = set(range(len(hypotheses)))
+    free_refs = set(range(len(references)))
+    matched = []
+    while True:
+        best = None
+        for i in free_hyps:
+            h = hypotheses[i]
+            for j in free_refs:
+                r = references[j]
+                if h.kw_id != r.kw_id or h.doc_id != r.doc_id:
+                    continue
+                dist = abs((h.start + h.duration / 2.0)
+                           - (r.start + r.duration / 2.0))
+                if dist > delta_seconds:
+                    continue
+                key = (dist, h.start, h.duration, r.start, i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        free_hyps.remove(best[4])
+        free_refs.remove(best[5])
+        matched.append(best[4])
+    n_true, n_correct, n_hyps = defaultdict(int), defaultdict(int), defaultdict(int)
+    for r in references:
+        n_true[r.kw_id] += 1
+    for h in hypotheses:
+        n_hyps[h.kw_id] += 1
+    for i in matched:
+        n_correct[hypotheses[i].kw_id] += 1
+    counts = {kw_id: (n_true[kw_id], n_correct[kw_id],
+                      n_hyps[kw_id] - n_correct[kw_id])
+              for kw_id in set(n_true) | set(n_hyps)}
+    return sorted(matched), counts
+
+
 def expected_twv(scores, accepted, trial_seconds, beta):
     """Expected term-weighted value for one keyword's YES set.
 

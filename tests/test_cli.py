@@ -1171,7 +1171,6 @@ def test_table_commands_load_no_corpus_code(data_dir, pipeline_run, tmp_path,
 
 @pytest.mark.parametrize("subcommand", sorted(_subcommands()))
 def test_subcommand_help_is_that_of_the_full_parser(capsys, subcommand):
-    # main builds the parser of the subcommand it runs alone
     with pytest.raises(SystemExit) as exc:
         main([subcommand, "--help"])
     assert exc.value.code == 0
@@ -1180,7 +1179,6 @@ def test_subcommand_help_is_that_of_the_full_parser(capsys, subcommand):
 
 @pytest.mark.parametrize("argv", [["--help"], ["--quiet", "-h", "score"]])
 def test_help_before_a_subcommand_names_all_of_them(capsys, argv):
-    assert cli._SUBCOMMANDS == list(_subcommands())
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0

@@ -1,12 +1,17 @@
 """Threshold decisions: global and keyword-specific."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from drstd.decision import DecisionPolicy, apply_decisions, kst_cuts, yes_only
+from drstd.decision import (DecisionPolicy, apply_decisions, kst_cuts, yes_flags,
+                            yes_only)
 from drstd.tables import Candidate
 
-from oracles import best_expected_twv, expected_twv
+from oracles import best_expected_twv, expected_twv, reference_kst_cut
 
 
 def cands_with_scores(scores, kw="K1"):
@@ -157,3 +162,39 @@ class TestDecisionPolicy:
     def test_invalid_policies(self, kwargs):
         with pytest.raises(ValueError):
             DecisionPolicy(**kwargs)
+
+
+# Scores where cuts tie with them and sums depend on their order, beside
+# free ones; betas and trials that give every error case of the cut.
+_KST_SCORE = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from(["K0", "K1", "K2"]), _KST_SCORE),
+                     max_size=12),
+       beta=st.sampled_from([0.25, 0.5, 1.0, 2.0, 999.9, 1e308]),
+       trial=st.sampled_from([1.0, 2.0, 3600.0]))
+@example(rows=[("K1", 0.5)], beta=1.0, trial=1.0)  # the cut equals the score
+@example(rows=[("K1", 1.0), ("K1", 1.0)], beta=2.0, trial=2.0)  # N = T: cut 1.0
+@settings(max_examples=300, deadline=None)
+def test_kst_cuts_and_flags_match_oracle(rows, beta, trial):
+    kw_ids = [kw_id for kw_id, _ in rows]
+    scores = [score for _, score in rows]
+    policy = DecisionPolicy(mode="kst", beta=beta, trial_seconds=trial)
+    expected, failing = {}, None
+    for kw_id in dict.fromkeys(kw_ids):
+        try:
+            expected[kw_id] = reference_kst_cut(
+                [s for k, s in rows if k == kw_id], beta, trial)
+        except ValueError:
+            failing = kw_id
+            break
+    try:
+        got = kst_cuts(kw_ids, scores, policy)
+    except ValueError as exc:
+        named = re.match(r"keyword '(\w+)' has no KST threshold", str(exc))
+        assert named and named[1] == failing, str(exc)
+        return
+    assert failing is None
+    assert got == expected
+    assert yes_flags(kw_ids, scores, policy) == [
+        score >= expected[kw_id] for kw_id, score in rows]

@@ -22,7 +22,8 @@ from drstd.tables import Candidate, RefOccurrence, parse_occurrence_table
 
 from conftest import random_candidates, random_references
 from oracles import (brute_force_atwv, exhaustive_mtwv, numpy_spearman,
-                     optimal_match_count, reference_alpha_sweep)
+                     optimal_match_count, reference_alpha_sweep,
+                     reference_nearest_first_alignment)
 
 
 def hyp(kw, doc, start, dur=0.4, score=0.9, decision="YES"):
@@ -94,6 +95,39 @@ class TestAlign:
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError, match="delta"):
             align([], [], 0.0)
+
+
+# Quarter-second times, exact in binary, so that distances tie exactly,
+# also with delta itself; a hypothesis may be zero-length.
+def _occurrences(durations):
+    return st.lists(st.tuples(st.sampled_from(["K0", "K1"]),
+                              st.sampled_from(["d0", "d1"]),
+                              st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+                              st.sampled_from(durations)), max_size=10)
+
+
+@given(hyp_rows=_occurrences([0.0, 0.25, 0.5, 1.0]),
+       ref_rows=_occurrences([0.25, 0.5, 1.0]),
+       delta=st.sampled_from([0.25, 0.5, 1.0]))
+# equal distances, at delta: the earlier hypothesis start wins
+@example(hyp_rows=[("K0", "d0", 1.0, 0.5), ("K0", "d0", 0.0, 0.5)],
+         ref_rows=[("K0", "d0", 0.5, 0.5)], delta=0.5)
+# equal distances and starts: the shorter hypothesis wins
+@example(hyp_rows=[("K0", "d0", 0.0, 1.0), ("K0", "d0", 0.0, 0.5)],
+         ref_rows=[("K0", "d0", 0.25, 0.25)], delta=0.25)
+# equal distances from one hypothesis: the earlier reference start wins,
+# which leaves the later one to the second hypothesis
+@example(hyp_rows=[("K0", "d0", 0.5, 0.5), ("K0", "d0", 1.5, 0.5)],
+         ref_rows=[("K0", "d0", 1.0, 0.25), ("K0", "d0", 0.25, 0.25)], delta=1.0)
+@settings(max_examples=300, deadline=None)
+def test_align_matches_nearest_first_oracle(hyp_rows, ref_rows, delta):
+    hyps = [hyp(*row) for row in hyp_rows]
+    refs = [ref(*row) for row in ref_rows]
+    result = align(hyps, refs, delta)
+    matched, counts = reference_nearest_first_alignment(hyps, refs, delta)
+    assert result.matched == matched
+    assert {kw_id: (c.n_true, c.n_correct, c.n_fa)
+            for kw_id, c in result.keyword_counts.items()} == counts
 
 
 class TestKeywordRates:
