@@ -3,10 +3,12 @@
 Chains the batch stages as separate subcommands (search, rescore,
 decide, score, sweep, diag, synth) plus a `pipeline` subcommand that runs
 search -> rescore -> decide -> score in one invocation. Every
-intermediate artifact is an ordinary file in the documented formats; the
-pipeline runs the stage code of `rescore`, `decide` and `score` on the
-file the stage before wrote, so its outputs are byte-identical to chaining
-the individual subcommands. It makes scoring's checks before any write.
+intermediate artifact is an ordinary file in the documented formats. The
+pipeline runs the stage code of `rescore`, `decide` and `score` on each
+table as written, the rows `write_candidates` returns, which are those
+the file parses back to; so its outputs are byte-identical to chaining
+the individual subcommands, and it reads back no file it wrote. It makes
+scoring's checks before any write.
 
 After a run succeeds, `main` drops a `<subcommand>.manifest.json` next to
 its primary output recording the flag values the run used, sha256
@@ -28,8 +30,7 @@ from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
 from .scoring import (DEFAULT_DELTA_SECONDS, align, mtwv, score_detections,
                       write_csv, write_keyword_detail)
 from .tables import (SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
-                     parse_occurrence_table, tsv_lines, write_candidates,
-                     write_references)
+                     parse_occurrence_table, write_candidates, write_references)
 
 
 def _quiet(*_args) -> None:
@@ -38,13 +39,6 @@ def _quiet(*_args) -> None:
 
 # `info(message, *args)`; main binds it once per run, to _quiet or the log.
 _info = _quiet
-
-CANDIDATES_FILE = "candidates.tsv"
-RESCORED_FILE = "rescored.tsv"
-WEIGHTS_FILE = "weights.tsv"
-DECIDED_FILE = "decided.tsv"
-REPORT_FILE = "report.json"
-DETAIL_FILE = "keyword_scores.tsv"
 
 
 class _UsageError(Exception):
@@ -141,18 +135,6 @@ def _parse_grid(text: str) -> list[float]:
     return [_UNIT_INTERVAL(v) for v in text.split(",")]
 
 
-def _rescoring(path: Path, candidates: list[Candidate], step, *args):
-    """Run the rescoring `step(candidates, *args)`, naming the line of `path`
-    in the error it raises first on a candidate of score 0 (parsers take 0)."""
-    try:
-        return step(candidates, *args)
-    except ValueError as exc:
-        for (line, _text), cand in zip(tsv_lines(path), candidates):
-            if cand.score <= 0.0:
-                raise FormatError(str(exc), path=path, line=line) from None
-        raise
-
-
 def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
     """Search `args.corpus` in one streaming pass.
 
@@ -181,29 +163,30 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
     return dedup_overlaps(kept), len(found) - len(kept), docs, seconds
 
 
-# The stages `pipeline` chains, each the whole of a subcommand: each reads
-# its input (`_score_stage` takes the parsed tables, as `pipeline` reads
-# --ref first), computes, creates its output's parent directory, writes and
-# logs its line.
-def _rescore_stage(src: Path, out: Path, alpha: float,
-                   weights_out: str | Path | None) -> None:
+# The stages `pipeline` chains, each a whole subcommand once its input is
+# parsed: each computes, writes and logs its line; the two table stages
+# return their table as written.
+def _rescore_stage(candidates: list[Candidate], out: Path, alpha: float,
+                   weights_out: str | Path | None) -> list[Candidate]:
     from .rescore import rescore_candidates, write_weight_tables
-    candidates = parse_occurrence_table(src, "candidate")
-    rescored, tables = _rescoring(src, candidates, rescore_candidates, alpha)
+    rescored, tables = rescore_candidates(candidates, alpha)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_candidates(out, rescored)
+    rescored = write_candidates(out, rescored)
     if weights_out:
         Path(weights_out).parent.mkdir(parents=True, exist_ok=True)
         write_weight_tables(weights_out, tables)
     _info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
+    return rescored
 
 
-def _decide_stage(src: Path, out: Path, policy: DecisionPolicy) -> None:
-    decided = apply_decisions(parse_occurrence_table(src, "candidate"), policy)
+def _decide_stage(candidates: list[Candidate], out: Path,
+                  policy: DecisionPolicy) -> list[Candidate]:
+    decided = apply_decisions(candidates, policy)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_candidates(out, decided)
+    decided = write_candidates(out, decided)
     _info("decide: %d YES of %d (%s mode)",
           sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
+    return decided
 
 
 def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
@@ -217,7 +200,7 @@ def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
             hypotheses, references, beta, trial_seconds, delta)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, report)
-    write_keyword_detail(out.parent / DETAIL_FILE, report)
+    write_keyword_detail(out.parent / "keyword_scores.tsv", report)
     _info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
           aggregate["atwv"], aggregate["num_scored_keywords"],
           aggregate["mean_p_miss"], aggregate["mean_p_fa"])
@@ -234,13 +217,23 @@ def cmd_search(args) -> None:
           len(candidates), len(keywords), docs, dropped)
 
 
+def cmd_rescore(args) -> None:
+    _rescore_stage(parse_occurrence_table(args.candidates, "rescorable"),
+                   args.out, args.alpha, args.weights_out)
+
+
+def cmd_decide(args) -> None:
+    policy = _resolve_policy(args)
+    _decide_stage(parse_occurrence_table(args.candidates, "candidate"),
+                  args.out, policy)
+
+
 def cmd_sweep(args) -> None:
     from .diagnostics import alpha_sweep
     policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.candidates, "candidate")
+    candidates = parse_occurrence_table(args.candidates, "rescorable")
     references = parse_occurrence_table(args.references, "ref")
-    rows = _rescoring(args.candidates, candidates, alpha_sweep, references,
-                      args.alpha_grid, policy, args.delta)
+    rows = alpha_sweep(candidates, references, args.alpha_grid, policy, args.delta)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(args.out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
     best = max(rows, key=lambda r: r.atwv)
@@ -253,9 +246,9 @@ def cmd_diag(args) -> None:
                               weight_performance_correlation)
     from .rescore import build_weight_tables
     policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.candidates, "candidate")
+    candidates = parse_occurrence_table(args.candidates, "rescorable")
     references = parse_occurrence_table(args.references, "ref")
-    tables = _rescoring(args.candidates, candidates, build_weight_tables)
+    tables = build_weight_tables(candidates)
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
     rows = doc_performance(accepted, tables, alignment)
@@ -304,16 +297,18 @@ def cmd_pipeline(args) -> None:
     keywords = parse_keyword_list(args.keywords)
     references = parse_occurrence_table(args.references, "ref")
     candidates, dropped, _, seconds = _search(args, keywords)
+    if args.trial_seconds is None and seconds == 0.0:
+        raise FormatError("documents span 0 seconds in all: give "
+                          "--trial-seconds", path=args.corpus)
     policy = _resolve_policy(args, corpus_seconds=seconds)
     # Scoring's checks of the trial and the references, before any write.
     score_detections([], references, policy.trial_seconds, policy.beta, args.delta)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_candidates(args.out / CANDIDATES_FILE, candidates)
-    _rescore_stage(args.out / CANDIDATES_FILE, args.out / RESCORED_FILE,
-                   args.alpha, args.out / WEIGHTS_FILE)
-    _decide_stage(args.out / RESCORED_FILE, args.out / DECIDED_FILE, policy)
-    _score_stage(parse_occurrence_table(args.out / DECIDED_FILE, "decided"),
-                 references, args.out / REPORT_FILE, policy.trial_seconds,
+    candidates = write_candidates(args.out / "candidates.tsv", candidates)
+    rescored = _rescore_stage(candidates, args.out / "rescored.tsv", args.alpha,
+                              args.out / "weights.tsv")
+    _score_stage(_decide_stage(rescored, args.out / "decided.tsv", policy),
+                 references, args.out / "report.json", policy.trial_seconds,
                  policy.beta, args.delta)
     _info("pipeline: alpha=%s, %s decisions, %d search hits below 5e-7 "
           "dropped -> %s", args.alpha, policy.mode, dropped, args.out)
@@ -362,15 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", default=None,
                    help="optional TSV of per-keyword document weights")
     p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
-    p.set_defaults(func=lambda a: _rescore_stage(a.candidates, a.out, a.alpha,
-                                                 a.weights_out))
+    p.set_defaults(func=cmd_rescore)
 
     p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
     _add_input(p, "--in", "candidates", "candidate TSV")
     _add_decision_flags(p)
     p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
-    p.set_defaults(func=lambda a: _decide_stage(a.candidates, a.out,
-                                                _resolve_policy(a)))
+    p.set_defaults(func=cmd_decide)
 
     p = subs.add_parser("score", help="term-weighted-value scoring")
     _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")

@@ -19,7 +19,8 @@ import unicodedata
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .tables import _INF, FormatError, _finite, _new_tuple, _numbered_lines, tsv_lines
+from .tables import (_INF, FormatError, _finite, _new_tuple, _numbered_lines,
+                     id_error, tsv_lines)
 
 EPS_TOKEN = "<eps>"
 
@@ -113,10 +114,9 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
         raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
     if not isinstance(doc_id, str) or not doc_id:
         raise FormatError("doc_id must be a non-empty string", path=path, line=line)
-    if any(ch in doc_id for ch in "\t\n\r"):
+    if message := id_error(doc_id, "doc_id"):
         # Every TSV the pipeline writes keys its rows by doc_id.
-        raise FormatError(f"doc_id {doc_id!r} holds a tab or line break",
-                          path=path, line=line)
+        raise FormatError(message, path=path, line=line)
     if doc_id in seen:
         raise FormatError(f"duplicate doc_id {doc_id!r}", path=path, line=line)
     seen.add(doc_id)
@@ -227,7 +227,8 @@ def write_cn_corpus(path: str | Path, docs: Iterable[ConfusionNetworkDoc]) -> No
 
 
 def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
-    """Parse a TSV keyword list; duplicate kw_id or blank text is an error."""
+    """Parse a TSV keyword list; a kw_id that `id_error` rejects, a duplicate
+    kw_id or blank text is an error."""
     entries: list[KeywordEntry] = []
     seen: set[str] = set()
     for lineno, line in tsv_lines(path):
@@ -236,8 +237,8 @@ def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
             raise FormatError(f"expected 2 tab-separated columns, got {len(fields)}",
                               path=path, line=lineno)
         kw_id, text = fields
-        if not kw_id:
-            raise FormatError("kw_id must be non-empty", path=path, line=lineno)
+        if message := id_error(kw_id, "kw_id"):
+            raise FormatError(message, path=path, line=lineno)
         if kw_id in seen:
             raise FormatError(f"duplicate kw_id {kw_id!r}", path=path, line=lineno)
         seen.add(kw_id)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .tables import Candidate
+from .tables import NONPOSITIVE_SCORE, Candidate
 
 # kw_id -> doc_id -> (summed document score, relative-to-max weight)
 WeightTables = dict[str, dict[str, tuple[float, float]]]
@@ -34,9 +34,7 @@ def build_weight_tables(candidates: Sequence[Candidate]) -> WeightTables:
     sums: dict[str, dict[str, float]] = {}
     for cand in candidates:
         if cand.score <= 0.0:
-            raise ValueError(
-                f"candidate {cand.kw_id!r}/{cand.doc_id!r}@{cand.start} has "
-                f"non-positive score {cand.score}; rescoring needs scores > 0")
+            raise ValueError(NONPOSITIVE_SCORE.format(*cand[:3], cand.score))
         docs = sums.setdefault(cand.kw_id, {})
         docs[cand.doc_id] = docs.get(cand.doc_id, 0.0) + cand.score
     tables = {}

@@ -1,5 +1,5 @@
-"""Reference and candidate occurrence tables, and the error type, number
-rule and line reader that every file format of the toolkit shares.
+"""Reference and candidate occurrence tables, and the error type, id and
+number rules and line reader that every file format of the toolkit shares.
 
 * reference occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur``
 * candidate occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur<TAB>score[<TAB>YES|NO]``
@@ -15,6 +15,9 @@ from pathlib import Path
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 SCORE_DECIMALS = 6
+# The error of a candidate's kw_id, doc_id, start and score <= 0.
+NONPOSITIVE_SCORE = ("candidate {!r}/{!r}@{} has non-positive score {}; "
+                     "rescoring needs scores > 0")
 
 _INF = math.inf
 
@@ -78,25 +81,37 @@ class Candidate(NamedTuple):
                 self.score, self.decision or "")
 
 
+def id_error(value: str, column: str) -> str | None:
+    """The error of the id `value` in `column`, or None if it is an id: a
+    non-empty printable string with no space. So an id holds no tab, line
+    break, byte-order mark, no-break or zero-width space."""
+    if not value:
+        return f"{column} must be non-empty"
+    if not value.isprintable() or " " in value:
+        return f"{column} {value!r} holds a space or an unprintable character"
+    return None
+
+
 def parse_occurrence_table(path: str | Path,
-                           kind: Literal["ref", "candidate", "decided"]
+                           kind: Literal["ref", "candidate", "decided", "rescorable"]
                            ) -> list[RefOccurrence] | list[Candidate]:
     """Parse a reference or candidate TSV; rows are returned in file order.
 
-    Candidate scores are validated to [0, 1]; durations of references must
-    be positive and of candidates non-negative. A "decided" table is a
-    candidate table in which every row carries its YES/NO column.
+    Candidate scores are validated to [0, 1], and to (0, 1] in a
+    "rescorable" table; durations of references must be positive and of
+    candidates non-negative. A "decided" table is a candidate table in
+    which every row carries its YES/NO column.
 
     Each row is checked in one walk over its columns, and each check raises
     its own error. A row with several faults reports the first, in this
     order: the column count (a decided row's missing YES/NO included),
-    kw_id, doc_id, the decision, each number in column order, then the
-    duration and score ranges.
+    kw_id, doc_id (each by `id_error`), the decision, each number in column
+    order, the duration and score ranges, then a rescorable score of 0.
     """
-    if kind not in ("ref", "candidate", "decided"):
-        raise ValueError(
-            f"kind must be 'ref', 'candidate' or 'decided', got {kind!r}")
-    ref = kind == "ref"
+    if kind not in ("ref", "candidate", "decided", "rescorable"):
+        raise ValueError("kind must be 'ref', 'candidate', 'decided' or "
+                         f"'rescorable', got {kind!r}")
+    ref, rescorable = kind == "ref", kind == "rescorable"
     rows: list = []
     for lineno, line in tsv_lines(path):
         fields = line.split("\t")
@@ -117,10 +132,8 @@ def parse_occurrence_table(path: str | Path,
             else:
                 kw_id, doc_id, start, dur, score = fields
                 decision = None
-            if not kw_id:
-                raise ValueError("kw_id must be non-empty")
-            if not doc_id:
-                raise ValueError("doc_id must be non-empty")
+            if message := id_error(kw_id, "kw_id") or id_error(doc_id, "doc_id"):
+                raise ValueError(message)
             if ref:
                 start, dur = _column(start, "start"), _column(dur, "dur")
                 if dur <= 0.0:
@@ -135,6 +148,8 @@ def parse_occurrence_table(path: str | Path,
                 raise ValueError(f"negative duration {dur}")
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score {score} outside [0, 1]")
+            if rescorable and score == 0.0:
+                raise ValueError(NONPOSITIVE_SCORE.format(kw_id, doc_id, start, score))
         except ValueError as exc:
             raise FormatError(str(exc), path=path, line=lineno) from None
         rows.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur, score, decision)))
@@ -230,21 +245,26 @@ def sort_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
         return sorted(candidates, key=Candidate.sort_key)
 
 
-def write_candidates(path: str | Path, candidates: Sequence[Candidate]) -> None:
+def write_candidates(path: str | Path,
+                     candidates: Sequence[Candidate]) -> list[Candidate]:
     """Write candidates sorted by `sort_candidates` (kw_id, doc_id, start,
     duration, score, decision); scores at 6 decimals.
 
-    The output parses back to an equal sequence, with scores compared after
-    6-decimal quantization.
+    Returns the rows the file parses back to, in file order: each score is
+    the float of its 6-decimal text, and `repr` writes floats exactly.
     """
     score_format = f".{SCORE_DECIMALS}f"
     lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
+    written = []
     for kw_id, doc_id, start, dur, score, decision in sort_candidates(candidates):
         row = [kw_id, doc_id, repr(start), repr(dur), format(score, score_format)]
+        written.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur,
+                                              float(row[4]), decision)))
         if decision is not None:
             row.append(decision)
         lines.append("\t".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return written
 
 
 def write_references(path: str | Path, refs: Sequence[RefOccurrence]) -> None:

@@ -425,9 +425,7 @@ def reference_doc_from_obj(obj, seen, tokens, *, path, line):
         raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
     if not isinstance(doc_id, str) or not doc_id:
         raise FormatError("doc_id must be a non-empty string", path=path, line=line)
-    if any(ch in doc_id for ch in "\t\n\r"):
-        raise FormatError(f"doc_id {doc_id!r} holds a tab or line break",
-                          path=path, line=line)
+    _reference_id("doc_id", doc_id, path=path, line=line)
     if doc_id in seen:
         raise FormatError(f"duplicate doc_id {doc_id!r}", path=path, line=line)
     seen.add(doc_id)
@@ -533,10 +531,19 @@ def _reference_floats(texts, names, *, path, line):
         raise FormatError(str(exc), path=path, line=line) from exc
 
 
+def _reference_id(name, value, *, path, line):
+    """An id is non-empty, and each of its characters is printable and not
+    a space."""
+    if not value:
+        raise FormatError(f"{name} must be non-empty", path=path, line=line)
+    if any(ch == " " or not ch.isprintable() for ch in value):
+        raise FormatError(f"{name} {value!r} holds a space or an unprintable "
+                          "character", path=path, line=line)
+
+
 def _reference_ids(fields, *, path, line):
     for name, value in zip(("kw_id", "doc_id"), fields):
-        if not value:
-            raise FormatError(f"{name} must be non-empty", path=path, line=line)
+        _reference_id(name, value, path=path, line=line)
     return fields[:2]
 
 
@@ -545,8 +552,10 @@ def reference_parse_occurrence_table(path, kind):
 
     Each line is split on tabs and its columns checked one by one, in
     column order; numbers take a float() fast path that falls back to a
-    per-column check. `tables.parse_occurrence_table` must give its rows,
-    or its first error message, exactly.
+    per-column check. A "rescorable" table is a candidate table whose
+    rows, after all other checks, must score above 0.
+    `tables.parse_occurrence_table` must give its rows, or its first error
+    message, exactly.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -588,6 +597,10 @@ def reference_parse_occurrence_table(path, kind):
                 raise FormatError(f"negative duration {dur}", **where)
             if not 0.0 <= score <= 1.0:
                 raise FormatError(f"score {score} outside [0, 1]", **where)
+            if kind == "rescorable" and score <= 0:
+                raise FormatError(
+                    f"candidate {kw_id!r}/{doc_id!r}@{start} has non-positive "
+                    f"score {score}; rescoring needs scores > 0", **where)
             rows.append(Candidate(kw_id=kw_id, doc_id=doc_id, start=start,
                                   duration=dur, score=score, decision=decision))
     return rows

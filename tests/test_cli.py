@@ -372,6 +372,54 @@ class TestPipeline:
         assert stderr.startswith(f"drstd: {message}"), stderr
         assert not out.exists()
 
+    def test_reads_no_table_it_wrote(self, data_dir, tmp_path, monkeypatch):
+        """Each stage takes the table the stage before wrote as written: the
+        one table parsed is --ref, and every line read is an input's."""
+        from drstd import corpus_io, tables
+        parsed, read = [], set()
+        parse = cli.parse_occurrence_table
+        monkeypatch.setattr(cli, "parse_occurrence_table",
+                            lambda *args: parsed.append(args) or parse(*args))
+        for module in (corpus_io, tables):
+            monkeypatch.setattr(module, "_numbered_lines",
+                                lambda path, lines=module._numbered_lines:
+                                read.add(Path(path)) or lines(path))
+        corpus, keywords, refs = (data_dir / name for name in (
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+        assert run("pipeline", "--corpus", str(corpus), "--keywords",
+                   str(keywords), "--ref", str(refs), "--alpha", "0.1",
+                   "--trial-seconds", "3600", "--out", str(tmp_path / "run")) == 0
+        assert parsed == [(refs, "ref")]
+        assert read == {corpus, keywords, refs}
+
+    @pytest.mark.parametrize("trial_seconds", [[], ["--trial-seconds", "10"]],
+                             ids=["corpus_seconds", "given_seconds"])
+    @pytest.mark.parametrize("docs", [[], [
+        ConfusionNetworkDoc("d1", ()),
+        ConfusionNetworkDoc("d2", (Slot(1.0, 0.0, (("cat", 1.0),)),
+                                   Slot(1.0, 0.0, (("dog", 1.0),))))]],
+        ids=["no_documents", "zero_length_spans"])
+    def test_corpus_of_no_seconds_named(self, tmp_path, capsys, docs,
+                                        trial_seconds):
+        # With no speech seconds in the corpus, the trial must be given.
+        corpus, keywords, refs = (tmp_path / name for name in (
+            "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+        write_cn_corpus(corpus, docs)
+        write_keyword_list(keywords, [KeywordEntry("K1", ("cat",))])
+        write_references(refs, [RefOccurrence("K1", "d1", 0.0, 0.4)])
+        out = tmp_path / "run"
+        code = run("pipeline", "--corpus", str(corpus), "--keywords",
+                   str(keywords), "--ref", str(refs), "--alpha", "0.1",
+                   *trial_seconds, "--out", str(out))
+        if trial_seconds:
+            assert code == 0
+        else:
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"drstd: {corpus}: documents span 0 seconds in all: give "
+                "--trial-seconds"]
+            assert not out.exists()
+
     def test_undefined_kst_cut_fails_after_rescore(self, tmp_path, capsys):
         # Two perfect hits rescore to N = 2, and T + (beta - 1) * N is 0.
         corpus, keywords, refs = (tmp_path / name for name in (
@@ -639,6 +687,28 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "run")) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
+    @pytest.mark.parametrize("header,shown", [
+        (False, "\\ufeffKW0001"), (True, "\\ufeff# kw_id")],
+        ids=["no_header", "header"])
+    def test_keyword_list_with_bom_named(self, data_dir, tmp_path, capsys,
+                                         header, shown):
+        # An editor's UTF-8 byte-order mark would make the first kw_id
+        # another keyword's, whose hits no reference could match.
+        text = (data_dir / "keywords.tsv").read_text(encoding="utf-8")
+        if not header:
+            text = text.split("\n", 1)[1]
+        assert text.startswith("# kw_id" if header else "KW0001\t")
+        keywords = tmp_path / "keywords.tsv"
+        keywords.write_text("\ufeff" + text, encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("pipeline", "--corpus", str(data_dir / "corpus.jsonl"),
+                   "--keywords", str(keywords), "--ref", str(data_dir / "refs.tsv"),
+                   "--alpha", "0.1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"drstd: {keywords}:1: kw_id '{shown}' holds a space or an "
+            "unprintable character"]
+        assert not out.exists()
+
     def test_doc_id_with_tab_rejected_before_anything_is_written(
             self, tmp_path, capsys):
         corpus, keywords, refs = (tmp_path / name for name in (
@@ -867,6 +937,9 @@ VALID_ROWS = {
 INVALID_LINES = {
     "corpus": ["{", "[]", "NaN", '{"doc_id": "x", "slots": 5}',
                '{"doc_id": "", "slots": []}', '{"doc_id": "a\\tb", "slots": []}',
+               '{"doc_id": "\\ufeffx", "slots": []}',
+               '{"doc_id": "a\\u00a0b", "slots": []}',
+               '{"doc_id": "a\\u200bb", "slots": []}', '{"doc_id": "a b", "slots": []}',
                '{"doc_id": "x", "slots": [{"start": 0, "dur": Infinity, '
                '"arcs": [["a", 1]]}]}',
                '{"doc_id": "x", "slots": [{"start": 0, "dur": 1, '
@@ -875,12 +948,17 @@ INVALID_LINES = {
                '"arcs": [[null, 1]]}]}',
                '{"doc_id": "x", "slots": [{"start": 1e308, "dur": 1e308, '
                '"arcs": [["a", 1]]}]}'],
-    "keywords": ["K", "K\t ", "K\ta\tb"],
+    "keywords": ["K", "K\t ", "K\ta\tb", "\ufeffK\ta", "K\u00a01\ta",
+                 "K\u200b\ta", "K 1\ta"],
     "candidates": ["K\td\t0\t1", "K\td\tinf\t1\t0.5", "K\td\t0\t1\t2",
-                   "K\td\t0\t-1\t0.5", "K\td\t0\t1\t0.5\tmaybe"],
+                   "K\td\t0\t-1\t0.5", "K\td\t0\t1\t0.5\tmaybe",
+                   "\ufeffK\td\t0\t1\t0.5", "K\td\u00a0\t0\t1\t0.5"],
     "decided": ["K\td\t0\t1\t0.5\tmaybe", "K\td\t0\t1\tnan\tYES",
-                "K\td\t0\t1", "K\td\t0\t1\t0.5"],
-    "refs": ["K\td\t0\t0", "K\td\t0\tinf", "K\td\t0", "K\td\tx\t1"],
+                "K\td\t0\t1", "K\td\t0\t1\t0.5",
+                "K\u200b\td\t0\t1\t0.5\tYES", "K\t d\t0\t1\t0.5\tYES"],
+    "refs": ["K\td\t0\t0", "K\td\t0\tinf", "K\td\t0", "K\td\tx\t1",
+             "\ufeffK\td\t0\t1", "K\td\u200b\t0\t1", "K 1\td\t0\t1",
+             "K\td\u00a0\t0\t1"],
 }
 FUZZ_COMMANDS = {
     "search": ["search", "--corpus", "{corpus}", "--keywords", "{keywords}",
@@ -952,16 +1030,20 @@ def test_fuzzed_input_fails_in_one_line(tmp_path_factory, command, fuzzed,
 
 
 _any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+# Ids the readers accept, in any script: no character that `str.isprintable`
+# refuses (categories C and Z but the space) and no space.
+_id_text = st.text(st.characters(blacklist_categories=(
+    "Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs")), min_size=1, max_size=4)
 
 
 @st.composite
 def own_inputs(draw):
     """A corpus of the shape `parse_cn_corpus` accepts, with arbitrary
-    Unicode doc_ids and tokens, plus keywords made of its tokens and
-    references to its documents."""
+    Unicode doc_ids (as often ids the readers accept) and tokens, plus
+    keywords made of its tokens and references to its documents."""
     vocab = draw(st.lists(_any_text, min_size=1, max_size=4, unique=True))
-    doc_ids = draw(st.lists(_any_text.filter(bool), min_size=1, max_size=3,
-                            unique=True))
+    doc_ids = draw(st.lists(st.one_of(_id_text, _any_text.filter(bool)),
+                            min_size=1, max_size=3, unique=True))
     docs = []
     for doc_id in doc_ids:
         slots, clock = [], 0.0
@@ -1017,6 +1099,10 @@ def test_pipeline_accepts_what_its_parsers_accept(tmp_path_factory, inputs,
     if code == 1:
         assert len(stderr.splitlines()) == 1, stderr
         assert str(out) not in stderr, stderr
+    else:  # what pipeline handed on in memory, its readers accept
+        for name, kind in (("candidates.tsv", "candidate"),
+                           ("rescored.tsv", "candidate"), ("decided.tsv", "decided")):
+            parse_occurrence_table(out / name, kind)
 
 
 def _subcommands():

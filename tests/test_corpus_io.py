@@ -101,9 +101,20 @@ class TestCnCorpusParsing:
         ('{"doc_id": "d1", "slots": [{"dur": 1, "arcs": [["a", 1.0]]}]}',
          "'start'"),
         ('{"doc_id": 7, "slots": []}', "doc_id must be"),
-        ('{"doc_id": "a\\tb", "slots": []}', "doc_id 'a\\\\tb' holds a tab"),
-        ('{"doc_id": "a\\nb", "slots": []}', "doc_id 'a\\\\nb' holds a tab"),
-        ('{"doc_id": "a\\rb", "slots": []}', "doc_id 'a\\\\rb' holds a tab"),
+        ('{"doc_id": "a\\tb", "slots": []}', "doc_id 'a\\\\tb' holds a space or an "
+         "unprintable character$"),
+        ('{"doc_id": "a\\nb", "slots": []}', "doc_id 'a\\\\nb' holds a space or an "
+         "unprintable character$"),
+        ('{"doc_id": "a\\rb", "slots": []}', "doc_id 'a\\\\rb' holds a space or an "
+         "unprintable character$"),
+        ('{"doc_id": "\\ufeffd1", "slots": []}', "doc_id '\\\\ufeffd1' holds a space "
+         "or an unprintable character$"),
+        ('{"doc_id": "a b", "slots": []}', "doc_id 'a b' holds a space or an "
+         "unprintable character$"),
+        ('{"doc_id": "a\\u00a0b", "slots": []}', "doc_id 'a\\\\xa0b' holds a space "
+         "or an unprintable character$"),
+        ('{"doc_id": "a\\u200bb", "slots": []}', "doc_id 'a\\\\u200bb' holds a "
+         "space or an unprintable character$"),
         ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, "arcs": [["", 1.0]]}]}',
          "doc 'd1' slot 0: arc token '' is empty or holds whitespace"),
         ('{"doc_id": "d1", "slots": [{"start": 0, "dur": 1, '
@@ -233,6 +244,11 @@ def _corrupt(draw, slot, kind):
         del slot[draw(st.sampled_from(sorted(slot)))]
 
 
+# What the id rule rejects in an id that is otherwise fine: a byte-order
+# mark, a no-break space, a zero-width space, a space and a tab.
+_BAD_ID_PIECES = ["\ufeff", "\u00a0", "\u200b", " ", "\t"]
+
+
 @st.composite
 def corrupted_corpus_lines(draw):
     """Valid multi-slot documents, then two corruptions of one slot."""
@@ -251,7 +267,10 @@ def corrupted_corpus_lines(draw):
                           "dur": draw(st.sampled_from([0.0, 0.1, 0.4])),
                           "arcs": [[t, w / sum(weights)]
                                    for t, w in zip(tokens, weights)]})
-        docs.append({"doc_id": f"d{d}", "slots": slots})
+        doc_id = f"d{d}"
+        if draw(st.integers(0, 7)) == 0:  # an id the id rule rejects
+            doc_id = draw(st.sampled_from(_BAD_ID_PIECES)) + doc_id
+        docs.append({"doc_id": doc_id, "slots": slots})
     slot = draw(st.sampled_from(draw(st.sampled_from(docs))["slots"]))
     for kind in draw(st.lists(st.sampled_from(_CORRUPTIONS), min_size=2,
                               max_size=2)):
@@ -297,6 +316,12 @@ def _outcome(parse):
           '"arcs": [["a", 1.5], ["b", 1e999]]}]}'])
 @example(['{"doc_id": "d0", "slots": [{"start": 0.0, "dur": 0.1, '
           '"arcs": [{" ": 1, "x": 2}]}]}'])
+# The id rule: a leading byte-order mark, and a no-break space, a
+# zero-width space and a space within a doc_id, after a valid document.
+@example(['{"doc_id": "\\ufeffd0", "slots": []}'])
+@example(['{"doc_id": "d0", "slots": []}', '{"doc_id": "d\\u00a01", "slots": []}'])
+@example(['{"doc_id": "d0", "slots": []}', '{"doc_id": "d\\u200b1", "slots": []}'])
+@example(['{"doc_id": "d0", "slots": []}', '{"doc_id": "d 1", "slots": []}'])
 def test_parse_matches_reference_oracle(tmp_path_factory, lines):
     """The one-pass parser yields the straight-line checker's documents, or
     its first error message, byte for byte."""
@@ -367,6 +392,18 @@ class TestKeywordParsing:
         with pytest.raises(FormatError) as exc:
             parse_keyword_list(p)
         assert str(exc.value) == f"{p}:2: kw_id must be non-empty"
+
+    @pytest.mark.parametrize("kw_id,shown", [
+        ("\ufeffKW1", "\\ufeffKW1"), ("K\u00a01", "K\\xa01"),
+        ("K\u200b1", "K\\u200b1"), ("K 1", "K 1"),
+        ("\ufeff# kw_id", "\\ufeff# kw_id")])
+    def test_kw_id_by_the_id_rule(self, tmp_path, kw_id, shown):
+        p = tmp_path / "kw.tsv"
+        write_lines(p, [f"{kw_id}\tcat", "KW2\tdog"])
+        with pytest.raises(FormatError) as exc:
+            parse_keyword_list(p)
+        assert str(exc.value) == (
+            f"{p}:1: kw_id '{shown}' holds a space or an unprintable character")
 
     def test_comments_ignored_and_text_normalized(self, tmp_path):
         p = tmp_path / "kw.tsv"
@@ -440,6 +477,22 @@ class TestOccurrenceTables:
         with pytest.raises(FormatError) as exc:
             parse_occurrence_table(p, kind)
         assert str(exc.value) == f"{p}:2: {column} must be non-empty"
+
+    @pytest.mark.parametrize("kind", ["ref", "candidate", "decided", "rescorable"])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad,shown", [
+        ("\ufeffK1", "\\ufeffK1"), ("d\u00a01", "d\\xa01"),
+        ("d\u200b1", "d\\u200b1"), (" d1", " d1"), ("d\x0b1", "d\\x0b1")])
+    def test_id_rule(self, tmp_path, kind, column, bad, shown):
+        row = ["K1", "d1", "3.2", "0.45", "0.87", "YES"][:4 if kind == "ref" else 6]
+        row[column] = bad
+        p = tmp_path / "rows.tsv"
+        write_lines(p, ["# header", "\t".join(row)])
+        with pytest.raises(FormatError) as exc:
+            parse_occurrence_table(p, kind)
+        name = ("kw_id", "doc_id")[column]
+        assert str(exc.value) == (
+            f"{p}:2: {name} '{shown}' holds a space or an unprintable character")
 
     def test_rows_kept_in_file_order(self, tmp_path):
         p = tmp_path / "cand.tsv"
@@ -594,13 +647,14 @@ _ROW_PIECES = ["\t", "#", " ", "\u0661", "_", "e", "+", "-", ".", "inf",
 # Well-formed values of each column, so that many rows parse, and near
 # misses that a looser number rule or a dropped check would let through.
 _ROW_VALUES = {
-    "id": ["K1", "d1", " d2", "K#3", "a b"],
+    "id": ["K1", "d1", "K#3", "Ké", "文書"],
     "number": ["0", "0.5", "1.0", "1.", ".25", "-3.2", "+4", "2e-3", "1E2",
                "0.000000"],
     "decision": ["YES", "NO"],
 }
 _NEAR_MISSES = {
-    "id": ["", " ", "#"],
+    "id": ["", " ", "#", " d2", "a b",
+           *(f"{piece}K1" for piece in _BAD_ID_PIECES if piece != "\t")],
     "number": ["", "\u0661", "1\u0661", "1_0", " 0.5", "inf", "-inf", "1e",
                ".", "+-1", "1.5.", "5e999", "-5e999", "1e309", "-2E400"],
     "decision": ["", "yes", "YES ", "NO\t"],
@@ -613,7 +667,8 @@ def occurrence_lines(draw, kind):
     them as wide as a `kind` row: well-formed values with up to two columns
     replaced by a near miss or adversarial pieces, the line perhaps opening
     with padding or `#`."""
-    widths = {"ref": [4], "candidate": [5, 6], "decided": [6]}[kind]
+    widths = {"ref": [4], "candidate": [5, 6], "decided": [6],
+              "rescorable": [5, 6]}[kind]
     width = draw(st.one_of(st.sampled_from(widths), st.integers(3, 7)))
     roles = ["id" if column < 2 else "decision" if column == 5 else "number"
              for column in range(width)]
@@ -629,7 +684,7 @@ def occurrence_lines(draw, kind):
 
 @st.composite
 def occurrence_tables(draw):
-    kind = draw(st.sampled_from(["ref", "candidate", "decided"]))
+    kind = draw(st.sampled_from(["ref", "candidate", "decided", "rescorable"]))
     return kind, draw(st.lists(occurrence_lines(kind), min_size=1, max_size=3))
 
 
@@ -660,6 +715,17 @@ def occurrence_tables(draw):
 # The ranges: a reference needs dur > 0; a candidate's dur comes first.
 @example(("ref", ["K1\td1\t1.0\t0"]))
 @example(("candidate", ["K1\td1\t1.0\t-0.5\t2"]))
+# A rescorable row's score of 0: after the row's own range checks, and the
+# first fault in file order before a malformed row. A candidate takes it.
+@example(("rescorable", ["K1\td1\t1.0\t0.5\t0.000000"]))
+@example(("rescorable", ["K1\td1\t1.0\t0.5\t-0\tNO", "K1\td1\tx\t0.5\t0.5"]))
+@example(("rescorable", ["K1\td1\t1.0\t0.5\t0.5", "K1\td1\t1.0\t-1\t0"]))
+@example(("candidate", ["K1\td1\t1.0\t0.5\t0.000000"]))
+# The id rule, in each id column.
+@example(("ref", ["\ufeffK1\td1\t1.0\t0.5"]))
+@example(("candidate", ["K1\td\u00a01\t1.0\t0.5\t0.5"]))
+@example(("decided", ["K\u200b1\td1\t1.0\t0.5\t0.5\tNO"]))
+@example(("rescorable", ["K1\td 1\tx\t0.5\t0"]))
 @settings(max_examples=400, deadline=None)
 def test_occurrence_rows_match_reference_oracle(tmp_path_factory, table):
     """The one-walk row parser gives the split-and-check parser's rows, or
@@ -708,8 +774,13 @@ class TestCandidateWriting:
             refs, key=lambda r: (r.kw_id, r.doc_id, r.start))
 
 
+# Ids the readers accept, ASCII and not: accented, Cyrillic, CJK, and one
+# outside the Basic Multilingual Plane.
+_IDS = ["K0", "K1", "K2", "Ké", "К1", "鍵", "\U0001d4b3"]
+
+
 @given(st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 5),
+    st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS),
               st.floats(0, 100, allow_nan=False),
               st.floats(0.01, 5, allow_nan=False),
               st.floats(0.000001, 1, allow_nan=False),
@@ -717,16 +788,19 @@ class TestCandidateWriting:
     max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_write_parse_round_trip_property(tmp_path_factory, rows):
-    """parse(write(x)) == x after 6-decimal score quantization."""
-    cands = [Candidate(f"K{k}", f"d{d}", s, dur, sc, dec)
-             for k, d, s, dur, sc, dec in rows]
+    """parse(write(x)) == x after 6-decimal score quantization, and write
+    returns exactly the rows its file parses back to."""
+    cands = [Candidate(*row) for row in rows]
     expected = sorted(
         (Candidate(c.kw_id, c.doc_id, c.start, c.duration,
                    quantize_score(c.score), c.decision) for c in cands),
         key=Candidate.sort_key)
     path = tmp_path_factory.mktemp("rt") / "cand.tsv"
-    write_candidates(path, cands)
-    assert parse_occurrence_table(path, "candidate") == expected
+    written = write_candidates(path, cands)
+    parsed = parse_occurrence_table(path, "candidate")
+    assert parsed == expected
+    # repr tells -0.0 from 0.0, and each float exactly
+    assert repr(written) == repr(parsed)
 
 
 # Scores at and next to the 6-decimal rounding edges, ties among them.
@@ -739,8 +813,8 @@ def candidate_tables(draw):
     """Up to 30 candidates over few distinct values, so that rows tie on
     their first five fields; all undecided, all decided, or mixed."""
     decisions = draw(st.sampled_from([[None, "YES", "NO"], [None], ["YES", "NO"]]))
-    row = st.builds(Candidate, st.sampled_from(["K1", "K2"]),
-                    st.sampled_from(["d1", "d2"]),
+    row = st.builds(Candidate, st.sampled_from(["K1", "K2", "Ké"]),
+                    st.sampled_from(["d1", "d2", "文書"]),
                     st.sampled_from([-2.5, -0.0, 0.0, 0.25, 1e-7, 3.1]),
                     st.sampled_from([0.0, 0.1, 0.5]),
                     st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(0, 1)),
@@ -752,17 +826,26 @@ def candidate_tables(draw):
 @example([Candidate("K1", "d1", 0.0, 0.1, 0.5, "YES"),
           Candidate("K1", "d1", 0.0, 0.1, 0.5),
           Candidate("K1", "d1", 0.0, 0.0, 0.5, "NO")])
+# Rows that tie only once their scores are rounded, in an order that is
+# neither the input's nor that of the rounded rows.
+@example([Candidate("K1", "d1", -0.0, 0.1, 0.1234565, "NO"),
+          Candidate("K1", "d1", -0.0, 0.1, 0.1234561),
+          Candidate("K1", "d1", -0.0, 0.1, 0.1234563, "YES")])
 @settings(max_examples=300, deadline=None)
 def test_write_candidates_matches_reference_oracle(tmp_path_factory, cands):
     """The writer gives the bytes of the former key-sorted writer, on rows
-    that tie on their first five fields, tables that mix decided and
-    undecided rows or hold one kind, scores at the rounding edges and
-    negative starts."""
+    that tie on their first five fields or once rounded, tables that mix
+    decided and undecided rows or hold one kind, scores at the rounding
+    edges, negative starts and non-ASCII ids; and it returns exactly the
+    rows its file parses back to."""
     directory = tmp_path_factory.getbasetemp()
-    write_candidates(directory / "got.tsv", cands)
+    written = write_candidates(directory / "got.tsv", cands)
     reference_write_candidates(directory / "want.tsv", cands)
     assert ((directory / "got.tsv").read_bytes()
             == (directory / "want.tsv").read_bytes())
+    # repr tells -0.0 from 0.0, and each float exactly
+    assert repr(written) == repr(parse_occurrence_table(directory / "got.tsv",
+                                                        "candidate"))
 
 
 def test_normalize_token_nfc_lowercase():
