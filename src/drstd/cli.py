@@ -11,8 +11,8 @@ the individual subcommands, and it reads back no file it wrote. It makes
 scoring's checks before any write.
 
 After a run succeeds, `main` drops a `<subcommand>.manifest.json` next to
-its primary output recording the flag values the run used, sha256
-hashes of all input files and, for `synth`, the counts the run returns.
+its primary output recording the flag values the run used, the sha256
+of each regular input file and, for `synth`, the counts the run returns.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import __version__
 from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
-from .scoring import (DEFAULT_DELTA_SECONDS, align, mtwv, score_detections,
-                      write_csv, write_keyword_detail)
+from .scoring import (DEFAULT_DELTA_SECONDS, align, keyword_rates, mtwv,
+                      score_detections, write_csv, write_keyword_detail)
 from .tables import (SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
                      parse_occurrence_table, write_candidates, write_references)
 
@@ -66,9 +66,10 @@ def _write_json(path: Path, obj) -> None:
 def _write_manifest(args, counts: dict[str, int] | None) -> None:
     """Write `<subcommand>.manifest.json` beside the file `args.out`, or
     into the directory `args.out`, which is then not recorded: it holds the
-    manifest. Flags parsed as a Path are input files and are hashed; the
-    rest are config, as the run left them on `args`. `counts`, when the
-    subcommand returns any, goes in as they are."""
+    manifest. Flags parsed as a Path are input files: a regular file is
+    hashed, and any other, a pipe say, records a null hash. The rest are
+    config, as the run left them on `args`. `counts`, when the subcommand
+    returns any, goes in as they are."""
     flags = {name: value for name, value in vars(args).items()
              if name not in ("func", "quiet", "subcommand", "out")}
     if args.out.is_dir():
@@ -81,7 +82,8 @@ def _write_manifest(args, counts: dict[str, int] | None) -> None:
         "subcommand": args.subcommand,
         "config": {name: value for name, value in flags.items()
                    if not isinstance(value, Path)},
-        "inputs": {name: {"path": str(path), "sha256": _sha256(path)}
+        "inputs": {name: {"path": str(path),
+                          "sha256": _sha256(path) if path.is_file() else None}
                    for name, path in sorted(flags.items())
                    if isinstance(path, Path)},
     }
@@ -251,6 +253,8 @@ def cmd_diag(args) -> None:
     tables = build_weight_tables(candidates)
     accepted = yes_only(apply_decisions(candidates, policy))
     alignment = align(accepted, references, args.delta)
+    if policy.trial_seconds is not None:  # scoring's trial check
+        keyword_rates(alignment, policy.trial_seconds)
     rows = doc_performance(accepted, tables, alignment)
     curve = doc_rank_curves(rows, args.max_rank)
     rhos = weight_performance_correlation(rows)

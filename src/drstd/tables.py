@@ -204,30 +204,24 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     to its first line that is not UTF-8, then raise the FormatError naming
     that line.
 
-    A UTF-8 read decodes a whole chunk before it yields its lines. So after
-    a bad byte stops it at line `done`, the file is read again with bad
-    bytes as lone surrogates, which splits it into the same lines, and the
-    readers check the lines before the bad one first.
+    The file is opened once, so a pipe works too. Each byte that is not
+    UTF-8 reads as a lone surrogate in U+DC80-U+DCFF, which valid UTF-8
+    never decodes to; so a line holds a bad byte exactly when a strict
+    encode of it fails, and a strict decode of its bytes names the byte.
     """
-    done = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for done, line in enumerate(fh, start=1):
-                yield done, line
-        return
-    except UnicodeDecodeError as exc:
-        bad = exc
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno <= done:
-                continue
-            if re.search("[\udc80-\udcff]", line):
-                break
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError:
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode()
+                    except UnicodeDecodeError as bad:
+                        raise FormatError(
+                            f"not UTF-8 text (byte 0x{bad.object[bad.start]:02x}: "
+                            f"{bad.reason})", path=path, line=lineno) from None
             yield lineno, line
-        else:
-            lineno = None
-    raise FormatError(f"not UTF-8 text (byte 0x{bad.object[bad.start]:02x}: "
-                      f"{bad.reason})", path=path, line=lineno)
 
 
 def sort_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:

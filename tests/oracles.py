@@ -17,6 +17,8 @@ must match document for document and error message for error message.
 `reference_parse_occurrence_table` is the former split-and-check TSV
 row parser, which `tables.parse_occurrence_table`, one walk per row,
 must match row for row and error message for error message.
+`reference_numbered_lines` splits a whole strictly decoded byte string
+into lines, for the one-pass line reader `tables._numbered_lines`.
 `reference_write_candidates` is the former `write_candidates`, which
 sorted with a Python key per row, here written out field by field;
 `tables.write_candidates`, which sorts in C, must give its bytes exactly.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections import defaultdict
 from pathlib import Path
 from typing import Sequence
@@ -604,6 +607,25 @@ def reference_parse_occurrence_table(path, kind):
             rows.append(Candidate(kw_id=kw_id, doc_id=doc_id, start=start,
                                   duration=dur, score=score, decision=decision))
     return rows
+
+
+def reference_numbered_lines(data: bytes):
+    """The lines of the UTF-8 text file of bytes `data`, each line end read
+    as LF, up to the line of its first byte that is not UTF-8; and (that
+    line's number, the byte, the reason), or None if every byte is UTF-8.
+    The whole string is decoded strictly, and each of LF, CRLF and lone CR
+    ends one line."""
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = data[:exc.start].decode("utf-8"), exc
+    bodies = re.split("\r\n|\r|\n", text)
+    lines = [body + "\n" for body in bodies[:-1]]
+    if bad is not None:
+        return lines, (len(bodies), data[bad.start], bad.reason)
+    if bodies[-1]:
+        lines.append(bodies[-1])
+    return lines, None
 
 
 def reference_write_candidates(path, candidates):

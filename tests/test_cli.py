@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -513,6 +514,30 @@ class TestSweepAndDiag:
         assert (out / "rank_curve.csv").read_text().splitlines() == [
             "rank,avg_precision,avg_recall", "1,1.0,1.0"]
 
+    @pytest.mark.parametrize("decision", ["global", "kst"])
+    def test_diag_checks_its_trial_as_scoring_does(self, tmp_path, capsys,
+                                                   decision):
+        # a trial must exceed each keyword's true occurrences; references
+        # that name no keyword leave nothing to check
+        cands, refs, empty = (tmp_path / name for name in ("c.tsv", "r.tsv",
+                                                           "empty.tsv"))
+        cands.write_text("K1\td1\t0.0\t0.5\t0.5\n")
+        refs.write_text("K1\td1\t0.0\t0.5\n")
+        empty.write_text("")
+        out = tmp_path / "out"
+        flags = ["--decision", decision, "--trial-seconds", "0.5",
+                 "--out", str(out)]
+        for argv in (["sweep", "--alpha-grid", "0"], ["diag"]):
+            assert run(*argv, "--in", str(cands), "--ref", str(refs),
+                       *flags) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "drstd: trial_seconds 0.5 must exceed the 1 true occurrences "
+                "of keyword 'K1'"]
+            assert not out.exists()
+        assert run("diag", "--in", str(cands), "--ref", str(empty), *flags) == 0
+        assert json.loads((out / "diagnostics.json").read_text())[
+            "trial_seconds"] == 0.5
+
 
 # The config keys and input names each subcommand's manifest records.
 MANIFEST_KEYS = {
@@ -614,6 +639,64 @@ class TestManifests:
                         _manifest(diag, "diag")["config"],
                         json.loads((diag / "diagnostics.json").read_text())):
             assert payload["trial_seconds"] is None
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+class TestPipeInput:
+    """An input may be a pipe, as process substitution passes it: read in
+    one pass, it names the line of a bad byte, and its manifest records a
+    null hash. The write end is closed before the run, so a second read
+    would find the pipe empty rather than wait."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def pipe(data: bytes):
+        assert len(data) <= 4096  # fits any pipe's buffer: the write ends
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            yield f"/dev/fd/{read_end}"
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("search", "--corpus", b'{"doc_id": "d1", "slots": []}\r\n\r\n\xe9\r\n'),
+        ("rescore", "--in", b"K1\td1\t0.0\t0.5\t0.5\r\n\r\n\xe9\r\n"),
+    ])
+    def test_bad_byte_named_by_line(self, tmp_path, capsys, command, flag,
+                                    text):
+        keywords = tmp_path / "keywords.tsv"
+        keywords.write_text("K1\tcat\n")
+        other = {"search": ["--keywords", str(keywords)],
+                 "rescore": ["--alpha", "0.1"]}[command]
+        out = tmp_path / "out"
+        with self.pipe(text) as path:
+            assert run(command, flag, path, *other, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"drstd: {path}:3: not UTF-8 text (byte 0xe9: invalid "
+            "continuation byte)"]
+        assert not out.exists()
+
+    def test_manifest_records_null_hash(self, tmp_path):
+        keywords, cands = tmp_path / "keywords.tsv", tmp_path / "c.tsv"
+        keywords.write_text("K1\tcat\n")
+        corpus = (b'{"doc_id": "d1", "slots": [{"start": 0.0, "dur": 0.5, '
+                  b'"arcs": [["cat", 0.8], ["<eps>", 0.2]]}]}\n')
+        with self.pipe(corpus) as path:
+            assert run("search", "--corpus", path, "--keywords", str(keywords),
+                       "--out", str(cands)) == 0
+        assert _manifest(tmp_path, "search")["inputs"] == {
+            "corpus": {"path": path, "sha256": None},
+            "keywords": {"path": str(keywords), "sha256": hashlib.sha256(
+                keywords.read_bytes()).hexdigest()}}
+        assert cands.read_text().splitlines()[1:] == [
+            "K1\td1\t0.0\t0.5\t0.800000"]
+        with self.pipe(cands.read_bytes()) as path:
+            assert run("rescore", "--in", path, "--alpha", "0.1",
+                       "--out", str(tmp_path / "r.tsv")) == 0
+        assert _manifest(tmp_path, "rescore")["inputs"] == {
+            "candidates": {"path": path, "sha256": None}}
 
 
 # Commands that write a file --out, each with its input flags.

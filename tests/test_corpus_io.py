@@ -18,8 +18,9 @@ from drstd.tables import (Candidate, FormatError, RefOccurrence,
                           write_references)
 
 from conftest import random_candidates, random_corpus
-from oracles import (reference_doc_from_obj, reference_parse_occurrence_table,
-                     reference_write_candidates, reference_write_cn_corpus)
+from oracles import (reference_doc_from_obj, reference_numbered_lines,
+                     reference_parse_occurrence_table, reference_write_candidates,
+                     reference_write_cn_corpus)
 
 
 def quantize_score(score: float) -> float:
@@ -601,6 +602,51 @@ def test_error_before_bad_byte_comes_first(tmp_path, kind, text, message):
         else:
             parse_occurrence_table(path, kind)
     assert str(exc.value) == f"{path}:{message}"
+
+
+# Pieces of the files `_numbered_lines` reads: ASCII, valid multi-byte
+# characters, bytes that are never UTF-8, truncated sequences, a BOM and
+# the three line ends; runs of a piece reach past the 8 KiB read chunk.
+_TEXT_PIECES = [b"K1\td1", b" ", b"#", "caf\u00e9".encode(), "\u20ac".encode(),
+                "\U0001d11e".encode(), b"\xef\xbb\xbf", b"\xff", b"\x80",
+                b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82", b"\xf0\x9f\x98",
+                b"\n", b"\r\n", b"\r"]
+_TEXT_RUNS = st.tuples(st.sampled_from(
+    [b"x", "\u00e9".encode(), b"ab\n", "\u20ac\r\n".encode(), b"\r"]),
+    st.integers(0, 3000)).map(lambda run: run[0] * run[1])
+
+
+@given(st.lists(st.sampled_from(_TEXT_PIECES) | _TEXT_RUNS, max_size=30)
+       .map(b"".join))
+@example(b"x" * 8191 + "\u20ac".encode() + b"\r\n\xe2\x82")
+@example(b"x" * 8191 + b"\r\n" + b"y" * 9000 + b"\r\xff")
+@example(b"a\nb\r\nc\rd\xe9")
+@settings(max_examples=300, deadline=None)
+def test_numbered_lines_match_oracle(tmp_path_factory, data):
+    """`_numbered_lines` yields the oracle's lines, numbered from 1, and
+    then raises its error, naming the line, the byte and the reason."""
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_bytes(data)
+    lines, bad = reference_numbered_lines(data)
+    got, message = [], None
+    try:
+        for lineno, line in tables._numbered_lines(path):
+            got.append((lineno, line))
+    except FormatError as exc:
+        message = str(exc)
+    assert got == list(enumerate(lines, start=1))
+    assert message == (bad and f"{path}:{bad[0]}: not UTF-8 text "
+                       f"(byte 0x{bad[1]:02x}: {bad[2]})")
+
+
+def test_unknown_table_kind_rejected(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("K1\td1\t0.0\t0.5\n")
+    with pytest.raises(ValueError) as exc:
+        parse_occurrence_table(path, "decision")
+    assert str(exc.value) == ("kind must be 'ref', 'candidate', 'decided' or "
+                              "'rescorable', got 'decision'")
+    assert not isinstance(exc.value, FormatError)
 
 
 # The number rule of every file format: a finite plain decimal number.
