@@ -26,10 +26,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .decision import DEFAULT_BETA, DecisionPolicy, apply_decisions, yes_only
-from .scoring import (DEFAULT_DELTA_SECONDS, align, keyword_rates, mtwv,
-                      score_detections, write_csv, write_keyword_detail)
-from .tables import (SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
+from .tables import (DEFAULT_BETA, DEFAULT_DELTA_SECONDS, SCORE_DECIMALS,
+                     Candidate, FormatError, RefOccurrence,
                      parse_occurrence_table, write_candidates, write_references)
 
 
@@ -41,13 +39,9 @@ def _quiet(*_args) -> None:
 _info = _quiet
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; flag misuse is exit 1
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _sha256(path: Path) -> str:
@@ -92,16 +86,17 @@ def _write_manifest(args, counts: dict[str, int] | None) -> None:
     _write_json(out_dir / f"{args.subcommand}.manifest.json", manifest)
 
 
-def _resolve_policy(args, corpus_seconds: float | None = None) -> DecisionPolicy:
-    """The policy of the decision flags. Its trial is --trial-seconds, else
-    `corpus_seconds`, else None, which only global decisions outside sweep take.
-    It leaves on `args`, for the manifest, the values the run uses: that
-    trial, and no threshold for kst decisions, which read none."""
+def _resolve_policy(args, corpus_seconds: float | None = None):
+    """The DecisionPolicy of the decision flags. Its trial is --trial-seconds,
+    else `corpus_seconds`, else None, which only global decisions outside
+    sweep take. It leaves on `args`, for the manifest, the values the run
+    uses: that trial, and no threshold for kst decisions, which read none."""
+    from .decision import DecisionPolicy
     trial_seconds = corpus_seconds if args.trial_seconds is None else args.trial_seconds
     if trial_seconds is None and args.decision == "kst":
-        raise _UsageError("--trial-seconds is required with --decision kst")
+        raise ValueError("--trial-seconds is required with --decision kst")
     if trial_seconds is None and args.subcommand == "sweep":
-        raise _UsageError("--trial-seconds is required: sweep scores ATWV")
+        raise ValueError("--trial-seconds is required: sweep scores ATWV")
     policy = DecisionPolicy(mode=args.decision, global_threshold=args.threshold,
                             beta=args.beta, trial_seconds=trial_seconds)
     args.trial_seconds = trial_seconds
@@ -182,7 +177,8 @@ def _rescore_stage(candidates: list[Candidate], out: Path, alpha: float,
 
 
 def _decide_stage(candidates: list[Candidate], out: Path,
-                  policy: DecisionPolicy) -> list[Candidate]:
+                  policy) -> list[Candidate]:
+    from .decision import apply_decisions
     decided = apply_decisions(candidates, policy)
     out.parent.mkdir(parents=True, exist_ok=True)
     decided = write_candidates(out, decided)
@@ -195,6 +191,7 @@ def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
                  out: Path, trial_seconds: float, beta: float, delta: float,
                  with_mtwv: bool = False) -> None:
     """Write the report `out` and its keyword detail beside it."""
+    from .scoring import mtwv, score_detections, write_keyword_detail
     report = score_detections(hypotheses, references, trial_seconds, beta, delta)
     aggregate = report["aggregate"]
     if with_mtwv:
@@ -232,6 +229,7 @@ def cmd_decide(args) -> None:
 
 def cmd_sweep(args) -> None:
     from .diagnostics import alpha_sweep
+    from .scoring import write_csv
     policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.candidates, "rescorable")
     references = parse_occurrence_table(args.references, "ref")
@@ -244,9 +242,11 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_diag(args) -> None:
+    from .decision import apply_decisions, yes_only
     from .diagnostics import (doc_performance, doc_rank_curves,
                               weight_performance_correlation)
     from .rescore import build_weight_tables
+    from .scoring import align, keyword_rates, write_csv
     policy = _resolve_policy(args)
     candidates = parse_occurrence_table(args.candidates, "rescorable")
     references = parse_occurrence_table(args.references, "ref")
@@ -298,6 +298,7 @@ def cmd_synth(args) -> dict[str, int]:
 
 def cmd_pipeline(args) -> None:
     from .corpus_io import parse_keyword_list
+    from .scoring import score_detections
     keywords = parse_keyword_list(args.keywords)
     references = parse_occurrence_table(args.references, "ref")
     candidates, dropped, _, seconds = _search(args, keywords)
@@ -441,26 +442,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: exit 0, or 1 for a usage, format or check error (a
+    ValueError), or 2 for an I/O error (an OSError)."""
     global _info
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"drstd: {exc}", file=sys.stderr)
-        return 1
-    if args.quiet:
-        _info = _quiet
-    else:
-        import logging
+        if args.quiet:
+            _info = _quiet
+        else:
+            import logging
 
-        # The level goes on our own logger: basicConfig does nothing once
-        # the root logger has a handler, as it may when main runs in process.
-        logging.basicConfig(format="%(message)s")
-        log = logging.getLogger("drstd")
-        log.setLevel(logging.INFO)
-        _info = log.info
-    try:
+            # The level goes on our own logger: basicConfig does nothing once
+            # the root logger has a handler, as it may when main runs in
+            # process.
+            logging.basicConfig(format="%(message)s")
+            log = logging.getLogger("drstd")
+            log.setLevel(logging.INFO)
+            _info = log.info
         _write_manifest(args, args.func(args))
-    except (_UsageError, FormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"drstd: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .tables import Candidate
-
-DEFAULT_BETA = 999.9
+from .tables import DEFAULT_BETA, Candidate
 
 
 class DecisionPolicy:

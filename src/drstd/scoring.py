@@ -22,9 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .decision import yes_only
-from .tables import Candidate, RefOccurrence
-
-DEFAULT_DELTA_SECONDS = 0.5
+from .tables import DEFAULT_DELTA_SECONDS, Candidate, RefOccurrence
 
 
 class KeywordCounts:

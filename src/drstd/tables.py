@@ -15,6 +15,10 @@ from pathlib import Path
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 SCORE_DECIMALS = 6
+# The defaults of the cost ratio beta and the alignment tolerance, here so
+# that the flags can name them without loading decision or scoring.
+DEFAULT_BETA = 999.9
+DEFAULT_DELTA_SECONDS = 0.5
 # The error of a candidate's kw_id, doc_id, start and score <= 0.
 NONPOSITIVE_SCORE = ("candidate {!r}/{!r}@{} has non-positive score {}; "
                      "rescoring needs scores > 0")
@@ -135,15 +139,17 @@ def parse_occurrence_table(path: str | Path,
             if message := id_error(kw_id, "kw_id") or id_error(doc_id, "doc_id"):
                 raise ValueError(message)
             if ref:
-                start, dur = _column(start, "start"), _column(dur, "dur")
+                start = _finite(start, "column 'start'")
+                dur = _finite(dur, "column 'dur'")
                 if dur <= 0.0:
                     raise ValueError(f"reference duration must be > 0, got {dur}")
                 rows.append(_new_tuple(RefOccurrence, (kw_id, doc_id, start, dur)))
                 continue
             if decision not in ("YES", "NO", None):
                 raise ValueError(f"decision column must be YES or NO, got {decision!r}")
-            start, dur = _column(start, "start"), _column(dur, "dur")
-            score = _column(score, "score")
+            start = _finite(start, "column 'start'")
+            dur = _finite(dur, "column 'dur'")
+            score = _finite(score, "column 'score'")
             if dur < 0.0:
                 raise ValueError(f"negative duration {dur}")
             if not 0.0 <= score <= 1.0:
@@ -160,15 +166,6 @@ def parse_occurrence_table(path: str | Path,
 # digits, which float() reads as finite. float() also takes surrounding
 # whitespace, digit-group underscores, non-ASCII digits, inf and nan.
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
-
-
-def _column(text: str, name: str) -> float:
-    """The number in table column `name`, or `_finite`'s ValueError."""
-    if _NUMBER.fullmatch(text):
-        number = float(text)
-        if -_INF < number < _INF:
-            return number
-    return _finite(text, f"column {name!r}")
 
 
 def _finite(value: object, what: str) -> float:

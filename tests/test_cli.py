@@ -1293,17 +1293,27 @@ print(json.dumps(sorted(set(modules) & sys.modules.keys())))
 """
 
 # Without a bytecode cache each command compiles every module it imports.
+# Each command maps to its argv and the modules it must leave unloaded: the
+# table commands load no corpus code, all but sweep and diag no diagnostics,
+# and search, rescore and synth neither decision nor scoring.
 _CORPUS_CODE = ["drstd.corpus_io", "drstd.index_search", "unicodedata"]
+_STAGE_CODE = ["drstd.decision", "drstd.scoring", "drstd.diagnostics"]
 _TABLE_COMMANDS = {
+    "search": (["search", "--corpus", "{data}/corpus.jsonl", "--keywords",
+                "{data}/keywords.tsv", "--out", "{out}/c.tsv"],
+               [*_STAGE_CODE, "drstd.rescore", "drstd.synth"]),
+    "synth": (["synth", "--docs", "3", "--keywords", "2", "--seed", "1",
+               "--out", "{out}/synth"],
+              [*_STAGE_CODE, "drstd.index_search", "drstd.rescore"]),
     "score": (["score", "--mtwv", "--hyp", "{run}/decided.tsv", "--ref", "{ref}",
                "--trial-seconds", "3600", "--out", "{out}/report.json"],
               [*_CORPUS_CODE, "drstd.diagnostics"]),
     "rescore": (["rescore", "--in", "{run}/candidates.tsv", "--alpha", "0.5",
                  "--weights-out", "{out}/w.tsv", "--out", "{out}/r.tsv"],
-                [*_CORPUS_CODE, "drstd.diagnostics"]),
+                [*_CORPUS_CODE, *_STAGE_CODE]),
     "decide": (["decide", "--in", "{run}/candidates.tsv", "--trial-seconds",
                 "3600", "--out", "{out}/d.tsv"],
-               [*_CORPUS_CODE, "drstd.diagnostics"]),
+               [*_CORPUS_CODE, "drstd.scoring", "drstd.diagnostics"]),
     "sweep": (["sweep", "--in", "{run}/candidates.tsv", "--ref", "{ref}",
                "--alpha-grid", "0,0.5", "--trial-seconds", "3600",
                "--out", "{out}/s.csv"], _CORPUS_CODE),
@@ -1325,10 +1335,9 @@ def pipeline_run(data_dir, tmp_path_factory):
 @pytest.mark.parametrize("command", sorted(_TABLE_COMMANDS))
 def test_table_commands_load_no_corpus_code(data_dir, pipeline_run, tmp_path,
                                             command):
-    # nor, outside sweep and diag, the diagnostics
     argv, unloaded = _TABLE_COMMANDS[command]
-    argv = [arg.format(run=pipeline_run, ref=data_dir / "refs.tsv", out=tmp_path)
-            for arg in argv]
+    argv = [arg.format(run=pipeline_run, ref=data_dir / "refs.tsv", out=tmp_path,
+                       data=data_dir) for arg in argv]
     src = Path(drstd.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", _LOADED_SCRIPT, json.dumps([argv, unloaded])],
