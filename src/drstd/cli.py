@@ -12,7 +12,8 @@ scoring's checks before any write.
 
 After a run succeeds, `main` drops a `<subcommand>.manifest.json` next to
 its primary output recording the flag values the run used, the sha256
-of each regular input file and, for `synth`, the counts the run returns.
+each regular input file had before the run and, for `synth`, the counts
+the run returns.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -26,8 +27,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .tables import (DEFAULT_BETA, DEFAULT_DELTA_SECONDS, SCORE_DECIMALS,
-                     Candidate, FormatError, RefOccurrence,
+from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS,
+                     SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
                      parse_occurrence_table, write_candidates, write_references)
 
 
@@ -57,13 +58,23 @@ def _write_json(path: Path, obj) -> None:
                     + "\n", encoding="utf-8")
 
 
-def _write_manifest(args, counts: dict[str, int] | None) -> None:
+def _input_hashes(args) -> dict[str, dict]:
+    """The manifest's `inputs`: the flags but `out` parsed as a Path are
+    input files. A regular file records its sha256, and any other, a pipe
+    say, a null hash."""
+    return {name: {"path": str(path),
+                   "sha256": _sha256(path) if path.is_file() else None}
+            for name, path in sorted(vars(args).items())
+            if isinstance(path, Path) and name != "out"}
+
+
+def _write_manifest(args, inputs: dict[str, dict],
+                    counts: dict[str, int] | None) -> None:
     """Write `<subcommand>.manifest.json` beside the file `args.out`, or
     into the directory `args.out`, which is then not recorded: it holds the
-    manifest. Flags parsed as a Path are input files: a regular file is
-    hashed, and any other, a pipe say, records a null hash. The rest are
-    config, as the run left them on `args`. `counts`, when the subcommand
-    returns any, goes in as they are."""
+    manifest. The flags not parsed as a Path are config, as the run left
+    them on `args`. `inputs` and `counts`, when the subcommand returns
+    any, go in as they are."""
     flags = {name: value for name, value in vars(args).items()
              if name not in ("func", "quiet", "subcommand", "out")}
     if args.out.is_dir():
@@ -76,10 +87,7 @@ def _write_manifest(args, counts: dict[str, int] | None) -> None:
         "subcommand": args.subcommand,
         "config": {name: value for name, value in flags.items()
                    if not isinstance(value, Path)},
-        "inputs": {name: {"path": str(path),
-                          "sha256": _sha256(path) if path.is_file() else None}
-                   for name, path in sorted(flags.items())
-                   if isinstance(path, Path)},
+        "inputs": inputs,
     }
     if counts is not None:
         manifest["counts"] = counts
@@ -106,10 +114,11 @@ def _resolve_policy(args, corpus_seconds: float | None = None):
 
 def _number(kind, low, high, wanted: str):
     """argparse type: a `kind` in [low, high], else an error that says it
-    expected `wanted`. Text `kind` cannot parse reads as NaN, in no range."""
+    expected `wanted`. Text that breaks the number rule of the tables
+    (`_NUMBER`), or that `kind` cannot parse, reads as NaN, in no range."""
     def parse(text: str):
         try:
-            value = kind(text)
+            value = kind(text) if _NUMBER.fullmatch(text) else math.nan
         except ValueError:
             value = math.nan
         if not low <= value <= high:
@@ -459,7 +468,9 @@ def main(argv=None) -> int:
             log = logging.getLogger("drstd")
             log.setLevel(logging.INFO)
             _info = log.info
-        _write_manifest(args, args.func(args))
+        # Hashed before the run, which may overwrite an input in place.
+        inputs = _input_hashes(args)
+        _write_manifest(args, inputs, args.func(args))
     except ValueError as exc:
         print(f"drstd: {exc}", file=sys.stderr)
         return 1

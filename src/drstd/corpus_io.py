@@ -202,28 +202,15 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
 def write_cn_corpus(path: str | Path, docs: Iterable[ConfusionNetworkDoc]) -> None:
     """Write documents as JSON-lines, one object per line, in input order.
 
-    Each line is the bytes of `json.dumps(obj, ensure_ascii=False)` for the
-    document's object, built by formatting: json quotes each distinct token
-    once, and numbers, which must be finite floats (numpy's float64 too),
-    are written with `float.__repr__`, as json's encoder writes them.
+    Each line is `json.dumps(obj, ensure_ascii=False)` of the document's
+    object; the encoder writes each arc tuple as a list, and each float,
+    numpy's float64 too, with `float.__repr__`.
     """
-    quoted: dict[str, str] = {}
-    number = float.__repr__
     with open(path, "w", encoding="utf-8") as fh:
         for doc_id, slots in docs:
-            slot_parts = []
-            for start, dur, arcs in slots:
-                arc_parts = []
-                for token, posterior in arcs:
-                    try:
-                        text = quoted[token]
-                    except KeyError:
-                        text = quoted[token] = json.dumps(token, ensure_ascii=False)
-                    arc_parts.append(f"[{text}, {number(posterior)}]")
-                slot_parts.append(f'{{"start": {number(start)}, "dur": {number(dur)}, '
-                                  f'"arcs": [{", ".join(arc_parts)}]}}')
-            fh.write(f'{{"doc_id": {json.dumps(doc_id, ensure_ascii=False)}, '
-                     f'"slots": [{", ".join(slot_parts)}]}}\n')
+            fh.write(json.dumps({"doc_id": doc_id, "slots": [
+                {"start": start, "dur": dur, "arcs": arcs}
+                for start, dur, arcs in slots]}, ensure_ascii=False) + "\n")
 
 
 def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:

@@ -13,7 +13,7 @@ from .decision import DecisionPolicy, yes_flags
 from .rescore import (WeightTables, build_weight_tables, check_alpha,
                       reestimate_confidence)
 from .scoring import (DEFAULT_DELTA_SECONDS, AlignmentResult, _paired_groups,
-                      _tally, build_report)
+                      _tally, _total, build_report)
 from .tables import Candidate, RefOccurrence
 
 
@@ -104,8 +104,8 @@ def doc_rank_curves(rows: Sequence[tuple[str, str, float, float, float]],
         kw_rows.sort(key=lambda row: (-row[2], row[1]))
         for rank, (*_, precision, recall) in enumerate(kw_rows[:max_rank], 1):
             per_rank.setdefault(rank, []).append((precision, recall))
-    return [(rank, sum(p for p, _ in pairs) / len(pairs),
-             sum(r for _, r in pairs) / len(pairs))
+    return [(rank, _total(p for p, _ in pairs) / len(pairs),
+             _total(r for _, r in pairs) / len(pairs))
             for rank, pairs in sorted(per_rank.items())]
 
 

@@ -148,11 +148,20 @@ def keyword_rates(alignment: AlignmentResult, trial_seconds: float
             for kw_id, c in alignment.keyword_counts.items() if c.n_true}
 
 
+def _total(values: Iterable[float]) -> float:
+    """The left-to-right float sum of `values`, on every Python: from 3.12
+    on, the builtin sum() compensates its rounding errors."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def atwv(rates: Mapping[str, tuple[float, float]], beta: float) -> float:
     """Actual term-weighted value: 1 - mean over keywords of P_miss + beta*P_FA."""
     if not rates:
         raise ValueError("no scoreable keywords (every keyword has zero references)")
-    total = sum(p_miss + beta * p_fa for p_miss, p_fa in rates.values())
+    total = _total(p_miss + beta * p_fa for p_miss, p_fa in rates.values())
     return 1.0 - total / len(rates)
 
 
@@ -175,8 +184,8 @@ def build_report(counts: Mapping[str, KeywordCounts], trial_seconds: float,
         "config": {"beta": beta, "trial_seconds": trial_seconds,
                    "delta_seconds": delta_seconds},
         "aggregate": {"atwv": atwv(rates, beta),
-                      "mean_p_miss": sum(p for p, _ in rates.values()) / n,
-                      "mean_p_fa": sum(f for _, f in rates.values()) / n,
+                      "mean_p_miss": _total(p for p, _ in rates.values()) / n,
+                      "mean_p_fa": _total(f for _, f in rates.values()) / n,
                       "num_scored_keywords": n},
         "keywords": keywords,
     }

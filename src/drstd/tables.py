@@ -223,17 +223,8 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 def sort_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
     """`candidates` in `Candidate.sort_key` order: kw_id, doc_id, start,
-    duration, score, then undecided before NO before YES.
-
-    Candidates compare in C as plain tuples, in that same order, unless a
-    decided and an undecided row tie on their first five fields: comparing
-    their decisions, None and a string, raises TypeError, and then the
-    rows sort by that key.
-    """
-    try:
-        return sorted(candidates)
-    except TypeError:
-        return sorted(candidates, key=Candidate.sort_key)
+    duration, score, then undecided before NO before YES."""
+    return sorted(candidates, key=Candidate.sort_key)
 
 
 def write_candidates(path: str | Path,

@@ -1,11 +1,13 @@
 """Command line behaviour: subcommand composition, exit codes, manifests."""
 
 import argparse
+import builtins
 import contextlib
 import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -558,6 +560,47 @@ MANIFEST_KEYS = {
 }
 
 
+def _compensated_sum(values, start=0):
+    """sum() with float rounding compensated, as the builtin adds floats
+    from Python 3.12 on; here exactly rounded by fsum."""
+    values = [start, *values]
+    if any(isinstance(value, float) for value in values):
+        return math.fsum(values)
+    return builtins.sum(values)
+
+
+def test_totals_do_not_depend_on_the_sum_builtin(data_dir, tmp_path,
+                                                 monkeypatch):
+    """Each command writes the same bytes with sum() compensated in every
+    drstd module, so its totals are the same on every Python."""
+    corpus, keywords, refs = (str(data_dir / name) for name in (
+        "corpus.jsonl", "keywords.tsv", "refs.tsv"))
+    commands = (
+        ["pipeline", "--corpus", corpus, "--keywords", keywords, "--ref", refs,
+         "--alpha", "0.3", "--out", "{out}/pipeline"],
+        ["score", "--hyp", "{out}/pipeline/decided.tsv", "--ref", refs,
+         "--trial-seconds", "3600", "--mtwv", "--out", "{out}/score/r.json"],
+        ["sweep", "--in", "{out}/pipeline/candidates.tsv", "--ref", refs,
+         "--alpha-grid", "0,0.2,0.4,0.6,0.8,1", "--trial-seconds", "3600",
+         "--out", "{out}/sweep.csv"],
+        ["diag", "--in", "{out}/pipeline/candidates.tsv", "--ref", refs,
+         "--trial-seconds", "3600", "--out", "{out}/diag"])
+
+    def artifacts(out):
+        """Run the commands into `out`; the bytes of all but the manifests."""
+        for argv in commands:
+            assert run(*(arg.format(out=out) for arg in argv)) == 0
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and not path.name.endswith(".manifest.json")}
+
+    builtin = artifacts(tmp_path / "builtin")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("drstd"):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert artifacts(tmp_path / "compensated") == builtin
+
+
 def _manifest(directory, subcommand):
     return json.loads((directory / f"{subcommand}.manifest.json").read_text())
 
@@ -639,6 +682,21 @@ class TestManifests:
                         _manifest(diag, "diag")["config"],
                         json.loads((diag / "diagnostics.json").read_text())):
             assert payload["trial_seconds"] is None
+
+    def test_in_place_run_records_the_hash_its_input_had(self, data_dir,
+                                                         tmp_path):
+        table = tmp_path / "c.tsv"
+        assert run("search", "--corpus", str(data_dir / "corpus.jsonl"),
+                   "--keywords", str(data_dir / "keywords.tsv"),
+                   "--out", str(table)) == 0
+        for command, flags in (("rescore", ["--alpha", "0.1"]),
+                               ("decide", ["--trial-seconds", "3600"])):
+            before = hashlib.sha256(table.read_bytes()).hexdigest()
+            assert run(command, "--in", str(table), *flags,
+                       "--out", str(table)) == 0
+            assert hashlib.sha256(table.read_bytes()).hexdigest() != before
+            assert _manifest(tmp_path, command)["inputs"] == {
+                "candidates": {"path": str(table), "sha256": before}}
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -821,6 +879,20 @@ class TestErrorHandling:
          "> 0"),
         (["decide", "--in", "c", "--trial-seconds", "nan"], "> 0"),
         (["decide", "--in", "c", "--trial-seconds", "0"], "> 0"),
+        # Flags follow the number rule of the tables: no digit-group
+        # underscores, surrounding whitespace or non-ASCII digits.
+        (["decide", "--in", "c", "--trial-seconds", "7_000"],
+         "expected a finite float > 0, got '7_000'"),
+        (["decide", "--in", "c", "--trial-seconds", " 7000 "],
+         "expected a finite float > 0, got ' 7000 '"),
+        (["decide", "--in", "c", "--trial-seconds", "\u0667\u0660\u0660\u0660"],
+         "expected a finite float > 0, got '\u0667\u0660\u0660\u0660'"),
+        (["synth", "--docs", "\u0663", "--keywords", "2", "--seed", "1"],
+         "--docs: expected a finite int > 0, got '\u0663'"),
+        (["synth", "--docs", "3", "--keywords", "1_0", "--seed", "1"],
+         "--keywords: expected a finite int > 0, got '1_0'"),
+        (["synth", "--docs", "3", "--keywords", "2", "--seed", " 1"],
+         "--seed: expected an int >= 0, got ' 1'"),
         (["pipeline", "--corpus", "c", "--keywords", "k", "--ref", "r",
           "--alpha", "0.1", "--trial-seconds", "inf"], "> 0"),
         (["sweep", "--in", "c", "--ref", "r", "--alpha-grid", "0",
@@ -1210,7 +1282,8 @@ def test_every_number_flag_rejects_bad_values(tmp_path, capsys, subcommand,
                 "1" if action.type in _NUMBER_TYPES else str(tmp_path / "f")
                 for action in _subcommands()[subcommand]._actions
                 if action.required}
-    for value in ("nan", "inf", "-1", "x", ""):
+    # The last three are in every flag's range, but break the number rule.
+    for value in ("nan", "inf", "-1", "x", "", " 1", "0_1", "\u0661"):
         argv = {**required, flag: value}
         assert main([subcommand, *(f"{name}={text}"
                                    for name, text in argv.items())]) == 1

@@ -200,6 +200,8 @@ _DEDUP_ROW = st.tuples(
           ("K1", "d1", 0.5, 0.5, 0.9, None)])
 @example([("K1", "d1", 0.0, 1.0, 0.5, None),     # touching spans
           ("K1", "d1", 1.0, 1.0, 0.9, None)])
+@example([("K1", "d1", 0.0, 1.0, 0.5, None),     # an exact half
+          ("K1", "d1", 0.5, 1.0, 0.9, None)])    # overlap: both kept
 @example([("K1", "d1", 0.0, 1.0, 0.5, "YES"),    # a full tie: the first
           ("K1", "d1", 0.0, 1.0, 0.5, "NO")])    # in input order is kept
 @settings(max_examples=300, deadline=None)

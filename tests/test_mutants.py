@@ -74,6 +74,46 @@ MUTANTS = (
            "from .tables import (",
            "from .scoring import mtwv\nfrom .tables import (",
            ("tests/test_cli.py::test_table_commands_load_no_corpus_code[rescore]",)),
+    Mutant("corpus-writer-ascii", "src/drstd/corpus_io.py",
+           "for start, dur, arcs in slots]}, ensure_ascii=False)",
+           "for start, dur, arcs in slots]}, ensure_ascii=True)",
+           ("tests/test_corpus_io.py::"
+            "test_write_cn_corpus_matches_reference_oracle",)),
+    Mutant("sort-key-without-decision", "src/drstd/tables.py",
+           '                self.score, self.decision or "")\n',
+           "                self.score)\n",
+           ("tests/test_corpus_io.py::"
+            "test_write_candidates_matches_reference_oracle",)),
+    Mutant("total-compensated", "src/drstd/scoring.py",
+           "    total = 0.0\n    for value in values:\n"
+           "        total += value\n    return total\n",
+           "    return math.fsum(values)\n",
+           ("tests/test_scoring.py::TestAtwv::test_total_is_left_to_right",)),
+    Mutant("inputs-hashed-after-run", "src/drstd/cli.py",
+           "        inputs = _input_hashes(args)\n"
+           "        _write_manifest(args, inputs, args.func(args))\n",
+           "        counts = args.func(args)\n"
+           "        _write_manifest(args, _input_hashes(args), counts)\n",
+           ("tests/test_cli.py::TestManifests::"
+            "test_in_place_run_records_the_hash_its_input_had",)),
+    Mutant("flag-without-number-rule", "src/drstd/cli.py",
+           "value = kind(text) if _NUMBER.fullmatch(text) else math.nan\n",
+           "value = kind(text)\n",
+           ("tests/test_cli.py::TestErrorHandling::"
+            "test_non_finite_or_non_positive_flag_rejected",
+            "tests/test_cli.py::test_every_number_flag_rejects_bad_values")),
+    Mutant("dedup-tie-latest-start", "src/drstd/index_search.py",
+           "group.sort(key=lambda c: (-c.score, c.start, c.duration))",
+           "group.sort(key=lambda c: (-c.score, -c.start, c.duration))",
+           ("tests/test_index_search.py::TestDedupOverlaps::"
+            "test_score_tie_earliest_start_wins",
+            "tests/test_index_search.py::test_dedup_matches_greedy_oracle")),
+    Mutant("dedup-overlap-at-half", "src/drstd/index_search.py",
+           "    return overlap > OVERLAP_DEDUP_FRACTION * shorter\n",
+           "    return overlap >= OVERLAP_DEDUP_FRACTION * shorter\n",
+           ("tests/test_index_search.py::test_dedup_matches_greedy_oracle",
+            "tests/test_index_search.py::TestDedupOverlaps::"
+            "test_exactly_half_overlap_kept")),
 )
 
 

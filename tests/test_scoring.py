@@ -176,6 +176,13 @@ class TestAtwv:
         with pytest.raises(ValueError, match="scoreable"):
             atwv({}, 999.9)
 
+    def test_total_is_left_to_right(self):
+        """The keyword total is summed in order on every Python, where
+        from 3.12 on the builtin sum() would round it to 0.6."""
+        value = atwv({"a": (0.1, 0.0), "b": (0.2, 0.0), "c": (0.3, 0.0)}, 999.9)
+        assert value == 1.0 - ((0.1 + 0.2) + 0.3) / 3
+        assert value != 1.0 - math.fsum([0.1, 0.2, 0.3]) / 3
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)
