@@ -29,7 +29,8 @@ from pathlib import Path
 from . import __version__
 from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS,
                      SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
-                     parse_occurrence_table, write_candidates, write_references)
+                     parse_occurrence_table, write_candidates, write_lines,
+                     write_references)
 
 
 def _quiet(*_args) -> None:
@@ -54,8 +55,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-                    + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)])
 
 
 def _input_hashes(args) -> dict[str, dict]:
@@ -176,10 +176,8 @@ def _rescore_stage(candidates: list[Candidate], out: Path, alpha: float,
                    weights_out: str | Path | None) -> list[Candidate]:
     from .rescore import rescore_candidates, write_weight_tables
     rescored, tables = rescore_candidates(candidates, alpha)
-    out.parent.mkdir(parents=True, exist_ok=True)
     rescored = write_candidates(out, rescored)
     if weights_out:
-        Path(weights_out).parent.mkdir(parents=True, exist_ok=True)
         write_weight_tables(weights_out, tables)
     _info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
     return rescored
@@ -189,7 +187,6 @@ def _decide_stage(candidates: list[Candidate], out: Path,
                   policy) -> list[Candidate]:
     from .decision import apply_decisions
     decided = apply_decisions(candidates, policy)
-    out.parent.mkdir(parents=True, exist_ok=True)
     decided = write_candidates(out, decided)
     _info("decide: %d YES of %d (%s mode)",
           sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
@@ -206,7 +203,6 @@ def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
     if with_mtwv:
         aggregate["mtwv_threshold"], aggregate["mtwv"] = mtwv(
             hypotheses, references, beta, trial_seconds, delta)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, report)
     write_keyword_detail(out.parent / "keyword_scores.tsv", report)
     _info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
@@ -218,7 +214,6 @@ def cmd_search(args) -> None:
     from .corpus_io import parse_keyword_list
     keywords = parse_keyword_list(args.keywords)
     candidates, dropped, docs, _ = _search(args, keywords)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     write_candidates(args.out, candidates)
     _info("search: %d candidates for %d keywords over %d docs "
           "(%d hits below 5e-7 dropped)",
@@ -243,7 +238,6 @@ def cmd_sweep(args) -> None:
     candidates = parse_occurrence_table(args.candidates, "rescorable")
     references = parse_occurrence_table(args.references, "ref")
     rows = alpha_sweep(candidates, references, args.alpha_grid, policy, args.delta)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(args.out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
     best = max(rows, key=lambda r: r.atwv)
     _info("sweep: best ATWV %.4f at alpha=%s (%d grid points)",
@@ -267,7 +261,6 @@ def cmd_diag(args) -> None:
     rows = doc_performance(accepted, tables, alignment)
     curve = doc_rank_curves(rows, args.max_rank)
     rhos = weight_performance_correlation(rows)
-    args.out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out / "rank_curve.csv", ("rank", "avg_precision", "avg_recall"),
               curve)
     _write_json(args.out / "diagnostics.json", {
@@ -295,7 +288,6 @@ def cmd_synth(args) -> dict[str, int]:
     # generate checks the config before it returns; the documents are
     # drawn as write_cn_corpus writes them, and refs is complete after.
     docs, keywords, refs, dropped = generate(config)
-    args.out.mkdir(parents=True, exist_ok=True)
     write_cn_corpus(args.out / "corpus.jsonl", docs)
     write_keyword_list(args.out / "keywords.tsv", keywords)
     write_references(args.out / "refs.tsv", refs)
@@ -317,7 +309,6 @@ def cmd_pipeline(args) -> None:
     policy = _resolve_policy(args, corpus_seconds=seconds)
     # Scoring's checks of the trial and the references, before any write.
     score_detections([], references, policy.trial_seconds, policy.beta, args.delta)
-    args.out.mkdir(parents=True, exist_ok=True)
     candidates = write_candidates(args.out / "candidates.tsv", candidates)
     rescored = _rescore_stage(candidates, args.out / "rescored.tsv", args.alpha,
                               args.out / "weights.tsv")

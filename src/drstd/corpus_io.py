@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .tables import (_INF, FormatError, _finite, _new_tuple, _numbered_lines,
-                     id_error, tsv_lines)
+                     id_error, tsv_lines, write_lines)
 
 EPS_TOKEN = "<eps>"
 
@@ -200,17 +200,17 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
 
 
 def write_cn_corpus(path: str | Path, docs: Iterable[ConfusionNetworkDoc]) -> None:
-    """Write documents as JSON-lines, one object per line, in input order.
+    """Write documents as JSON-lines, one object per line, as `docs` yields them.
 
     Each line is `json.dumps(obj, ensure_ascii=False)` of the document's
     object; the encoder writes each arc tuple as a list, and each float,
     numpy's float64 too, with `float.__repr__`.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id, slots in docs:
-            fh.write(json.dumps({"doc_id": doc_id, "slots": [
-                {"start": start, "dur": dur, "arcs": arcs}
-                for start, dur, arcs in slots]}, ensure_ascii=False) + "\n")
+    lines = (json.dumps({"doc_id": doc_id, "slots": [
+                 {"start": start, "dur": dur, "arcs": arcs}
+                 for start, dur, arcs in slots]}, ensure_ascii=False)
+             for doc_id, slots in docs)
+    write_lines(path, lines)
 
 
 def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
@@ -239,4 +239,4 @@ def parse_keyword_list(path: str | Path) -> list[KeywordEntry]:
 def write_keyword_list(path: str | Path, keywords: Iterable[KeywordEntry]) -> None:
     lines = ["# kw_id\ttokens"]
     lines += [f"{kw.kw_id}\t{' '.join(kw.tokens)}" for kw in keywords]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)

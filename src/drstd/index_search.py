@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .corpus_io import ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry
-from .tables import Candidate, sort_candidates
+from .tables import Candidate
 
 # A later hit suppresses an earlier one (or vice versa) when their spans
 # overlap by more than this fraction of the shorter span.
@@ -49,7 +49,7 @@ def search_all(docs: Iterable[ConfusionNetworkDoc],
                     else:
                         hits.extend(_extend_paths(keyword, doc, slot_idx,
                                                   posterior))
-    hits.sort()  # undecided: plain tuples in `Candidate.sort_key` order
+    hits.sort(key=Candidate.sort_key)
     return hits
 
 
@@ -104,7 +104,7 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     then input order); one is kept only if it does not overlap a kept
     candidate by more than half of the shorter span. A zero-length span
     overlaps another only when both start at the same instant. Idempotent.
-    The survivors come in `sort_candidates` order: kw_id, doc_id, start,
+    The survivors come in `Candidate.sort_key` order: kw_id, doc_id, start,
     duration, score, decision.
     """
     groups: dict[tuple[str, str], list[Candidate]] = {}
@@ -118,4 +118,4 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
             if not any(_overlap_exceeds(cand, other) for other in kept):
                 kept.append(cand)
         survivors.extend(kept)
-    return sort_candidates(survivors)
+    return sorted(survivors, key=Candidate.sort_key)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .tables import NONPOSITIVE_SCORE, Candidate
+from .tables import NONPOSITIVE_SCORE, Candidate, write_lines
 
 # kw_id -> doc_id -> (summed document score, relative-to-max weight)
 WeightTables = dict[str, dict[str, tuple[float, float]]]
@@ -82,4 +82,4 @@ def write_weight_tables(path: str | Path, tables: WeightTables) -> None:
         for doc_id in sorted(table):
             doc_score, weight = table[doc_id]
             lines.append(f"{kw_id}\t{doc_id}\t{doc_score!r}\t{weight!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)

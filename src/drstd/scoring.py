@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .decision import yes_only
-from .tables import DEFAULT_DELTA_SECONDS, Candidate, RefOccurrence
+from .tables import DEFAULT_DELTA_SECONDS, Candidate, RefOccurrence, write_lines
 
 
 class KeywordCounts:
@@ -208,7 +208,7 @@ def write_keyword_detail(path: str | Path, report: dict) -> None:
     for kw_id, s in report["keywords"].items():
         lines.append(f"{kw_id}\t{s['n_true']}\t{s['n_correct']}\t{s['n_fa']}"
                      f"\t{s['p_miss']!r}\t{s['p_fa']!r}\t{s['twv']!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def write_csv(path: str | Path, header: Sequence[str],
@@ -217,8 +217,7 @@ def write_csv(path: str | Path, header: Sequence[str],
     as csv.writer writes them: no repr of a number needs quoting, and each
     line ends in CRLF."""
     lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    write_lines(path, lines, "\r\n")
 
 
 def mtwv(scored_candidates: Sequence[Candidate],

@@ -1,5 +1,6 @@
 """Reference and candidate occurrence tables, and the error type, id and
-number rules and line reader that every file format of the toolkit shares.
+number rules, line reader and line writer (`write_lines`) that every file
+format of the toolkit shares.
 
 * reference occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur``
 * candidate occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur<TAB>score[<TAB>YES|NO]``
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 SCORE_DECIMALS = 6
 # The defaults of the cost ratio beta and the alignment tolerance, here so
@@ -221,16 +222,19 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def sort_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
-    """`candidates` in `Candidate.sort_key` order: kw_id, doc_id, start,
-    duration, score, then undecided before NO before YES."""
-    return sorted(candidates, key=Candidate.sort_key)
+def write_lines(path: str | Path, lines: Iterable[str], end: str = "\n") -> None:
+    """Write each of `lines` and then `end`, untranslated, to the UTF-8 file
+    `path` as `lines` yields them, once the file's missing directories are
+    made."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + end for line in lines)
 
 
 def write_candidates(path: str | Path,
                      candidates: Sequence[Candidate]) -> list[Candidate]:
-    """Write candidates sorted by `sort_candidates` (kw_id, doc_id, start,
-    duration, score, decision); scores at 6 decimals.
+    """Write candidates sorted by `Candidate.sort_key`; scores at 6 decimals.
 
     Returns the rows the file parses back to, in file order: each score is
     the float of its 6-decimal text, and `repr` writes floats exactly.
@@ -238,14 +242,15 @@ def write_candidates(path: str | Path,
     score_format = f".{SCORE_DECIMALS}f"
     lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
     written = []
-    for kw_id, doc_id, start, dur, score, decision in sort_candidates(candidates):
+    for kw_id, doc_id, start, dur, score, decision in sorted(
+            candidates, key=Candidate.sort_key):
         row = [kw_id, doc_id, repr(start), repr(dur), format(score, score_format)]
         written.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur,
                                               float(row[4]), decision)))
         if decision is not None:
             row.append(decision)
         lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
     return written
 
 
@@ -254,4 +259,4 @@ def write_references(path: str | Path, refs: Sequence[RefOccurrence]) -> None:
     lines = ["# kw_id\tdoc_id\tstart\tdur"]
     for ref in sorted(refs):
         lines.append(f"{ref.kw_id}\t{ref.doc_id}\t{ref.start!r}\t{ref.duration!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)

@@ -21,10 +21,12 @@ must match row for row and error message for error message.
 into lines, for the one-pass line reader `tables._numbered_lines`.
 `reference_write_candidates` is the former `write_candidates`, which
 sorted with a Python key per row, here written out field by field;
-`tables.write_candidates`, which sorts in C, must give its bytes exactly.
+`tables.write_candidates`, which sorts by `Candidate.sort_key`, must give
+its bytes exactly.
 `reference_write_cn_corpus` is the former `corpus_io.write_cn_corpus`,
 which wrote each document with `json.dumps` over a dict per slot and a
-list per arc; the writer that formats its lines must give its bytes.
+list per arc; `corpus_io.write_cn_corpus`, which hands `json.dumps` each
+slot's arc tuples as they are, must give its bytes.
 `reference_generate` is the former `synth.generate`, which draws every
 weighted token with numpy's `Generator.choice(..., p=...)`; the
 prebuilt-cdf draws of `synth.generate` must give exactly its corpus.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drstd import corpus_io, tables
+from drstd import cli, corpus_io, rescore, scoring, tables
 from drstd.corpus_io import (ConfusionNetworkDoc, Slot, normalize_token,
                              parse_cn_corpus, parse_keyword_list,
                              write_cn_corpus, write_keyword_list)
@@ -818,6 +818,27 @@ class TestCandidateWriting:
         write_references(p, refs)
         assert parse_occurrence_table(p, "ref") == sorted(
             refs, key=lambda r: (r.kw_id, r.doc_id, r.start))
+
+
+# Every writer of the toolkit, each given an empty table, corpus or report.
+_WRITERS = {
+    "candidates": lambda path: write_candidates(path, []),
+    "references": lambda path: write_references(path, []),
+    "keyword_list": lambda path: write_keyword_list(path, []),
+    "cn_corpus": lambda path: write_cn_corpus(path, []),
+    "weight_tables": lambda path: rescore.write_weight_tables(path, {}),
+    "keyword_detail": lambda path: scoring.write_keyword_detail(
+        path, {"keywords": {}}),
+    "csv": lambda path: scoring.write_csv(path, ("rank",), []),
+    "json": lambda path: cli._write_json(path, {}),
+}
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS)
+def test_writer_makes_missing_nested_directories(tmp_path, write):
+    path = tmp_path / "a" / "b" / "out"
+    write(path)
+    assert path.is_file()
 
 
 # Ids the readers accept, ASCII and not: accented, Cyrillic, CJK, and one

@@ -114,6 +114,24 @@ MUTANTS = (
            ("tests/test_index_search.py::test_dedup_matches_greedy_oracle",
             "tests/test_index_search.py::TestDedupOverlaps::"
             "test_exactly_half_overlap_kept")),
+    Mutant("search-unsorted", "src/drstd/index_search.py",
+           "    hits.sort(key=Candidate.sort_key)\n",
+           "",
+           ("tests/test_index_search.py::TestSearchAll::"
+            "test_matches_naive_scan[0]",)),
+    Mutant("writer-line-end-always-lf", "src/drstd/tables.py",
+           "line + end for line in lines",
+           'line + "\\n" for line in lines',
+           ("tests/test_scoring.py::test_write_csv_bytes_match_csv_writer[rows1]",)),
+    Mutant("writer-makes-no-directory", "src/drstd/tables.py",
+           "    path.parent.mkdir(parents=True, exist_ok=True)\n",
+           "",
+           ("tests/test_cli.py::TestSweepAndDiag::test_diag_artifacts",)),
+    Mutant("writer-joins-before-writing", "src/drstd/tables.py",
+           "fh.writelines(line + end for line in lines)",
+           'fh.write("".join([line + end for line in lines]))',
+           ("tests/test_synth.py::TestStreaming::"
+            "test_corpus_writer_memory_flat_in_document_count",)),
 )
 
 

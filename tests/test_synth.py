@@ -213,7 +213,9 @@ class TestStreaming:
     # peak at 100; a generator holding its corpus would grow about 4x.
     PEAK_GROWTH_BOUND = 1.5
 
-    def test_memory_flat_in_document_count(self):
+    def assert_peak_flat(self, consume):
+        """`consume(docs)` of a drawn corpus holds as much memory at 400
+        documents as at 100, within PEAK_GROWTH_BOUND."""
         # 30 slots per document: CPython keeps up to 2000 freed tuples of
         # each size up to 20 for reuse, which tracemalloc counts as held.
         def config(num_docs):
@@ -223,14 +225,22 @@ class TestStreaming:
             tracemalloc.start()
             try:
                 docs, *_ = generate(config(num_docs))
-                collections.deque(docs, maxlen=0)
+                consume(docs)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        collections.deque(generate(config(1))[0], maxlen=0)  # first-use imports
+        consume(generate(config(1))[0])  # first-use imports
         small, large = peak(100), peak(400)
         assert large <= self.PEAK_GROWTH_BOUND * small, (small, large)
+
+    def test_memory_flat_in_document_count(self):
+        self.assert_peak_flat(lambda docs: collections.deque(docs, maxlen=0))
+
+    def test_corpus_writer_memory_flat_in_document_count(self, tmp_path):
+        # A writer that joined its lines before writing would grow about 4x.
+        self.assert_peak_flat(
+            lambda docs: write_cn_corpus(tmp_path / "corpus.jsonl", docs))
 
 
 # sha256 of the acceptance corpus as `Generator.choice` drew it. A change
