@@ -27,10 +27,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS,
-                     SCORE_DECIMALS, Candidate, FormatError, RefOccurrence,
-                     parse_occurrence_table, write_candidates, write_lines,
-                     write_references)
+from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS, Candidate,
+                     FormatError, RefOccurrence, parse_occurrence_table,
+                     write_candidates, write_lines, write_references)
 
 
 def _quiet(*_args) -> None:
@@ -141,13 +140,12 @@ def _parse_grid(text: str) -> list[float]:
     return [_UNIT_INTERVAL(v) for v in text.split(",")]
 
 
-def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
+def _search(args, keywords) -> tuple[list[Candidate], int, float]:
     """Search `args.corpus` in one streaming pass.
 
-    Returns the deduplicated candidates, the number of hits dropped
-    because their score prints as 0 at 6 decimals (below 5e-7, which
-    rescoring would reject), and the corpus's document count and speech
-    seconds; a corpus whose seconds sum to infinity is a FormatError.
+    Returns the deduplicated candidates and the corpus's document count
+    and speech seconds; a corpus whose seconds sum to infinity is a
+    FormatError.
     """
     from .corpus_io import parse_cn_corpus
     from .index_search import dedup_overlaps, search_all
@@ -165,8 +163,7 @@ def _search(args, keywords) -> tuple[list[Candidate], int, int, float]:
     if not math.isfinite(seconds):
         raise FormatError(f"documents span {seconds} seconds in all",
                           path=args.corpus)
-    kept = [c for c in found if float(f"{c.score:.{SCORE_DECIMALS}f}") > 0.0]
-    return dedup_overlaps(kept), len(found) - len(kept), docs, seconds
+    return dedup_overlaps(found), docs, seconds
 
 
 # The stages `pipeline` chains, each a whole subcommand once its input is
@@ -177,7 +174,7 @@ def _rescore_stage(candidates: list[Candidate], out: Path, alpha: float,
     from .rescore import rescore_candidates, write_weight_tables
     rescored, tables = rescore_candidates(candidates, alpha)
     rescored = write_candidates(out, rescored)
-    if weights_out:
+    if weights_out is not None:
         write_weight_tables(weights_out, tables)
     _info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
     return rescored
@@ -213,15 +210,14 @@ def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
 def cmd_search(args) -> None:
     from .corpus_io import parse_keyword_list
     keywords = parse_keyword_list(args.keywords)
-    candidates, dropped, docs, _ = _search(args, keywords)
+    candidates, docs, _ = _search(args, keywords)
     write_candidates(args.out, candidates)
-    _info("search: %d candidates for %d keywords over %d docs "
-          "(%d hits below 5e-7 dropped)",
-          len(candidates), len(keywords), docs, dropped)
+    _info("search: %d candidates for %d keywords over %d docs",
+          len(candidates), len(keywords), docs)
 
 
 def cmd_rescore(args) -> None:
-    _rescore_stage(parse_occurrence_table(args.candidates, "rescorable"),
+    _rescore_stage(parse_occurrence_table(args.candidates, "candidate"),
                    args.out, args.alpha, args.weights_out)
 
 
@@ -235,7 +231,7 @@ def cmd_sweep(args) -> None:
     from .diagnostics import alpha_sweep
     from .scoring import write_csv
     policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.candidates, "rescorable")
+    candidates = parse_occurrence_table(args.candidates, "candidate")
     references = parse_occurrence_table(args.references, "ref")
     rows = alpha_sweep(candidates, references, args.alpha_grid, policy, args.delta)
     write_csv(args.out, ("alpha", "atwv", "mean_pmiss", "mean_pfa"), rows)
@@ -251,7 +247,7 @@ def cmd_diag(args) -> None:
     from .rescore import build_weight_tables
     from .scoring import align, keyword_rates, write_csv
     policy = _resolve_policy(args)
-    candidates = parse_occurrence_table(args.candidates, "rescorable")
+    candidates = parse_occurrence_table(args.candidates, "candidate")
     references = parse_occurrence_table(args.references, "ref")
     tables = build_weight_tables(candidates)
     accepted = yes_only(apply_decisions(candidates, policy))
@@ -302,7 +298,7 @@ def cmd_pipeline(args) -> None:
     from .scoring import score_detections
     keywords = parse_keyword_list(args.keywords)
     references = parse_occurrence_table(args.references, "ref")
-    candidates, dropped, _, seconds = _search(args, keywords)
+    candidates, _, seconds = _search(args, keywords)
     if args.trial_seconds is None and seconds == 0.0:
         raise FormatError("documents span 0 seconds in all: give "
                           "--trial-seconds", path=args.corpus)
@@ -315,12 +311,8 @@ def cmd_pipeline(args) -> None:
     _score_stage(_decide_stage(rescored, args.out / "decided.tsv", policy),
                  references, args.out / "report.json", policy.trial_seconds,
                  policy.beta, args.delta)
-    _info("pipeline: alpha=%s, %s decisions, %d search hits below 5e-7 "
-          "dropped -> %s", args.alpha, policy.mode, dropped, args.out)
-
-
-# Rescoring rejects scores of 0, and only search drops those under 5e-7.
-_SEARCH_TSV = "candidate TSV from search, or pipeline's candidates.tsv"
+    _info("pipeline: alpha=%s, %s decisions -> %s",
+          args.alpha, policy.mode, args.out)
 
 
 def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
@@ -356,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rescore",
                         help="re-estimate confidences from document weights")
-    _add_input(p, "--in", "candidates", _SEARCH_TSV)
+    _add_input(p, "--in", "candidates", "candidate TSV")
     p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
                    help="interpolation coefficient in [0, 1]")
     p.add_argument("--weights-out", default=None,
@@ -386,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         a.out, a.trial_seconds, a.beta, a.delta, a.mtwv))
 
     p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
-    _add_input(p, "--in", "candidates", _SEARCH_TSV)
+    _add_input(p, "--in", "candidates", "candidate TSV")
     _add_input(p, "--ref", "references", "reference TSV")
     p.add_argument("--alpha-grid", type=_parse_grid, required=True,
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
@@ -397,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("diag",
                         help="document-rank curves and weight correlations")
-    _add_input(p, "--in", "candidates", _SEARCH_TSV)
+    _add_input(p, "--in", "candidates", "candidate TSV")
     _add_input(p, "--ref", "references", "reference TSV")
     _add_decision_flags(p)
     p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)

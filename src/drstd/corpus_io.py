@@ -112,8 +112,8 @@ def _doc_from_obj(obj: object, seen: set[str], tokens: dict[str, str], *,
         doc_id, raw_slots = obj["doc_id"], obj["slots"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
-    if not isinstance(doc_id, str) or not doc_id:
-        raise FormatError("doc_id must be a non-empty string", path=path, line=line)
+    if not isinstance(doc_id, str):
+        raise FormatError("doc_id must be a string", path=path, line=line)
     if message := id_error(doc_id, "doc_id"):
         # Every TSV the pipeline writes keys its rows by doc_id.
         raise FormatError(message, path=path, line=line)

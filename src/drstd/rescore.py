@@ -3,8 +3,9 @@
 For each keyword, the confidence scores of its hypothesized occurrences
 are summed per document; each document's sum is divided by the maximum
 sum over documents (relative-to-max), giving that document a ranking
-weight in (0, 1]. Every occurrence score is then linearly interpolated
-with the weight of its host document:
+weight in [0, 1]. A keyword whose scores are all 0 has no confidence
+mass, and weight 0 in every document. Every occurrence score is then
+linearly interpolated with the weight of its host document:
 
     new_score = alpha * weight + (1 - alpha) * old_score
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .tables import NONPOSITIVE_SCORE, Candidate, write_lines
+from .tables import Candidate, write_lines
 
 # kw_id -> doc_id -> (summed document score, relative-to-max weight)
 WeightTables = dict[str, dict[str, tuple[float, float]]]
@@ -28,19 +29,20 @@ def build_weight_tables(candidates: Sequence[Candidate]) -> WeightTables:
 
     Each (keyword, document)'s candidate scores are summed in input
     order and divided by the keyword's largest sum, so its top document
-    has weight exactly 1. Candidates with score 0 are rejected: the
-    relative-to-max normalization assumes positive confidence mass.
+    has weight exactly 1. A keyword whose largest sum is 0 has weight 0 in
+    every document. A negative score is a ValueError.
     """
     sums: dict[str, dict[str, float]] = {}
     for cand in candidates:
-        if cand.score <= 0.0:
-            raise ValueError(NONPOSITIVE_SCORE.format(*cand[:3], cand.score))
+        if cand.score < 0.0:
+            raise ValueError(f"candidate {cand.kw_id!r}/{cand.doc_id!r}@"
+                             f"{cand.start} has negative score {cand.score}")
         docs = sums.setdefault(cand.kw_id, {})
         docs[cand.doc_id] = docs.get(cand.doc_id, 0.0) + cand.score
     tables = {}
     for kw_id, docs in sums.items():
         top = max(docs.values())
-        tables[kw_id] = {doc_id: (score, score / top)
+        tables[kw_id] = {doc_id: (score, score / top if top > 0.0 else 0.0)
                          for doc_id, score in docs.items()}
     return tables
 

@@ -3,7 +3,8 @@ number rules, line reader and line writer (`write_lines`) that every file
 format of the toolkit shares.
 
 * reference occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur``
-* candidate occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur<TAB>score[<TAB>YES|NO]``
+* candidate occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur<TAB>score[<TAB>YES|NO]``,
+  each score in [0, 1]; every stage that takes candidates takes any such table
 
 Lines starting with ``#`` and blank lines are ignored in all TSV formats.
 """
@@ -20,9 +21,6 @@ SCORE_DECIMALS = 6
 # that the flags can name them without loading decision or scoring.
 DEFAULT_BETA = 999.9
 DEFAULT_DELTA_SECONDS = 0.5
-# The error of a candidate's kw_id, doc_id, start and score <= 0.
-NONPOSITIVE_SCORE = ("candidate {!r}/{!r}@{} has non-positive score {}; "
-                     "rescoring needs scores > 0")
 
 _INF = math.inf
 
@@ -98,25 +96,24 @@ def id_error(value: str, column: str) -> str | None:
 
 
 def parse_occurrence_table(path: str | Path,
-                           kind: Literal["ref", "candidate", "decided", "rescorable"]
+                           kind: Literal["ref", "candidate", "decided"]
                            ) -> list[RefOccurrence] | list[Candidate]:
     """Parse a reference or candidate TSV; rows are returned in file order.
 
-    Candidate scores are validated to [0, 1], and to (0, 1] in a
-    "rescorable" table; durations of references must be positive and of
-    candidates non-negative. A "decided" table is a candidate table in
-    which every row carries its YES/NO column.
+    Candidate scores are validated to [0, 1]; durations of references must
+    be positive and of candidates non-negative. A "decided" table is a
+    candidate table in which every row carries its YES/NO column.
 
     Each row is checked in one walk over its columns, and each check raises
     its own error. A row with several faults reports the first, in this
     order: the column count (a decided row's missing YES/NO included),
     kw_id, doc_id (each by `id_error`), the decision, each number in column
-    order, the duration and score ranges, then a rescorable score of 0.
+    order, then the duration and score ranges.
     """
-    if kind not in ("ref", "candidate", "decided", "rescorable"):
-        raise ValueError("kind must be 'ref', 'candidate', 'decided' or "
-                         f"'rescorable', got {kind!r}")
-    ref, rescorable = kind == "ref", kind == "rescorable"
+    if kind not in ("ref", "candidate", "decided"):
+        raise ValueError("kind must be 'ref', 'candidate' or 'decided', "
+                         f"got {kind!r}")
+    ref = kind == "ref"
     rows: list = []
     for lineno, line in tsv_lines(path):
         fields = line.split("\t")
@@ -155,8 +152,6 @@ def parse_occurrence_table(path: str | Path,
                 raise ValueError(f"negative duration {dur}")
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"score {score} outside [0, 1]")
-            if rescorable and score == 0.0:
-                raise ValueError(NONPOSITIVE_SCORE.format(kw_id, doc_id, start, score))
         except ValueError as exc:
             raise FormatError(str(exc), path=path, line=lineno) from None
         rows.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur, score, decision)))

@@ -63,7 +63,8 @@ from drstd.synth import (COMPETITOR_RANGE, DIRICHLET_MIX, EPS_ARC_PROB,
 
 
 def straightline_rescore(candidates, alpha):
-    """Sum per doc, divide by the max, interpolate. One pass, no reuse."""
+    """Sum per doc, divide by the max, interpolate. One pass, no reuse.
+    A keyword whose max is 0 has no mass: its weights are 0."""
     sums = defaultdict(float)
     for c in candidates:
         sums[(c.kw_id, c.doc_id)] += c.score
@@ -72,7 +73,8 @@ def straightline_rescore(candidates, alpha):
         max_per_kw[kw] = max(max_per_kw[kw], s)
     out = []
     for c in candidates:
-        weight = sums[(c.kw_id, c.doc_id)] / max_per_kw[c.kw_id]
+        top = max_per_kw[c.kw_id]
+        weight = sums[(c.kw_id, c.doc_id)] / top if top else 0.0
         out.append(alpha * weight + (1.0 - alpha) * c.score)
     return out
 
@@ -428,8 +430,8 @@ def reference_doc_from_obj(obj, seen, tokens, *, path, line):
         raw_slots = obj["slots"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}", path=path, line=line) from exc
-    if not isinstance(doc_id, str) or not doc_id:
-        raise FormatError("doc_id must be a non-empty string", path=path, line=line)
+    if not isinstance(doc_id, str):
+        raise FormatError("doc_id must be a string", path=path, line=line)
     _reference_id("doc_id", doc_id, path=path, line=line)
     if doc_id in seen:
         raise FormatError(f"duplicate doc_id {doc_id!r}", path=path, line=line)
@@ -557,8 +559,7 @@ def reference_parse_occurrence_table(path, kind):
 
     Each line is split on tabs and its columns checked one by one, in
     column order; numbers take a float() fast path that falls back to a
-    per-column check. A "rescorable" table is a candidate table whose
-    rows, after all other checks, must score above 0.
+    per-column check.
     `tables.parse_occurrence_table` must give its rows, or its first error
     message, exactly.
     """
@@ -602,10 +603,6 @@ def reference_parse_occurrence_table(path, kind):
                 raise FormatError(f"negative duration {dur}", **where)
             if not 0.0 <= score <= 1.0:
                 raise FormatError(f"score {score} outside [0, 1]", **where)
-            if kind == "rescorable" and score <= 0:
-                raise FormatError(
-                    f"candidate {kw_id!r}/{doc_id!r}@{start} has non-positive "
-                    f"score {score}; rescoring needs scores > 0", **where)
             rows.append(Candidate(kw_id=kw_id, doc_id=doc_id, start=start,
                                   duration=dur, score=score, decision=decision))
     return rows

@@ -99,7 +99,8 @@ _TIE = Case([ConfusionNetworkDoc("d0", (
     [KeywordEntry("K0", ("a", "b"))], [RefOccurrence("K0", "d0", 0.25, 0.5)],
     alpha="0", decision=["--decision", "kst"], beta="999.9", trial="3600",
     delta="0.5")
-# A posterior below 5e-7: search drops the hit, which prints as 0.
+# A posterior below 5e-7: that hit is a row that prints as 0, next to K0's
+# hit of score 1.
 _TINY = _TIE._replace(docs=[ConfusionNetworkDoc("d0", (
     _slot(0.0, 0.5, ("a", 1e-7), ("b", 1.0 - 1e-7)),
     _slot(0.5, 0.5, ("a", 1.0))))], keywords=[KeywordEntry("K0", ("a",))])
@@ -140,13 +141,22 @@ def test_chain_matches_pipeline_and_oracles(tmp_path_factory, case):
          "--out", str(chained / "report.json"))
     for name in CHAIN_FILES:
         assert (piped / name).read_bytes() == (chained / name).read_bytes(), name
+    # Each stage takes what the stages before it wrote, its own output too.
+    again = work / "again"
+    _run("rescore", "--in", str(piped / "rescored.tsv"), "--alpha", case.alpha,
+         "--out", str(again / "rescored.tsv"))
+    _run("sweep", "--in", str(piped / "rescored.tsv"), "--ref", str(refs),
+         "--alpha-grid", case.alpha, *decide, "--delta", case.delta,
+         "--out", str(again / "sweep.csv"))
+    _run("diag", "--in", str(piped / "rescored.tsv"), "--ref", str(refs), *decide,
+         "--delta", case.delta, "--out", str(again / "diag"))
+    _run("decide", "--in", str(piped / "decided.tsv"), *decide,
+         "--out", str(again / "decided.tsv"))
 
-    # search: every match, the hits that print as 0 dropped, then dedup
-    hits = [hit for hit in naive_scan_search(case.docs, case.keywords)
-            if _quantized(hit.score) > 0.0]
+    # search: every match, then dedup
+    hits = reference_greedy_dedup(naive_scan_search(case.docs, case.keywords))
     candidates = parse_occurrence_table(piped / "candidates.tsv", "candidate")
-    assert candidates == [hit._replace(score=_quantized(hit.score))
-                          for hit in reference_greedy_dedup(hits)]
+    assert candidates == [hit._replace(score=_quantized(hit.score)) for hit in hits]
 
     rescored = parse_occurrence_table(piped / "rescored.tsv", "candidate")
     assert rescored == sorted(

@@ -25,7 +25,8 @@ from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry, Slot,
                              write_cn_corpus, write_keyword_list)
 from drstd.decision import DecisionPolicy
 from drstd.synth import SynthConfig
-from drstd.tables import RefOccurrence, parse_occurrence_table, write_references
+from drstd.tables import (Candidate, RefOccurrence, parse_occurrence_table,
+                          write_references)
 
 from conftest import ACCEPTANCE_SYNTH_ARGS, run_synth
 
@@ -205,6 +206,17 @@ class TestRescoreCommand:
         assert header.startswith("#")
         assert len(first.split("\t")) == 4
 
+    def test_empty_weights_out_is_io_error(self, data_dir, tmp_path, capsys):
+        cands = tmp_path / "c.tsv"
+        run("search", "--corpus", str(data_dir / "corpus.jsonl"),
+            "--keywords", str(data_dir / "keywords.tsv"), "--out", str(cands))
+        out = tmp_path / "out" / "r.tsv"
+        assert run("rescore", "--alpha", "0.2", "--in", str(cands),
+                   "--out", str(out), "--weights-out", "") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "drstd: [Errno 21] Is a directory: '.'"]
+        assert sorted(p.name for p in out.parent.iterdir()) == ["r.tsv"]
+
     def test_bad_alpha_is_validation_error(self, data_dir, tmp_path):
         cands = tmp_path / "c.tsv"
         run("search", "--corpus", str(data_dir / "corpus.jsonl"),
@@ -315,10 +327,9 @@ class TestPipeline:
             assert run(*argv, "--out", str(b)) == 0
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_hit_below_printable_score_dropped_and_counted(self, tmp_path,
-                                                           caplog):
-        # "a b" matches with score 0.001 * 0.9995 * 0.0004 < 5e-7, which
-        # would be written as 0.000000 and then rejected by rescoring.
+    def test_hit_below_printable_score_written_as_zero(self, tmp_path, caplog):
+        # "a b" matches with score 0.001 * 0.9995 * 0.0004 < 5e-7, which is
+        # written as 0.000000: a keyword without mass, whose kst cut is 1.
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
             '{"doc_id":"d1","slots":['
@@ -343,16 +354,20 @@ class TestPipeline:
         caplog.set_level(logging.INFO, logger="drstd")
         out = tmp_path / "run"
         assert main([*pipeline, "--out", str(out)]) == 0
-        assert parse_occurrence_table(out / "candidates.tsv", "candidate") == []
-        assert [line.split(":")[0] for line in caplog.messages] == [
-            "rescore", "decide", "score", "pipeline"]
-        assert "rescore: 0 candidates, alpha=0.1" in caplog.text
-        assert "decide: 0 YES of 0 (kst mode)" in caplog.text
-        assert "score: ATWV 0.0000 over 1 keywords" in caplog.text
-        assert "1 search hits below 5e-7 dropped" in caplog.text
+        hit = Candidate("P1", "d1", 0.0, 3.0, 0.0)
+        assert parse_occurrence_table(out / "candidates.tsv", "candidate") == [hit]
+        assert parse_occurrence_table(out / "decided.tsv", "decided") == [
+            hit._replace(decision="NO")]
+        assert caplog.messages == [
+            "rescore: 1 candidates, alpha=0.1", "decide: 0 YES of 1 (kst mode)",
+            "score: ATWV 0.0000 over 1 keywords (mean Pmiss 1.0000, "
+            "mean PFA 0.000000)", f"pipeline: alpha=0.1, kst decisions -> {out}"]
+        caplog.clear()
         assert main(["search", "--corpus", str(corpus), "--keywords",
                      str(keywords), "--out", str(tmp_path / "c.tsv")]) == 0
-        assert "(1 hits below 5e-7 dropped)" in caplog.text
+        assert caplog.messages == ["search: 1 candidates for 1 keywords over 1 docs"]
+        assert (tmp_path / "c.tsv").read_bytes() == \
+            (out / "candidates.tsv").read_bytes()
 
     @pytest.mark.parametrize("flags,refs_text,message", [
         (["--trial-seconds", "2"], None, "trial_seconds 2.0 must exceed the "),
@@ -797,6 +812,42 @@ def test_out_parent_made_on_first_write(data_dir, tmp_path, command):
         assert (new / "weights" / "w.tsv").is_file()
 
 
+@pytest.fixture(scope="module")
+def zero_mass_tables(tmp_path_factory):
+    """The directory of a `pipeline` run whose tables hold a row of score
+    0.000000, the one hit of keyword P1, next to K2's hits of mass."""
+    work = tmp_path_factory.mktemp("zero_mass")
+    (work / "corpus.jsonl").write_text(
+        '{"doc_id":"d1","slots":['
+        '{"start":0,"dur":1,"arcs":[["a",0.001],["<eps>",0.999]]},'
+        '{"start":1,"dur":1,"arcs":[["b",0.0004],["c",0.9996]]}]}\n'
+        '{"doc_id":"d2","slots":[{"start":0,"dur":1,"arcs":[["c",0.5],["b",0.5]]}]}\n')
+    (work / "keywords.tsv").write_text("P1\ta b\nK2\tc\n")
+    (work / "refs.tsv").write_text("P1\td1\t0.0\t2.0\nK2\td1\t1.0\t1.0\n")
+    assert run("pipeline", "--corpus", str(work / "corpus.jsonl"),
+               "--keywords", str(work / "keywords.tsv"),
+               "--ref", str(work / "refs.tsv"), "--alpha", "0.5",
+               "--trial-seconds", "3600", "--out", str(work / "run")) == 0
+    assert "P1\td1\t0.0\t2.0\t0.000000" in \
+        (work / "run" / "candidates.tsv").read_text().splitlines()
+    return work
+
+
+@pytest.mark.parametrize("table", ["candidates.tsv", "rescored.tsv", "decided.tsv"])
+@pytest.mark.parametrize("command", ["rescore", "decide", "sweep", "diag"])
+def test_every_stage_takes_every_candidate_table(zero_mass_tables, tmp_path,
+                                                 command, table):
+    """The north star: each stage that takes candidates accepts every table
+    a stage writes, its own included, and a score of 0 in it."""
+    refs = str(zero_mass_tables / "refs.tsv")
+    argv = {"rescore": ["--alpha", "0.5"], "decide": ["--trial-seconds", "3600"],
+            "sweep": ["--ref", refs, "--alpha-grid", "0,0.5,1",
+                      "--trial-seconds", "3600"],
+            "diag": ["--ref", refs, "--trial-seconds", "3600"]}[command]
+    assert run(command, "--in", str(zero_mass_tables / "run" / table), *argv,
+               "--out", str(tmp_path / "out")) == 0
+
+
 class TestErrorHandling:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("search", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -935,8 +986,8 @@ class TestErrorHandling:
         assert fragment in stderr
         assert not out.exists()
 
-    def test_zero_score_row_named_by_rescoring_commands(self, tmp_path, capsys):
-        # the parser takes a score of 0, but rescoring needs scores > 0
+    def test_zero_score_row_taken_by_rescoring_commands(self, tmp_path):
+        # a score of 0 adds no mass; its row still takes its document's weight
         cands, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
         cands.write_text("# kw_id\tdoc_id\tstart\tdur\tscore\n"
                          "K1\td1\t3.0\t0.5\t0.5\n\n"
@@ -944,22 +995,20 @@ class TestErrorHandling:
         refs.write_text("K1\td1\t1.0\t0.5\n")
         out = tmp_path / "out"
         inputs = ["--in", str(cands)]
-        for argv in (["rescore", *inputs, "--alpha", "0.1"],
-                     ["sweep", *inputs, "--ref", str(refs), "--alpha-grid", "0,1",
-                      "--trial-seconds", "3600"],
-                     ["diag", *inputs, "--ref", str(refs), "--trial-seconds", "3600"]):
-            assert main([*argv, "--out", str(out)]) == 1
-            assert capsys.readouterr().err.splitlines() == [
-                f"drstd: {cands}:4: candidate 'K1'/'d1'@1.0 has non-positive "
-                "score 0.0; rescoring needs scores > 0"]
-            assert not out.exists()
+        assert run("rescore", *inputs, "--alpha", "0.1",
+                   "--out", str(out / "r.tsv")) == 0
+        assert parse_occurrence_table(out / "r.tsv", "candidate")[0] == \
+            Candidate("K1", "d1", 1.0, 0.5, 0.1 * 1.0)
+        assert run("sweep", *inputs, "--ref", str(refs), "--alpha-grid", "0,1",
+                   "--trial-seconds", "3600", "--out", str(out / "s.csv")) == 0
+        assert run("diag", *inputs, "--ref", str(refs), "--trial-seconds", "3600",
+                   "--out", str(out / "diag")) == 0
         assert run("decide", *inputs, "--trial-seconds", "3600",
                    "--out", str(tmp_path / "d.tsv")) == 0
         assert run("score", "--hyp", str(tmp_path / "d.tsv"), "--ref", str(refs),
-                   "--trial-seconds", "3600", "--out", str(out)) == 0
+                   "--trial-seconds", "3600", "--out", str(out / "report.json")) == 0
 
-    def test_rescored_zero_score_rejected_only_by_rescoring_commands(
-            self, tmp_path, capsys):
+    def test_rescored_zero_score_taken_by_rescoring_commands(self, tmp_path):
         # at alpha 1, d2's score becomes its weight, 5e-9, written as 0
         cands, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
         cands.write_text("".join(f"K1\td1\t{i}.0\t0.5\t1.000000\n"
@@ -976,18 +1025,14 @@ class TestErrorHandling:
         assert run("score", "--hyp", str(decided), "--ref", str(refs),
                    "--trial-seconds", "3600",
                    "--out", str(tmp_path / "report.json")) == 0
-        capsys.readouterr()
         out = tmp_path / "out"
         inputs = ["--in", str(rescored)]
-        for argv in (["rescore", *inputs, "--alpha", "0.5"],
-                     ["sweep", *inputs, "--ref", str(refs), "--alpha-grid", "0,1",
-                      "--trial-seconds", "3600"],
-                     ["diag", *inputs, "--ref", str(refs), "--trial-seconds", "3600"]):
-            assert main([*argv, "--out", str(out)]) == 1
-            assert capsys.readouterr().err.splitlines() == [
-                f"drstd: {rescored}:202: candidate 'K1'/'d2'@0.0 has non-positive "
-                "score 0.0; rescoring needs scores > 0"]
-            assert not out.exists()
+        assert run("rescore", *inputs, "--alpha", "0.5",
+                   "--out", str(out / "r.tsv")) == 0
+        assert run("sweep", *inputs, "--ref", str(refs), "--alpha-grid", "0,1",
+                   "--trial-seconds", "3600", "--out", str(out / "s.csv")) == 0
+        assert run("diag", *inputs, "--ref", str(refs), "--trial-seconds", "3600",
+                   "--out", str(out / "diag")) == 0
 
     @pytest.mark.parametrize("beta,trial_seconds,cut", [
         ("0.5", "1", "nan"), ("0.25", "1", "-1.0"), ("1e308", "100", "nan")],

@@ -101,7 +101,8 @@ class TestCnCorpusParsing:
          '"arcs": [["a", 1.0, 2]]}]}', "pair"),
         ('{"doc_id": "d1", "slots": [{"dur": 1, "arcs": [["a", 1.0]]}]}',
          "'start'"),
-        ('{"doc_id": 7, "slots": []}', "doc_id must be"),
+        ('{"doc_id": 7, "slots": []}', "doc_id must be a string$"),
+        ('{"doc_id": "", "slots": []}', "doc_id must be non-empty$"),
         ('{"doc_id": "a\\tb", "slots": []}', "doc_id 'a\\\\tb' holds a space or an "
          "unprintable character$"),
         ('{"doc_id": "a\\nb", "slots": []}', "doc_id 'a\\\\nb' holds a space or an "
@@ -479,7 +480,7 @@ class TestOccurrenceTables:
             parse_occurrence_table(p, kind)
         assert str(exc.value) == f"{p}:2: {column} must be non-empty"
 
-    @pytest.mark.parametrize("kind", ["ref", "candidate", "decided", "rescorable"])
+    @pytest.mark.parametrize("kind", ["ref", "candidate", "decided"])
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad,shown", [
         ("\ufeffK1", "\\ufeffK1"), ("d\u00a01", "d\\xa01"),
@@ -642,11 +643,12 @@ def test_numbered_lines_match_oracle(tmp_path_factory, data):
 def test_unknown_table_kind_rejected(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("K1\td1\t0.0\t0.5\n")
-    with pytest.raises(ValueError) as exc:
-        parse_occurrence_table(path, "decision")
-    assert str(exc.value) == ("kind must be 'ref', 'candidate', 'decided' or "
-                              "'rescorable', got 'decision'")
-    assert not isinstance(exc.value, FormatError)
+    for kind in ("decision", "rescorable"):
+        with pytest.raises(ValueError) as exc:
+            parse_occurrence_table(path, kind)
+        assert str(exc.value) == ("kind must be 'ref', 'candidate' or 'decided', "
+                                  f"got {kind!r}")
+        assert not isinstance(exc.value, FormatError)
 
 
 # The number rule of every file format: a finite plain decimal number.
@@ -713,8 +715,7 @@ def occurrence_lines(draw, kind):
     them as wide as a `kind` row: well-formed values with up to two columns
     replaced by a near miss or adversarial pieces, the line perhaps opening
     with padding or `#`."""
-    widths = {"ref": [4], "candidate": [5, 6], "decided": [6],
-              "rescorable": [5, 6]}[kind]
+    widths = {"ref": [4], "candidate": [5, 6], "decided": [6]}[kind]
     width = draw(st.one_of(st.sampled_from(widths), st.integers(3, 7)))
     roles = ["id" if column < 2 else "decision" if column == 5 else "number"
              for column in range(width)]
@@ -730,7 +731,7 @@ def occurrence_lines(draw, kind):
 
 @st.composite
 def occurrence_tables(draw):
-    kind = draw(st.sampled_from(["ref", "candidate", "decided", "rescorable"]))
+    kind = draw(st.sampled_from(["ref", "candidate", "decided"]))
     return kind, draw(st.lists(occurrence_lines(kind), min_size=1, max_size=3))
 
 
@@ -761,17 +762,14 @@ def occurrence_tables(draw):
 # The ranges: a reference needs dur > 0; a candidate's dur comes first.
 @example(("ref", ["K1\td1\t1.0\t0"]))
 @example(("candidate", ["K1\td1\t1.0\t-0.5\t2"]))
-# A rescorable row's score of 0: after the row's own range checks, and the
-# first fault in file order before a malformed row. A candidate takes it.
-@example(("rescorable", ["K1\td1\t1.0\t0.5\t0.000000"]))
-@example(("rescorable", ["K1\td1\t1.0\t0.5\t-0\tNO", "K1\td1\tx\t0.5\t0.5"]))
-@example(("rescorable", ["K1\td1\t1.0\t0.5\t0.5", "K1\td1\t1.0\t-1\t0"]))
+# A score of 0, signed or not, is in range; the next row's fault is named.
 @example(("candidate", ["K1\td1\t1.0\t0.5\t0.000000"]))
+@example(("candidate", ["K1\td1\t1.0\t0.5\t-0\tNO", "K1\td1\tx\t0.5\t0.5"]))
 # The id rule, in each id column.
 @example(("ref", ["\ufeffK1\td1\t1.0\t0.5"]))
 @example(("candidate", ["K1\td\u00a01\t1.0\t0.5\t0.5"]))
 @example(("decided", ["K\u200b1\td1\t1.0\t0.5\t0.5\tNO"]))
-@example(("rescorable", ["K1\td 1\tx\t0.5\t0"]))
+@example(("candidate", ["K1\td 1\tx\t0.5\t0"]))
 @settings(max_examples=400, deadline=None)
 def test_occurrence_rows_match_reference_oracle(tmp_path_factory, table):
     """The one-walk row parser gives the split-and-check parser's rows, or

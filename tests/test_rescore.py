@@ -83,10 +83,20 @@ class TestBuildWeightTables:
     def test_empty_input_empty_tables(self):
         assert build_weight_tables([]) == {}
 
-    @pytest.mark.parametrize("score", [0.0, -0.5])
-    def test_non_positive_score_rejected(self, score):
-        with pytest.raises(ValueError, match="non-positive"):
-            build_weight_tables([cand("K", "A", 0.5), cand("K", "B", score)])
+    def test_zero_score_adds_no_mass(self):
+        assert build_weight_tables([cand("K", "A", 0.5), cand("K", "A", 0.0, 1.0),
+                                    cand("K", "B", 0.0)]) == \
+            {"K": {"A": (0.5, 1.0), "B": (0.0, 0.0)}}
+
+    def test_keyword_without_mass_weighs_zero(self):
+        tables = build_weight_tables([cand("K1", "A", 0.5), cand("K2", "A", 0.0),
+                                      cand("K2", "B", 0.0, 1.0)])
+        assert tables == {"K1": {"A": (0.5, 1.0)},
+                          "K2": {"A": (0.0, 0.0), "B": (0.0, 0.0)}}
+
+    def test_negative_score_rejected(self):
+        with pytest.raises(ValueError, match="'K'/'B'@0.0 has negative score -0.5$"):
+            build_weight_tables([cand("K", "A", 0.5), cand("K", "B", -0.5)])
 
     def test_max_weight_exactly_one(self):
         rng = np.random.default_rng(1)
@@ -151,12 +161,19 @@ class TestRescoreCandidates:
     def test_matches_straightline_oracle(self):
         rng = np.random.default_rng(5)
         cands = random_candidates(rng, 1000, n_kws=40, n_docs=30)
+        # zero scores: every one of K000's, and about a tenth of the rest
+        cands = [c._replace(score=0.0) if c.kw_id == "K000" or rng.random() < 0.1
+                 else c for c in cands]
         rescored, _ = rescore_candidates(cands, 0.3)
         assert [c.score for c in rescored] == straightline_rescore(cands, 0.3)
 
-    def test_zero_score_rejected(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            rescore_candidates([cand("K", "d1", 0.0)], 0.1)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_keyword_without_mass_stays_zero(self, alpha):
+        cands = [cand("K", "d1", 0.0), cand("K", "d2", 0.0), cand("K", "d2", 0.0, 1.0)]
+        rescored, tables = rescore_candidates(cands, alpha)
+        assert weights(tables["K"]) == {"d1": 0.0, "d2": 0.0}
+        assert [c.score for c in rescored] == [0.0, 0.0, 0.0]
+        assert [c.score for c in rescored] == straightline_rescore(cands, alpha)
 
     def test_weight_tables_cover_exactly_the_candidate_docs(self):
         cands = random_candidates(np.random.default_rng(7), 80)
