@@ -134,6 +134,13 @@ _NON_NEGATIVE_INT = _number(int, 0, math.inf, "an int >= 0")
 _UNIT_INTERVAL = _number(float, 0.0, 1.0, "a finite float in [0, 1]")
 
 
+def _path(text: str) -> Path:
+    """argparse type of a path flag: any text but '', which Path reads as '.'."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return Path(text)
+
+
 def _parse_grid(text: str) -> list[float]:
     """argparse type: comma-separated alphas, each checked by `_UNIT_INTERVAL`,
     so an empty item is an error."""
@@ -173,9 +180,10 @@ def _rescore_stage(candidates: list[Candidate], out: Path, alpha: float,
                    weights_out: str | Path | None) -> list[Candidate]:
     from .rescore import rescore_candidates, write_weight_tables
     rescored, tables = rescore_candidates(candidates, alpha)
-    rescored = write_candidates(out, rescored)
+    # The weights first: a failed write then leaves no table `out`.
     if weights_out is not None:
         write_weight_tables(weights_out, tables)
+    rescored = write_candidates(out, rescored)
     _info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
     return rescored
 
@@ -317,7 +325,7 @@ def cmd_pipeline(args) -> None:
 
 def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
     """Add an input-file flag: parsed as a Path, so its manifest hashes it."""
-    sub.add_argument(flag, dest=dest, type=Path, required=True, help=help)
+    sub.add_argument(flag, dest=dest, type=_path, required=True, help=help)
 
 
 def _add_decision_flags(sub) -> None:
@@ -343,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("search", help="one-pass keyword retrieval")
     _add_input(p, "--corpus", "corpus")
     _add_input(p, "--keywords", "keywords")
-    p.add_argument("--out", type=Path, required=True, help="candidate TSV")
+    p.add_argument("--out", type=_path, required=True, help="candidate TSV")
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("rescore",
@@ -351,15 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--in", "candidates", "candidate TSV")
     p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
                    help="interpolation coefficient in [0, 1]")
-    p.add_argument("--weights-out", default=None,
+    # A str, not a Path: an output, so out of the manifest's inputs.
+    p.add_argument("--weights-out", type=lambda text: str(_path(text)), default=None,
                    help="optional TSV of per-keyword document weights")
-    p.add_argument("--out", type=Path, required=True, help="rescored candidate TSV")
+    p.add_argument("--out", type=_path, required=True, help="rescored candidate TSV")
     p.set_defaults(func=cmd_rescore)
 
     p = subs.add_parser("decide", help="apply YES/NO detection thresholds")
     _add_input(p, "--in", "candidates", "candidate TSV")
     _add_decision_flags(p)
-    p.add_argument("--out", type=Path, required=True, help="decided candidate TSV")
+    p.add_argument("--out", type=_path, required=True, help="decided candidate TSV")
     p.set_defaults(func=cmd_decide)
 
     p = subs.add_parser("score", help="term-weighted-value scoring")
@@ -371,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alignment midpoint tolerance in seconds")
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
-    p.add_argument("--out", type=Path, required=True, help="report JSON")
+    p.add_argument("--out", type=_path, required=True, help="report JSON")
     p.set_defaults(func=lambda a: _score_stage(
         parse_occurrence_table(a.hypotheses, "decided"),
         parse_occurrence_table(a.references, "ref"),
@@ -384,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
     _add_decision_flags(p)
     p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--out", type=Path, required=True, help="sweep CSV")
+    p.add_argument("--out", type=_path, required=True, help="sweep CSV")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("diag",
@@ -394,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decision_flags(p)
     p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
     p.add_argument("--max-rank", type=_POSITIVE_INT, default=10)
-    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.set_defaults(func=cmd_diag)
 
     p = subs.add_parser("synth", help="generate a synthetic corpus",
@@ -416,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs-per-topic", type=_POSITIVE_INT, default=5)
     p.add_argument("--noise", type=_UNIT_INTERVAL, default=0.3)
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
-    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("pipeline",
@@ -427,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True)
     _add_decision_flags(p)
     p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
-    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -13,8 +13,8 @@ from .decision import DecisionPolicy, yes_flags
 from .rescore import (WeightTables, build_weight_tables, check_alpha,
                       reestimate_confidence)
 from .scoring import (DEFAULT_DELTA_SECONDS, AlignmentResult, _paired_groups,
-                      _tally, _total, build_report)
-from .tables import Candidate, RefOccurrence
+                      _tally, build_report)
+from .tables import Candidate, RefOccurrence, _total
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:

@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .decision import yes_only
-from .tables import DEFAULT_DELTA_SECONDS, Candidate, RefOccurrence, write_lines
+from .tables import (DEFAULT_DELTA_SECONDS, Candidate, RefOccurrence, _total,
+                     write_lines)
 
 
 class KeywordCounts:
@@ -146,15 +147,6 @@ def keyword_rates(alignment: AlignmentResult, trial_seconds: float
     """Per-keyword (P_miss, P_FA); keywords with no references are skipped."""
     return {kw_id: _keyword_rate(kw_id, c, trial_seconds)
             for kw_id, c in alignment.keyword_counts.items() if c.n_true}
-
-
-def _total(values: Iterable[float]) -> float:
-    """The left-to-right float sum of `values`, on every Python: from 3.12
-    on, the builtin sum() compensates its rounding errors."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def atwv(rates: Mapping[str, tuple[float, float]], beta: float) -> float:

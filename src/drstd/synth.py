@@ -23,18 +23,19 @@ home topic they additionally appear as the top competitor in a small
 fraction of slots, concentrating false alarms where document weights are
 high. Generation is single-threaded and fully determined by the seed.
 
-The weighted draws (fillers, and the distinct competitors of a slot) use
-a cdf built once per distribution, not once per slot; each draw equals
-numpy's `Generator.choice(..., p=...)` on the same stream, retries for
-repeated competitors included, so the corpus bytes are those `choice`
-gives. `TestMatchesNumpyChoice` in `tests/test_synth.py` checks this
-against the former per-slot `choice` code. A slot draws up to 5 distinct
-competitors, so the vocabulary needs at least 5 tokens. Uniform draws are
-`a + (b - a) * random()` and the flat Dirichlet is standard exponentials
-scaled by the reciprocal of their sum: numpy's own `uniform` and
-`dirichlet` on the same stream (`TestDrawsMatchNumpy`). The documents are
-drawn lazily, so `synth` writes each as it comes and its memory does not
-grow with their number.
+Fillers and competitors are drawn one way: `bisect_right` of uniforms in
+a list copy of a cdf numpy builds once per corpus. A filler is one such
+draw; `_draw_distinct` draws a slot's distinct competitors, and numpy
+builds and searches a cdf per draw only for its retry batch. Each draw
+equals numpy's `Generator.choice(..., p=...)` on the same stream, so the
+corpus bytes are those `choice` gives (`TestMatchesNumpyChoice`). A slot
+draws up to 5 distinct competitors, so the vocabulary needs at least 5
+tokens. Uniform draws are `a + (b - a) * random()` and the flat
+Dirichlet is standard exponentials scaled by the reciprocal of their
+left-to-right sum, `tables._total`: numpy's own `uniform` and
+`dirichlet` on the same stream (`TestDrawsMatchNumpy`). The documents
+are drawn lazily, so `synth` writes each as it comes and its memory does
+not grow with their number.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
+from itertools import repeat
 
 import numpy as np
 
 from .corpus_io import ConfusionNetworkDoc, EPS_TOKEN, KeywordEntry, Slot
-from .tables import RefOccurrence, _new_tuple
+from .tables import RefOccurrence, _new_tuple, _total
 
 TRUE_POSTERIOR_RANGE = (0.78, 0.97)
 # Noise pulls the spoken token's posterior down and also spreads it out:
@@ -129,18 +131,13 @@ def generate(config: SynthConfig) -> tuple[
     competitor_probs = np.where(filler_mask, zipf,
                                 zipf * KEYWORD_CONFUSION_FACTOR)
     competitor_probs /= competitor_probs.sum()
-    competitors = _Sampler(competitor_probs)
 
-    planted, home_topics, dropped = _plan_placements(config, rng, kw_tokens)
-    topic_keywords: dict[int, list[str]] = {}
-    for token, topic in home_topics.items():
-        topic_keywords.setdefault(topic, []).append(token)
-
+    planted, topic_keywords, dropped = _plan_placements(config, rng, kw_tokens)
     refs: list[RefOccurrence] = []
     token_to_kw = {tok: kw.kw_id for tok, kw in zip(kw_tokens, keywords)}
     # Per-corpus constants and bound methods, out of the per-slot loop.
     random, integers = rng.random, rng.integers
-    filler_cdf, draw_distinct = _cdf(filler_probs).tolist(), competitors.draw_distinct
+    filler_cdf, comp_cdf = _cdf(filler_probs).tolist(), _cdf(competitor_probs).tolist()
     d_lo, d_hi = SLOT_DURATION_RANGE
     p_lo = TRUE_POSTERIOR_RANGE[0] - NOISE_SLOPE_LO * config.noise
     p_hi = TRUE_POSTERIOR_RANGE[1] - NOISE_SLOPE_HI * config.noise
@@ -156,15 +153,14 @@ def generate(config: SynthConfig) -> tuple[
                 duration = _uniform(rng, d_lo, d_hi)
                 spoken = doc_plants.get(slot_idx)
                 if spoken is None:
-                    # cdf.searchsorted(random(), side="right"), as a list
                     spoken = vocab[bisect_right(filler_cdf, random())]
                 else:
                     refs.append(_new_tuple(RefOccurrence, (
                         token_to_kw[spoken], doc_id, clock, duration)))
                 p_spoken = _uniform(rng, p_lo, p_hi)
                 n_comp = int(integers(*COMPETITOR_RANGE))
-                comp_tokens = [vocab[i] for i in draw_distinct(rng, n_comp + 1)
-                               if vocab[i] != spoken][:n_comp]
+                drawn = _draw_distinct(rng, competitor_probs, comp_cdf, n_comp + 1)
+                comp_tokens = [vocab[i] for i in drawn if vocab[i] != spoken][:n_comp]
                 topical_hit = False
                 if topical:  # no draw for a topic without keywords
                     candidates = [t for t in topical if t != spoken]
@@ -203,10 +199,7 @@ def _flat_dirichlet(rng: np.random.Generator, n: int) -> list[float]:
     standard exponential, and it scales the n draws by the reciprocal of
     their left-to-right sum."""
     draws = rng.standard_exponential(n).tolist()
-    total = 0.0
-    for x in draws:
-        total += x
-    scale = 1.0 / total
+    scale = 1.0 / _total(draws)
     return [x * scale for x in draws]
 
 
@@ -217,42 +210,35 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-class _Sampler:
-    """Weighted draws of indices into `p`, each equal to the draw of
-    numpy's `Generator.choice(len(p), size, replace, p=p)` on the same
-    stream, but from a cdf built once rather than once per call."""
-
-    __slots__ = ("p", "cdf")
-
-    def __init__(self, p: np.ndarray):
-        self.p = p
-        self.cdf = _cdf(p)
-
-    def draw_distinct(self, rng: np.random.Generator, size: int) -> list[int]:
-        """`size` distinct indices in first-drawn order. As in numpy, the
-        draws that repeat an index are redrawn in one batch, from `p` with
-        the indices found so far set to zero, until `size` are found."""
-        found = list(dict.fromkeys(
-            self.cdf.searchsorted(rng.random(size), side="right").tolist()))
-        while len(found) < size:
-            x = rng.random(size - len(found))
-            p = self.p.copy()
-            p[found] = 0.0
-            found += dict.fromkeys(_cdf(p).searchsorted(x, side="right").tolist())
-        return found
+def _draw_distinct(rng: np.random.Generator, p: np.ndarray, cdf: list[float],
+                   size: int) -> list[int]:
+    """`size` distinct indices into `p` in first-drawn order: numpy's
+    `Generator.choice(len(p), size, replace=False, p=p)` on the same stream.
+    The first batch is searched in `cdf`, `_cdf(p)` as a list. As in numpy,
+    the draws that repeat an index are redrawn in one batch, from `p` with
+    the indices found so far set to zero, until `size` are found."""
+    found = list(dict.fromkeys(
+        map(bisect_right, repeat(cdf), rng.random(size).tolist())))
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        p = p.copy()
+        p[found] = 0.0
+        found += dict.fromkeys(_cdf(p).searchsorted(x, side="right").tolist())
+    return found
 
 
 def _plan_placements(config: SynthConfig, rng: np.random.Generator,
                      kw_tokens: list[str]
-                     ) -> tuple[dict[int, dict[int, str]], dict[str, int], int]:
-    """Choose (doc, slot) for every true occurrence; count those dropped."""
+                     ) -> tuple[dict[int, dict[int, str]], dict[int, list[str]], int]:
+    """Choose (doc, slot) for every true occurrence; count those dropped.
+    Also returns each home topic's keyword tokens, in keyword order."""
     num_topics = math.ceil(config.num_docs / config.docs_per_topic)
     planted: dict[int, dict[int, str]] = {}
-    home_topics: dict[str, int] = {}
+    topic_keywords: dict[int, list[str]] = {}
     dropped = 0
     for token in kw_tokens:
         home = int(rng.integers(num_topics))
-        home_topics[token] = home
+        topic_keywords.setdefault(home, []).append(token)
         first = home * config.docs_per_topic
         home_docs = range(first, min(first + config.docs_per_topic, config.num_docs))
         n_occ = int(rng.integers(*OCCURRENCES_RANGE))
@@ -267,7 +253,7 @@ def _plan_placements(config: SynthConfig, rng: np.random.Generator,
                 dropped += 1  # document saturated
                 continue
             used[slot_idx] = token
-    return planted, home_topics, dropped
+    return planted, topic_keywords, dropped
 
 
 def _free_slot(rng: np.random.Generator, used: dict[int, str],

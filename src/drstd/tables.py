@@ -1,6 +1,7 @@
 """Reference and candidate occurrence tables, and the error type, id and
 number rules, line reader and line writer (`write_lines`) that every file
-format of the toolkit shares.
+format of the toolkit shares, and the left-to-right float sum (`_total`)
+that every total of scoring, diagnostics and synth is.
 
 * reference occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur``
 * candidate occurrences: TSV ``kw_id<TAB>doc_id<TAB>start<TAB>dur<TAB>score[<TAB>YES|NO]``,
@@ -27,6 +28,15 @@ _INF = math.inf
 # Builds a slot or a table row from its fields, without the call of the
 # Python-level NamedTuple __new__: `_new_tuple(Slot, (start, dur, arcs))`.
 _new_tuple = tuple.__new__
+
+
+def _total(values: Iterable[float]) -> float:
+    """The left-to-right float sum of `values`, on every Python: from 3.12
+    on, the builtin sum() compensates its rounding errors."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class FormatError(ValueError):

@@ -206,16 +206,30 @@ class TestRescoreCommand:
         assert header.startswith("#")
         assert len(first.split("\t")) == 4
 
-    def test_empty_weights_out_is_io_error(self, data_dir, tmp_path, capsys):
+    def test_empty_weights_out_is_validation_error(self, data_dir, tmp_path,
+                                                   capsys):
+        cands = tmp_path / "c.tsv"
+        run("search", "--corpus", str(data_dir / "corpus.jsonl"),
+            "--keywords", str(data_dir / "keywords.tsv"), "--out", str(cands))
+        capsys.readouterr()
+        out = tmp_path / "out" / "r.tsv"
+        assert run("rescore", "--alpha", "0.2", "--in", str(cands),
+                   "--out", str(out), "--weights-out", "") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "drstd: argument --weights-out: expected a path, got ''"]
+        assert not out.parent.exists()
+
+    def test_weights_out_directory_leaves_no_table(self, data_dir, tmp_path):
+        """The weights are written before the table, so a --weights-out
+        that cannot be written leaves no --out and no manifest."""
         cands = tmp_path / "c.tsv"
         run("search", "--corpus", str(data_dir / "corpus.jsonl"),
             "--keywords", str(data_dir / "keywords.tsv"), "--out", str(cands))
         out = tmp_path / "out" / "r.tsv"
+        out.parent.mkdir()
         assert run("rescore", "--alpha", "0.2", "--in", str(cands),
-                   "--out", str(out), "--weights-out", "") == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "drstd: [Errno 21] Is a directory: '.'"]
-        assert sorted(p.name for p in out.parent.iterdir()) == ["r.tsv"]
+                   "--out", str(out), "--weights-out", str(out.parent)) == 2
+        assert list(out.parent.iterdir()) == []
 
     def test_bad_alpha_is_validation_error(self, data_dir, tmp_path):
         cands = tmp_path / "c.tsv"
@@ -1335,6 +1349,30 @@ def test_every_number_flag_rejects_bad_values(tmp_path, capsys, subcommand,
         err = capsys.readouterr().err
         assert re.fullmatch(rf"drstd: argument {flag}: expected [^\n]+, "
                             rf"got {re.escape(repr(value))}\n", err), err
+    assert not any(tmp_path.iterdir())
+
+
+_PATH_FLAGS = [(name, action.option_strings[0])
+               for name, sub in _subcommands().items()
+               for action in sub._actions
+               if action.type is cli._path]
+
+
+@pytest.mark.parametrize("subcommand,flag", _PATH_FLAGS,
+                         ids=[" ".join(pair) for pair in _PATH_FLAGS])
+def test_every_path_flag_rejects_the_empty_string(tmp_path, capsys, subcommand,
+                                                  flag):
+    """'' reads as the working directory to Path, so it is rejected before
+    anything is read or written, naming its flag. `--weights-out`, kept a
+    str, is checked in `TestRescoreCommand`."""
+    argv = {action.option_strings[0]:
+            "1" if action.type in _NUMBER_TYPES else str(tmp_path / "f")
+            for action in _subcommands()[subcommand]._actions if action.required}
+    argv[flag] = ""
+    assert main([subcommand, *(f"{name}={text}"
+                               for name, text in argv.items())]) == 1
+    assert capsys.readouterr().err == (
+        f"drstd: argument {flag}: expected a path, got ''\n")
     assert not any(tmp_path.iterdir())
 
 

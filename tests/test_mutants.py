@@ -69,14 +69,15 @@ MUTANTS = (
            "    except ValueError as exc:\n",
            "    except FormatError as exc:\n",
            ("tests/test_cli.py::TestErrorHandling::"
-            "test_non_finite_or_non_positive_flag_rejected",)),
+            "test_non_finite_or_non_positive_flag_rejected"
+            "[argv22---trial-seconds is required with --decision kst]",)),
     Mutant("cli-imports-scoring-at-top", "src/drstd/cli.py",
            "from .tables import (",
            "from .scoring import mtwv\nfrom .tables import (",
            ("tests/test_cli.py::test_table_commands_load_no_corpus_code[rescore]",)),
     Mutant("corpus-writer-ascii", "src/drstd/corpus_io.py",
-           "for start, dur, arcs in slots]}, ensure_ascii=False)",
-           "for start, dur, arcs in slots]}, ensure_ascii=True)",
+           "ensure_ascii=False, check_circular=False)",
+           "ensure_ascii=True, check_circular=False)",
            ("tests/test_corpus_io.py::"
             "test_write_cn_corpus_matches_reference_oracle",)),
     Mutant("sort-key-without-decision", "src/drstd/tables.py",
@@ -84,7 +85,7 @@ MUTANTS = (
            "                self.score)\n",
            ("tests/test_corpus_io.py::"
             "test_write_candidates_matches_reference_oracle",)),
-    Mutant("total-compensated", "src/drstd/scoring.py",
+    Mutant("total-compensated", "src/drstd/tables.py",
            "    total = 0.0\n    for value in values:\n"
            "        total += value\n    return total\n",
            "    return math.fsum(values)\n",
@@ -99,9 +100,8 @@ MUTANTS = (
     Mutant("flag-without-number-rule", "src/drstd/cli.py",
            "value = kind(text) if _NUMBER.fullmatch(text) else math.nan\n",
            "value = kind(text)\n",
-           ("tests/test_cli.py::TestErrorHandling::"
-            "test_non_finite_or_non_positive_flag_rejected",
-            "tests/test_cli.py::test_every_number_flag_rejects_bad_values")),
+           ("tests/test_cli.py::test_every_number_flag_rejects_bad_values"
+            "[decide --trial-seconds]",)),
     Mutant("dedup-tie-latest-start", "src/drstd/index_search.py",
            "group.sort(key=lambda c: (-c.score, c.start, c.duration))",
            "group.sort(key=lambda c: (-c.score, -c.start, c.duration))",
