@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS, Candidate,
-                     FormatError, RefOccurrence, parse_occurrence_table,
+from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS, DEFAULT_THRESHOLD,
+                     Candidate, FormatError, RefOccurrence, parse_occurrence_table,
                      write_candidates, write_lines, write_references)
 
 
@@ -133,6 +133,18 @@ _POSITIVE_INT = _number(int, 1, math.inf, "a finite int > 0")
 _NON_NEGATIVE_INT = _number(int, 0, math.inf, "an int >= 0")
 _UNIT_INTERVAL = _number(float, 0.0, 1.0, "a finite float in [0, 1]")
 
+# The flags that several subcommands take, each declared once.
+_SHARED_FLAGS = {
+    "--alpha": dict(type=_UNIT_INTERVAL, required=True,
+                    help="interpolation coefficient in [0, 1]"),
+    "--beta": dict(type=_POSITIVE_FLOAT, default=DEFAULT_BETA,
+                   help="false-alarm cost ratio (default: %(default)s)"),
+    "--delta": dict(type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS,
+                    help="alignment midpoint tolerance in seconds"),
+    "--trial-seconds": dict(type=_POSITIVE_FLOAT,
+                            help="total speech seconds defining false-alarm trials"),
+}
+
 
 def _path(text: str) -> Path:
     """argparse type of a path flag: any text but '', which Path reads as '.'."""
@@ -163,7 +175,8 @@ def _search(args, keywords) -> tuple[list[Candidate], int, float]:
         for doc in parse_cn_corpus(args.corpus):
             docs += 1
             if doc.slots:
-                seconds += doc.slots[-1].end - doc.slots[0].start
+                last = doc.slots[-1]
+                seconds += last.start + last.duration - doc.slots[0].start
             yield doc
 
     found = search_all(counted(), keywords)
@@ -328,15 +341,14 @@ def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
     sub.add_argument(flag, dest=dest, type=_path, required=True, help=help)
 
 
-def _add_decision_flags(sub) -> None:
+def _add_decision_flags(sub, *shared: str) -> None:
+    """Add the flags of `_resolve_policy`, then each of `shared`."""
     sub.add_argument("--decision", choices=["global", "kst"], default="kst",
                      help="thresholding policy (default: kst)")
-    sub.add_argument("--threshold", type=_UNIT_INTERVAL, default=0.5,
-                     help="global-mode threshold (default: 0.5)")
-    sub.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA,
-                     help=f"false-alarm cost ratio (default: {DEFAULT_BETA})")
-    sub.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, default=None,
-                     help="total speech seconds defining false-alarm trials")
+    sub.add_argument("--threshold", type=_UNIT_INTERVAL, default=DEFAULT_THRESHOLD,
+                     help="global-mode threshold (default: %(default)s)")
+    for flag in ("--beta", "--trial-seconds", *shared):
+        sub.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rescore",
                         help="re-estimate confidences from document weights")
     _add_input(p, "--in", "candidates", "candidate TSV")
-    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True,
-                   help="interpolation coefficient in [0, 1]")
+    p.add_argument("--alpha", **_SHARED_FLAGS["--alpha"])
     # A str, not a Path: an output, so out of the manifest's inputs.
     p.add_argument("--weights-out", type=lambda text: str(_path(text)), default=None,
                    help="optional TSV of per-keyword document weights")
@@ -374,10 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("score", help="term-weighted-value scoring")
     _add_input(p, "--hyp", "hypotheses", "decided candidate TSV")
     _add_input(p, "--ref", "references", "reference TSV")
-    p.add_argument("--trial-seconds", type=_POSITIVE_FLOAT, required=True)
-    p.add_argument("--beta", type=_POSITIVE_FLOAT, default=DEFAULT_BETA)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS,
-                   help="alignment midpoint tolerance in seconds")
+    p.add_argument("--trial-seconds", **_SHARED_FLAGS["--trial-seconds"], required=True)
+    p.add_argument("--beta", **_SHARED_FLAGS["--beta"])
+    p.add_argument("--delta", **_SHARED_FLAGS["--delta"])
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
     p.add_argument("--out", type=_path, required=True, help="report JSON")
@@ -391,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--ref", "references", "reference TSV")
     p.add_argument("--alpha-grid", type=_parse_grid, required=True,
                    help="comma-separated coefficients, e.g. 0,0.05,0.1")
-    _add_decision_flags(p)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+    _add_decision_flags(p, "--delta")
     p.add_argument("--out", type=_path, required=True, help="sweep CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -400,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="document-rank curves and weight correlations")
     _add_input(p, "--in", "candidates", "candidate TSV")
     _add_input(p, "--ref", "references", "reference TSV")
-    _add_decision_flags(p)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+    _add_decision_flags(p, "--delta")
     p.add_argument("--max-rank", type=_POSITIVE_INT, default=10)
     p.add_argument("--out", type=_path, required=True, help="output directory")
     p.set_defaults(func=cmd_diag)
@@ -433,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--corpus", "corpus")
     _add_input(p, "--keywords", "keywords")
     _add_input(p, "--ref", "references")
-    p.add_argument("--alpha", type=_UNIT_INTERVAL, required=True)
-    _add_decision_flags(p)
-    p.add_argument("--delta", type=_POSITIVE_FLOAT, default=DEFAULT_DELTA_SECONDS)
+    p.add_argument("--alpha", **_SHARED_FLAGS["--alpha"])
+    _add_decision_flags(p, "--delta")
     p.add_argument("--out", type=_path, required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

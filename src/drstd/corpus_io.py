@@ -40,10 +40,6 @@ class Slot(NamedTuple):
     duration: float
     arcs: tuple[tuple[str, float], ...]
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
 
 class ConfusionNetworkDoc(NamedTuple):
     """One transcribed document: an ordered sequence of slots."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .tables import DEFAULT_BETA, Candidate
+from .tables import DEFAULT_BETA, DEFAULT_THRESHOLD, Candidate
 
 
 class DecisionPolicy:
@@ -24,7 +24,7 @@ class DecisionPolicy:
 
     __slots__ = ("mode", "global_threshold", "beta", "trial_seconds")
 
-    def __init__(self, mode: str, global_threshold: float = 0.5,
+    def __init__(self, mode: str, global_threshold: float = DEFAULT_THRESHOLD,
                  beta: float = DEFAULT_BETA, trial_seconds: float | None = None):
         if mode not in ("global", "kst"):
             raise ValueError(f"mode must be 'global' or 'kst', got {mode!r}")

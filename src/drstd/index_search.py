@@ -82,13 +82,14 @@ def _extend_paths(keyword: KeywordEntry, doc: ConfusionNetworkDoc,
     start = slots[slot_ref].start
     return [
         Candidate(kw_id=keyword.kw_id, doc_id=doc.doc_id, start=start,
-                  duration=slots[last].end - start, score=score)
+                  duration=slots[last].start + slots[last].duration - start,
+                  score=score)
         for last, score in frontier
     ]
 
 
 def _overlap_exceeds(a: Candidate, b: Candidate) -> bool:
-    overlap = min(a.end, b.end) - max(a.start, b.start)
+    overlap = min(a.start + a.duration, b.start + b.duration) - max(a.start, b.start)
     shorter = min(a.duration, b.duration)
     if shorter <= 0.0:
         # Zero-length hits collide only when they sit at the same instant.
@@ -101,11 +102,12 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
 
     Within each (kw_id, doc_id) group, candidates are considered in
     descending score order (ties: earliest start, then shortest duration,
-    then input order); one is kept only if it does not overlap a kept
-    candidate by more than half of the shorter span. A zero-length span
-    overlaps another only when both start at the same instant. Idempotent.
-    The survivors come in `Candidate.sort_key` order: kw_id, doc_id, start,
-    duration, score, decision.
+    then input order); one is kept only if its span, start to start +
+    duration, does not overlap a kept candidate's by more than half of the
+    shorter span (`_overlap_exceeds`). A zero-length span overlaps another
+    only when both start at the same instant. Idempotent. The survivors
+    come in `Candidate.sort_key` order: kw_id, doc_id, start, duration,
+    score, decision.
     """
     groups: dict[tuple[str, str], list[Candidate]] = {}
     for cand in candidates:

@@ -2,10 +2,10 @@
 
 Accepted detections are aligned to reference occurrences per keyword and
 document: a hypothesis counts as correct when its midpoint lies within a
-tolerance of an unmatched reference's midpoint, each reference being
-consumed at most once (candidate pairs are matched greedily, nearest in
-time first). From the per-keyword counts follow the miss rate, the
-time-trial false-alarm rate, and the term-weighted value
+tolerance of an unmatched reference's midpoint (each start + duration / 2,
+in `_group_pairs`), each reference consumed at most once (pairs matched
+greedily, nearest in time first). From the per-keyword counts follow the
+miss rate, the time-trial false-alarm rate, and the term-weighted value
 
     TWV(t) = 1 - P_miss(t) - beta * P_FA(t)
 
@@ -65,9 +65,10 @@ def _group_pairs(hypotheses: Sequence[Candidate], hyp_idx: Sequence[int],
     pairs = []
     for i in hyp_idx:
         h = hypotheses[i]
+        h_mid = h.start + h.duration / 2.0
         for j in ref_idx:
             r = references[j]
-            dist = abs(h.midpoint - (r.start + r.duration / 2.0))
+            dist = abs(h_mid - (r.start + r.duration / 2.0))
             if dist <= delta_seconds:
                 pairs.append((dist, h.start, h.duration, r.start, i, j))
     pairs.sort()

@@ -18,9 +18,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 SCORE_DECIMALS = 6
-# The defaults of the cost ratio beta and the alignment tolerance, here so
-# that the flags can name them without loading decision or scoring.
+# The defaults of beta, the global threshold and the alignment tolerance,
+# here so that the flags can name them without loading decision or scoring.
 DEFAULT_BETA = 999.9
+DEFAULT_THRESHOLD = 0.5
 DEFAULT_DELTA_SECONDS = 0.5
 
 _INF = math.inf
@@ -80,14 +81,6 @@ class Candidate(NamedTuple):
     duration: float
     score: float
     decision: str | None = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    @property
-    def midpoint(self) -> float:
-        return self.start + self.duration / 2.0
 
     def sort_key(self) -> tuple:
         return (self.kw_id, self.doc_id, self.start, self.duration,

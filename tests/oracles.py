@@ -143,7 +143,8 @@ def pairwise_merge_dedup(candidates, fraction=0.5):
         for a, b in itertools.combinations(items, 2):
             if a.kw_id != b.kw_id or a.doc_id != b.doc_id:
                 continue
-            overlap = min(a.end, b.end) - max(a.start, b.start)
+            overlap = (min(a.start + a.duration, b.start + b.duration)
+                       - max(a.start, b.start))
             shorter = min(a.duration, b.duration)
             if shorter <= 0 or overlap <= fraction * shorter:
                 continue

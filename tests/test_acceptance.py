@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from drstd.cli import main
 from drstd.decision import DecisionPolicy, apply_decisions, yes_only
@@ -235,6 +234,8 @@ def test_criterion_9_pipeline_determinism(synth_dir, tmp_path):
 
 def test_criterion_10_spearman_unit_correctness():
     """Exact textbook cases; ties match average-rank Pearson to 1e-12."""
+    import scipy.stats  # about 1 s: imported by the two tests that use it
+
     assert spearman([1, 2, 3], [10, 20, 30]) == 1.0
     assert spearman([1, 2, 3], [3, 2, 1]) == -1.0
     assert spearman([1, 2, 3], [2, 1, 3]) == 0.5

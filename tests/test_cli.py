@@ -1376,6 +1376,21 @@ def test_every_path_flag_rejects_the_empty_string(tmp_path, capsys, subcommand,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--delta", "--trial-seconds"])
+def test_shared_flag_is_declared_alike_everywhere(flag):
+    """Type, default, help and whether it is required agree on every
+    subcommand that takes the flag; only `score` requires --trial-seconds."""
+    declared = {name: (action.type, action.default, action.help,
+                       action.required and (name, flag) != ("score", "--trial-seconds"))
+                for name, sub in _subcommands().items()
+                for action in sub._actions if flag in action.option_strings}
+    assert len(declared) >= 2, declared
+    assert len(set(declared.values())) == 1, declared
+    assert next(iter(declared.values()))[2], f"{flag} has no help"
+    if flag == "--trial-seconds":
+        assert _subcommands()["score"]._option_string_actions[flag].required
+
+
 # Runs in a fresh interpreter: importing the package loads none of its
 # modules, and every command but synth must leave numpy unloaded, and
 # logging and csv too under --quiet.

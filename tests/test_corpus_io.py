@@ -202,6 +202,20 @@ class TestCnCorpusParsing:
         write_cn_corpus(p, docs)
         assert list(parse_cn_corpus(p)) == docs
 
+    @pytest.mark.parametrize("doc,line", [
+        (ConfusionNetworkDoc("d1", (Slot(0.0, 0.5, (("cat", 0.8), ("<eps>", 0.2))),)),
+         '{"doc_id": "d1", "slots": [{"start": 0.0, "dur": 0.5, '
+         '"arcs": [["cat", 0.8], ["<eps>", 0.2]]}]}'),
+        # non-ASCII text is written as UTF-8, not as \u escapes
+        (ConfusionNetworkDoc("d\u00e9", (Slot(1.0, 0.25, (("caf\u00e9", 1.0),)),)),
+         '{"doc_id": "d\u00e9", "slots": [{"start": 1.0, "dur": 0.25, '
+         '"arcs": [["caf\u00e9", 1.0]]}]}'),
+    ], ids=["ascii", "non_ascii_token"])
+    def test_corpus_line_bytes(self, tmp_path, doc, line):
+        p = tmp_path / "c.jsonl"
+        write_cn_corpus(p, [doc])
+        assert p.read_bytes() == (line + "\n").encode("utf-8")
+
 
 # Each kind breaks one check of a slot (or, "none", nothing); the
 # differential test applies two to one slot, so that the order in which
@@ -471,6 +485,9 @@ class TestOccurrenceTables:
         ("ref", ["K1", "", "3.2", "0.45"], "doc_id"),
         ("candidate", ["", "d1", "3.2", "0.45", "0.87"], "kw_id"),
         ("decided", ["K1", "", "3.2", "0.45", "0.87", "YES"], "doc_id"),
+        # a bad decision too: the ids are checked first
+        pytest.param("candidate", ["", "d1", "3.2", "0.45", "0.87", "maybe"],
+                     "kw_id", id="candidate-bad-decision"),
     ])
     def test_empty_id_rejected(self, tmp_path, kind, row, column):
         # the corpus parser rejects an empty doc_id too
@@ -591,6 +608,8 @@ class TestUndecodableInput:
      "2: column 'start' is not a number: 'bad'"),
     ("corpus", b'{"doc_id": "d1", "slots": 5}\n{"doc_id": "\xff", "slots": []}\n',
      "1: slots of doc 'd1' is not a list"),
+    pytest.param("ref", b"K1\td1\t1.0\t0\nK1\td1\t1.0\t0.5\xff\n",
+                 "1: reference duration must be > 0, got 0.0", id="ref-dur-0"),
 ])
 def test_error_before_bad_byte_comes_first(tmp_path, kind, text, message):
     """A malformed line before an undecodable one is the error reported,
@@ -799,15 +818,18 @@ class TestCandidateWriting:
         assert text.startswith("#")
         assert parse_occurrence_table(p, "candidate") == []
 
-    def test_output_sorted(self, tmp_path):
-        cands = [Candidate("KW2", "d1", 1.0, 0.2, 0.5),
-                 Candidate("KW1", "d2", 0.0, 0.2, 0.5),
-                 Candidate("KW1", "d1", 5.0, 0.2, 0.5)]
+    @pytest.mark.parametrize("cands,order", [
+        ([Candidate("KW2", "d1", 1.0, 0.2, 0.5),
+          Candidate("KW1", "d2", 0.0, 0.2, 0.5),
+          Candidate("KW1", "d1", 5.0, 0.2, 0.5)], [2, 1, 0]),
+        # rows that differ only in their decision: NO before YES
+        ([Candidate("K1", "d1", 0.0, 0.2, 0.5, "YES"),
+          Candidate("K1", "d1", 0.0, 0.2, 0.5, "NO")], [1, 0]),
+    ], ids=["kw_doc_start", "decision"])
+    def test_output_sorted(self, tmp_path, cands, order):
         p = tmp_path / "cand.tsv"
         write_candidates(p, cands)
-        rows = parse_occurrence_table(p, "candidate")
-        assert [(r.kw_id, r.doc_id, r.start) for r in rows] == [
-            ("KW1", "d1", 5.0), ("KW1", "d2", 0.0), ("KW2", "d1", 1.0)]
+        assert parse_occurrence_table(p, "candidate") == [cands[i] for i in order]
 
     def test_reference_round_trip(self, tmp_path):
         refs = [RefOccurrence("KW1", "d1", 1.25, 0.5),

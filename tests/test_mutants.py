@@ -37,8 +37,6 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids; any failing is enough
 
 
-_ORACLE = "tests/test_corpus_io.py::test_occurrence_rows_match_reference_oracle"
-
 MUTANTS = (
     Mutant("decision-before-ids", "src/drstd/tables.py",
            '            if message := id_error(kw_id, "kw_id") or '
@@ -48,19 +46,19 @@ MUTANTS = (
            'NO, got {decision!r}")\n'
            '            if message := id_error(kw_id, "kw_id") or '
            'id_error(doc_id, "doc_id"):\n',
-           (_ORACLE,)),
+           ("tests/test_corpus_io.py::TestOccurrenceTables::"
+            "test_empty_id_rejected[candidate-bad-decision]",)),
     Mutant("ref-dur-0-accepted", "src/drstd/tables.py",
            "                if dur <= 0.0:\n",
            "                if dur < 0.0:\n",
-           (_ORACLE,
-            "tests/test_cli.py::test_fuzzed_input_fails_in_one_line[score-refs]")),
+           ("tests/test_corpus_io.py::"
+            "test_error_before_bad_byte_comes_first[ref-dur-0]",)),
     Mutant("finite-without-number-fullmatch", "src/drstd/tables.py",
            "    if isinstance(value, str) and not _NUMBER.fullmatch(value):\n",
            "    if False:\n",
            ("tests/test_corpus_io.py::TestOccurrenceTables::"
-            "test_non_finite_numbers_rejected",
-            "tests/test_corpus_io.py::test_numbers_are_finite_plain_decimals",
-            _ORACLE)),
+            "test_non_finite_numbers_rejected"
+            "[1_0-not a number-candidate-row0-start]",)),
     Mutant("usage-error-exits-2", "src/drstd/cli.py",
            "        raise ValueError(message)\n",
            "        raise OSError(message)\n",
@@ -78,13 +76,13 @@ MUTANTS = (
     Mutant("corpus-writer-ascii", "src/drstd/corpus_io.py",
            "ensure_ascii=False, check_circular=False)",
            "ensure_ascii=True, check_circular=False)",
-           ("tests/test_corpus_io.py::"
-            "test_write_cn_corpus_matches_reference_oracle",)),
+           ("tests/test_corpus_io.py::TestCnCorpusParsing::"
+            "test_corpus_line_bytes[non_ascii_token]",)),
     Mutant("sort-key-without-decision", "src/drstd/tables.py",
            '                self.score, self.decision or "")\n',
            "                self.score)\n",
-           ("tests/test_corpus_io.py::"
-            "test_write_candidates_matches_reference_oracle",)),
+           ("tests/test_corpus_io.py::TestCandidateWriting::"
+            "test_output_sorted[decision]",)),
     Mutant("total-compensated", "src/drstd/tables.py",
            "    total = 0.0\n    for value in values:\n"
            "        total += value\n    return total\n",
@@ -106,14 +104,12 @@ MUTANTS = (
            "group.sort(key=lambda c: (-c.score, c.start, c.duration))",
            "group.sort(key=lambda c: (-c.score, -c.start, c.duration))",
            ("tests/test_index_search.py::TestDedupOverlaps::"
-            "test_score_tie_earliest_start_wins",
-            "tests/test_index_search.py::test_dedup_matches_greedy_oracle")),
+            "test_score_tie_earliest_start_wins",)),
     Mutant("dedup-overlap-at-half", "src/drstd/index_search.py",
            "    return overlap > OVERLAP_DEDUP_FRACTION * shorter\n",
            "    return overlap >= OVERLAP_DEDUP_FRACTION * shorter\n",
-           ("tests/test_index_search.py::test_dedup_matches_greedy_oracle",
-            "tests/test_index_search.py::TestDedupOverlaps::"
-            "test_exactly_half_overlap_kept")),
+           ("tests/test_index_search.py::TestDedupOverlaps::"
+            "test_exactly_half_overlap_kept",)),
     Mutant("search-unsorted", "src/drstd/index_search.py",
            "    hits.sort(key=Candidate.sort_key)\n",
            "",

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +48,8 @@ class TestAlign:
         assert result.matched == [1]
         # brute-force optimal matching agrees on the match count
         optimal = optimal_match_count(
-            [h.midpoint for h in hyps], [r.start + r.duration / 2 for r in refs],
+            [h.start + h.duration / 2 for h in hyps],
+            [r.start + r.duration / 2 for r in refs],
             0.5)
         assert result.keyword_counts["K"].n_correct == optimal
 
@@ -329,6 +329,8 @@ class TestSpearman:
         assert math.isnan(spearman([1, 1, 1], [1, 2, 3]))
 
     def test_ties_match_scipy(self):
+        import scipy.stats  # about 1 s: imported by the two tests that use it
+
         rng = np.random.default_rng(14)
         for _ in range(100):
             n = int(rng.integers(3, 40))

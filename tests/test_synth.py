@@ -26,7 +26,8 @@ from oracles import reference_generate
 
 def corpus_duration_seconds(docs) -> float:
     """Total speech duration: the summed time span of every document."""
-    return sum(doc.slots[-1].end - doc.slots[0].start for doc in docs if doc.slots)
+    return sum(doc.slots[-1].start + doc.slots[-1].duration - doc.slots[0].start
+               for doc in docs if doc.slots)
 
 
 def plant_report(refs: list[RefOccurrence], config: SynthConfig,
