@@ -336,19 +336,19 @@ def cmd_pipeline(args) -> None:
           args.alpha, policy.mode, args.out)
 
 
-def _add_input(sub, flag: str, dest: str, help: str | None = None) -> None:
+def _add_input(sub, flag: str, dest: str, help: str = "") -> None:
     """Add an input-file flag: parsed as a Path, so its manifest hashes it."""
     sub.add_argument(flag, dest=dest, type=_path, required=True, help=help)
 
 
-def _add_decision_flags(sub, *shared: str) -> None:
-    """Add the flags of `_resolve_policy`, then each of `shared`."""
+def _add_decision_flags(sub, *shared: str) -> dict[str, argparse.Action]:
+    """Add `_resolve_policy`'s flags, then `shared`; return the shared ones by flag."""
     sub.add_argument("--decision", choices=["global", "kst"], default="kst",
                      help="thresholding policy (default: kst)")
     sub.add_argument("--threshold", type=_UNIT_INTERVAL, default=DEFAULT_THRESHOLD,
                      help="global-mode threshold (default: %(default)s)")
-    for flag in ("--beta", "--trial-seconds", *shared):
-        sub.add_argument(flag, **_SHARED_FLAGS[flag])
+    return {flag: sub.add_argument(flag, **_SHARED_FLAGS[flag])
+            for flag in ("--beta", "--trial-seconds", *shared)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p, "--keywords", "keywords")
     _add_input(p, "--ref", "references")
     p.add_argument("--alpha", **_SHARED_FLAGS["--alpha"])
-    _add_decision_flags(p, "--delta")
+    _add_decision_flags(p, "--delta")["--trial-seconds"].help += (
+        " (default: the corpus's speech seconds)")
     p.add_argument("--out", type=_path, required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

@@ -49,7 +49,7 @@ def search_all(docs: Iterable[ConfusionNetworkDoc],
                     else:
                         hits.extend(_extend_paths(keyword, doc, slot_idx,
                                                   posterior))
-    hits.sort(key=Candidate.sort_key)
+    hits.sort()
     return hits
 
 
@@ -106,8 +106,7 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     duration, does not overlap a kept candidate's by more than half of the
     shorter span (`_overlap_exceeds`). A zero-length span overlaps another
     only when both start at the same instant. Idempotent. The survivors
-    come in `Candidate.sort_key` order: kw_id, doc_id, start, duration,
-    score, decision.
+    come sorted: by kw_id, doc_id, start, duration, score, then decision.
     """
     groups: dict[tuple[str, str], list[Candidate]] = {}
     for cand in candidates:
@@ -120,4 +119,4 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
             if not any(_overlap_exceeds(cand, other) for other in kept):
                 kept.append(cand)
         survivors.extend(kept)
-    return sorted(survivors, key=Candidate.sort_key)
+    return sorted(survivors)

@@ -163,9 +163,13 @@ def build_report(counts: Mapping[str, KeywordCounts], trial_seconds: float,
     """The `report.json` dict: config, aggregate and per-keyword scores.
 
     Keywords without references are left out; `keywords` is in kw_id order.
+    An ATWV that overflows to -inf is a ValueError: JSON has no number for it.
     """
     rates = {kw_id: _keyword_rate(kw_id, c, trial_seconds)
              for kw_id, c in counts.items() if c.n_true}
+    if not math.isfinite(value := atwv(rates, beta)):
+        raise ValueError(f"ATWV overflows to {value} at beta {beta} and "
+                         f"trial_seconds {trial_seconds}")
     keywords = {}
     for kw_id, (p_miss, p_fa) in sorted(rates.items()):
         c = counts[kw_id]
@@ -176,7 +180,7 @@ def build_report(counts: Mapping[str, KeywordCounts], trial_seconds: float,
     return {
         "config": {"beta": beta, "trial_seconds": trial_seconds,
                    "delta_seconds": delta_seconds},
-        "aggregate": {"atwv": atwv(rates, beta),
+        "aggregate": {"atwv": value,
                       "mean_p_miss": _total(p for p, _ in rates.values()) / n,
                       "mean_p_fa": _total(f for _, f in rates.values()) / n,
                       "num_scored_keywords": n},
@@ -221,8 +225,8 @@ def mtwv(scored_candidates: Sequence[Candidate],
     Scans every distinct candidate score as a threshold (YES iff
     score >= threshold) plus one sentinel above the maximum score (the
     empty detection set); these cover every achievable YES set. Among
-    ties the highest threshold wins. One pass adds each tie group of
-    scores and re-matches only the (kw_id, doc_id) groups it adds to.
+    ties the highest threshold wins; an ATWV of -inf never wins. One pass
+    adds each tie group and re-matches only the (kw_id, doc_id) groups it adds to.
     """
     empty = align([], references, delta_seconds)
     counts = empty.keyword_counts  # the keywords with references

@@ -72,7 +72,7 @@ class RefOccurrence(NamedTuple):
 class Candidate(NamedTuple):
     """A hypothesized keyword occurrence with its confidence score.
 
-    ``decision`` is None until a thresholding step sets it to "YES"/"NO".
+    ``decision`` is "" until a thresholding step sets it to "YES"/"NO".
     """
 
     kw_id: str
@@ -80,11 +80,7 @@ class Candidate(NamedTuple):
     start: float
     duration: float
     score: float
-    decision: str | None = None
-
-    def sort_key(self) -> tuple:
-        return (self.kw_id, self.doc_id, self.start, self.duration,
-                self.score, self.decision or "")
+    decision: str = ""
 
 
 def id_error(value: str, column: str) -> str | None:
@@ -135,8 +131,7 @@ def parse_occurrence_table(path: str | Path,
                 raise ValueError("row carries no YES/NO decision; "
                                  "run 'drstd decide' first")
             else:
-                kw_id, doc_id, start, dur, score = fields
-                decision = None
+                kw_id, doc_id, start, dur, score, decision = *fields, ""
             if message := id_error(kw_id, "kw_id") or id_error(doc_id, "doc_id"):
                 raise ValueError(message)
             if ref:
@@ -146,7 +141,7 @@ def parse_occurrence_table(path: str | Path,
                     raise ValueError(f"reference duration must be > 0, got {dur}")
                 rows.append(_new_tuple(RefOccurrence, (kw_id, doc_id, start, dur)))
                 continue
-            if decision not in ("YES", "NO", None):
+            if len(fields) == 6 and decision not in ("YES", "NO"):
                 raise ValueError(f"decision column must be YES or NO, got {decision!r}")
             start = _finite(start, "column 'start'")
             dur = _finite(dur, "column 'dur'")
@@ -232,7 +227,8 @@ def write_lines(path: str | Path, lines: Iterable[str], end: str = "\n") -> None
 
 def write_candidates(path: str | Path,
                      candidates: Sequence[Candidate]) -> list[Candidate]:
-    """Write candidates sorted by `Candidate.sort_key`; scores at 6 decimals.
+    """Write candidates sorted, scores at 6 decimals, and a decision column
+    only on a decided row.
 
     Returns the rows the file parses back to, in file order: each score is
     the float of its 6-decimal text, and `repr` writes floats exactly.
@@ -240,12 +236,11 @@ def write_candidates(path: str | Path,
     score_format = f".{SCORE_DECIMALS}f"
     lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
     written = []
-    for kw_id, doc_id, start, dur, score, decision in sorted(
-            candidates, key=Candidate.sort_key):
+    for kw_id, doc_id, start, dur, score, decision in sorted(candidates):
         row = [kw_id, doc_id, repr(start), repr(dur), format(score, score_format)]
         written.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur,
                                               float(row[4]), decision)))
-        if decision is not None:
+        if decision:
             row.append(decision)
         lines.append("\t".join(row))
     write_lines(path, lines)

@@ -21,7 +21,7 @@ must match row for row and error message for error message.
 into lines, for the one-pass line reader `tables._numbered_lines`.
 `reference_write_candidates` is the former `write_candidates`, which
 sorted with a Python key per row, here written out field by field;
-`tables.write_candidates`, which sorts by `Candidate.sort_key`, must give
+`tables.write_candidates`, which sorts its rows as plain tuples, must give
 its bytes exactly.
 `reference_write_cn_corpus` is the former `corpus_io.write_cn_corpus`,
 which wrote each document with `json.dumps` over a dict per slot and a
@@ -79,6 +79,12 @@ def straightline_rescore(candidates, alpha):
     return out
 
 
+def candidate_order(c):
+    """The order of candidate rows, field by field: kw_id, doc_id, start,
+    duration, score, then decision, an undecided "" first."""
+    return (c.kw_id, c.doc_id, c.start, c.duration, c.score, c.decision)
+
+
 def naive_scan_search(corpus, keywords):
     """Enumerate every slot position of every document for every keyword.
 
@@ -124,7 +130,7 @@ def naive_scan_search(corpus, keywords):
                             duration=slots[last].start + slots[last].duration
                             - slots[start_idx].start,
                             score=score))
-    hits.sort(key=Candidate.sort_key)
+    hits.sort(key=candidate_order)
     return hits
 
 
@@ -152,7 +158,7 @@ def pairwise_merge_dedup(candidates, fraction=0.5):
             items.remove(loser)
             changed = True
             break
-    items.sort(key=Candidate.sort_key)
+    items.sort(key=candidate_order)
     return items
 
 
@@ -164,8 +170,7 @@ def reference_greedy_dedup(candidates, fraction=0.5):
     unless an already kept candidate of the same keyword and document
     overlaps it by more than `fraction` of the shorter of the two spans;
     a zero-length span overlaps another only when both start at the same
-    instant. The kept candidates are returned in `Candidate.sort_key`
-    order.
+    instant. The kept candidates are returned in `candidate_order`.
     """
     order = sorted(range(len(candidates)), key=lambda i: (
         -candidates[i].score, candidates[i].start, candidates[i].duration, i))
@@ -188,7 +193,7 @@ def reference_greedy_dedup(candidates, fraction=0.5):
                 break
         if not clash:
             kept.append(cand)
-    kept.sort(key=Candidate.sort_key)
+    kept.sort(key=candidate_order)
     return kept
 
 
@@ -592,7 +597,7 @@ def reference_parse_occurrence_table(path, kind):
                 raise FormatError("row carries no YES/NO decision; run "
                                   "'drstd decide' first", **where)
             kw_id, doc_id = _reference_ids(fields, **where)
-            decision = None
+            decision = ""
             if len(fields) == 6:
                 decision = fields[5]
                 if decision not in ("YES", "NO"):
@@ -633,12 +638,10 @@ def reference_write_candidates(path, candidates):
     start, duration, score, then decision with undecided first; scores at
     6 decimals."""
     lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
-    for cand in sorted(candidates, key=lambda c: (c.kw_id, c.doc_id, c.start,
-                                                  c.duration, c.score,
-                                                  c.decision or "")):
+    for cand in sorted(candidates, key=candidate_order):
         row = (f"{cand.kw_id}\t{cand.doc_id}\t{cand.start!r}\t{cand.duration!r}"
                f"\t{cand.score:.{SCORE_DECIMALS}f}")
-        if cand.decision is not None:
+        if cand.decision:
             row += f"\t{cand.decision}"
         lines.append(row)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from drstd.cli import main
 from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry, Slot,
                              write_cn_corpus, write_keyword_list)
-from drstd.tables import (SCORE_DECIMALS, Candidate, RefOccurrence,
-                          parse_occurrence_table, write_references)
+from drstd.tables import (SCORE_DECIMALS, RefOccurrence, parse_occurrence_table,
+                          write_references)
 
-from oracles import (brute_force_atwv, naive_scan_search, reference_greedy_dedup,
-                     reference_kst_cut, reference_nearest_first_alignment,
-                     straightline_rescore)
+from oracles import (brute_force_atwv, candidate_order, naive_scan_search,
+                     reference_greedy_dedup, reference_kst_cut,
+                     reference_nearest_first_alignment, straightline_rescore)
 
 CHAIN_FILES = ("candidates.tsv", "rescored.tsv", "weights.tsv", "decided.tsv",
                "report.json", "keyword_scores.tsv")
@@ -162,7 +162,7 @@ def test_chain_matches_pipeline_and_oracles(tmp_path_factory, case):
     assert rescored == sorted(
         (cand._replace(score=_quantized(score)) for cand, score in zip(
             candidates, straightline_rescore(candidates, float(case.alpha)))),
-        key=Candidate.sort_key)
+        key=candidate_order)
 
     decided = parse_occurrence_table(piped / "decided.tsv", "decided")
     kw_ids = {c.kw_id for c in rescored}

@@ -295,6 +295,52 @@ class TestScoreCommand:
         assert aggregate["mtwv"] >= aggregate["atwv"] - 1e-12
 
 
+class TestAtwvOverflow:
+    """Three hits of one keyword, one of them true: at beta 1e308 over a
+    1.5 s trial, beta times the false-alarm rate overflows, and no command
+    writes an ATWV of -inf."""
+
+    MESSAGE = "drstd: ATWV overflows to -inf at beta 1e+308 and trial_seconds 1.5"
+
+    @staticmethod
+    def _flags(tmp_path, table_flag, rows):
+        """`table_flag` and a table of K1 d1 `rows`, --ref and its one row,
+        and the trial and beta flags."""
+        table, refs = tmp_path / "c.tsv", tmp_path / "r.tsv"
+        table.write_text("".join(f"K1\td1\t{row}\n" for row in rows))
+        refs.write_text("K1\td1\t0.0\t0.5\n")
+        return [table_flag, str(table), "--ref", str(refs),
+                "--trial-seconds", "1.5", "--beta", "1e308"]
+
+    def test_sweep_fails(self, tmp_path, capsys):
+        inputs = self._flags(tmp_path, "--in", ["0.0\t0.5\t0.9", "5.0\t0.5\t0.9",
+                                                "9.0\t0.5\t0.9"])
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", *inputs, "--alpha-grid", "0", "--decision", "global",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [self.MESSAGE]
+        assert not out.exists()
+
+    def test_score_fails(self, tmp_path, capsys):
+        inputs = self._flags(tmp_path, "--hyp", ["0.0\t0.5\t0.9\tYES",
+                                                 "5.0\t0.5\t0.9\tYES",
+                                                 "9.0\t0.5\t0.9\tYES"])
+        out = tmp_path / "report.json"
+        assert run("score", *inputs, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [self.MESSAGE]
+        assert not out.exists()
+
+    def test_mtwv_skips_overflowing_thresholds(self, tmp_path):
+        inputs = self._flags(tmp_path, "--hyp", ["0.0\t0.5\t0.9\tYES",
+                                                 "5.0\t0.5\t0.5\tNO",
+                                                 "9.0\t0.5\t0.5\tNO"])
+        out = tmp_path / "report.json"
+        assert run("score", *inputs, "--mtwv", "--out", str(out)) == 0
+        aggregate = json.loads(out.read_text())["aggregate"]
+        assert (aggregate["atwv"], aggregate["mtwv"],
+                aggregate["mtwv_threshold"]) == (1.0, 1.0, 0.9)
+
+
 class TestPipeline:
     @pytest.mark.parametrize("decision", [
         ["--decision", "kst"], ["--decision", "global", "--threshold", "0.3"]],
@@ -1376,11 +1422,19 @@ def test_every_path_flag_rejects_the_empty_string(tmp_path, capsys, subcommand,
     assert not any(tmp_path.iterdir())
 
 
+# The end of pipeline's --trial-seconds help, which alone has a fallback.
+_PIPELINE_TRIAL_DEFAULT = " (default: the corpus's speech seconds)"
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--delta", "--trial-seconds"])
 def test_shared_flag_is_declared_alike_everywhere(flag):
     """Type, default, help and whether it is required agree on every
-    subcommand that takes the flag; only `score` requires --trial-seconds."""
-    declared = {name: (action.type, action.default, action.help,
+    subcommand that takes the flag; only `score` requires --trial-seconds,
+    and only `pipeline`'s help of it names a default."""
+    declared = {name: (action.type, action.default,
+                       action.help.removesuffix(_PIPELINE_TRIAL_DEFAULT)
+                       if (name, flag) == ("pipeline", "--trial-seconds")
+                       else action.help,
                        action.required and (name, flag) != ("score", "--trial-seconds"))
                 for name, sub in _subcommands().items()
                 for action in sub._actions if flag in action.option_strings}
@@ -1524,6 +1578,19 @@ def test_subcommand_help_is_that_of_the_full_parser(capsys, subcommand):
         main([subcommand, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == _subcommands()[subcommand].format_help()
+
+
+def test_only_pipeline_help_names_a_trial_seconds_default(capsys):
+    """pipeline alone falls back to the corpus's speech seconds, and its
+    --help says so; decide and diag, which have no corpus, do not."""
+    for subcommand in ("pipeline", "decide", "diag"):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--trial-seconds TRIAL_SECONDS total speech seconds defining "
+                "false-alarm trials" in text)
+        assert (_PIPELINE_TRIAL_DEFAULT in text) == (subcommand == "pipeline")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--quiet", "-h", "score"]])

@@ -18,9 +18,9 @@ from drstd.tables import (Candidate, FormatError, RefOccurrence,
                           write_references)
 
 from conftest import random_candidates, random_corpus
-from oracles import (reference_doc_from_obj, reference_numbered_lines,
-                     reference_parse_occurrence_table, reference_write_candidates,
-                     reference_write_cn_corpus)
+from oracles import (candidate_order, reference_doc_from_obj,
+                     reference_numbered_lines, reference_parse_occurrence_table,
+                     reference_write_candidates, reference_write_cn_corpus)
 
 
 def quantize_score(score: float) -> float:
@@ -475,10 +475,14 @@ class TestOccurrenceTables:
         assert cand.decision == "YES"
 
     def test_bad_decision_value(self, tmp_path):
+        """A 6th column is YES or NO; an empty one, as an undecided row
+        with a trailing tab has, is no decision either."""
         p = tmp_path / "cand.tsv"
-        write_lines(p, ["KW1\td1\t3.20\t0.45\t0.87\tmaybe"])
-        with pytest.raises(FormatError, match="YES or NO"):
-            parse_occurrence_table(p, "candidate")
+        for value in ("maybe", ""):
+            write_lines(p, [f"KW1\td1\t3.20\t0.45\t0.87\t{value}"])
+            with pytest.raises(FormatError,
+                               match=f"YES or NO, got {value!r}$"):
+                parse_occurrence_table(p, "candidate")
 
     @pytest.mark.parametrize("kind,row,column", [
         ("ref", ["", "d1", "3.2", "0.45"], "kw_id"),
@@ -806,7 +810,7 @@ class TestCandidateWriting:
         expected = sorted(
             (Candidate(c.kw_id, c.doc_id, c.start, c.duration,
                        quantize_score(c.score)) for c in cands),
-            key=Candidate.sort_key)
+            key=candidate_order)
         p = tmp_path / "cand.tsv"
         write_candidates(p, cands)
         assert parse_occurrence_table(p, "candidate") == expected
@@ -825,10 +829,15 @@ class TestCandidateWriting:
         # rows that differ only in their decision: NO before YES
         ([Candidate("K1", "d1", 0.0, 0.2, 0.5, "YES"),
           Candidate("K1", "d1", 0.0, 0.2, 0.5, "NO")], [1, 0]),
-    ], ids=["kw_doc_start", "decision"])
+        # and undecided, "", before YES
+        ([Candidate("K1", "d1", 0.0, 0.2, 0.5, "YES"),
+          Candidate("K1", "d1", 0.0, 0.2, 0.5),
+          Candidate("K1", "d1", 0.0, 0.2, 0.5, "YES")], [1, 0, 2]),
+    ], ids=["kw_doc_start", "decision", "undecided_first"])
     def test_output_sorted(self, tmp_path, cands, order):
+        """The file order is that of a plain sort of the rows."""
         p = tmp_path / "cand.tsv"
-        write_candidates(p, cands)
+        assert write_candidates(p, cands) == sorted(cands)
         assert parse_occurrence_table(p, "candidate") == [cands[i] for i in order]
 
     def test_reference_round_trip(self, tmp_path):
@@ -871,7 +880,7 @@ _IDS = ["K0", "K1", "K2", "Ké", "К1", "鍵", "\U0001d4b3"]
               st.floats(0, 100, allow_nan=False),
               st.floats(0.01, 5, allow_nan=False),
               st.floats(0.000001, 1, allow_nan=False),
-              st.sampled_from([None, "YES", "NO"])),
+              st.sampled_from(["", "YES", "NO"])),
     max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_write_parse_round_trip_property(tmp_path_factory, rows):
@@ -881,7 +890,7 @@ def test_write_parse_round_trip_property(tmp_path_factory, rows):
     expected = sorted(
         (Candidate(c.kw_id, c.doc_id, c.start, c.duration,
                    quantize_score(c.score), c.decision) for c in cands),
-        key=Candidate.sort_key)
+        key=candidate_order)
     path = tmp_path_factory.mktemp("rt") / "cand.tsv"
     written = write_candidates(path, cands)
     parsed = parse_occurrence_table(path, "candidate")
@@ -899,7 +908,7 @@ _EDGE_SCORES = [0.0, 5e-7, 4.999999e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.1234575,
 def candidate_tables(draw):
     """Up to 30 candidates over few distinct values, so that rows tie on
     their first five fields; all undecided, all decided, or mixed."""
-    decisions = draw(st.sampled_from([[None, "YES", "NO"], [None], ["YES", "NO"]]))
+    decisions = draw(st.sampled_from([["", "YES", "NO"], [""], ["YES", "NO"]]))
     row = st.builds(Candidate, st.sampled_from(["K1", "K2", "Ké"]),
                     st.sampled_from(["d1", "d2", "文書"]),
                     st.sampled_from([-2.5, -0.0, 0.0, 0.25, 1e-7, 3.1]),

@@ -41,7 +41,7 @@ MUTANTS = (
     Mutant("decision-before-ids", "src/drstd/tables.py",
            '            if message := id_error(kw_id, "kw_id") or '
            'id_error(doc_id, "doc_id"):\n',
-           '            if not ref and decision not in ("YES", "NO", None):\n'
+           '            if len(fields) == 6 and decision not in ("YES", "NO"):\n'
            '                raise ValueError(f"decision column must be YES or '
            'NO, got {decision!r}")\n'
            '            if message := id_error(kw_id, "kw_id") or '
@@ -79,10 +79,20 @@ MUTANTS = (
            ("tests/test_corpus_io.py::TestCnCorpusParsing::"
             "test_corpus_line_bytes[non_ascii_token]",)),
     Mutant("sort-key-without-decision", "src/drstd/tables.py",
-           '                self.score, self.decision or "")\n',
-           "                self.score)\n",
+           " in sorted(candidates):\n",
+           " in sorted(candidates, key=lambda c: c[:5]):\n",
            ("tests/test_corpus_io.py::TestCandidateWriting::"
             "test_output_sorted[decision]",)),
+    Mutant("undecided-row-gets-decision-column", "src/drstd/tables.py",
+           "        if decision:\n",
+           "        if decision is not None:\n",
+           ("tests/test_corpus_io.py::TestCandidateWriting::"
+            "test_round_trip_100_random",)),
+    Mutant("decision-column-accepts-empty", "src/drstd/tables.py",
+           '            if len(fields) == 6 and decision not in ("YES", "NO"):\n',
+           '            if decision not in ("YES", "NO", ""):\n',
+           ("tests/test_corpus_io.py::TestOccurrenceTables::"
+            "test_bad_decision_value",)),
     Mutant("total-compensated", "src/drstd/tables.py",
            "    total = 0.0\n    for value in values:\n"
            "        total += value\n    return total\n",
@@ -111,7 +121,7 @@ MUTANTS = (
            ("tests/test_index_search.py::TestDedupOverlaps::"
             "test_exactly_half_overlap_kept",)),
     Mutant("search-unsorted", "src/drstd/index_search.py",
-           "    hits.sort(key=Candidate.sort_key)\n",
+           "    hits.sort()\n",
            "",
            ("tests/test_index_search.py::TestSearchAll::"
             "test_matches_naive_scan[0]",)),

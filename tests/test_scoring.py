@@ -212,7 +212,7 @@ class TestAtwv:
             abs=1e-12)
 
     def test_score_detections_accepts_only_yes_rows(self):
-        hyps = [hyp("K", "d", 1.0, decision=None), hyp("K", "d", 9.0, decision="NO"),
+        hyps = [hyp("K", "d", 1.0, decision=""), hyp("K", "d", 9.0, decision="NO"),
                 hyp("K", "d", 20.0)]
         report = score_detections(hyps, [ref("K", "d", 1.0)], 3600.0, 999.9)
         scores = report["keywords"]["K"]
@@ -221,14 +221,14 @@ class TestAtwv:
 
 class TestMtwv:
     def test_single_correct_candidate(self):
-        cands = [hyp("K", "d", 1.0, score=0.6, decision=None)]
+        cands = [hyp("K", "d", 1.0, score=0.6, decision="")]
         refs = [ref("K", "d", 1.0)]
         threshold, value = mtwv(cands, refs, 999.9, 3600.0)
         assert threshold <= 0.6
         assert value == 1.0
 
     def test_only_false_alarms(self):
-        cands = [hyp("K", "d", 100.0, score=0.9, decision=None)]
+        cands = [hyp("K", "d", 100.0, score=0.9, decision="")]
         refs = [ref("K", "d", 1.0)]
         threshold, value = mtwv(cands, refs, 999.9, 3600.0)
         assert threshold > 0.9
@@ -265,7 +265,7 @@ class TestMtwv:
             st.tuples(occurrence(["K0", "K1", "K2", "K3"]),
                       st.sampled_from([0.1, 0.25, 0.5, 0.5 + 1e-9, 0.9, 1.0])),
             max_size=25))
-        cands = [hyp(kw, doc, start, dur, score=score, decision=None)
+        cands = [hyp(kw, doc, start, dur, score=score, decision="")
                  for (kw, doc, start, dur), score in rows]
         refs = [ref(*row) for row in data.draw(
             st.lists(occurrence(["K0", "K1", "K2"]), max_size=12))]
@@ -300,7 +300,7 @@ class TestMtwv:
         monkeypatch.setattr(scoring, "_group_pairs", counting_pairs)
         monkeypatch.setattr(scoring, "_greedy_matches", counting_greedy)
         n = 500
-        cands = [hyp("K", f"d{i}", 1.0, score=(i + 1) / 1000, decision=None)
+        cands = [hyp("K", f"d{i}", 1.0, score=(i + 1) / 1000, decision="")
                  for i in range(n)]
         refs = [ref("K", f"d{i}", 1.0) for i in range(n)]
         assert mtwv(cands, refs, 999.9, 3600.0) == (0.001, 1.0)
@@ -461,21 +461,21 @@ class TestAlphaSweep:
     @pytest.mark.parametrize("grid", [[0.0, 1.5], [0.2, 1.0, -0.1]])
     def test_rejects_bad_alpha_after_valid_points(self, grid):
         policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
-        cands = [hyp("K", "d", 1.0, decision=None)]
+        cands = [hyp("K", "d", 1.0, decision="")]
         with pytest.raises(ValueError, match="alpha must be in"):
             alpha_sweep(cands, [ref("K", "d", 1.0)], grid, policy)
 
     def test_requires_trial_seconds(self):
         # a global policy may have no trial, but every sweep row is an ATWV
         policy = DecisionPolicy(mode="global")
-        cands = [hyp("K", "d", 1.0, decision=None)]
+        cands = [hyp("K", "d", 1.0, decision="")]
         with pytest.raises(ValueError, match="trial_seconds"):
             alpha_sweep(cands, [ref("K", "d", 1.0)], [0.0], policy)
         assert alpha_sweep(cands, [], [], policy) == []
 
     def test_empty_grid_checks_nothing(self):
         # as rescoring, deciding and scoring at no alpha at all
-        cands = [hyp("K", "d", 1.0, score=0.0, decision=None)]
+        cands = [hyp("K", "d", 1.0, score=0.0, decision="")]
         policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
         assert alpha_sweep(cands, [], [], policy, 0.0) == []
         assert reference_alpha_sweep(cands, [], [], policy, 0.0) == []
@@ -483,9 +483,9 @@ class TestAlphaSweep:
     def test_kst_cuts_from_rescored_scores(self):
         # at alpha 0.5 the d1 hit scores 0.3: above the cut from the raw
         # scores (0.265), below the cut from the rescored ones (0.333)
-        cands = [hyp("K", "d0", 1.0, score=0.5, decision=None),
-                 hyp("K", "d0", 5.0, score=0.5, decision=None),
-                 hyp("K", "d1", 1.0, score=0.3, decision=None)]
+        cands = [hyp("K", "d0", 1.0, score=0.5, decision=""),
+                 hyp("K", "d0", 5.0, score=0.5, decision=""),
+                 hyp("K", "d1", 1.0, score=0.3, decision="")]
         refs = [ref("K", "d1", 1.0)]
         policy = DecisionPolicy(mode="kst", trial_seconds=3600.0)
         rows = alpha_sweep(cands, refs, [0.0, 0.5], policy)
@@ -545,12 +545,12 @@ def test_alpha_sweep_matches_reference_oracle(data):
                   st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.5 + 1e-9, 0.6,
                                    0.75, 0.9, 1.0])),
         min_size=6, max_size=25))
-    cands = [hyp(kw, doc, start, dur, score=score, decision=None)
+    cands = [hyp(kw, doc, start, dur, score=score, decision="")
              for (kw, doc, start, dur), score in rows]
     # a score of 0 in about one draw in eight
     if data.draw(st.sampled_from([False] * 7 + [True])):
         cands[data.draw(st.integers(0, len(cands) - 1))] = hyp(
-            "K0", "d0", 0.3, score=0.0, decision=None)
+            "K0", "d0", 0.3, score=0.0, decision="")
     refs = [ref(*row) for row in data.draw(
         st.lists(occurrence(["K0", "K1", "K2"]), max_size=12))]
     # repeated alphas, 0 and 1; a bad alpha in about one draw in eight
