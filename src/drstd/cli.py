@@ -5,10 +5,10 @@ decide, score, sweep, diag, synth) plus a `pipeline` subcommand that runs
 search -> rescore -> decide -> score in one invocation. Every
 intermediate artifact is an ordinary file in the documented formats. The
 pipeline runs the stage code of `rescore`, `decide` and `score` on each
-table as written, the rows `write_candidates` returns, which are those
+table as written, the rows `candidate_table` returns, which are those
 the file parses back to; so its outputs are byte-identical to chaining
-the individual subcommands, and it reads back no file it wrote. It makes
-scoring's checks before any write.
+the individual subcommands, and it reads back no file it wrote. It writes
+nothing until every stage, scoring included, has run.
 
 After a run succeeds, `main` drops a `<subcommand>.manifest.json` next to
 its primary output recording the flag values the run used, the sha256
@@ -28,8 +28,9 @@ from pathlib import Path
 
 from . import __version__
 from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS, DEFAULT_THRESHOLD,
-                     Candidate, FormatError, RefOccurrence, parse_occurrence_table,
-                     write_candidates, write_lines, write_references)
+                     Candidate, FormatError, RefOccurrence, candidate_table,
+                     parse_occurrence_table, write_candidates, write_lines,
+                     write_references)
 
 
 def _quiet(*_args) -> None:
@@ -187,45 +188,52 @@ def _search(args, keywords) -> tuple[list[Candidate], int, float]:
 
 
 # The stages `pipeline` chains, each a whole subcommand once its input is
-# parsed: each computes, writes and logs its line; the two table stages
-# return their table as written.
+# parsed: each computes and logs its line, and returns the files it makes
+# as (writer, path, content) triples for `_write`, so that `pipeline`
+# writes nothing before its score is known. The two table stages also
+# return their table's rows as written.
+def _write(files: list[tuple]) -> None:
+    for writer, path, content in files:
+        writer(path, content)
+
+
 def _rescore_stage(candidates: list[Candidate], out: Path, alpha: float,
-                   weights_out: str | Path | None) -> list[Candidate]:
+                   weights_out: str | Path | None
+                   ) -> tuple[list[Candidate], list[tuple]]:
     from .rescore import rescore_candidates, write_weight_tables
     rescored, tables = rescore_candidates(candidates, alpha)
-    # The weights first: a failed write then leaves no table `out`.
-    if weights_out is not None:
-        write_weight_tables(weights_out, tables)
-    rescored = write_candidates(out, rescored)
+    lines, rescored = candidate_table(rescored)
     _info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
-    return rescored
+    # The weights first: a failed write then leaves no table `out`.
+    weights = [] if weights_out is None else [
+        (write_weight_tables, weights_out, tables)]
+    return rescored, [*weights, (write_lines, out, lines)]
 
 
 def _decide_stage(candidates: list[Candidate], out: Path,
-                  policy) -> list[Candidate]:
+                  policy) -> tuple[list[Candidate], list[tuple]]:
     from .decision import apply_decisions
-    decided = apply_decisions(candidates, policy)
-    decided = write_candidates(out, decided)
+    lines, decided = candidate_table(apply_decisions(candidates, policy))
     _info("decide: %d YES of %d (%s mode)",
           sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
-    return decided
+    return decided, [(write_lines, out, lines)]
 
 
 def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
                  out: Path, trial_seconds: float, beta: float, delta: float,
-                 with_mtwv: bool = False) -> None:
-    """Write the report `out` and its keyword detail beside it."""
+                 with_mtwv: bool = False) -> list[tuple]:
+    """The report `out` and its keyword detail beside it."""
     from .scoring import mtwv, score_detections, write_keyword_detail
     report = score_detections(hypotheses, references, trial_seconds, beta, delta)
     aggregate = report["aggregate"]
     if with_mtwv:
         aggregate["mtwv_threshold"], aggregate["mtwv"] = mtwv(
             hypotheses, references, beta, trial_seconds, delta)
-    _write_json(out, report)
-    write_keyword_detail(out.parent / "keyword_scores.tsv", report)
     _info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
           aggregate["atwv"], aggregate["num_scored_keywords"],
           aggregate["mean_p_miss"], aggregate["mean_p_fa"])
+    return [(_write_json, out, report),
+            (write_keyword_detail, out.parent / "keyword_scores.tsv", report)]
 
 
 def cmd_search(args) -> None:
@@ -238,14 +246,14 @@ def cmd_search(args) -> None:
 
 
 def cmd_rescore(args) -> None:
-    _rescore_stage(parse_occurrence_table(args.candidates, "candidate"),
-                   args.out, args.alpha, args.weights_out)
+    _write(_rescore_stage(parse_occurrence_table(args.candidates, "candidate"),
+                          args.out, args.alpha, args.weights_out)[1])
 
 
 def cmd_decide(args) -> None:
     policy = _resolve_policy(args)
-    _decide_stage(parse_occurrence_table(args.candidates, "candidate"),
-                  args.out, policy)
+    _write(_decide_stage(parse_occurrence_table(args.candidates, "candidate"),
+                         args.out, policy)[1])
 
 
 def cmd_sweep(args) -> None:
@@ -295,7 +303,7 @@ def cmd_diag(args) -> None:
 
 def cmd_synth(args) -> dict[str, int]:
     from .corpus_io import write_cn_corpus, write_keyword_list
-    # synth is the one command that needs numpy, so only it imports it.
+    # Only synth loads the generator and its random stream.
     from .synth import SynthConfig, generate
     config = SynthConfig(num_docs=args.docs, slots_per_doc=args.slots,
                          vocab_size=args.vocab, num_keywords=args.keywords,
@@ -316,7 +324,6 @@ def cmd_synth(args) -> dict[str, int]:
 
 def cmd_pipeline(args) -> None:
     from .corpus_io import parse_keyword_list
-    from .scoring import score_detections
     keywords = parse_keyword_list(args.keywords)
     references = parse_occurrence_table(args.references, "ref")
     candidates, _, seconds = _search(args, keywords)
@@ -324,14 +331,14 @@ def cmd_pipeline(args) -> None:
         raise FormatError("documents span 0 seconds in all: give "
                           "--trial-seconds", path=args.corpus)
     policy = _resolve_policy(args, corpus_seconds=seconds)
-    # Scoring's checks of the trial and the references, before any write.
-    score_detections([], references, policy.trial_seconds, policy.beta, args.delta)
-    candidates = write_candidates(args.out / "candidates.tsv", candidates)
-    rescored = _rescore_stage(candidates, args.out / "rescored.tsv", args.alpha,
-                              args.out / "weights.tsv")
-    _score_stage(_decide_stage(rescored, args.out / "decided.tsv", policy),
-                 references, args.out / "report.json", policy.trial_seconds,
-                 policy.beta, args.delta)
+    lines, candidates = candidate_table(candidates)
+    rescored, rescore_files = _rescore_stage(
+        candidates, args.out / "rescored.tsv", args.alpha, args.out / "weights.tsv")
+    decided, decide_files = _decide_stage(rescored, args.out / "decided.tsv", policy)
+    # The score, and so every check, comes before the first write.
+    _write([(write_lines, args.out / "candidates.tsv", lines), *rescore_files,
+            *decide_files, *_score_stage(decided, references, args.out / "report.json",
+                                         policy.trial_seconds, policy.beta, args.delta)])
     _info("pipeline: alpha=%s, %s decisions -> %s",
           args.alpha, policy.mode, args.out)
 
@@ -391,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
     p.add_argument("--out", type=_path, required=True, help="report JSON")
-    p.set_defaults(func=lambda a: _score_stage(
+    p.set_defaults(func=lambda a: _write(_score_stage(
         parse_occurrence_table(a.hypotheses, "decided"),
         parse_occurrence_table(a.references, "ref"),
-        a.out, a.trial_seconds, a.beta, a.delta, a.mtwv))
+        a.out, a.trial_seconds, a.beta, a.delta, a.mtwv)))
 
     p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
     _add_input(p, "--in", "candidates", "candidate TSV")

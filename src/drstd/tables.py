@@ -225,13 +225,14 @@ def write_lines(path: str | Path, lines: Iterable[str], end: str = "\n") -> None
         fh.writelines(line + end for line in lines)
 
 
-def write_candidates(path: str | Path,
-                     candidates: Sequence[Candidate]) -> list[Candidate]:
-    """Write candidates sorted, scores at 6 decimals, and a decision column
-    only on a decided row.
+def candidate_table(candidates: Sequence[Candidate]
+                    ) -> tuple[list[str], list[Candidate]]:
+    """The lines of a candidate table: sorted, scores at 6 decimals, and a
+    decision column only on a decided row.
 
-    Returns the rows the file parses back to, in file order: each score is
-    the float of its 6-decimal text, and `repr` writes floats exactly.
+    Also returns the rows the lines parse back to, in line order: each
+    score is the float of its 6-decimal text, and `repr` writes floats
+    exactly.
     """
     score_format = f".{SCORE_DECIMALS}f"
     lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
@@ -243,6 +244,13 @@ def write_candidates(path: str | Path,
         if decision:
             row.append(decision)
         lines.append("\t".join(row))
+    return lines, written
+
+
+def write_candidates(path: str | Path,
+                     candidates: Sequence[Candidate]) -> list[Candidate]:
+    """Write `candidate_table(candidates)`; return its rows."""
+    lines, written = candidate_table(candidates)
     write_lines(path, lines)
     return written
 

@@ -330,6 +330,25 @@ class TestAtwvOverflow:
         assert capsys.readouterr().err.splitlines() == [self.MESSAGE]
         assert not out.exists()
 
+    def test_pipeline_writes_nothing(self, tmp_path, capsys):
+        # perfbench's `scoring` inputs at seed 7; every YES set has false
+        # alarms, which only the decided rows show
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("synth", "--docs", "20", "--slots", "20", "--keywords", "20",
+                   "--vocab", "500", "--docs-per-topic", "5",
+                   "--topic-affinity", "0.9", "--noise", "0.5", "--seed", "7",
+                   "--out", str(data)) == 0
+        out.mkdir()
+        assert run("pipeline", "--corpus", str(data / "corpus.jsonl"),
+                   "--keywords", str(data / "keywords.tsv"),
+                   "--ref", str(data / "refs.tsv"), "--alpha", "0.1",
+                   "--decision", "global", "--threshold", "0",
+                   "--trial-seconds", "12.5", "--beta", "1e308",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "drstd: ATWV overflows to -inf at beta 1e+308 and trial_seconds 12.5"]
+        assert list(out.iterdir()) == []
+
     def test_mtwv_skips_overflowing_thresholds(self, tmp_path):
         inputs = self._flags(tmp_path, "--hyp", ["0.0\t0.5\t0.9\tYES",
                                                  "5.0\t0.5\t0.5\tNO",
@@ -514,9 +533,9 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [
             "drstd: keyword 'K1' has no KST threshold: beta*N / (T + (beta-1)*N) "
             "is nan at beta=0.25, T=1.5, N=2.0"]
-        # the cut needs the rescored scores, so the stages before it wrote
-        assert sorted(p.name for p in out.iterdir()) == [
-            "candidates.tsv", "rescored.tsv", "weights.tsv"]
+        # the cut needs the rescored scores, and pipeline writes nothing
+        # before its score
+        assert not out.exists()
 
 
 class TestSweepAndDiag:
@@ -1446,8 +1465,8 @@ def test_shared_flag_is_declared_alike_everywhere(flag):
 
 
 # Runs in a fresh interpreter: importing the package loads none of its
-# modules, and every command but synth must leave numpy unloaded, and
-# logging and csv too under --quiet.
+# modules, and every command must leave numpy unloaded, and logging and
+# csv too under --quiet.
 _NUMPY_FREE_SCRIPT = """
 import json, sys
 import drstd
@@ -1462,7 +1481,7 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
+def test_no_command_imports_numpy(tmp_path):
     # nor dataclasses, logging or csv, whose imports would add to every
     # command's start-up
     corpus, keywords, refs = (tmp_path / name for name in (
@@ -1494,6 +1513,8 @@ def test_commands_other_than_synth_do_not_import_numpy(tmp_path):
          "--trial-seconds", "1000", "--out", "{run}/sweep.csv"],
         ["diag", "--in", "{cands}", "--ref", "{ref}", "--trial-seconds", "1000",
          "--out", "{run}/diag"],
+        ["synth", "--docs", "3", "--keywords", "2", "--seed", "1",
+         "--out", "{run}/synth"],
     ]
     argvs = [[arg.format(**files) for arg in argv] for argv in commands]
     src = Path(drstd.__file__).resolve().parents[1]
@@ -1625,6 +1646,8 @@ _SYNTH_FIELDS = dict(num_docs=10, slots_per_doc=10, vocab_size=50,
      "trial_seconds must be > 0, got 0.0"),
     (lambda: SynthConfig(**{**_SYNTH_FIELDS, "docs_per_topic": 0}),
      "docs_per_topic must be >= 1, got 0"),
+    (lambda: SynthConfig(**{**_SYNTH_FIELDS, "num_docs": 2**32 + 1}),
+     "num_docs must be <= 2**32, got 4294967297"),
     (lambda: SynthConfig(**{**_SYNTH_FIELDS, "noise": 1.5}),
      "noise must be in [0, 1], got 1.5"),
 ])

@@ -2,7 +2,11 @@
 
 import collections
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +20,13 @@ from drstd.diagnostics import doc_performance, weight_performance_correlation
 from drstd.index_search import dedup_overlaps, search_all
 from drstd.rescore import build_weight_tables
 from drstd.scoring import align, atwv, keyword_rates
-from drstd.tables import RefOccurrence
+from drstd._stream import Generator
+from drstd.tables import RefOccurrence, _total
 from drstd.synth import (COMPETITOR_RANGE, NOISE_SLOPE_HI, NOISE_SLOPE_LO,
                          SLOT_DURATION_RANGE, TRUE_POSTERIOR_RANGE,
-                         SynthConfig, generate)
+                         ZIPF_EXPONENT, SynthConfig, generate)
 
+from conftest import ACCEPTANCE_SYNTH_ARGS
 from oracles import reference_generate
 
 
@@ -135,13 +141,26 @@ class TestValidity:
             small_config(noise=1.5)
 
 
-class TestMatchesNumpyChoice:
-    """`generate` draws its weighted tokens from cdfs built once;
-    `reference_generate`, the former code, calls numpy's
-    `Generator.choice(..., p=...)` for each. Equal output shows the draws
-    are numpy's, and fails if a numpy release changes how `choice` draws."""
+def counted(monkeypatch, name):
+    """A list that gets the arguments of each later call of `synth.<name>`."""
+    function, calls = getattr(synth, name), []
 
-    @pytest.mark.parametrize("overrides,saturated", [
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(synth, name, counting)
+    return calls
+
+
+class TestMatchesNumpyChoice:
+    """`generate` draws its weighted tokens from cdfs built once, on its own
+    copy of numpy's stream; `reference_generate`, the former code, calls
+    numpy's `Generator.choice(..., p=...)` for each. Equal output shows the
+    draws are numpy's, and fails if a numpy release changes how `choice`
+    draws."""
+
+    CONFIGS = pytest.mark.parametrize("overrides,saturated", [
         (dict(vocab_size=13, num_keywords=12, noise=1.0, topic_affinity=1.0),
          False),
         (dict(vocab_size=COMPETITOR_RANGE[1], num_keywords=1), False),
@@ -151,40 +170,48 @@ class TestMatchesNumpyChoice:
         (dict(num_docs=7, docs_per_topic=5, topic_affinity=1.0), False),
     ], ids=["vocab-just-above-keywords", "smallest-vocab", "saturated",
             "noise0-affinity1", "noise1-affinity0", "partial-last-topic"])
+
+    @CONFIGS
     def test_equals_reference_generate(self, monkeypatch, overrides, saturated):
-        build_cdf, cdf_builds = synth._cdf, []
-
-        def counting_cdf(p):
-            cdf_builds.append(len(p))
-            return build_cdf(p)
-
-        monkeypatch.setattr(synth, "_cdf", counting_cdf)
+        redraws = counted(monkeypatch, "_redraw")
         cfg = small_config(**overrides)
         got = drawn(cfg)
         assert got == reference_generate(cfg)
-        # two cdfs are built up front; each further one is a redraw after
-        # a repeated token, numpy's retry path
-        assert len(cdf_builds) > 2
+        # each redraw follows a repeated token: numpy's retry path ran
+        assert redraws
         assert (got[3] > 0) == saturated  # dropped occurrences
+
+    @CONFIGS
+    def test_exact_redraws_equal_reference_generate(self, monkeypatch,
+                                                    overrides, saturated):
+        # an error bound wider than any cdf: every redraw sums its cdf
+        monkeypatch.setattr(synth, "_SUM_ERROR", 1.0)
+        exact = counted(monkeypatch, "_exact_pick")
+        cfg = small_config(**overrides)
+        assert drawn(cfg) == reference_generate(cfg)
+        assert exact
 
 
 class TestDrawsMatchNumpy:
-    """`generate` draws its uniforms and flat Dirichlet shares without
-    numpy's wrappers. Each draw must equal numpy's bit for bit and leave
-    the stream where numpy leaves it; this fails on a numpy release that
-    changes either draw, whatever `generate` does."""
+    """`generate` draws its uniforms and flat Dirichlet shares from
+    `_stream.Generator`'s `random` and `standard_exponential`. Each draw,
+    made as `generate` makes it, must equal numpy's `uniform` or
+    `dirichlet` bit for bit and leave the stream where numpy leaves it;
+    this fails on a numpy release that changes either draw."""
 
     SEEDS = range(50)
 
     @staticmethod
     def twin_streams(seed):
-        return np.random.default_rng(seed), np.random.default_rng(seed)
+        return Generator(seed), np.random.default_rng(seed)
 
     @pytest.mark.parametrize("n", range(*COMPETITOR_RANGE))
     def test_flat_dirichlet(self, n):
         for seed in self.SEEDS:
             ours, numpy_rng = self.twin_streams(seed)
-            assert (synth._flat_dirichlet(ours, n)
+            draws = ours.standard_exponential(n)
+            scale = 1.0 / _total(draws)
+            assert ([x * scale for x in draws]
                     == numpy_rng.dirichlet(np.ones(n)).tolist()), seed
             assert ours.random() == numpy_rng.random(), seed
 
@@ -198,9 +225,42 @@ class TestDrawsMatchNumpy:
     def test_uniform(self, low, high):
         for seed in self.SEEDS:
             ours, numpy_rng = self.twin_streams(seed)
-            assert (synth._uniform(ours, low, high)
+            assert (low + (high - low) * ours.random()
                     == float(numpy_rng.uniform(low, high))), seed
             assert ours.random() == numpy_rng.random(), seed
+
+
+class TestNumpyArithmetic:
+    """The profiles are numpy's sums in numpy's order."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 128, 129, 136, 1000,
+                                   8192, 8193, 20001])
+    def test_pairwise_sum_equals_numpy_sum(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.random(n), rng.random(n) ** 8 * 1e-3,
+                       1.0 / np.arange(1, n + 1) ** 1.5):
+            assert synth._pairwise_sum(values.tolist()) == values.sum(), n
+
+    def test_redraw_equals_numpy_searchsorted(self, monkeypatch):
+        """`_redraw` places each x as numpy's retry does, also an x that is
+        an entry of the zeroed cdf itself, where it sums the cdf."""
+        exact = counted(monkeypatch, "_exact_pick")
+        rng = np.random.default_rng(3)
+        for n in (5, 13, 500, 2000):
+            p = 1.0 / np.arange(1, n + 1) ** ZIPF_EXPONENT
+            p /= p.sum()
+            cum = np.cumsum(p).tolist()
+            for _ in range(200):
+                found = rng.choice(min(n, 40), int(rng.integers(1, 5)),
+                                   replace=False).tolist()
+                zeroed = p.copy()
+                zeroed[found] = 0.0
+                cdf = np.cumsum(zeroed)
+                cdf /= cdf[-1]
+                xs = [*rng.random(3).tolist(), float(rng.choice(cdf[:-1]))]
+                assert (synth._redraw(p.tolist(), cum, found, xs)
+                        == cdf.searchsorted(xs, side="right").tolist())
+        assert exact  # the x on a cdf entry
 
 
 class TestStreaming:
@@ -260,6 +320,27 @@ ACCEPTANCE_SHA256 = {
 def test_acceptance_corpus_bytes_pinned(acceptance_synth):
     assert {name: hashlib.sha256((acceptance_synth.out / name).read_bytes())
             .hexdigest() for name in ACCEPTANCE_SHA256} == ACCEPTANCE_SHA256
+
+
+# Runs in a fresh interpreter in which `import numpy` fails.
+_NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+from drstd.cli import main
+sys.exit(main(["--quiet", "synth", *sys.argv[1:]]))
+"""
+
+
+def test_acceptance_corpus_bytes_pinned_without_numpy(tmp_path):
+    src = Path(synth.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, *ACCEPTANCE_SYNTH_ARGS,
+         "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ACCEPTANCE_SHA256} == ACCEPTANCE_SHA256
 
 
 # The vocabulary, affinity and noise of perfbench's `ingest` corpus, on 30
