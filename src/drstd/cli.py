@@ -3,12 +3,12 @@
 Chains the batch stages as separate subcommands (search, rescore,
 decide, score, sweep, diag, synth) plus a `pipeline` subcommand that runs
 search -> rescore -> decide -> score in one invocation. Every
-intermediate artifact is an ordinary file in the documented formats. The
-pipeline runs the stage code of `rescore`, `decide` and `score` on each
-table as written, the rows `candidate_table` returns, which are those
-the file parses back to; so its outputs are byte-identical to chaining
-the individual subcommands, and it reads back no file it wrote. It writes
-nothing until every stage, scoring included, has run.
+intermediate artifact is an ordinary file in the documented formats.
+Each stage returns values: its table's rows as written, those the file
+parses back to, its weights or its report; each command writes them. So
+`pipeline` writes the bytes of the chained subcommands, reads back no
+file it wrote, and holds rows, not text: it runs every stage, scoring
+included, before its first write, and formats each table as it writes it.
 
 After a run succeeds, `main` drops a `<subcommand>.manifest.json` next to
 its primary output recording the flag values the run used, the sha256
@@ -28,8 +28,8 @@ from pathlib import Path
 
 from . import __version__
 from .tables import (_NUMBER, DEFAULT_BETA, DEFAULT_DELTA_SECONDS, DEFAULT_THRESHOLD,
-                     Candidate, FormatError, RefOccurrence, candidate_table,
-                     parse_occurrence_table, write_candidates, write_lines,
+                     Candidate, FormatError, RefOccurrence, candidate_lines,
+                     candidate_table, parse_occurrence_table, write_lines,
                      write_references)
 
 
@@ -187,43 +187,27 @@ def _search(args, keywords) -> tuple[list[Candidate], int, float]:
     return dedup_overlaps(found), docs, seconds
 
 
-# The stages `pipeline` chains, each a whole subcommand once its input is
-# parsed: each computes and logs its line, and returns the files it makes
-# as (writer, path, content) triples for `_write`, so that `pipeline`
-# writes nothing before its score is known. The two table stages also
-# return their table's rows as written.
-def _write(files: list[tuple]) -> None:
-    for writer, path, content in files:
-        writer(path, content)
-
-
-def _rescore_stage(candidates: list[Candidate], out: Path, alpha: float,
-                   weights_out: str | Path | None
-                   ) -> tuple[list[Candidate], list[tuple]]:
-    from .rescore import rescore_candidates, write_weight_tables
+# The stages `pipeline` chains: each is a subcommand but for its parse and
+# writes, logs its line and returns plain values, a table's rows as written.
+def _rescore_stage(candidates: list[Candidate], alpha: float) -> tuple:
+    from .rescore import rescore_candidates
     rescored, tables = rescore_candidates(candidates, alpha)
-    lines, rescored = candidate_table(rescored)
-    _info("rescore: %d candidates, alpha=%s", len(rescored), alpha)
-    # The weights first: a failed write then leaves no table `out`.
-    weights = [] if weights_out is None else [
-        (write_weight_tables, weights_out, tables)]
-    return rescored, [*weights, (write_lines, out, lines)]
+    _info("rescore: %d candidates, alpha=%s", len(candidates), alpha)
+    return candidate_table(rescored), tables
 
 
-def _decide_stage(candidates: list[Candidate], out: Path,
-                  policy) -> tuple[list[Candidate], list[tuple]]:
+def _decide_stage(candidates: list[Candidate], policy) -> list[Candidate]:
     from .decision import apply_decisions
-    lines, decided = candidate_table(apply_decisions(candidates, policy))
+    decided = candidate_table(apply_decisions(candidates, policy))
     _info("decide: %d YES of %d (%s mode)",
           sum(c.decision == "YES" for c in decided), len(decided), policy.mode)
-    return decided, [(write_lines, out, lines)]
+    return decided
 
 
 def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
-                 out: Path, trial_seconds: float, beta: float, delta: float,
-                 with_mtwv: bool = False) -> list[tuple]:
-    """The report `out` and its keyword detail beside it."""
-    from .scoring import mtwv, score_detections, write_keyword_detail
+                 trial_seconds: float, beta: float, delta: float,
+                 with_mtwv: bool = False) -> dict:
+    from .scoring import mtwv, score_detections
     report = score_detections(hypotheses, references, trial_seconds, beta, delta)
     aggregate = report["aggregate"]
     if with_mtwv:
@@ -232,28 +216,40 @@ def _score_stage(hypotheses: list[Candidate], references: list[RefOccurrence],
     _info("score: ATWV %.4f over %d keywords (mean Pmiss %.4f, mean PFA %.6f)",
           aggregate["atwv"], aggregate["num_scored_keywords"],
           aggregate["mean_p_miss"], aggregate["mean_p_fa"])
-    return [(_write_json, out, report),
-            (write_keyword_detail, out.parent / "keyword_scores.tsv", report)]
+    return report
+
+
+def _write_report(out: Path, report: dict) -> None:
+    """Write the report `out` and its keyword detail beside it."""
+    from .scoring import write_keyword_detail
+    _write_json(out, report)
+    write_keyword_detail(out.parent / "keyword_scores.tsv", report)
 
 
 def cmd_search(args) -> None:
     from .corpus_io import parse_keyword_list
     keywords = parse_keyword_list(args.keywords)
     candidates, docs, _ = _search(args, keywords)
-    write_candidates(args.out, candidates)
+    # Nothing reads these rows, so they are not rounded first: same lines.
+    write_lines(args.out, candidate_lines(sorted(candidates)))
     _info("search: %d candidates for %d keywords over %d docs",
           len(candidates), len(keywords), docs)
 
 
 def cmd_rescore(args) -> None:
-    _write(_rescore_stage(parse_occurrence_table(args.candidates, "candidate"),
-                          args.out, args.alpha, args.weights_out)[1])
+    from .rescore import write_weight_tables
+    rescored, tables = _rescore_stage(
+        parse_occurrence_table(args.candidates, "candidate"), args.alpha)
+    # The weights first: a failed write then leaves no table `out`.
+    if args.weights_out is not None:
+        write_weight_tables(args.weights_out, tables)
+    write_lines(args.out, candidate_lines(rescored))
 
 
 def cmd_decide(args) -> None:
     policy = _resolve_policy(args)
-    _write(_decide_stage(parse_occurrence_table(args.candidates, "candidate"),
-                         args.out, policy)[1])
+    write_lines(args.out, candidate_lines(_decide_stage(
+        parse_occurrence_table(args.candidates, "candidate"), policy)))
 
 
 def cmd_sweep(args) -> None:
@@ -324,6 +320,7 @@ def cmd_synth(args) -> dict[str, int]:
 
 def cmd_pipeline(args) -> None:
     from .corpus_io import parse_keyword_list
+    from .rescore import write_weight_tables
     keywords = parse_keyword_list(args.keywords)
     references = parse_occurrence_table(args.references, "ref")
     candidates, _, seconds = _search(args, keywords)
@@ -331,14 +328,17 @@ def cmd_pipeline(args) -> None:
         raise FormatError("documents span 0 seconds in all: give "
                           "--trial-seconds", path=args.corpus)
     policy = _resolve_policy(args, corpus_seconds=seconds)
-    lines, candidates = candidate_table(candidates)
-    rescored, rescore_files = _rescore_stage(
-        candidates, args.out / "rescored.tsv", args.alpha, args.out / "weights.tsv")
-    decided, decide_files = _decide_stage(rescored, args.out / "decided.tsv", policy)
+    candidates = candidate_table(candidates)
+    rescored, tables = _rescore_stage(candidates, args.alpha)
+    decided = _decide_stage(rescored, policy)
+    report = _score_stage(decided, references, policy.trial_seconds, policy.beta,
+                          args.delta)
     # The score, and so every check, comes before the first write.
-    _write([(write_lines, args.out / "candidates.tsv", lines), *rescore_files,
-            *decide_files, *_score_stage(decided, references, args.out / "report.json",
-                                         policy.trial_seconds, policy.beta, args.delta)])
+    write_lines(args.out / "candidates.tsv", candidate_lines(candidates))
+    write_weight_tables(args.out / "weights.tsv", tables)
+    write_lines(args.out / "rescored.tsv", candidate_lines(rescored))
+    write_lines(args.out / "decided.tsv", candidate_lines(decided))
+    _write_report(args.out / "report.json", report)
     _info("pipeline: alpha=%s, %s decisions -> %s",
           args.alpha, policy.mode, args.out)
 
@@ -398,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mtwv", action="store_true",
                    help="also scan for the best global threshold")
     p.add_argument("--out", type=_path, required=True, help="report JSON")
-    p.set_defaults(func=lambda a: _write(_score_stage(
+    p.set_defaults(func=lambda a: _write_report(a.out, _score_stage(
         parse_occurrence_table(a.hypotheses, "decided"),
         parse_occurrence_table(a.references, "ref"),
-        a.out, a.trial_seconds, a.beta, a.delta, a.mtwv)))
+        a.trial_seconds, a.beta, a.delta, a.mtwv)))
 
     p = subs.add_parser("sweep", help="ATWV versus interpolation coefficient")
     _add_input(p, "--in", "candidates", "candidate TSV")

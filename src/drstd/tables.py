@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 SCORE_DECIMALS = 6
+_SCORE_FORMAT = f".{SCORE_DECIMALS}f"
 # The defaults of beta, the global threshold and the alignment tolerance,
 # here so that the flags can name them without loading decision or scoring.
 DEFAULT_BETA = 999.9
@@ -225,34 +226,32 @@ def write_lines(path: str | Path, lines: Iterable[str], end: str = "\n") -> None
         fh.writelines(line + end for line in lines)
 
 
-def candidate_table(candidates: Sequence[Candidate]
-                    ) -> tuple[list[str], list[Candidate]]:
-    """The lines of a candidate table: sorted, scores at 6 decimals, and a
-    decision column only on a decided row.
+def candidate_table(candidates: Iterable[Candidate]) -> list[Candidate]:
+    """The rows of a candidate table as written: sorted, and each score the
+    float of its 6-decimal text, which `candidate_lines` writes back."""
+    return [_new_tuple(Candidate, (kw_id, doc_id, start, dur,
+                                   float(format(score, _SCORE_FORMAT)), decision))
+            for kw_id, doc_id, start, dur, score, decision in sorted(candidates)]
 
-    Also returns the rows the lines parse back to, in line order: each
-    score is the float of its 6-decimal text, and `repr` writes floats
-    exactly.
-    """
-    score_format = f".{SCORE_DECIMALS}f"
-    lines = ["# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"]
-    written = []
-    for kw_id, doc_id, start, dur, score, decision in sorted(candidates):
-        row = [kw_id, doc_id, repr(start), repr(dur), format(score, score_format)]
-        written.append(_new_tuple(Candidate, (kw_id, doc_id, start, dur,
-                                              float(row[4]), decision)))
+
+def candidate_lines(rows: Iterable[Candidate]) -> Iterator[str]:
+    """The lines of a candidate table of `rows` in their order, made as they
+    are consumed: scores at 6 decimals, which a row of `candidate_table`
+    gives back exactly, and a decision column only on a decided row."""
+    yield "# kw_id\tdoc_id\tstart\tdur\tscore[\tdecision]"
+    for kw_id, doc_id, start, dur, score, decision in rows:
+        line = f"{kw_id}\t{doc_id}\t{start!r}\t{dur!r}\t{score:{_SCORE_FORMAT}}"
         if decision:
-            row.append(decision)
-        lines.append("\t".join(row))
-    return lines, written
+            line += "\t" + decision
+        yield line
 
 
 def write_candidates(path: str | Path,
-                     candidates: Sequence[Candidate]) -> list[Candidate]:
+                     candidates: Iterable[Candidate]) -> list[Candidate]:
     """Write `candidate_table(candidates)`; return its rows."""
-    lines, written = candidate_table(candidates)
-    write_lines(path, lines)
-    return written
+    rows = candidate_table(candidates)
+    write_lines(path, candidate_lines(rows))
+    return rows
 
 
 def write_references(path: str | Path, refs: Sequence[RefOccurrence]) -> None:

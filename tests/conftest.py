@@ -24,10 +24,7 @@ from drstd.corpus_io import ConfusionNetworkDoc, KeywordEntry, Slot
 from drstd.tables import Candidate, RefOccurrence
 
 # The fixed synthetic experiment of the acceptance criteria.
-ACCEPTANCE_SYNTH_ARGS = [
-    "--docs", "200", "--slots", "100", "--keywords", "50", "--vocab", "500",
-    "--topic-affinity", "0.9", "--noise", "0.5", "--docs-per-topic", "5",
-    "--seed", "7"]
+from chain_pins import ACCEPTANCE_SYNTH_ARGS
 
 
 class SynthRun(NamedTuple):

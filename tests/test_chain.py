@@ -1,5 +1,6 @@
 """The whole chain against the oracles: `pipeline` and the chained
-subcommands on small random corpora, file by file."""
+subcommands on small random corpora, file by file; and the bytes of the
+acceptance chain against their pins."""
 
 import contextlib
 import io
@@ -16,6 +17,7 @@ from drstd.corpus_io import (EPS_TOKEN, ConfusionNetworkDoc, KeywordEntry, Slot,
 from drstd.tables import (SCORE_DECIMALS, RefOccurrence, parse_occurrence_table,
                           write_references)
 
+from chain_pins import mismatches, run_chain
 from oracles import (brute_force_atwv, candidate_order, naive_scan_search,
                      reference_greedy_dedup, reference_kst_cut,
                      reference_nearest_first_alignment, straightline_rescore)
@@ -186,3 +188,8 @@ def test_chain_matches_pipeline_and_oracles(tmp_path_factory, case):
     assert report["aggregate"]["atwv"] == pytest.approx(
         brute_force_atwv(counts.values(), float(case.trial), float(case.beta)),
         rel=1e-12, abs=1e-12)
+
+
+def test_acceptance_chain_bytes_pinned(tmp_path):
+    # `tests/chain_pins.py` runs the same check under any interpreter.
+    assert mismatches(run_chain(tmp_path)) == []

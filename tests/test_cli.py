@@ -1593,6 +1593,58 @@ def test_table_commands_load_no_corpus_code(data_dir, pipeline_run, tmp_path,
     assert json.loads(done.stdout) == []
 
 
+# Runs `pipeline ARGS` in a fresh interpreter and prints its own peak
+# memory in kB. A spawned child's ru_maxrss starts from its parent's peak,
+# so the peak is read as VmHWM.
+_PEAK_SCRIPT = """
+import sys
+from drstd.cli import main
+assert main(["--quiet", "pipeline", *sys.argv[1:]]) == 0
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+# The child's peak over the size of its candidates.tsv (4.4 MB, 77,293
+# rows), measured on x86-64 Linux under CPython 3.10-3.13: 14.7-15.4 when
+# `pipeline` holds rows only, and 21.0-22.0 when it also holds its tables'
+# lines until the score. The bound lies between the two.
+PEAK_PER_TABLE_BYTE = 18
+
+
+def _has_vmhwm() -> bool:
+    try:
+        return "VmHWM:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_pipeline_own_peak_bounded_by_candidate_table(acceptance_synth,
+                                                       tmp_path):
+    # every vocabulary word a keyword: about 77k candidates
+    data = acceptance_synth.out
+    vocab = set()
+    with open(data / "corpus.jsonl", encoding="utf-8") as corpus:
+        for line in corpus:
+            for slot in json.loads(line)["slots"]:
+                vocab.update(token for token, _ in slot["arcs"])
+    vocab.discard(EPS_TOKEN)
+    keywords = tmp_path / "keywords.tsv"
+    write_keyword_list(keywords, [KeywordEntry(f"V{i}", (token,))
+                                  for i, token in enumerate(sorted(vocab))])
+    out = tmp_path / "run"
+    src = Path(drstd.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, "--corpus", str(data / "corpus.jsonl"),
+         "--keywords", str(keywords), "--ref", str(data / "refs.tsv"),
+         "--alpha", "0.1", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    peak = int(done.stdout) * 1024
+    table = (out / "candidates.tsv").stat().st_size
+    assert peak < PEAK_PER_TABLE_BYTE * table, (peak, table)
+
+
 @pytest.mark.parametrize("subcommand", sorted(_subcommands()))
 def test_subcommand_help_is_that_of_the_full_parser(capsys, subcommand):
     with pytest.raises(SystemExit) as exc:

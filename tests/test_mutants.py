@@ -79,8 +79,8 @@ MUTANTS = (
            ("tests/test_corpus_io.py::TestCnCorpusParsing::"
             "test_corpus_line_bytes[non_ascii_token]",)),
     Mutant("sort-key-without-decision", "src/drstd/tables.py",
-           " in sorted(candidates):\n",
-           " in sorted(candidates, key=lambda c: c[:5]):\n",
+           " in sorted(candidates)]\n",
+           " in sorted(candidates, key=lambda c: c[:5])]\n",
            ("tests/test_corpus_io.py::TestCandidateWriting::"
             "test_output_sorted[decision]",)),
     Mutant("undecided-row-gets-decision-column", "src/drstd/tables.py",
@@ -125,6 +125,11 @@ MUTANTS = (
            "",
            ("tests/test_index_search.py::TestSearchAll::"
             "test_matches_naive_scan[0]",)),
+    Mutant("pipeline-writes-before-score", "src/drstd/cli.py",
+           "    report = _score_stage(",
+           '    write_lines(args.out / "candidates.tsv", candidate_lines(candidates))\n'
+           '    report = _score_stage(',
+           ("tests/test_cli.py::TestAtwvOverflow::test_pipeline_writes_nothing",)),
     Mutant("writer-line-end-always-lf", "src/drstd/tables.py",
            "line + end for line in lines",
            'line + "\\n" for line in lines',

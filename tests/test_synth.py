@@ -26,6 +26,7 @@ from drstd.synth import (COMPETITOR_RANGE, NOISE_SLOPE_HI, NOISE_SLOPE_LO,
                          SLOT_DURATION_RANGE, TRUE_POSTERIOR_RANGE,
                          ZIPF_EXPONENT, SynthConfig, generate)
 
+from chain_pins import CHAIN_SHA256
 from conftest import ACCEPTANCE_SYNTH_ARGS
 from oracles import reference_generate
 
@@ -307,14 +308,8 @@ class TestStreaming:
 # sha256 of the acceptance corpus as `Generator.choice` drew it. A change
 # to the random stream that moves `generate` and `reference_generate`
 # alike is caught here.
-ACCEPTANCE_SHA256 = {
-    "corpus.jsonl":
-        "e9923d89abb541fe5111fb31a8faf2dfbf4dc30b00bd9fb744aeeccec2a0201e",
-    "keywords.tsv":
-        "7495c79b0a7ec1d0a3b28db78b0b37c2b7f73d6033a963644969a89ae4844ba5",
-    "refs.tsv":
-        "46fdff9612306ae294ba4c28e1140c83ab2790c94fe4d042118864a29a1b6e32",
-}
+ACCEPTANCE_SHA256 = {name: CHAIN_SHA256[f"synth/{name}"]
+                     for name in ("corpus.jsonl", "keywords.tsv", "refs.tsv")}
 
 
 def test_acceptance_corpus_bytes_pinned(acceptance_synth):
