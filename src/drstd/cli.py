@@ -230,8 +230,8 @@ def cmd_search(args) -> None:
     from .corpus_io import parse_keyword_list
     keywords = parse_keyword_list(args.keywords)
     candidates, docs, _ = _search(args, keywords)
-    # Nothing reads these rows, so they are not rounded first: same lines.
-    write_lines(args.out, candidate_lines(sorted(candidates)))
+    # The rows in `dedup_overlaps`'s order, not rounded first: same lines.
+    write_lines(args.out, candidate_lines(candidates))
     _info("search: %d candidates for %d keywords over %d docs",
           len(candidates), len(keywords), docs)
 

@@ -106,7 +106,8 @@ def dedup_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     duration, does not overlap a kept candidate's by more than half of the
     shorter span (`_overlap_exceeds`). A zero-length span overlaps another
     only when both start at the same instant. Idempotent. The survivors
-    come sorted: by kw_id, doc_id, start, duration, score, then decision.
+    come sorted: by kw_id, doc_id, start, duration, score, then decision,
+    the order `search` writes them in.
     """
     groups: dict[tuple[str, str], list[Candidate]] = {}
     for cand in candidates:

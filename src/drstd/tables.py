@@ -246,14 +246,6 @@ def candidate_lines(rows: Iterable[Candidate]) -> Iterator[str]:
         yield line
 
 
-def write_candidates(path: str | Path,
-                     candidates: Iterable[Candidate]) -> list[Candidate]:
-    """Write `candidate_table(candidates)`; return its rows."""
-    rows = candidate_table(candidates)
-    write_lines(path, candidate_lines(rows))
-    return rows
-
-
 def write_references(path: str | Path, refs: Sequence[RefOccurrence]) -> None:
     """Write references sorted by kw_id, doc_id, start, then duration."""
     lines = ["# kw_id\tdoc_id\tstart\tdur"]

@@ -20,9 +20,9 @@ must match row for row and error message for error message.
 `reference_numbered_lines` splits a whole strictly decoded byte string
 into lines, for the one-pass line reader `tables._numbered_lines`.
 `reference_write_candidates` is the former `write_candidates`, which
-sorted with a Python key per row, here written out field by field;
-`tables.write_candidates`, which sorts its rows as plain tuples, must give
-its bytes exactly.
+sorted with a Python key per row, here written out field by field; the
+lines `tables.candidate_lines` makes of the rows of `tables.candidate_table`,
+which sorts them as plain tuples, must give its bytes exactly.
 `reference_write_cn_corpus` is the former `corpus_io.write_cn_corpus`,
 which wrote each document with `json.dumps` over a dict per slot and a
 list per arc; `corpus_io.write_cn_corpus`, which hands `json.dumps` each

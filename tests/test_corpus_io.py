@@ -14,8 +14,8 @@ from drstd.corpus_io import (ConfusionNetworkDoc, Slot, normalize_token,
                              parse_cn_corpus, parse_keyword_list,
                              write_cn_corpus, write_keyword_list)
 from drstd.tables import (Candidate, FormatError, RefOccurrence,
-                          parse_occurrence_table, write_candidates,
-                          write_references)
+                          candidate_lines, candidate_table,
+                          parse_occurrence_table, write_references)
 
 from conftest import random_candidates, random_corpus
 from oracles import (candidate_order, reference_doc_from_obj,
@@ -24,8 +24,16 @@ from oracles import (candidate_order, reference_doc_from_obj,
 
 
 def quantize_score(score: float) -> float:
-    """Score equality under the 6-decimal serialization of write_candidates."""
+    """Score equality under the 6-decimal serialization of candidate_lines."""
     return float(f"{score:.{tables.SCORE_DECIMALS}f}")
+
+
+def write_candidate_table(path, cands):
+    """Write `cands` as every command writes a candidate table, the lines of
+    `candidate_table`'s rows; return those rows."""
+    rows = candidate_table(cands)
+    tables.write_lines(path, candidate_lines(rows))
+    return rows
 
 
 def write_lines(path, lines):
@@ -812,12 +820,12 @@ class TestCandidateWriting:
                        quantize_score(c.score)) for c in cands),
             key=candidate_order)
         p = tmp_path / "cand.tsv"
-        write_candidates(p, cands)
+        write_candidate_table(p, cands)
         assert parse_occurrence_table(p, "candidate") == expected
 
     def test_empty_list_writes_header_comment(self, tmp_path):
         p = tmp_path / "cand.tsv"
-        write_candidates(p, [])
+        write_candidate_table(p, [])
         text = p.read_text()
         assert text.startswith("#")
         assert parse_occurrence_table(p, "candidate") == []
@@ -837,7 +845,7 @@ class TestCandidateWriting:
     def test_output_sorted(self, tmp_path, cands, order):
         """The file order is that of a plain sort of the rows."""
         p = tmp_path / "cand.tsv"
-        assert write_candidates(p, cands) == sorted(cands)
+        assert write_candidate_table(p, cands) == sorted(cands)
         assert parse_occurrence_table(p, "candidate") == [cands[i] for i in order]
 
     def test_reference_round_trip(self, tmp_path):
@@ -851,7 +859,7 @@ class TestCandidateWriting:
 
 # Every writer of the toolkit, each given an empty table, corpus or report.
 _WRITERS = {
-    "candidates": lambda path: write_candidates(path, []),
+    "candidates": lambda path: write_candidate_table(path, []),
     "references": lambda path: write_references(path, []),
     "keyword_list": lambda path: write_keyword_list(path, []),
     "cn_corpus": lambda path: write_cn_corpus(path, []),
@@ -892,7 +900,7 @@ def test_write_parse_round_trip_property(tmp_path_factory, rows):
                    quantize_score(c.score), c.decision) for c in cands),
         key=candidate_order)
     path = tmp_path_factory.mktemp("rt") / "cand.tsv"
-    written = write_candidates(path, cands)
+    written = write_candidate_table(path, cands)
     parsed = parse_occurrence_table(path, "candidate")
     assert parsed == expected
     # repr tells -0.0 from 0.0, and each float exactly
@@ -935,7 +943,7 @@ def test_write_candidates_matches_reference_oracle(tmp_path_factory, cands):
     edges, negative starts and non-ASCII ids; and it returns exactly the
     rows its file parses back to."""
     directory = tmp_path_factory.getbasetemp()
-    written = write_candidates(directory / "got.tsv", cands)
+    written = write_candidate_table(directory / "got.tsv", cands)
     reference_write_candidates(directory / "want.tsv", cands)
     assert ((directory / "got.tsv").read_bytes()
             == (directory / "want.tsv").read_bytes())

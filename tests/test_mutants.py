@@ -125,6 +125,11 @@ MUTANTS = (
            "",
            ("tests/test_index_search.py::TestSearchAll::"
             "test_matches_naive_scan[0]",)),
+    Mutant("dedup-survivors-unsorted", "src/drstd/index_search.py",
+           "    return sorted(survivors)\n",
+           "    return survivors\n",
+           ("tests/test_index_search.py::TestDedupOverlaps::"
+            "test_non_overlapping_unchanged",)),
     Mutant("pipeline-writes-before-score", "src/drstd/cli.py",
            "    report = _score_stage(",
            '    write_lines(args.out / "candidates.tsv", candidate_lines(candidates))\n'
